@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .automata import SDTA, TreeAutomaton, accepts, prune_reachable
+from .automata import SDTA, TreeAutomaton, _evaluate, prune_reachable
 from .errors import AlphabetMismatchError, KindError
 from .strings import MooreDFA, canonical_form, minimize_moore, subset_name
 from .trees import DEFAULT_BOUNDS, EnumerationBounds, Tree, iter_trees
@@ -28,12 +28,17 @@ class EquivalenceVerdict:
 
 def equiv_bounded(a: TreeAutomaton, b: TreeAutomaton,
                   bounds: EnumerationBounds = DEFAULT_BOUNDS) -> EquivalenceVerdict:
-    """Compare acceptance over every enumerated tree within bounds."""
+    """Compare acceptance over every enumerated tree within bounds.
+
+    The enumerated trees share their proper subtrees, so each automaton
+    keeps one evaluation memo for the whole enumeration."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError(
             f"alphabets differ: {sorted(a.alphabet)} vs {sorted(b.alphabet)}")
+    memo_a, memo_b = {}, {}
     for t in iter_trees(a.alphabet, bounds):
-        if accepts(a, t) != accepts(b, t):
+        if (bool(_evaluate(a, t, memo_a) & a.finals)
+                != bool(_evaluate(b, t, memo_b) & b.finals)):
             return EquivalenceVerdict(False, t, "bounded-enumeration")
     return EquivalenceVerdict(True, None, "bounded-enumeration")
 

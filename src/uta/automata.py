@@ -81,6 +81,11 @@ class TreeAutomaton:
         self.horizontal = dict(horizontal or {})
         self.moore = dict(moore or {})
         self._validate()
+        by_symbol: dict = {}
+        for (q, sym), mach in self.horizontal.items():
+            by_symbol.setdefault(sym, []).append((q, mach))
+        self._by_symbol = {sym: tuple(sorted(pairs, key=lambda qm: qm[0]))
+                           for sym, pairs in by_symbol.items()}
 
     @property
     def horizontal_alphabet(self) -> frozenset:
@@ -134,8 +139,7 @@ class TreeAutomaton:
 
     def machines_for(self, sym):
         """Sorted (state, machine) pairs for one symbol; non-SDTA kinds."""
-        return sorted(((q, m) for (q, s), m in self.horizontal.items() if s == sym),
-                      key=lambda qm: qm[0])
+        return list(self._by_symbol.get(sym, ()))
 
     def __eq__(self, other):
         return (isinstance(other, TreeAutomaton) and self.kind == other.kind
@@ -190,17 +194,48 @@ def run(a: TreeAutomaton, t: Tree) -> dict:
 
     def go(node: Tree, addr: tuple) -> frozenset:
         child_sets = [go(c, addr + (i,)) for i, c in enumerate(node.children)]
-        if node.label not in a.alphabet:
-            raise UnknownSymbolError(node.label)
-        states = _states_at(a, node.label, child_sets)
-        if a.kind in DETERMINISTIC_KINDS and len(states) > 1:
-            raise KindError(
-                f"deterministic kind {a.kind} assigned {sorted(states)} at {addr}")
+        states = _node_states(a, node.label, child_sets, addr)
         assignment[addr] = states
         return states
 
     go(t, ())
     return assignment
+
+
+def _evaluate(a: TreeAutomaton, t: Tree, memo: dict) -> frozenset:
+    """The states assigned to the root of ``t``, computed bottom-up with an
+    explicit stack, children left to right as in ``run``.
+
+    ``memo`` maps id(subtree) -> (subtree, states) for proper subtrees: it is
+    read and extended but never given the root, so a memo kept across many
+    trees grows with their shared subtrees only.  Holding the subtree keeps
+    its id from being reused while the entry lives.
+    """
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        try:
+            child_sets = [memo[id(c)][1] for c in node.children]
+        except KeyError:
+            stack.extend(reversed([c for c in node.children if id(c) not in memo]))
+            continue
+        stack.pop()
+        states = _node_states(a, node.label, child_sets)
+        if node is t:
+            return states
+        memo[id(node)] = (node, states)
+
+
+def _node_states(a: TreeAutomaton, sym: str, child_sets: list, addr=None) -> frozenset:
+    """One bottom-up step: the states of a ``sym`` node whose children were
+    assigned ``child_sets``, with the alphabet and determinism checks."""
+    if sym not in a.alphabet:
+        raise UnknownSymbolError(sym)
+    states = _states_at(a, sym, child_sets)
+    if len(states) > 1 and a.kind in DETERMINISTIC_KINDS:
+        at = addr if addr is not None else f"a {sym!r} node"
+        raise KindError(f"deterministic kind {a.kind} assigned {sorted(states)} at {at}")
+    return states
 
 
 def _states_at(a: TreeAutomaton, sym: str, child_sets: list) -> frozenset:
@@ -224,7 +259,7 @@ def _states_at(a: TreeAutomaton, sym: str, child_sets: list) -> frozenset:
         return frozenset()
 
     out = set()
-    for q, mach in a.machines_for(sym):
+    for q, mach in a._by_symbol.get(sym, ()):
         subset = _initial_set(mach)
         for s in child_sets:
             subset = _step_set(mach, subset, s)
@@ -236,7 +271,7 @@ def _states_at(a: TreeAutomaton, sym: str, child_sets: list) -> frozenset:
 
 
 def accepts(a: TreeAutomaton, t: Tree) -> bool:
-    return bool(run(a, t)[()] & a.finals)
+    return bool(_evaluate(a, t, {}) & a.finals)
 
 
 def check_semantic_determinism(a: TreeAutomaton) -> DeterminismReport:

@@ -217,49 +217,84 @@ def iter_trees(alphabet, bounds: EnumerationBounds = DEFAULT_BOUNDS) -> Iterator
     """The first max_count trees within the depth/width bounds, by node count
     then by rendered string; deterministic and duplicate-free.
 
-    Levels are counted before they are generated, so a level the cap cuts
-    into is never materialized beyond the trees actually emitted.
+    Each level (the trees of n nodes) is assembled from memoized lists of the
+    smaller trees of depth below max_depth, so proper subtrees are shared
+    objects and every rendering is built from the children's strings.  A
+    level is sorted on that string.  The level the cap cuts into is
+    generated in full, without building its trees, and cut with
+    heapq.nsmallest, so only the trees emitted are kept.
     """
-    symbols = tuple(sorted(alphabet))
+    depth, width = bounds.max_depth, bounds.max_width
+    levels = _Levels(tuple(sorted(alphabet)), width)
     emitted = 0
-    for n in range(1, _max_nodes(bounds.max_depth, bounds.max_width) + 1):
-        total = _count_trees(len(symbols), n, bounds.max_depth, bounds.max_width)
+    for n in range(1, _max_nodes(depth, width) + 1):
+        total = _count_trees(len(levels.symbols), n, depth, width)
         if total == 0:
             continue
         remaining = bounds.max_count - emitted
-        gen = _gen_trees(symbols, n, bounds.max_depth, bounds.max_width)
         if total <= remaining:
-            level = sorted(gen, key=render_tree)
+            level = sorted(levels.level(n, depth))
         else:
-            level = heapq.nsmallest(remaining, gen, key=render_tree)
-        yield from level
+            level = heapq.nsmallest(remaining, levels.level(n, depth))
+        for _, sym, children in level:
+            yield Tree(sym, children)
         emitted += len(level)
         if emitted >= bounds.max_count:
             return
 
 
-def _gen_trees(symbols: tuple, n: int, depth: int, width: int):
-    if n < 1 or depth < 1:
-        return
-    if n == 1:
-        for s in symbols:
-            yield Tree(s)
-        return
-    for s in symbols:
-        for seq in _gen_seqs(symbols, n - 1, depth - 1, width, width):
-            yield Tree(s, seq)
+class _Levels:
+    """The building blocks of one enumeration, each carried with its
+    rendering: lists of (rendered, tree) per node count and depth bound, and
+    of (joined renderings, children) per node total, depth bound and slots."""
 
+    def __init__(self, symbols: tuple, width: int):
+        self.symbols = symbols
+        self.width = width
+        self._trees: dict = {}
+        self._seqs: dict = {}
 
-def _gen_seqs(symbols: tuple, m: int, depth: int, width: int, slots: int):
-    if m == 0:
-        yield ()
-        return
-    if slots == 0 or depth < 1:
-        return
-    for p in range(1, m + 1):
-        for first in _gen_trees(symbols, p, depth, width):
-            for rest in _gen_seqs(symbols, m - p, depth, width, slots - 1):
-                yield (first,) + rest
+    def level(self, n: int, depth: int):
+        """(rendered, label, children) for every tree of n nodes and
+        depth <= depth; the children come from the memoized lists."""
+        if n == 1:
+            for s in self.symbols:
+                yield s, s, ()
+            return
+        for joined, children in self._iter_seqs(n - 1, depth - 1, self.width):
+            for s in self.symbols:
+                yield s + "(" + joined + ")", s, children
+
+    def trees(self, n: int, depth: int) -> list:
+        """(rendered, tree) for the trees of n nodes and depth <= depth."""
+        key = (n, depth)
+        got = self._trees.get(key)
+        if got is None:
+            got = self._trees[key] = [(r, Tree(s, c)) for r, s, c in self.level(n, depth)]
+        return got
+
+    def seqs(self, m: int, depth: int, slots: int) -> list:
+        """(joined renderings, children) for the sequences of at most
+        ``slots`` trees of depth <= depth totaling m nodes."""
+        key = (m, depth, min(slots, m))  # m nodes fill at most m slots
+        got = self._seqs.get(key)
+        if got is None:
+            got = self._seqs[key] = list(self._iter_seqs(*key))
+        return got
+
+    def _iter_seqs(self, m: int, depth: int, slots: int):
+        if m == 0:
+            yield "", ()
+            return
+        if slots == 0 or depth < 1:
+            return
+        for p in range(1, m + 1):
+            rest = self.seqs(m - p, depth, slots - 1)
+            if not rest:
+                continue
+            for r, t in self.trees(p, depth):
+                for joined, children in rest:
+                    yield (r + "," + joined if children else r), (t,) + children
 
 
 def enumerate_trees(alphabet, bounds: EnumerationBounds = DEFAULT_BOUNDS) -> list:

@@ -6,9 +6,9 @@ from uta import (AlphabetMismatchError, KindError, TreeAutomaton, accepts,
                  canonical_sdta, dtadfa_to_sdta, equiv_bounded,
                  equiv_canonical, gen_lemma34, gen_thm41, nta_to_sdta,
                  prune_reachable, sdta_isomorphic, size)
-from uta import EnumerationBounds
+from uta import EnumerationBounds, iter_trees
 
-from randgen import inflate_sdta, rand_sdta, rename_sdta
+from randgen import inflate_sdta, rand_nta, rand_sdta, rename_sdta
 
 BOUNDS = EnumerationBounds(3, 3, 400)
 
@@ -34,6 +34,21 @@ class TestEquivBounded:
         v = equiv_bounded(lemma34_sdta, hollow, BOUNDS)
         assert not v.equal
         assert accepts(lemma34_sdta, v.counterexample)
+
+    def test_counterexample_is_first_disagreement_in_order(self):
+        rng = random.Random(11)
+        found = 0
+        for _ in range(40):
+            a, b = rand_nta(rng), rand_nta(rng)
+            if a.alphabet != b.alphabet:
+                continue
+            want = next((t for t in iter_trees(a.alphabet, BOUNDS)
+                         if accepts(a, t) != accepts(b, t)), None)
+            v = equiv_bounded(a, b, BOUNDS)
+            assert v.counterexample == want
+            assert v.equal == (want is None)
+            found += want is not None
+        assert found >= 5
 
     def test_alphabet_mismatch(self, lemma34_sdta):
         other, _ = nta_to_sdta(gen_thm41(1)[0])

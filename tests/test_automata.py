@@ -1,12 +1,16 @@
 import pytest
 
-from uta import (DFA, DTA_DFA, NTA_NFA, NFA, KindError, SizePair, node,
-                 TreeAutomaton, accepts, check_semantic_determinism, classify,
-                 gen_lemma34, gen_thm41, leaf, nest, parse_tree,
-                 prune_reachable, run, size, word_node)
-from uta import EnumerationBounds, EnumerationCapExceeded, enumerate_trees
+from uta import (DFA, DTA_DFA, DTA_NFA, KINDS, NTA_DFA, NTA_NFA, NFA, SDTA,
+                 KindError, SizePair, Tree, TreeAutomaton, UnknownSymbolError, accepts,
+                 check_semantic_determinism, classify, determinize,
+                 dtadfa_to_sdta, gen_lemma34, gen_thm41, leaf, nest,
+                 nta_to_dtadfa, node, parse_tree, prune_reachable, run, size,
+                 word_node)
+from uta import EnumerationBounds, EnumerationCapExceeded, enumerate_trees, iter_trees
+from uta.automata import _evaluate
 
-from randgen import rand_tree
+from randgen import (rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta, rand_tree,
+                     rand_trees)
 import random
 
 
@@ -186,3 +190,113 @@ class TestLeafConvention:
         assert size(auto) == SizePair(0, 0)
         from uta.docs import parse_automaton, render_automaton
         assert parse_automaton(render_automaton(auto)) == auto
+
+
+def _rand_nta_dfa(rng):
+    a = rand_nta(rng)
+    return TreeAutomaton(NTA_DFA, a.alphabet, a.states, a.finals,
+                         horizontal={k: determinize(m) for k, m in a.horizontal.items()})
+
+
+RANDOM_AUTOMATA = {NTA_NFA: rand_nta, NTA_DFA: _rand_nta_dfa, DTA_NFA: rand_dta_nfa,
+                   DTA_DFA: rand_dtadfa, SDTA: rand_sdta}
+
+
+def _with_shared_subtrees(rng, trees):
+    """Trees that reuse subtree objects, some twice under one parent."""
+    out = []
+    for _ in range(len(trees)):
+        kids = [rng.choice(trees) for _ in range(rng.randint(1, 3))]
+        kids.append(kids[0])
+        out.append(Tree(trees[0].label, tuple(kids)))
+    return out
+
+
+class TestMemoizedEvaluation:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_memo_agrees_with_run(self, kind):
+        rng = random.Random(kind)
+        for _ in range(12):
+            a = RANDOM_AUTOMATA[kind](rng)
+            assert a.kind == kind
+            trees = rand_trees(rng, a.alphabet, 60)
+            trees += _with_shared_subtrees(rng, trees)
+            trees += list(iter_trees(a.alphabet, EnumerationBounds(3, 3, 400)))
+            memo = {}
+            for t in trees:
+                want = run(a, t)[()]
+                assert _evaluate(a, t, memo) == want
+                assert accepts(a, t) == bool(want & a.finals)
+
+    def test_memo_holds_proper_subtrees_only(self):
+        a = rand_sdta(random.Random(3))
+        trees = list(iter_trees(a.alphabet, EnumerationBounds(3, 3, 400)))
+        memo = {}
+        for t in trees:
+            _evaluate(a, t, memo)
+        proper = {id(c) for t in trees for n in _nodes(t) for c in n.children}
+        assert set(memo) <= proper
+        # enumerated roots are never children, and the root is never stored
+        assert not set(memo) & {id(t) for t in trees}
+
+    def test_foreign_label_raises(self, lemma34_pair):
+        auto, _ = lemma34_pair
+        for t in (leaf("z"), node("a", leaf("b"), leaf("z")), nest("a", 3, leaf("z"))):
+            with pytest.raises(UnknownSymbolError):
+                accepts(auto, t)
+
+    def test_two_states_under_deterministic_kind_raise(self):
+        wrong = _two_leaf_states()
+        for t in (leaf("a"), node("b", leaf("a")), nest("b", 3, leaf("a"))):
+            with pytest.raises(KindError):
+                accepts(wrong, t)
+
+    def test_first_fault_raised_as_run_raises_it(self):
+        wrong = _two_leaf_states()
+        for t, error in ((node("b", leaf("z"), leaf("a")), UnknownSymbolError),
+                         (node("b", leaf("a"), leaf("z")), KindError)):
+            for evaluate in (run, accepts):
+                with pytest.raises(error):
+                    evaluate(wrong, t)
+
+
+def _two_leaf_states():
+    """A dta-nfa that wrongly assigns both its states to an a-leaf."""
+    ha = frozenset({"q1", "q2"})
+    both_empty = {(q, "a"): NFA(["h"], ha, ["h"], ["h"], []) for q in ("q1", "q2")}
+    return TreeAutomaton(DTA_NFA, ["a", "b"], ["q1", "q2"], ["q1"], horizontal=both_empty)
+
+
+def _nodes(t):
+    stack = [t]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(n.children)
+
+
+DEEP = 20_000
+
+
+class TestDeepTrees:
+    def test_lemma34_chains(self, lemma34_pair):
+        auto, pred = lemma34_pair
+        autos = (auto, dtadfa_to_sdta(auto)[0])
+        for bottom in ("bb1", "bbb10", "b1"):
+            for extra in (DEEP - 1, DEEP):
+                t = nest("a", extra, word_node("a", bottom))
+                for a in autos:
+                    assert accepts(a, t) == pred(t), (a.kind, bottom, extra)
+
+    def test_thm41_chains(self):
+        auto, pred = gen_thm41(2)
+        autos = (auto, nta_to_dtadfa(auto)[0])
+        verdicts = set()
+        for k in (3, 4):
+            for extra in (DEEP - 1, DEEP):
+                t = nest("a", extra, word_node("a", "b" * k))
+                want = pred(t)
+                verdicts.add(want)
+                for a in autos:
+                    assert accepts(a, t) == want, (a.kind, k, extra)
+        assert verdicts == {True, False}

@@ -1,10 +1,12 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uta import (Context, EnumerationBounds, EnumerationCapExceeded, Tree,
-                 TreeSyntaxError, UnknownSymbolError, enumerate_trees, leaf,
-                 nest, node, parse_context, parse_tree, render_tree,
+                 TreeSyntaxError, UnknownSymbolError, enumerate_trees,
+                 iter_trees, leaf, nest, node, parse_context, parse_tree, render_tree,
                  substitute, word_node)
 
 ABCD = frozenset("abcd")
@@ -94,6 +96,81 @@ def test_enumeration_is_duplicate_free_and_ordered():
             assert render_tree(prev) < render_tree(cur)
     assert all(t.depth() <= 3 for t in ts)
     assert all(len(n.children) <= 2 for t in ts for n in _walk(t))
+
+
+def _naive_trees(symbols, depth, width, max_nodes):
+    """Every tree of depth <= depth, arity <= width and at most max_nodes
+    nodes, by plain recursion."""
+    if depth < 1 or max_nodes < 1:
+        return []
+    kids = sorted(_naive_trees(symbols, depth - 1, width, max_nodes - 1),
+                  key=Tree.node_count)
+
+    def seqs(budget, slots):
+        yield ()
+        if slots:
+            for k in kids:
+                if k.node_count() > budget:
+                    break
+                for rest in seqs(budget - k.node_count(), slots - 1):
+                    yield (k,) + rest
+
+    return [Tree(s, seq) for s in symbols for seq in seqs(max_nodes - 1, width)]
+
+
+@lru_cache(maxsize=None)
+def _reference(alphabet, depth, width, cap):
+    """The first cap trees by (node count, rendering), out of the naive
+    enumeration grown one node at a time until it holds cap trees or stops
+    growing."""
+    n, trees = 0, []
+    while True:
+        n += 1
+        more = _naive_trees(sorted(alphabet), depth, width, n)
+        if len(more) == len(trees):
+            break
+        trees = more
+        if len(trees) >= cap:
+            break
+    trees.sort(key=lambda t: (t.node_count(), render_tree(t)))
+    return trees[:cap]
+
+
+ORACLE_ALPHABETS = (frozenset({"a", "b"}), frozenset({"0", "1", "a", "b"}),
+                    frozenset({"a", "ab", "x"}))
+# (depth, width, cap); most caps fall inside a level
+ORACLE_BOUNDS = ((3, 0, 1), (3, 0, 2), (3, 0, 50), (4, 1, 5), (4, 1, 13), (4, 1, 1000),
+                 (3, 5, 40), (3, 5, 333), (4, 5, 700), (4, 5, 2000))
+
+
+@pytest.mark.parametrize("alphabet", ORACLE_ALPHABETS, ids=lambda a: ",".join(sorted(a)))
+@pytest.mark.parametrize("bounds", ORACLE_BOUNDS, ids=str)
+def test_iter_trees_matches_naive_reference(alphabet, bounds):
+    depth, width, cap = bounds
+    # one tree past the cap, shared with the mid-level check below
+    want = _reference(alphabet, depth, width, cap + 1)[:cap]
+    assert list(iter_trees(alphabet, EnumerationBounds(*bounds))) == want
+
+
+@pytest.mark.parametrize("alphabet", ORACLE_ALPHABETS, ids=lambda a: ",".join(sorted(a)))
+def test_oracle_caps_cut_mid_level_for_every_width(alphabet):
+    cut_widths = set()
+    for depth, width, cap in ORACLE_BOUNDS:
+        longer = _reference(alphabet, depth, width, cap + 1)
+        if len(longer) > cap and longer[cap].node_count() == longer[cap - 1].node_count():
+            cut_widths.add(width)
+    assert cut_widths == {0, 1, 5}
+
+
+def test_enumerated_trees_share_their_children():
+    ts = list(iter_trees({"a", "b"}, EnumerationBounds(4, 3, 3000)))
+    objects = {}
+    for t in ts:
+        for c in t.children:
+            objects.setdefault(render_tree(c), set()).add(id(c))
+    # every tree in ts is alive, so no id was reused
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert len(objects) < sum(len(t.children) for t in ts) / 10
 
 
 def _walk(t):
