@@ -82,13 +82,8 @@ def canonical_sdta(a: TreeAutomaton) -> TreeAutomaton:
 
 def _block_minimized(a: TreeAutomaton, block) -> dict:
     """Each per-symbol machine minimized with outputs coarsened to blocks."""
-    out = {}
-    for sym, mach in sorted(a.moore.items()):
-        coarse = MooreDFA(mach.states, mach.alphabet, mach.initial, mach.finals,
-                          list(mach.transitions()),
-                          {s: block[v] for s, v in mach.outputs.items()})
-        out[sym] = minimize_moore(coarse)
-    return out
+    return {sym: minimize_moore(mach.map_outputs(block.__getitem__))
+            for sym, mach in sorted(a.moore.items())}
 
 
 def _quotient(a: TreeAutomaton, block, reduced) -> TreeAutomaton:

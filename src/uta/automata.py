@@ -1,4 +1,4 @@
-"""Unranked bottom-up tree automata: the four models and their run semantics.
+"""Unranked bottom-up tree automata: the five kinds and their run semantics.
 
 An automaton assigns sets of vertical states to tree nodes bottom-up.  For a
 node labeled ``sym`` whose children were assigned S_1..S_m, a state ``q`` is
@@ -132,7 +132,7 @@ class TreeAutomaton:
                 raise KindError(f"machine for ({q!r},{sym!r}) must be an NFA or DFA")
             if mach.alphabet != ha:
                 raise KindError(f"machine for ({q!r},{sym!r}) must read the horizontal alphabet")
-            if sym in self.leaf_symbols and _accepts_empty(mach):
+            if sym in self.leaf_symbols and mach.initials & mach.finals:
                 raise KindError(
                     f"machine for ({q!r},{sym!r}) accepts the empty string, clashing "
                     f"with the designated leaf state")
@@ -153,34 +153,6 @@ class TreeAutomaton:
 
     def __repr__(self):
         return f"<TreeAutomaton {self.kind} {size(self)}>"
-
-
-def _accepts_empty(mach) -> bool:
-    if isinstance(mach, DFA):
-        return mach.initial in mach.finals
-    return bool(mach.initials & mach.finals)
-
-
-def _step_set(mach, subset, members):
-    if isinstance(mach, DFA):
-        out = set()
-        for s in subset:
-            for c in members:
-                t = mach.delta.get((s, c))
-                if t is not None:
-                    out.add(t)
-        return frozenset(out)
-    return mach.step_any(subset, members)
-
-
-def _initial_set(mach) -> frozenset:
-    if isinstance(mach, DFA):
-        return frozenset([mach.initial])
-    return mach.initials
-
-
-def _finals_of(mach) -> frozenset:
-    return mach.finals
 
 
 def run(a: TreeAutomaton, t: Tree) -> dict:
@@ -260,12 +232,12 @@ def _states_at(a: TreeAutomaton, sym: str, child_sets: list) -> frozenset:
 
     out = set()
     for q, mach in a._by_symbol.get(sym, ()):
-        subset = _initial_set(mach)
+        subset = mach.initials
         for s in child_sets:
-            subset = _step_set(mach, subset, s)
+            subset = mach.step_any(subset, s)
             if not subset:
                 break
-        if subset & _finals_of(mach):
+        if subset & mach.finals:
             out.add(q)
     return frozenset(out)
 
@@ -305,13 +277,13 @@ def size(a: TreeAutomaton) -> SizePair:
 
 def _nonempty_over(mach, allowed) -> bool:
     """Does the machine accept any string whose symbols all lie in allowed?"""
-    subset = set(_initial_set(mach))
-    if subset & _finals_of(mach):
+    subset = set(mach.initials)
+    if subset & mach.finals:
         return True
     frontier = set(subset)
     while frontier:
-        nxt = _step_set(mach, frontier, allowed) - subset
-        if nxt & _finals_of(mach):
+        nxt = mach.step_any(frontier, allowed) - subset
+        if nxt & mach.finals:
             return True
         subset |= nxt
         frontier = nxt
@@ -359,10 +331,10 @@ def prune_reachable(a: TreeAutomaton) -> TreeAutomaton:
 
 
 def _reachable_states(mach, allowed):
-    seen = set(_initial_set(mach))
+    seen = set(mach.initials)
     frontier = set(seen)
     while frontier:
-        nxt = _step_set(mach, frontier, allowed) - seen
+        nxt = mach.step_any(frontier, allowed) - seen
         seen |= nxt
         frontier = nxt
     return seen
@@ -372,7 +344,7 @@ def _restrict(mach, allowed):
     """The machine with symbols outside ``allowed`` removed and unreachable
     states dropped; None when its restricted language is empty."""
     reach = _reachable_states(mach, allowed)
-    if not reach & _finals_of(mach):
+    if not reach & mach.finals:
         return None
     trans = [(s, c, d) for (s, c, d) in mach.transitions()
              if s in reach and d in reach and c in allowed]

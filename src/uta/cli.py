@@ -19,7 +19,7 @@ from . import analysis, convert, docs, witnesses
 from .automata import SDTA, TreeAutomaton, accepts, check_semantic_determinism
 from .automata import prune_reachable, run, size
 from .errors import SeparationError, UtaError
-from .strings import DFA, MooreDFA, marked_union
+from .strings import DFA, marked_union
 from .trees import DEFAULT_BOUNDS, EnumerationBounds, parse_tree
 from .witnesses import gen_lemma34, gen_thm41
 
@@ -35,12 +35,16 @@ def _env_bounds() -> EnumerationBounds:
         raise UtaError(f"UTA_ENUM_BOUNDS must be 'depth,width,count', got {raw!r}") from None
 
 
-def _load(path: str):
+def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
-            return docs.parse_automaton(fh.read())
+            return fh.read()
     except OSError as e:
         raise UtaError(f"cannot read {path}: {e.strerror}") from None
+
+
+def _load(path: str):
+    return docs.parse_automaton(_read(path))
 
 
 def _load_tree_automaton(path: str) -> TreeAutomaton:
@@ -159,16 +163,10 @@ def _cmd_witness(args) -> int:
         states = [f"r{j}" for j in range(m)]
         trans = [(f"r{j}", "a", f"r{(j + 1) % m}") for j in range(m)]
         parts.append(DFA(states, ["a"], "r0", {f"r{i % m}"}, trans))
-    machine = _stringify_outputs(marked_union(parts))
+    machine = marked_union(parts).map_outputs(str)
     manifest = [f"witness: marked-union m={m}", f"expected-size: {machine.size}"]
     _emit(docs.render_automaton(machine, manifest), args.out)
     return 0
-
-
-def _stringify_outputs(machine: MooreDFA) -> MooreDFA:
-    return MooreDFA(machine.states, machine.alphabet, machine.initial, machine.finals,
-                    list(machine.transitions()),
-                    {s: str(v) for s, v in machine.outputs.items()})
 
 
 def _parse_ints(raw: str, flag: str) -> tuple:
@@ -184,7 +182,10 @@ def _named_predicate(spec: str):
         _, pred = gen_lemma34(_parse_ints(rest, "lemma34:"))
         return pred
     if name == "thm41":
-        _, pred = gen_thm41(int(rest))
+        n = _parse_ints(rest, "thm41:")
+        if len(n) != 1:
+            raise UtaError(f"thm41: takes one integer, got {rest!r}")
+        _, pred = gen_thm41(n[0])
         return pred
     return None
 
@@ -195,8 +196,7 @@ def _cmd_certify(args) -> int:
         auto = _load_tree_automaton(args.source)
         pred = witnesses.LangPredicate(auto.alphabet, lambda t: accepts(auto, t),
                                        f"language of {args.source}")
-    with open(args.fooling_set, encoding="utf-8") as fh:
-        fs = docs.parse_fooling_set(fh.read(), pred.alphabet)
+    fs = docs.parse_fooling_set(_read(args.fooling_set), pred.alphabet)
     if args.direction == "vertical":
         if not isinstance(fs, witnesses.FoolingSetVertical):
             raise UtaError("vertical certification needs a fooling-vertical document")

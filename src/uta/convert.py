@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .automata import (DTA_DFA, SDTA, SizePair, TreeAutomaton,
                        check_semantic_determinism, size)
-from .errors import DeterminismError, KindError
-from .strings import DFA, MooreDFA, NFA, determinize, subset_name
+from .errors import DeterminismError, KindError, OverlapError
+from .strings import DFA, MooreDFA, determinize, marked_union, subset_name
 
 
 @dataclass(frozen=True)
@@ -49,12 +49,13 @@ def sdta_to_dtadfa(a: TreeAutomaton):
         raise KindError(f"expected an SDTA, got {a.kind}")
     horizontal = {}
     for sym, mach in sorted(a.moore.items()):
+        trans = list(mach.transitions())
         for q in sorted(a.states):
             finals = {s for s, out in mach.outputs.items() if out == q}
             if not finals:
                 continue
             horizontal[(q, sym)] = DFA(mach.states, mach.alphabet, mach.initial,
-                                       finals, list(mach.transitions()))
+                                       finals, trans)
     out = TreeAutomaton(DTA_DFA, a.alphabet, a.states, a.finals,
                         horizontal=horizontal, leaf_symbols=a.leaf_symbols)
     insize = size(a)
@@ -64,23 +65,18 @@ def sdta_to_dtadfa(a: TreeAutomaton):
 
 def dtadfa_to_sdta(a: TreeAutomaton):
     """Merge the per-(state, symbol) DFAs of a weakly deterministic automaton
-    into one machine per symbol: the reachable product of the DFAs, with the
-    output function reading off which component accepted.
+    into one machine per symbol: their marked union (the reachable product),
+    whose output names the state of the component that accepted.
 
-    Semantic determinism guarantees no reachable product state has two
-    accepting components; that invariant is asserted during construction.
+    The marked union checks the DFAs for pairwise disjointness; an overlap
+    raises the DeterminismError that ``check_semantic_determinism`` reports.
     Vertical states are untouched.
     """
     if a.kind == SDTA:
         raise KindError("input is already an SDTA")
     if any(not isinstance(m, DFA) for m in a.horizontal.values()):
         raise KindError("expected DFA horizontal acceptors")
-    det = check_semantic_determinism(a)
-    if not det.ok:
-        raise DeterminismError(det.symbol, det.pair, det.witness)
 
-    ha = a.horizontal_alphabet
-    syms = sorted(ha)
     moore = {}
     bound_horizontal = 0
     for sym in sorted(a.alphabet):
@@ -91,60 +87,19 @@ def dtadfa_to_sdta(a: TreeAutomaton):
         for _, m in machines:
             prod *= m.size
         bound_horizontal += prod
-
-        def name(tup):
-            return "(" + "|".join("-" if s is None else s for s in tup) + ")"
-
-        start = tuple(m.initial for _, m in machines)
-        names = {start: name(start)}
-        queue = deque([start])
-        trans = []
-        finals = set()
-        outputs = {}
-        while queue:
-            cur = queue.popleft()
-            accepting = [q for (q, m), s in zip(machines, cur)
-                         if s is not None and s in m.finals]
-            assert len(accepting) <= 1, \
-                "two horizontal languages share a string despite the determinism check"
-            if accepting:
-                finals.add(names[cur])
-                outputs[names[cur]] = accepting[0]
-            for c in syms:
-                nxt = tuple(None if s is None else m.delta.get((s, c))
-                            for (_, m), s in zip(machines, cur))
-                if all(s is None for s in nxt):
-                    continue
-                if nxt not in names:
-                    names[nxt] = name(nxt)
-                    queue.append(nxt)
-                trans.append((names[cur], c, names[nxt]))
-        moore[sym] = MooreDFA(names.values(), ha, names[start], finals, trans, outputs)
+        try:
+            union = marked_union(m for _, m in machines)
+        except OverlapError as e:
+            i, j = e.indices
+            raise DeterminismError(sym, (machines[i - 1][0], machines[j - 1][0]),
+                                   e.witness) from None
+        moore[sym] = union.map_outputs(lambda i: machines[i - 1][0])
 
     out = TreeAutomaton(SDTA, a.alphabet, a.states, a.finals,
                         moore=moore, leaf_symbols=a.leaf_symbols)
     insize = size(a)
     bound = SizePair(insize.vertical, bound_horizontal)
     return out, ConversionReport("dtadfa-to-sdta", insize, size(out), bound)
-
-
-def _initials(mach):
-    return frozenset([mach.initial]) if isinstance(mach, DFA) else mach.initials
-
-
-def _step_members(mach, subset, members):
-    out = set()
-    if isinstance(mach, DFA):
-        for s in subset:
-            for c in members:
-                t = mach.delta.get((s, c))
-                if t is not None:
-                    out.add(t)
-    else:
-        for s in subset:
-            for c in members:
-                out |= mach.delta.get((s, c), frozenset())
-    return frozenset(out)
 
 
 class _SubsetMachine:
@@ -156,10 +111,10 @@ class _SubsetMachine:
         self.machines = machines  # sorted (q, machine) pairs
 
     def start(self):
-        return tuple(_initials(m) for _, m in self.machines)
+        return tuple(m.initials for _, m in self.machines)
 
     def step(self, state, members):
-        return tuple(_step_members(m, sub, members)
+        return tuple(m.step_any(sub, members)
                      for (_, m), sub in zip(self.machines, state))
 
     def output(self, state) -> frozenset:
@@ -186,6 +141,20 @@ class _SubsetMachine:
                     queue.append(nxt)
                 edges.append((index[cur], item, index[nxt]))
         return order, edges
+
+    def moore(self, items, name, alphabet) -> MooreDFA:
+        """The explored machine as a Moore machine over ``alphabet``: states
+        h0, h1, ... in BFS order, each item read as the symbol ``name(item)``,
+        and every nonempty output set given as ``name(output)``."""
+        order, edges = self.explore(items)
+        hname = [f"h{i}" for i in range(len(order))]
+        trans = [(hname[i], name(item), hname[j]) for i, item, j in edges]
+        outputs = {}
+        for h, st in zip(hname, order):
+            out = self.output(st)
+            if out:
+                outputs[h] = name(out)
+        return MooreDFA(hname, alphabet, hname[0], set(outputs), trans, outputs)
 
 
 def _vname(item, leaf_symbols) -> str:
@@ -253,50 +222,26 @@ def nta_to_sdta(a: TreeAutomaton, force_general: bool = False):
 def _nta_to_sdta_general(a: TreeAutomaton) -> TreeAutomaton:
     real, machines = _assignable_subsets(a)
     leaf_items = [frozenset([s]) for s in sorted(a.leaf_symbols)]
-    items = leaf_items + real
     new_states = {_vname(p, a.leaf_symbols) for p in real}
     ha = frozenset(new_states) | a.leaf_symbols
-    moore = {}
-    for sym, sm in sorted(machines.items()):
-        order, edges = sm.explore(items)
-        hname = {i: f"h{i}" for i in range(len(order))}
-        trans = [(hname[i], _vname(item, a.leaf_symbols), hname[j])
-                 for i, item, j in edges]
-        finals = set()
-        outputs = {}
-        for i, st in enumerate(order):
-            out = sm.output(st)
-            if out:
-                finals.add(hname[i])
-                outputs[hname[i]] = _vname(out, a.leaf_symbols)
-        moore[sym] = MooreDFA(hname.values(), ha, hname[0], finals, trans, outputs)
+    moore = {sym: sm.moore(leaf_items + real, lambda p: _vname(p, a.leaf_symbols), ha)
+             for sym, sm in sorted(machines.items())}
     finals = {_vname(p, a.leaf_symbols) for p in real if p & a.finals}
     finals |= {s for s in a.leaf_symbols if s in a.finals}
     return TreeAutomaton(SDTA, a.alphabet, new_states, finals,
                          moore=moore, leaf_symbols=a.leaf_symbols)
 
 
+def _sole(states):
+    assert len(states) == 1, "deterministic input produced a proper state set"
+    return next(iter(states))
+
+
 def _nta_to_sdta_refined(a: TreeAutomaton) -> TreeAutomaton:
-    items = [frozenset([s]) for s in sorted(a.horizontal_alphabet)]
     ha = a.horizontal_alphabet
-    moore = {}
-    for sym in sorted(a.alphabet):
-        qm = a.machines_for(sym)
-        if not qm:
-            continue
-        sm = _SubsetMachine(qm)
-        order, edges = sm.explore(items)
-        hname = {i: f"h{i}" for i in range(len(order))}
-        trans = [(hname[i], next(iter(item)), hname[j]) for i, item, j in edges]
-        finals = set()
-        outputs = {}
-        for i, st in enumerate(order):
-            out = sm.output(st)
-            if out:
-                assert len(out) == 1, "deterministic input produced a proper state set"
-                finals.add(hname[i])
-                (outputs[hname[i]],) = out
-        moore[sym] = MooreDFA(hname.values(), ha, hname[0], finals, trans, outputs)
+    items = [frozenset([s]) for s in sorted(ha)]
+    moore = {sym: _SubsetMachine(a.machines_for(sym)).moore(items, _sole, ha)
+             for sym in sorted(a.alphabet) if a.machines_for(sym)}
     return TreeAutomaton(SDTA, a.alphabet, a.states, a.finals,
                          moore=moore, leaf_symbols=a.leaf_symbols)
 
@@ -304,12 +249,14 @@ def _nta_to_sdta_refined(a: TreeAutomaton) -> TreeAutomaton:
 def nta_to_dtadfa(a: TreeAutomaton, force_general: bool = False):
     """Determinize into a weakly deterministic automaton.
 
-    General case: same vertical subset states as the SDTA construction; the
-    horizontal DFA for (P, sym) is the subset-simulation machine with finals
-    restricted to the states whose output is exactly P.
+    General case: the general SDTA construction of ``nta_to_sdta``, split by
+    ``sdta_to_dtadfa``.  The vertical states are the assignable state sets,
+    and the horizontal DFA for (P, sym) is the subset-simulation machine of
+    ``sym`` with finals restricted to the states whose output is exactly P.
 
     For a semantically deterministic input (unless forced off), the vertical
-    states are preserved and each horizontal NFA is determinized separately.
+    states are preserved and each horizontal acceptor is determinized
+    separately.
     """
     if a.kind == SDTA:
         raise KindError("input is already an SDTA")
@@ -320,34 +267,11 @@ def nta_to_dtadfa(a: TreeAutomaton, force_general: bool = False):
         bound_h = 0
         for (q, sym), mach in sorted(a.horizontal.items()):
             bound_h += 2**mach.size
-            nfa = mach.to_nfa() if isinstance(mach, DFA) else mach
-            horizontal[(q, sym)] = determinize(nfa)
+            horizontal[(q, sym)] = determinize(mach)
         out = TreeAutomaton(DTA_DFA, a.alphabet, a.states, a.finals,
                             horizontal=horizontal, leaf_symbols=a.leaf_symbols)
         bound = SizePair(insize.vertical, bound_h)
-        return out, ConversionReport("nta-to-dtadfa", insize, size(out), bound)
-
-    real, machines = _assignable_subsets(a)
-    leaf_items = [frozenset([s]) for s in sorted(a.leaf_symbols)]
-    items = leaf_items + real
-    new_states = {_vname(p, a.leaf_symbols) for p in real}
-    ha = frozenset(new_states) | a.leaf_symbols
-    horizontal = {}
-    for sym, sm in sorted(machines.items()):
-        order, edges = sm.explore(items)
-        hname = {i: f"h{i}" for i in range(len(order))}
-        trans = [(hname[i], _vname(item, a.leaf_symbols), hname[j])
-                 for i, item, j in edges]
-        out_of = {i: sm.output(st) for i, st in enumerate(order)}
-        for p in real:
-            finals = {hname[i] for i, o in out_of.items() if o == p}
-            if not finals:
-                continue
-            horizontal[(_vname(p, a.leaf_symbols), sym)] = DFA(
-                hname.values(), ha, hname[0], finals, trans)
-    finals = {_vname(p, a.leaf_symbols) for p in real if p & a.finals}
-    finals |= {s for s in a.leaf_symbols if s in a.finals}
-    out = TreeAutomaton(DTA_DFA, a.alphabet, new_states, finals,
-                        horizontal=horizontal, leaf_symbols=a.leaf_symbols)
-    bound = SizePair(2**insize.vertical, 2**insize.vertical * _eq4_horizontal(a))
+    else:
+        out, _ = sdta_to_dtadfa(_nta_to_sdta_general(a))
+        bound = SizePair(2**insize.vertical, 2**insize.vertical * _eq4_horizontal(a))
     return out, ConversionReport("nta-to-dtadfa", insize, size(out), bound)

@@ -3,7 +3,9 @@
 The same machinery serves plain alphabets, vertical states, and sets of
 vertical states: symbols and states are opaque string tokens.  DFAs may be
 partial; a missing transition rejects.  Reported sizes count the declared
-states only, so the implicit reject sink is never included.
+states only, so the implicit reject sink is never included.  NFAs and DFAs
+step the same way: ``initials``, ``step`` and ``step_any`` map sets of
+states to sets of states.
 """
 
 from __future__ import annotations
@@ -118,6 +120,23 @@ class DFA:
         for (src, sym), dst in sorted(self.delta.items()):
             yield src, sym, dst
 
+    @property
+    def initials(self) -> frozenset:
+        return frozenset([self.initial])
+
+    def step(self, subset, sym) -> frozenset:
+        return self.step_any(subset, (sym,))
+
+    def step_any(self, subset, syms) -> frozenset:
+        """One step where the input symbol may be any member of ``syms``."""
+        out = set()
+        for s in subset:
+            for c in syms:
+                t = self.delta.get((s, c))
+                if t is not None:
+                    out.add(t)
+        return frozenset(out)
+
     def run_word(self, word):
         """Ending state, or None once a missing transition is hit."""
         cur = self.initial
@@ -166,6 +185,12 @@ class MooreDFA(DFA):
         end = self.run_word(word)
         return self.outputs.get(end) if end is not None else None
 
+    def map_outputs(self, f) -> "MooreDFA":
+        """The same machine with every output ``v`` replaced by ``f(v)``."""
+        return MooreDFA(self.states, self.alphabet, self.initial, self.finals,
+                        [(s, c, d) for (s, c), d in self.delta.items()],
+                        {s: f(v) for s, v in self.outputs.items()})
+
     def __repr__(self):
         return f"<MooreDFA {len(self.states)} states, {len(self.delta)} edges>"
 
@@ -175,8 +200,8 @@ def nfa_accepts(m, word) -> bool:
     return m.accepts(word)
 
 
-def determinize(m: NFA) -> DFA:
-    """Subset construction over reachable subsets only.
+def determinize(m) -> DFA:
+    """Subset construction over reachable subsets only, for an NFA or a DFA.
 
     Subset states are named canonically by their sorted member list, so the
     result is reproducible.

@@ -91,6 +91,26 @@ class TestDtadfaToSdta:
             dtadfa_to_sdta(bad)
         assert err.value.witness == ()
 
+    def test_overlap_under_second_symbol_reported_as_check_det_does(self):
+        ha = frozenset({"q1", "q2", "q3"})
+
+        def chain(word, ends):  # accepts the prefixes of word of the given lengths
+            states = [f"s{i}" for i in range(len(word) + 1)]
+            trans = [(states[i], c, states[i + 1]) for i, c in enumerate(word)]
+            return DFA(states, ha, "s0", [states[n] for n in ends], trans)
+
+        machines = {("q1", "a"): chain([], [0]), ("q2", "a"): chain(["q1"], [1]),
+                    ("q1", "b"): chain(["q1"], [1]),
+                    ("q2", "b"): chain(["q2", "q2"], [1, 2]),
+                    ("q3", "b"): chain(["q2", "q2"], [2])}
+        bad = TreeAutomaton(DTA_DFA, ["a", "b"], ["q1", "q2", "q3"], ["q1"],
+                            horizontal=machines)
+        det = check_semantic_determinism(bad)
+        with pytest.raises(DeterminismError) as err:
+            dtadfa_to_sdta(bad)
+        got = (err.value.symbol, err.value.pair, err.value.witness)
+        assert got == (det.symbol, det.pair, det.witness) == ("b", ("q2", "q3"), ("q2", "q2"))
+
 
 class TestNtaToSdta:
     def test_single_state_scale(self):

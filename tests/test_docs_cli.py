@@ -211,6 +211,15 @@ class TestCli:
         assert self.run_cli(capsys, "size", str(bad))[0] == 2
         assert self.run_cli(capsys, "size", str(tmp_path / "missing.uta"))[0] == 2
 
+    def test_certify_usage_errors_exit_two(self, tmp_path, capsys):
+        fv = tmp_path / "fv.txt"
+        fv.write_text(render_fooling_vertical(lemma34_vertical_fooling((2, 3))))
+        for source, fooling in (("lemma34:2,3", tmp_path / "missing" / "fv.txt"),
+                                ("thm41:abc", fv), ("thm41:2,3", fv)):
+            code, out, err = self.run_cli(capsys, "certify", "vertical", source,
+                                          "--fooling-set", str(fooling))
+            assert (code, out) == (2, "") and err.startswith("error: "), source
+
     def test_env_bounds_override(self, tmp_path, capsys, monkeypatch):
         doc = tmp_path / "l.uta"
         self.run_cli(capsys, "witness", "lemma34", "--k", "2,3", "--out", str(doc))

@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from uta import (DFA, NFA, AlphabetMismatchError, MooreDFA, OverlapError,
                  determinize, intersection_witness, isomorphic, marked_union,
                  minimize_dfa, minimize_moore, nfa_accepts, product_disjoint)
+
+from randgen import rand_dtadfa, rand_sdta
 
 
 def nfa_b_then_one(n):
@@ -74,6 +77,25 @@ class TestDeterminize:
         d = determinize(m)
         assert d.initial == "{n0}"
         assert "{n0,n1}" in d.states
+
+
+class TestSteppingInterface:
+    def test_dfa_steps_like_its_nfa(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            dfas = (list(rand_dtadfa(rng).horizontal.values())
+                    + list(rand_sdta(rng).moore.values()))
+            for d in dfas:
+                n = d.to_nfa()
+                assert d.initials == n.initials
+                states, syms = sorted(d.states), sorted(d.alphabet)
+                for _ in range(5):
+                    sub = frozenset(rng.sample(states, rng.randint(0, len(states))))
+                    some = rng.sample(syms, rng.randint(0, len(syms)))
+                    assert d.step_any(sub, some) == n.step_any(sub, some)
+                    for c in syms:
+                        assert d.step(sub, c) == n.step(sub, c)
+                assert determinize(d) == determinize(n)
 
 
 class TestMinimizeDfa:
@@ -209,6 +231,13 @@ class TestMarkedUnion:
         with pytest.raises(OverlapError) as err:
             marked_union([residue_dfa(2, 0), residue_dfa(4, 0)])
         assert err.value.indices == (1, 2)
+
+    def test_map_outputs_keeps_the_machine(self):
+        mu = marked_union([residue_dfa(3, i) for i in (1, 2, 0)])
+        named = mu.map_outputs(str)
+        assert named.outputs == {s: str(v) for s, v in mu.outputs.items()}
+        assert (named.states, named.initial, named.finals, named.delta) == \
+            (mu.states, mu.initial, mu.finals, mu.delta)
 
     def test_no_reachable_state_accepts_twice(self):
         parts = [residue_dfa(5, i) for i in (0, 2, 4)]
