@@ -188,7 +188,7 @@ def _snapshot(path) -> dict:
     return {p.name: _sha(p.read_bytes()) for p in sorted(path.iterdir())}
 
 
-def test_golden_cli_session(tmp_path, capsys, monkeypatch):
+def test_golden_cli_run(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     before = {}
     for cmd, code, out, err, files in GOLDEN:
