@@ -6,12 +6,14 @@ among the enumerated trees.  Canonical equivalence reduces both automata to
 a canonical form and tests exact isomorphism; the canonicalizer is a fixed
 point of vertical-state merging and per-symbol Moore minimization, validated
 empirically against bounded enumeration rather than trusted as minimal.
+
+Isomorphism is decided in polynomial time by a canonical labelling of the
+vertical states, which needs them all reachable (pruned SDTAs are).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .automata import SDTA, TreeAutomaton, _evaluate, prune_reachable
 from .errors import AlphabetMismatchError, KindError
@@ -119,45 +121,73 @@ def _quotient(a: TreeAutomaton, block, reduced) -> TreeAutomaton:
 def sdta_isomorphic(a: TreeAutomaton, b: TreeAutomaton) -> bool:
     """Exact isomorphism: a bijection on vertical states plus, per symbol, a
     bijection on horizontal states preserving transitions, finals and
-    outputs.  Horizontal bijections are settled by canonical BFS forms once
-    the vertical bijection fixes the symbol names."""
+    outputs.
+
+    Vertical states are renamed to their ``_canonical_labels``.  An
+    isomorphism maps one labelling exploration onto the other step for step,
+    so the automata are isomorphic iff the renamed finals agree and each
+    renamed per-symbol machine has the same canonical BFS form.  No
+    permutation is tried: the cost is rounds x symbols x horizontal states x
+    horizontal letters, with at most |states| + 1 rounds.  Raises KindError
+    if either input has a vertical state no tree reaches.
+    """
     if a.kind != SDTA or b.kind != SDTA:
         raise KindError("isomorphism is defined for SDTAs")
+    label_a, label_b = _canonical_labels(a), _canonical_labels(b)
     if (a.alphabet != b.alphabet or a.leaf_symbols != b.leaf_symbols
-            or len(a.states) != len(b.states)
-            or len(a.finals) != len(b.finals)
-            or set(a.moore) != set(b.moore)):
+            or len(label_a) != len(label_b) or set(a.moore) != set(b.moore)):
         return False
-    if a.finals & a.leaf_symbols != b.finals & b.leaf_symbols:
+    if {label_a[q] for q in a.finals} != {label_b[q] for q in b.finals}:
         return False
-
-    a_states = sorted(a.states)
-    a_final = [q in a.finals for q in a_states]
-    b_final_states = sorted(q for q in b.states if q in b.finals)
-    b_other = sorted(q for q in b.states if q not in b.finals)
-    forms_a = {sym: canonical_form(m) for sym, m in a.moore.items()}
-
-    finals_a = [q for q, f in zip(a_states, a_final) if f]
-    others_a = [q for q, f in zip(a_states, a_final) if not f]
-    if len(finals_a) != len(b_final_states):
-        return False
-
-    for perm_f in permutations(b_final_states):
-        for perm_o in permutations(b_other):
-            mapping = dict(zip(finals_a, perm_f))
-            mapping.update(zip(others_a, perm_o))
-            inverse = {v: k for k, v in mapping.items()}
-            if all(forms_a[sym] == canonical_form(_rename(m, inverse))
-                   for sym, m in b.moore.items()):
-                return True
-    return False
+    return all(canonical_form(_rename(m, label_a))
+               == canonical_form(_rename(b.moore[sym], label_b))
+               for sym, m in a.moore.items())
 
 
-def _rename(mach: MooreDFA, inverse) -> MooreDFA:
-    trans = [(s, inverse.get(c, c), d) for s, c, d in mach.transitions()]
-    alphabet = {inverse.get(c, c) for c in mach.alphabet}
-    outputs = {s: inverse.get(v, v) for s, v in mach.outputs.items()}
-    return MooreDFA(mach.states, alphabet, mach.initial, mach.finals, trans, outputs)
+def _canonical_labels(a: TreeAutomaton) -> dict:
+    """Horizontal letter -> canonical label: leaf symbol ``c`` -> (0, c),
+    vertical state -> (1, n) numbered in the order a deterministic bottom-up
+    exploration first produces them.
+
+    Each round runs a BFS over every symbol's machine, symbols in sorted
+    order, reading the leaf symbols by name and then the states numbered so
+    far in number order; a reached final horizontal state whose output is
+    unnumbered gives that output the next number.  Rounds repeat until
+    nothing new is numbered.
+    """
+    letters = sorted(a.leaf_symbols)
+    label = {c: (0, c) for c in letters}
+    grew = True
+    while grew:
+        grew = False
+        for sym in sorted(a.moore):
+            mach = a.moore[sym]
+            seen = {mach.initial}
+            queue = [mach.initial]
+            for s in queue:
+                out = mach.outputs.get(s)
+                if out is not None and out not in label:
+                    label[out] = (1, len(letters) - len(a.leaf_symbols))
+                    letters.append(out)
+                    grew = True
+                for c in letters:
+                    t = mach.delta.get((s, c))
+                    if t is not None and t not in seen:
+                        seen.add(t)
+                        queue.append(t)
+    unreached = sorted(a.states.difference(label))
+    if unreached:
+        raise KindError(f"vertical state {unreached[0]!r} is never reached; "
+                        f"prune the SDTA before testing isomorphism")
+    return label
+
+
+def _rename(mach: MooreDFA, label) -> MooreDFA:
+    """``mach`` with every letter and output ``c`` renamed to ``label[c]``."""
+    trans = [(s, label[c], d) for s, c, d in mach.transitions()]
+    outputs = {s: label[v] for s, v in mach.outputs.items()}
+    return MooreDFA(mach.states, map(label.__getitem__, mach.alphabet), mach.initial,
+                    mach.finals, trans, outputs)
 
 
 def equiv_canonical(a: TreeAutomaton, b: TreeAutomaton,

@@ -41,6 +41,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise UtaError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise UtaError(f"cannot read {path}: not UTF-8") from None
 
 
 def _load(path: str):

@@ -220,6 +220,13 @@ class TestCli:
                                           "--fooling-set", str(fooling))
             assert (code, out) == (2, "") and err.startswith("error: "), source
 
+    def test_non_utf8_document_exits_two(self, tmp_path, capsys):
+        binary = tmp_path / "bin.uta"
+        binary.write_bytes(b"\xff\xfe")
+        code, out, err = self.run_cli(capsys, "size", str(binary))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {binary}: not UTF-8")
+
     def test_env_bounds_override(self, tmp_path, capsys, monkeypatch):
         doc = tmp_path / "l.uta"
         self.run_cli(capsys, "witness", "lemma34", "--k", "2,3", "--out", str(doc))
