@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import SDTA, TreeAutomaton, _evaluate, prune_reachable
+from .automata import SDTA, TreeAutomaton, _evaluate, bottom_up_reach, prune_reachable
 from .errors import AlphabetMismatchError, KindError
 from .strings import MooreDFA, canonical_form, minimize_moore, subset_name
 from .trees import DEFAULT_BOUNDS, EnumerationBounds, Tree, iter_trees
@@ -146,35 +146,20 @@ def sdta_isomorphic(a: TreeAutomaton, b: TreeAutomaton) -> bool:
 
 def _canonical_labels(a: TreeAutomaton) -> dict:
     """Horizontal letter -> canonical label: leaf symbol ``c`` -> (0, c),
-    vertical state -> (1, n) numbered in the order a deterministic bottom-up
-    exploration first produces them.
+    vertical state -> (1, n) numbered in the order ``bottom_up_reach``
+    first finds them.
 
-    Each round runs a BFS over every symbol's machine, symbols in sorted
-    order, reading the leaf symbols by name and then the states numbered so
-    far in number order; a reached final horizontal state whose output is
-    unnumbered gives that output the next number.  Rounds repeat until
-    nothing new is numbered.
+    The fixed point explores every symbol's machine, symbols in sorted
+    order, reading the leaf symbols by name and then the states found so far
+    in the order found; it depends on the structure only, never on state
+    names.  Raises KindError naming a vertical state it never finds.
     """
-    letters = sorted(a.leaf_symbols)
-    label = {c: (0, c) for c in letters}
-    grew = True
-    while grew:
-        grew = False
-        for sym in sorted(a.moore):
-            mach = a.moore[sym]
-            seen = {mach.initial}
-            queue = [mach.initial]
-            for s in queue:
-                out = mach.outputs.get(s)
-                if out is not None and out not in label:
-                    label[out] = (1, len(letters) - len(a.leaf_symbols))
-                    letters.append(out)
-                    grew = True
-                for c in letters:
-                    t = mach.delta.get((s, c))
-                    if t is not None and t not in seen:
-                        seen.add(t)
-                        queue.append(t)
+    leaves = sorted(a.leaf_symbols)
+    found = bottom_up_reach(
+        [(m.initial, m.successor, m.outputs.get) for _, m in sorted(a.moore.items())],
+        leaves)
+    label = {c: (0, c) for c in leaves}
+    label.update((q, (1, n)) for n, q in enumerate(found[len(leaves):]))
     unreached = sorted(a.states.difference(label))
     if unreached:
         raise KindError(f"vertical state {unreached[0]!r} is never reached; "

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import KindError, UnknownSymbolError
-from .strings import DFA, MooreDFA, NFA, intersection_witness
+from .strings import DFA, MooreDFA, NFA, explore, intersection_witness
 from .trees import Tree
 
 NTA_NFA = "nta-nfa"
@@ -275,37 +275,52 @@ def size(a: TreeAutomaton) -> SizePair:
     return SizePair(len(a.states), horiz)
 
 
-def _nonempty_over(mach, allowed) -> bool:
-    """Does the machine accept any string whose symbols all lie in allowed?"""
-    subset = set(mach.initials)
-    if subset & mach.finals:
-        return True
-    frontier = set(subset)
-    while frontier:
-        nxt = mach.step_any(frontier, allowed) - subset
-        if nxt & mach.finals:
-            return True
-        subset |= nxt
-        frontier = nxt
-    return False
+def bottom_up_reach(machines, items) -> list:
+    """Fixed point of bottom-up reachability over vertical items.
+
+    ``machines`` is a list of (start, step, output) triples; ``items`` are the
+    letters every tree provides, such as the leaf states.  Each round
+    explores every machine in turn (see ``strings.explore``) over the items
+    found so far, and appends each new non-None ``output(state)`` of a
+    reached state.  Rounds repeat until nothing new is found.  Returns the
+    items in the order they were first found, the given ones first.
+    """
+    items = list(items)
+    found = set(items)
+    grew = True
+    while grew:
+        grew = False
+        for start, step, output in machines:
+            order, _ = explore(start, step, items)
+            for state in order:
+                out = output(state)
+                if out is not None and out not in found:
+                    found.add(out)
+                    items.append(out)
+                    grew = True
+    return items
 
 
 def prune_reachable(a: TreeAutomaton) -> TreeAutomaton:
     """Drop vertical states no run can assign, then drop horizontal states
-    that became unreachable.  The language is unchanged."""
-    live = set(a.leaf_symbols)
-    changed = True
-    while changed:
-        changed = False
-        if a.kind == SDTA:
-            for sym, mach in a.moore.items():
-                for s in _reachable_states(mach, live):
-                    if s in mach.finals and mach.outputs[s] not in live:
-                        live.add(mach.outputs[s])
-                        changed = True
-        else:
+    that became unreachable.  The language is unchanged.
+
+    For an SDTA the assignable states are the ``bottom_up_reach`` fixed
+    point of its Moore machines over the leaf states.  For the other kinds
+    a state is assignable once one of its acceptors reaches a final state
+    reading assignable states only; that is repeated until nothing changes.
+    """
+    if a.kind == SDTA:
+        live = set(bottom_up_reach(
+            [(m.initial, m.successor, m.outputs.get) for _, m in sorted(a.moore.items())],
+            sorted(a.leaf_symbols)))
+    else:
+        live = set(a.leaf_symbols)
+        changed = True
+        while changed:
+            changed = False
             for (q, sym), mach in a.horizontal.items():
-                if q not in live and _nonempty_over(mach, live):
+                if q not in live and _reachable_states(mach, live) & mach.finals:
                     live.add(q)
                     changed = True
 

@@ -6,7 +6,8 @@ document errors.  All output is deterministic: the same inputs produce
 byte-identical documents.
 
 The environment variable UTA_ENUM_BOUNDS ("depth,width,count") overrides
-the default enumeration bounds used by tree-level equivalence checks.
+the default enumeration bounds used by tree-level equivalence checks, and
+the ``equiv`` flags ``--depth``, ``--width`` and ``--count`` override it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import analysis, convert, docs, witnesses
 from .automata import SDTA, TreeAutomaton, accepts, check_semantic_determinism
@@ -24,15 +26,22 @@ from .trees import DEFAULT_BOUNDS, EnumerationBounds, parse_tree
 from .witnesses import gen_lemma34, gen_thm41
 
 
-def _env_bounds() -> EnumerationBounds:
+def _bounds(depth=None, width=None, count=None) -> EnumerationBounds:
+    """The enumeration bounds: UTA_ENUM_BOUNDS or the defaults, with each
+    value that is not None overriding; invalid bounds are a usage error."""
+    bounds = DEFAULT_BOUNDS
     raw = os.environ.get("UTA_ENUM_BOUNDS")
-    if not raw:
-        return DEFAULT_BOUNDS
+    if raw:
+        try:
+            d, w, c = (int(v) for v in raw.split(","))
+            bounds = EnumerationBounds(d, w, c)
+        except (ValueError, TypeError):
+            raise UtaError(f"UTA_ENUM_BOUNDS must be 'depth,width,count', got {raw!r}") from None
+    given = {"max_depth": depth, "max_width": width, "max_count": count}
     try:
-        depth, width, count = (int(v) for v in raw.split(","))
-        return EnumerationBounds(depth, width, count)
-    except (ValueError, TypeError):
-        raise UtaError(f"UTA_ENUM_BOUNDS must be 'depth,width,count', got {raw!r}") from None
+        return replace(bounds, **{k: v for k, v in given.items() if v is not None})
+    except ValueError as e:
+        raise UtaError(str(e)) from None
 
 
 def _read(path: str) -> str:
@@ -57,11 +66,14 @@ def _load_tree_automaton(path: str) -> TreeAutomaton:
 
 
 def _emit(text: str, out: str | None):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise UtaError(f"cannot write {out}: {e.strerror}") from None
 
 
 def _cmd_run(args) -> int:
@@ -100,10 +112,7 @@ def _cmd_size(args) -> int:
 def _cmd_equiv(args) -> int:
     a = _load_tree_automaton(args.file1)
     b = _load_tree_automaton(args.file2)
-    bounds = _env_bounds()
-    bounds = EnumerationBounds(args.depth or bounds.max_depth,
-                               args.width or bounds.max_width,
-                               args.count or bounds.max_count)
+    bounds = _bounds(args.depth, args.width, args.count)
     if a.kind == SDTA and b.kind == SDTA:
         verdict = analysis.equiv_canonical(a, b, bounds)
     else:

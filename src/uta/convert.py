@@ -9,13 +9,12 @@ conversion outputs are byte-for-byte reproducible.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .automata import (DTA_DFA, SDTA, SizePair, TreeAutomaton,
+from .automata import (DTA_DFA, SDTA, SizePair, TreeAutomaton, bottom_up_reach,
                        check_semantic_determinism, size)
 from .errors import DeterminismError, KindError, OverlapError
-from .strings import DFA, MooreDFA, determinize, marked_union, subset_name
+from .strings import DFA, MooreDFA, determinize, explore, marked_union, subset_name
 
 
 @dataclass(frozen=True)
@@ -109,51 +108,27 @@ class _SubsetMachine:
 
     def __init__(self, machines):
         self.machines = machines  # sorted (q, machine) pairs
-
-    def start(self):
-        return tuple(m.initials for _, m in self.machines)
+        self.start = tuple(m.initials for _, m in machines)
 
     def step(self, state, members):
-        return tuple(m.step_any(sub, members)
-                     for (_, m), sub in zip(self.machines, state))
+        """The next state, or None once every acceptor is dead."""
+        nxt = tuple(m.step_any(sub, members) for (_, m), sub in zip(self.machines, state))
+        return nxt if any(nxt) else None
 
-    def output(self, state) -> frozenset:
-        return frozenset(q for (q, m), sub in zip(self.machines, state)
-                         if sub & m.finals)
-
-    def explore(self, items):
-        """BFS over the given symbol items (each a set of member states).
-        Returns (ordered states, transitions as index pairs per item)."""
-        start = self.start()
-        index = {start: 0}
-        order = [start]
-        edges = []
-        queue = deque([start])
-        while queue:
-            cur = queue.popleft()
-            for item in items:
-                nxt = self.step(cur, item)
-                if not any(nxt):
-                    continue
-                if nxt not in index:
-                    index[nxt] = len(index)
-                    order.append(nxt)
-                    queue.append(nxt)
-                edges.append((index[cur], item, index[nxt]))
-        return order, edges
+    def output(self, state):
+        """The accepting components' states, or None if there are none."""
+        out = frozenset(q for (q, m), sub in zip(self.machines, state) if sub & m.finals)
+        return out or None
 
     def moore(self, items, name, alphabet) -> MooreDFA:
         """The explored machine as a Moore machine over ``alphabet``: states
         h0, h1, ... in BFS order, each item read as the symbol ``name(item)``,
         and every nonempty output set given as ``name(output)``."""
-        order, edges = self.explore(items)
+        order, edges = explore(self.start, self.step, items)
         hname = [f"h{i}" for i in range(len(order))]
         trans = [(hname[i], name(item), hname[j]) for i, item, j in edges]
-        outputs = {}
-        for h, st in zip(hname, order):
-            out = self.output(st)
-            if out:
-                outputs[h] = name(out)
+        outs = {h: self.output(st) for h, st in zip(hname, order)}
+        outputs = {h: name(out) for h, out in outs.items() if out is not None}
         return MooreDFA(hname, alphabet, hname[0], set(outputs), trans, outputs)
 
 
@@ -168,21 +143,11 @@ def _assignable_subsets(a: TreeAutomaton):
     """Fixed point of child-set reachability: every state set some run can
     assign to a node, as frozensets of original vertical states."""
     leaf_items = [frozenset([s]) for s in sorted(a.leaf_symbols)]
-    real: set = set()
     machines = {sym: _SubsetMachine(a.machines_for(sym)) for sym in sorted(a.alphabet)
                 if a.machines_for(sym)}
-    while True:
-        items = leaf_items + sorted(real, key=sorted)
-        grew = False
-        for sym, sm in sorted(machines.items()):
-            order, _ = sm.explore(items)
-            for st in order:
-                out = sm.output(st)
-                if out and out not in real:
-                    real.add(out)
-                    grew = True
-        if not grew:
-            return sorted(real, key=sorted), machines
+    found = bottom_up_reach([(sm.start, sm.step, sm.output) for sm in machines.values()],
+                            leaf_items)
+    return sorted(found[len(leaf_items):], key=sorted), machines
 
 
 def _eq4_horizontal(a: TreeAutomaton) -> int:

@@ -6,6 +6,12 @@ partial; a missing transition rejects.  Reported sizes count the declared
 states only, so the implicit reject sink is never included.  NFAs and DFAs
 step the same way: ``initials``, ``step`` and ``step_any`` map sets of
 states to sets of states.
+
+Every construction that builds reachable states only (subset construction,
+minimization, marked union, canonical form, and the subset machines of the
+tree-level conversions) runs one breadth-first explorer, ``explore``; only
+``intersection_witness`` keeps its own queue, for parent pointers and an
+early exit.
 """
 
 from __future__ import annotations
@@ -127,6 +133,10 @@ class DFA:
     def step(self, subset, sym) -> frozenset:
         return self.step_any(subset, (sym,))
 
+    def successor(self, state, sym):
+        """The state after reading ``sym`` in ``state``, or None."""
+        return self.delta.get((state, sym))
+
     def step_any(self, subset, syms) -> frozenset:
         """One step where the input symbol may be any member of ``syms``."""
         out = set()
@@ -200,30 +210,39 @@ def nfa_accepts(m, word) -> bool:
     return m.accepts(word)
 
 
+def explore(start, step, letters):
+    """Breadth-first search from ``start`` reading ``letters`` in the given
+    order; ``step(state, letter)`` is the successor, or None for no
+    transition.  Returns the states in discovery order and the edges as
+    (i, letter, j) triples of indexes into that order."""
+    index = {start: 0}
+    order = [start]
+    edges = []
+    for i, s in enumerate(order):
+        for c in letters:
+            t = step(s, c)
+            if t is None:
+                continue
+            j = index.get(t)
+            if j is None:
+                j = index[t] = len(order)
+                order.append(t)
+            edges.append((i, c, j))
+    return order, edges
+
+
 def determinize(m) -> DFA:
     """Subset construction over reachable subsets only, for an NFA or a DFA.
 
     Subset states are named canonically by their sorted member list, so the
     result is reproducible.
     """
-    start = frozenset(m.initials)
-    seen = {start: subset_name(start)}
-    order = [start]
-    trans = []
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for sym in sorted(m.alphabet):
-            nxt = m.step(cur, sym)
-            if not nxt:
-                continue
-            if nxt not in seen:
-                seen[nxt] = subset_name(nxt)
-                order.append(nxt)
-                queue.append(nxt)
-            trans.append((seen[cur], sym, seen[nxt]))
-    finals = {seen[s] for s in order if s & m.finals}
-    return DFA([seen[s] for s in order], m.alphabet, seen[start], finals, trans)
+    order, edges = explore(frozenset(m.initials), lambda s, c: m.step(s, c) or None,
+                           sorted(m.alphabet))
+    names = [subset_name(s) for s in order]
+    return DFA(names, m.alphabet, names[0],
+               {n for n, s in zip(names, order) if s & m.finals},
+               [(names[i], c, names[j]) for i, c, j in edges])
 
 
 _SINK = object()
@@ -238,14 +257,7 @@ def _refine(machine, block_key):
     the sink.  Returns (reachable order, state -> block id, sink block id).
     """
     syms = sorted(machine.alphabet)
-    reach = [machine.initial]
-    seen = {machine.initial}
-    for s in reach:
-        for c in syms:
-            t = machine.delta.get((s, c))
-            if t is not None and t not in seen:
-                seen.add(t)
-                reach.append(t)
+    reach, _ = explore(machine.initial, machine.successor, syms)
 
     keys = {s: block_key(s) for s in reach}
     keys[_SINK] = block_key(None)
@@ -273,8 +285,8 @@ def _refine(machine, block_key):
 
 
 def _rebuild(machine, reach, block, sink_block, make):
-    """Quotient the machine by the partition; the sink block disappears."""
-    syms = sorted(machine.alphabet)
+    """Quotient the machine by the partition; the sink block disappears.
+    Blocks are named m0, m1, ... in breadth-first discovery order."""
     if block[machine.initial] == sink_block:
         # empty language: a lone initial state is the smallest valid machine
         return make(["m0"], machine.alphabet, "m0", [], [], {})
@@ -283,34 +295,17 @@ def _rebuild(machine, reach, block, sink_block, make):
     for s in reach:
         rep.setdefault(block[s], s)
 
-    # BFS over blocks for stable, deterministic naming
-    names = {}
-    order = deque([block[machine.initial]])
-    names[block[machine.initial]] = "m0"
-    trans = []
-    finals = set()
-    outputs = {}
-    done = set()
-    while order:
-        b = order.popleft()
-        if b in done:
-            continue
-        done.add(b)
-        s = rep[b]
-        if s in machine.finals:
-            finals.add(names[b])
-            if isinstance(machine, MooreDFA):
-                outputs[names[b]] = machine.outputs[s]
-        for c in syms:
-            t = machine.delta.get((s, c))
-            if t is None or block[t] == sink_block:
-                continue
-            tb = block[t]
-            if tb not in names:
-                names[tb] = f"m{len(names)}"
-                order.append(tb)
-            trans.append((names[b], c, names[tb]))
-    return make(sorted(names.values()), machine.alphabet, "m0", finals, trans, outputs)
+    def step(b, c):
+        t = machine.successor(rep[b], c)
+        return None if t is None or block[t] == sink_block else block[t]
+
+    order, edges = explore(block[machine.initial], step, sorted(machine.alphabet))
+    names = [f"m{i}" for i in range(len(order))]
+    final_rep = {n: rep[b] for n, b in zip(names, order) if rep[b] in machine.finals}
+    outputs = ({n: machine.outputs[s] for n, s in final_rep.items()}
+               if isinstance(machine, MooreDFA) else {})
+    return make(names, machine.alphabet, "m0", list(final_rep),
+                [(names[i], c, names[j]) for i, c, j in edges], outputs)
 
 
 def minimize_dfa(m: DFA) -> DFA:
@@ -403,54 +398,34 @@ def marked_union(parts) -> MooreDFA:
     def name(tup):
         return "(" + "|".join("-" if s is None else s for s in tup) + ")"
 
-    syms = sorted(alphabet)
-    start = tuple(p.initial for p in parts)
-    names = {start: name(start)}
-    queue = deque([start])
-    trans = []
-    finals = set()
+    def step(cur, c):
+        nxt = tuple(None if s is None else parts[i].successor(s, c)
+                    for i, s in enumerate(cur))
+        return None if all(s is None for s in nxt) else nxt
+
+    order, edges = explore(tuple(p.initial for p in parts), step, sorted(alphabet))
+    names = [name(tup) for tup in order]
     outputs = {}
-    while queue:
-        cur = queue.popleft()
-        accepting = [i for i, s in enumerate(cur) if s is not None and s in parts[i].finals]
+    for n, tup in zip(names, order):
+        accepting = [i for i, s in enumerate(tup) if s is not None and s in parts[i].finals]
         assert len(accepting) <= 1, "disjoint parts accepted the same word"
         if accepting:
-            finals.add(names[cur])
-            outputs[names[cur]] = accepting[0] + 1
-        for c in syms:
-            nxt = tuple(None if s is None else parts[i].delta.get((s, c))
-                        for i, s in enumerate(cur))
-            if all(s is None for s in nxt):
-                continue
-            if nxt not in names:
-                names[nxt] = name(nxt)
-                queue.append(nxt)
-            trans.append((names[cur], c, names[nxt]))
-    return MooreDFA(names.values(), alphabet, names[start], finals, trans, outputs)
+            outputs[n] = accepting[0] + 1
+    return MooreDFA(names, alphabet, names[0], set(outputs),
+                    [(names[i], c, names[j]) for i, c, j in edges], outputs)
 
 
 def canonical_form(m):
     """Structure of a DFA/Moore machine under BFS renaming; two machines are
     isomorphic iff their forms are equal."""
-    syms = sorted(m.alphabet)
-    number = {m.initial: 0}
-    order = [m.initial]
-    edges = []
-    for s in order:
-        for c in syms:
-            t = m.delta.get((s, c))
-            if t is None:
-                continue
-            if t not in number:
-                number[t] = len(number)
-                order.append(t)
-            edges.append((number[s], c, number[t]))
+    order, edges = explore(m.initial, m.successor, sorted(m.alphabet))
+    number = {s: i for i, s in enumerate(order)}
     finals = tuple(sorted(number[s] for s in m.finals if s in number))
     outs = ()
     if isinstance(m, MooreDFA):
         outs = tuple(sorted((number[s], m.outputs[s]) for s in m.finals if s in number))
     stray = len(m.states) - len(number)  # unreachable states still distinguish
-    return (len(number), stray, tuple(edges), finals, outs)
+    return (len(order), stray, tuple(edges), finals, outs)
 
 
 def isomorphic(a, b) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterator
 
@@ -301,12 +301,10 @@ def enumerate_trees(alphabet, bounds: EnumerationBounds = DEFAULT_BOUNDS) -> lis
     """Materialized enumeration, truncated at max_count.
 
     Raises EnumerationCapExceeded (carrying the partial list) when more trees
-    exist beyond the cap; the caller decides whether that is fatal.
+    exist beyond the cap, found by asking ``iter_trees`` for one tree more;
+    the caller decides whether that is fatal.
     """
-    out = list(iter_trees(alphabet, bounds))
-    total = sum(
-        _count_trees(len(frozenset(alphabet)), n, bounds.max_depth, bounds.max_width)
-        for n in range(1, _max_nodes(bounds.max_depth, bounds.max_width) + 1))
-    if total > len(out):
-        raise EnumerationCapExceeded(out, bounds.max_count)
+    out = list(iter_trees(alphabet, replace(bounds, max_count=bounds.max_count + 1)))
+    if len(out) > bounds.max_count:
+        raise EnumerationCapExceeded(out[:-1], bounds.max_count)
     return out

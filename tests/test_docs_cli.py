@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from uta import (DFA, NFA, MooreDFA, DocumentError, dtadfa_to_sdta,
-                 gen_lemma34, gen_thm41, marked_union, nta_to_dtadfa)
+from uta import (DFA, DTA_DFA, NFA, MooreDFA, DocumentError, TreeAutomaton,
+                 dtadfa_to_sdta, gen_lemma34, gen_thm41, marked_union,
+                 nta_to_dtadfa)
 from uta.cli import cli_main
 from uta.docs import (parse_automaton, parse_fooling_set, render_automaton,
                       render_fooling_horizontal, render_fooling_vertical)
@@ -235,3 +236,34 @@ class TestCli:
         assert code == 0
         monkeypatch.setenv("UTA_ENUM_BOUNDS", "not-numbers")
         assert self.run_cli(capsys, "equiv", str(doc), str(doc))[0] == 2
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        doc = tmp_path / "family.uta"
+        self.run_cli(capsys, "witness", "lemma34", "--k", "2,3", "--out", str(doc))
+        for argv, target in (
+                (("witness", "lemma34", "--k", "2,3"), tmp_path / "nodir" / "x.uta"),
+                (("convert", str(doc), "--to", "sdta"), tmp_path / "nodir" / "y.uta")):
+            code, out, err = self.run_cli(capsys, *argv, "--out", str(target))
+            assert (code, out) == (2, ""), argv
+            assert err == f"error: cannot write {target}: No such file or directory\n"
+
+    def test_equiv_bound_flags(self, tmp_path, capsys):
+        doc = tmp_path / "l.uta"
+        self.run_cli(capsys, "witness", "lemma34", "--k", "2,3", "--out", str(doc))
+        for flag in (("--depth", "-1"), ("--count", "0")):
+            code, out, err = self.run_cli(capsys, "equiv", str(doc), str(doc), *flag)
+            assert (code, out) == (2, "") and err.startswith("error: invalid enumeration")
+        # every tree over {a}, against the leaf a alone: they differ only on
+        # trees with children, so width 0 cannot tell them apart
+        ha = frozenset(["q"])
+        every = DFA(["s"], ha, "s", ["s"], [("s", "q", "s")])
+        empty = DFA(["s"], ha, "s", ["s"], [])
+        paths = []
+        for name, mach in (("every.uta", every), ("leaf.uta", empty)):
+            auto = TreeAutomaton(DTA_DFA, ["a"], ["q"], ["q"], horizontal={("q", "a"): mach})
+            (tmp_path / name).write_text(render_automaton(auto))
+            paths.append(str(tmp_path / name))
+        assert self.run_cli(capsys, "equiv", *paths, "--width", "0")[:2] == (
+            0, "equal (bounded-enumeration)\n")
+        assert self.run_cli(capsys, "equiv", *paths, "--width", "1")[:2] == (
+            1, "not equal: counterexample a(a)\n")
