@@ -2,10 +2,16 @@
 automata; the oracle layer for everything else.
 
 Bounded equivalence is a semi-decision: "equal" means no counterexample
-among the enumerated trees.  Canonical equivalence reduces both automata to
-a canonical form and tests exact isomorphism; the canonicalizer is a fixed
-point of vertical-state merging and per-symbol Moore minimization, validated
-empirically against bounded enumeration rather than trusted as minimal.
+among the enumerated trees.  It is decided by a bottom-up fixed point over
+pairs of state sets, a product of the two automata's horizontal runs that
+covers every tree of arity within the width bound; trees are enumerated
+only when that product finds a pair the automata disagree on, to report the
+first counterexample in enumeration order.
+
+Canonical equivalence reduces both automata to a canonical form and tests
+exact isomorphism; the canonicalizer is a fixed point of vertical-state
+merging and per-symbol Moore minimization, validated empirically against
+bounded enumeration rather than trusted as minimal.
 
 Isomorphism is decided in polynomial time by a canonical labelling of the
 vertical states, which needs them all reachable (pruned SDTAs are).
@@ -15,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automata import SDTA, TreeAutomaton, _evaluate, bottom_up_reach, prune_reachable
+from .automata import (DETERMINISTIC_KINDS, SDTA, TreeAutomaton, _evaluate, bottom_up_reach,
+                       prune_reachable)
 from .errors import AlphabetMismatchError, KindError
 from .strings import MooreDFA, canonical_form, minimize_moore, subset_name
 from .trees import DEFAULT_BOUNDS, EnumerationBounds, Tree, iter_trees
@@ -32,17 +39,73 @@ def equiv_bounded(a: TreeAutomaton, b: TreeAutomaton,
                   bounds: EnumerationBounds = DEFAULT_BOUNDS) -> EquivalenceVerdict:
     """Compare acceptance over every enumerated tree within bounds.
 
-    The enumerated trees share their proper subtrees, so each automaton
-    keeps one evaluation memo for the whole enumeration."""
+    "Equal" is decided first by ``_agree_within_width``, which enumerates
+    nothing.  Only when it cannot vouch for the pair are the trees
+    enumerated, by ``iter_trees`` order, and evaluated until the first one
+    the automata disagree on; the verdict, the counterexample and any
+    ``KindError`` are then exactly those of the enumeration.  The enumerated
+    trees share their proper subtrees, so each automaton keeps one
+    evaluation memo for the whole enumeration."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError(
             f"alphabets differ: {sorted(a.alphabet)} vs {sorted(b.alphabet)}")
+    if _agree_within_width(a, b, bounds.max_width):
+        return EquivalenceVerdict(True, None, "bounded-enumeration")
     memo_a, memo_b = {}, {}
     for t in iter_trees(a.alphabet, bounds):
         if (bool(_evaluate(a, t, memo_a) & a.finals)
                 != bool(_evaluate(b, t, memo_b) & b.finals)):
             return EquivalenceVerdict(False, t, "bounded-enumeration")
     return EquivalenceVerdict(True, None, "bounded-enumeration")
+
+
+def _agree_within_width(a: TreeAutomaton, b: TreeAutomaton, width: int) -> bool:
+    """True when a and b agree on every tree of arity <= width, at any
+    depth, and no node of such a tree is assigned two states by a
+    deterministic kind.
+
+    The pairs (S_a, S_b) of state sets that one tree makes the two automata
+    assign are the ``bottom_up_reach`` fixed point of the ``_pair_machine``
+    of each symbol.  Every tree within enumeration bounds is among those
+    trees, so when every reached pair agrees on acceptance and on
+    determinism, the enumeration can find no difference and raise no
+    ``KindError``.  The cost grows with the reached pairs, not with the
+    number of trees.
+    """
+    machines = [_pair_machine(a.horizontal_run(sym), b.horizontal_run(sym), width)
+                for sym in sorted(a.alphabet)]
+    single_a = a.kind in DETERMINISTIC_KINDS
+    single_b = b.kind in DETERMINISTIC_KINDS
+    for s_a, s_b in bottom_up_reach(machines, ()):
+        if bool(s_a & a.finals) != bool(s_b & b.finals):
+            return False
+        if (single_a and len(s_a) > 1) or (single_b and len(s_b) > 1):
+            return False
+    return True
+
+
+def _pair_machine(run_a, run_b, width) -> tuple:
+    """The two horizontal runs of one symbol side by side, as a
+    ``(start, step, output)`` machine for ``bottom_up_reach``.  Its state is
+    (run of a, run of b, children read so far); it reads a child's pair of
+    state sets, stops at ``width`` children, and outputs the pair of state
+    sets the node is assigned."""
+    start_a, step_a, finish_a = run_a
+    start_b, step_b, finish_b = run_b
+
+    def step(state, letter):
+        now_a, now_b, k = state
+        if k == width:
+            return None
+        s_a, s_b = letter
+        return (None if now_a is None else step_a(now_a, s_a),
+                None if now_b is None else step_b(now_b, s_b), k + 1)
+
+    def output(state):
+        now_a, now_b, k = state
+        return finish_a(now_a, k == 0), finish_b(now_b, k == 0)
+
+    return (start_a, start_b, 0), step, output
 
 
 def canonical_sdta(a: TreeAutomaton) -> TreeAutomaton:

@@ -86,6 +86,7 @@ class TreeAutomaton:
             by_symbol.setdefault(sym, []).append((q, mach))
         self._by_symbol = {sym: tuple(sorted(pairs, key=lambda qm: qm[0]))
                            for sym, pairs in by_symbol.items()}
+        self._runs: dict = {}
 
     @property
     def horizontal_alphabet(self) -> frozenset:
@@ -136,6 +137,18 @@ class TreeAutomaton:
                 raise KindError(
                     f"machine for ({q!r},{sym!r}) accepts the empty string, clashing "
                     f"with the designated leaf state")
+
+    def horizontal_run(self, sym):
+        """The ``(start, step, finish)`` run that assigns states to a ``sym``
+        node; built on first use (see ``_horizontal_run``)."""
+        got = self._runs.get(sym)
+        if got is None:
+            got = self._runs[sym] = _horizontal_run(self, sym)
+        return got
+
+    def __getstate__(self):
+        # the runs are closures, which do not pickle; they are rebuilt on use
+        return {**self.__dict__, "_runs": {}}
 
     def machines_for(self, sym):
         """Sorted (state, machine) pairs for one symbol; non-SDTA kinds."""
@@ -211,35 +224,69 @@ def _node_states(a: TreeAutomaton, sym: str, child_sets: list, addr=None) -> fro
 
 
 def _states_at(a: TreeAutomaton, sym: str, child_sets: list) -> frozenset:
-    if not child_sets and sym in a.leaf_symbols:
-        return frozenset([sym])
+    """The states of a ``sym`` node whose children were assigned
+    ``child_sets``: its horizontal run folded over them."""
+    start, step, finish = a.horizontal_run(sym)
+    run = start
+    for s in child_sets:
+        if run is None:
+            break
+        run = step(run, s)
+    return finish(run, not child_sets)
+
+
+def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
+    """The horizontal run that assigns states to a ``sym`` node, as
+    ``(start, step, finish)``.  ``step(run, S)`` reads the state set S of the
+    next child; the run is None once it is dead, and ``step`` is never given
+    a dead run.  ``finish(run, empty)`` is the node's state set, where
+    ``empty`` says the node has no children (the designated-leaf rule).
+
+    An SDTA's run is its Moore state.  For the other kinds the acceptors of
+    ``_by_symbol[sym]`` step together as one NFA, their disjoint union with
+    states tagged (i, h) by acceptor index; the run is its current subset,
+    and a state is assigned iff the run holds a final state of its acceptor.
+    """
+    leaf = frozenset([sym]) if sym in a.leaf_symbols else None
+    nothing = frozenset()
 
     if a.kind == SDTA:
         mach = a.moore.get(sym)
-        if mach is None:
-            return frozenset()
-        cur = mach.initial
-        for s in child_sets:
-            if not s:
-                return frozenset()
-            (member,) = s
-            cur = mach.delta.get((cur, member))
-            if cur is None:
-                return frozenset()
-        if cur in mach.finals:
-            return frozenset([mach.outputs[cur]])
-        return frozenset()
+        outs = {s: frozenset([v]) for s, v in mach.outputs.items()} if mach else {}
 
-    out = set()
-    for q, mach in a._by_symbol.get(sym, ()):
-        subset = mach.initials
-        for s in child_sets:
-            subset = mach.step_any(subset, s)
-            if not subset:
-                break
-        if subset & mach.finals:
-            out.add(q)
-    return frozenset(out)
+        def step(run, s):
+            if not s:
+                return None
+            (member,) = s
+            return mach.delta.get((run, member))
+
+        def finish(run, empty):
+            if empty and leaf:
+                return leaf
+            return outs.get(run, nothing)
+
+        return (mach.initial if mach else None), step, finish
+
+    pairs = a._by_symbol.get(sym, ())
+    union = None
+    if pairs:
+        tagged = list(enumerate(m for _, m in pairs))
+        union = NFA([(i, h) for i, m in tagged for h in m.states], a.horizontal_alphabet,
+                    [(i, h) for i, m in tagged for h in m.initials],
+                    [(i, h) for i, m in tagged for h in m.finals],
+                    [((i, h), c, (i, d)) for i, m in tagged for h, c, d in m.transitions()])
+
+    def step(run, s):
+        return union.step_any(run, s) or None
+
+    def finish(run, empty):
+        if empty and leaf:
+            return leaf
+        if run is None:
+            return nothing
+        return frozenset([pairs[i][0] for i, _ in run & union.finals])
+
+    return (union.initials if union else None), step, finish
 
 
 def accepts(a: TreeAutomaton, t: Tree) -> bool:

@@ -101,35 +101,19 @@ def dtadfa_to_sdta(a: TreeAutomaton):
     return out, ConversionReport("dtadfa-to-sdta", insize, size(out), bound)
 
 
-class _SubsetMachine:
-    """Joint simulation of all horizontal acceptors for one symbol over
-    strings of state sets: a state is one reachable-set per acceptor, and the
-    output is the set of vertical states whose acceptor currently accepts."""
-
-    def __init__(self, machines):
-        self.machines = machines  # sorted (q, machine) pairs
-        self.start = tuple(m.initials for _, m in machines)
-
-    def step(self, state, members):
-        """The next state, or None once every acceptor is dead."""
-        nxt = tuple(m.step_any(sub, members) for (_, m), sub in zip(self.machines, state))
-        return nxt if any(nxt) else None
-
-    def output(self, state):
-        """The accepting components' states, or None if there are none."""
-        out = frozenset(q for (q, m), sub in zip(self.machines, state) if sub & m.finals)
-        return out or None
-
-    def moore(self, items, name, alphabet) -> MooreDFA:
-        """The explored machine as a Moore machine over ``alphabet``: states
-        h0, h1, ... in BFS order, each item read as the symbol ``name(item)``,
-        and every nonempty output set given as ``name(output)``."""
-        order, edges = explore(self.start, self.step, items)
-        hname = [f"h{i}" for i in range(len(order))]
-        trans = [(hname[i], name(item), hname[j]) for i, item, j in edges]
-        outs = {h: self.output(st) for h, st in zip(hname, order)}
-        outputs = {h: name(out) for h, out in outs.items() if out is not None}
-        return MooreDFA(hname, alphabet, hname[0], set(outputs), trans, outputs)
+def _subset_moore(a: TreeAutomaton, sym, items, name, alphabet) -> MooreDFA:
+    """The horizontal run of ``sym`` (``TreeAutomaton.horizontal_run``),
+    the joint subset simulation of its acceptors, explored over ``items`` as
+    a Moore machine over ``alphabet``: states h0, h1, ... in BFS order, each
+    item read as the symbol ``name(item)``, and every nonempty set of
+    accepting states given as the output ``name(set)``."""
+    start, step, finish = a.horizontal_run(sym)
+    order, edges = explore(start, step, items)
+    hname = [f"h{i}" for i in range(len(order))]
+    trans = [(hname[i], name(item), hname[j]) for i, item, j in edges]
+    outs = {h: finish(run, False) for h, run in zip(hname, order)}
+    outputs = {h: name(out) for h, out in outs.items() if out}
+    return MooreDFA(hname, alphabet, hname[0], set(outputs), trans, outputs)
 
 
 def _vname(item, leaf_symbols) -> str:
@@ -143,11 +127,14 @@ def _assignable_subsets(a: TreeAutomaton):
     """Fixed point of child-set reachability: every state set some run can
     assign to a node, as frozensets of original vertical states."""
     leaf_items = [frozenset([s]) for s in sorted(a.leaf_symbols)]
-    machines = {sym: _SubsetMachine(a.machines_for(sym)) for sym in sorted(a.alphabet)
-                if a.machines_for(sym)}
-    found = bottom_up_reach([(sm.start, sm.step, sm.output) for sm in machines.values()],
-                            leaf_items)
-    return sorted(found[len(leaf_items):], key=sorted), machines
+    runs = [a.horizontal_run(sym) for sym in _symbols_with_machines(a)]
+    found = bottom_up_reach([(start, step, lambda run, finish=finish: finish(run, False) or None)
+                             for start, step, finish in runs], leaf_items)
+    return sorted(found[len(leaf_items):], key=sorted)
+
+
+def _symbols_with_machines(a: TreeAutomaton) -> list:
+    return [sym for sym in sorted(a.alphabet) if a.machines_for(sym)]
 
 
 def _eq4_horizontal(a: TreeAutomaton) -> int:
@@ -185,12 +172,13 @@ def nta_to_sdta(a: TreeAutomaton, force_general: bool = False):
 
 
 def _nta_to_sdta_general(a: TreeAutomaton) -> TreeAutomaton:
-    real, machines = _assignable_subsets(a)
+    real = _assignable_subsets(a)
     leaf_items = [frozenset([s]) for s in sorted(a.leaf_symbols)]
     new_states = {_vname(p, a.leaf_symbols) for p in real}
     ha = frozenset(new_states) | a.leaf_symbols
-    moore = {sym: sm.moore(leaf_items + real, lambda p: _vname(p, a.leaf_symbols), ha)
-             for sym, sm in sorted(machines.items())}
+    moore = {sym: _subset_moore(a, sym, leaf_items + real,
+                                lambda p: _vname(p, a.leaf_symbols), ha)
+             for sym in _symbols_with_machines(a)}
     finals = {_vname(p, a.leaf_symbols) for p in real if p & a.finals}
     finals |= {s for s in a.leaf_symbols if s in a.finals}
     return TreeAutomaton(SDTA, a.alphabet, new_states, finals,
@@ -205,8 +193,7 @@ def _sole(states):
 def _nta_to_sdta_refined(a: TreeAutomaton) -> TreeAutomaton:
     ha = a.horizontal_alphabet
     items = [frozenset([s]) for s in sorted(ha)]
-    moore = {sym: _SubsetMachine(a.machines_for(sym)).moore(items, _sole, ha)
-             for sym in sorted(a.alphabet) if a.machines_for(sym)}
+    moore = {sym: _subset_moore(a, sym, items, _sole, ha) for sym in _symbols_with_machines(a)}
     return TreeAutomaton(SDTA, a.alphabet, a.states, a.finals,
                          moore=moore, leaf_symbols=a.leaf_symbols)
 

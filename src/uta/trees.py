@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -301,10 +301,19 @@ def enumerate_trees(alphabet, bounds: EnumerationBounds = DEFAULT_BOUNDS) -> lis
     """Materialized enumeration, truncated at max_count.
 
     Raises EnumerationCapExceeded (carrying the partial list) when more trees
-    exist beyond the cap, found by asking ``iter_trees`` for one tree more;
-    the caller decides whether that is fatal.
+    exist beyond the cap; the caller decides whether that is fatal.  Whether
+    they do is read from the per-level ``_count_trees`` totals, which
+    ``iter_trees`` has already computed up to the level the cap falls in, so
+    no tree past the cap is generated.
     """
-    out = list(iter_trees(alphabet, replace(bounds, max_count=bounds.max_count + 1)))
-    if len(out) > bounds.max_count:
-        raise EnumerationCapExceeded(out[:-1], bounds.max_count)
+    symbols = sorted(alphabet)
+    out = list(iter_trees(symbols, bounds))
+    if len(out) < bounds.max_count:
+        return out
+    depth, width = bounds.max_depth, bounds.max_width
+    total = 0
+    for n in range(1, _max_nodes(depth, width) + 1):
+        total += _count_trees(len(symbols), n, depth, width)
+        if total > bounds.max_count:
+            raise EnumerationCapExceeded(out, bounds.max_count)
     return out

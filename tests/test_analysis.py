@@ -4,14 +4,19 @@ from itertools import permutations
 
 import pytest
 
-from uta import (SDTA, AlphabetMismatchError, KindError, MooreDFA, TreeAutomaton,
-                 accepts, canonical_sdta, dtadfa_to_sdta, equiv_bounded,
-                 equiv_canonical, gen_lemma34, gen_thm41, nta_to_sdta,
-                 prune_reachable, sdta_isomorphic, size)
-from uta import EnumerationBounds, iter_trees
+import uta.analysis
+from uta import (DTA_NFA, NFA, NTA_NFA, SDTA, AlphabetMismatchError, KindError,
+                 MooreDFA, TreeAutomaton, UtaError, accepts, canonical_sdta,
+                 dtadfa_to_sdta, equiv_bounded, equiv_canonical, gen_lemma34,
+                 gen_thm41, nta_to_dtadfa, nta_to_sdta, parse_tree, prune_reachable,
+                 sdta_isomorphic, sdta_to_dtadfa, size)
+from uta import EnumerationBounds, EquivalenceVerdict, iter_trees
+from uta.automata import _evaluate
 from uta.strings import canonical_form
+from uta.trees import DEFAULT_BOUNDS
 
-from randgen import inflate_sdta, rand_nta, rand_sdta, rename_sdta
+from randgen import (inflate_sdta, rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta,
+                     rename_sdta)
 
 BOUNDS = EnumerationBounds(3, 3, 400)
 
@@ -57,6 +62,167 @@ class TestEquivBounded:
         other, _ = nta_to_sdta(gen_thm41(1)[0])
         with pytest.raises(AlphabetMismatchError):
             equiv_bounded(lemma34_sdta, other)
+
+
+def _enumeration_oracle(a, b, bounds):
+    """Test-only oracle: ``equiv_bounded`` as it was before its fixed-point
+    shortcut, enumerating and evaluating every tree within bounds."""
+    if a.alphabet != b.alphabet:
+        raise AlphabetMismatchError(
+            f"alphabets differ: {sorted(a.alphabet)} vs {sorted(b.alphabet)}")
+    memo_a, memo_b = {}, {}
+    for t in iter_trees(a.alphabet, bounds):
+        if (bool(_evaluate(a, t, memo_a) & a.finals)
+                != bool(_evaluate(b, t, memo_b) & b.finals)):
+            return EquivalenceVerdict(False, t, "bounded-enumeration")
+    return EquivalenceVerdict(True, None, "bounded-enumeration")
+
+
+def _outcome(f, *args):
+    """The verdict, or the error raised as (type name, message)."""
+    try:
+        return f(*args)
+    except UtaError as e:
+        return type(e).__name__, str(e)
+
+
+def _mislabelled(a):
+    """An NTA declared dta-nfa.  Kinds are not checked at construction, so
+    its runs may assign two states to a node, which raises KindError."""
+    return TreeAutomaton(DTA_NFA, a.alphabet, a.states, a.finals,
+                         horizontal=a.horizontal, leaf_symbols=a.leaf_symbols)
+
+
+FAMILIES = (rand_sdta, rand_dtadfa, rand_nta, rand_dta_nfa,
+            lambda rng: _mislabelled(rand_nta(rng)))
+
+# depth 1, width 0, a cap cutting into a level for 2 and 3 symbols, and a
+# cap past every tree of 1 to 3 symbols
+CROSS_BOUNDS = (EnumerationBounds(1, 3, 50), EnumerationBounds(3, 0, 50),
+                EnumerationBounds(3, 3, 200), EnumerationBounds(2, 3, 200))
+
+
+def _round_trips(rng):
+    """Language-equal pairs: each random family against its conversions,
+    and the lemma 3.4 and theorem 4.1 witnesses (designated leaf states)."""
+    pairs = []
+    for _ in range(8):
+        a = rand_sdta(rng)
+        pairs.append((a, sdta_to_dtadfa(a)[0]))
+        a = rand_dtadfa(rng)
+        pairs += [(a, dtadfa_to_sdta(a)[0]), (a, nta_to_sdta(a)[0])]
+        for a in (rand_nta(rng), rand_dta_nfa(rng)):
+            pairs += [(a, nta_to_sdta(a)[0]), (a, nta_to_dtadfa(a)[0])]
+    base = gen_lemma34((2, 3))[0]
+    pairs += [(base, dtadfa_to_sdta(base)[0]), (base, nta_to_sdta(base)[0])]
+    base = gen_thm41(2)[0]
+    pairs += [(base, nta_to_dtadfa(base)[0]), (base, nta_to_sdta(base)[0])]
+    return pairs
+
+
+class TestEquivBoundedAgainstOracle:
+    def test_random_pairs_and_round_trips(self):
+        rng = random.Random(61)
+        pairs = []
+        while len(pairs) < 400:
+            i = len(pairs)
+            a = FAMILIES[i % len(FAMILIES)](rng)
+            b = FAMILIES[(i // len(FAMILIES)) % len(FAMILIES)](rng)
+            if a.alphabet == b.alphabet:
+                pairs.append((a, b))
+        pairs += _round_trips(rng)
+        seen = {"equal": 0, "differ": 0, "KindError": 0}
+        for a, b in pairs:
+            for bounds in CROSS_BOUNDS:
+                got = _outcome(equiv_bounded, a, b, bounds)
+                assert got == _outcome(_enumeration_oracle, a, b, bounds)
+                if isinstance(got, EquivalenceVerdict):
+                    seen["equal" if got.equal else "differ"] += 1
+                else:
+                    seen[got[0]] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_difference_deeper_than_max_depth_is_equal(self):
+        everything, deep = _depth_at_most(3)
+        for depth, want in ((3, None), (4, "a(a(a(a)))")):
+            bounds = EnumerationBounds(depth, 2, 1000)
+            v = equiv_bounded(everything, deep, bounds)
+            assert v == _enumeration_oracle(everything, deep, bounds)
+            assert (v.equal, v.counterexample) == (
+                want is None, want and parse_tree(want, "a"))
+
+    def test_two_states_past_the_cap_is_equal(self):
+        a = _two_states_at_arity_3()
+        nta = TreeAutomaton(NTA_NFA, a.alphabet, a.states, a.finals,
+                            horizontal=a.horizontal)
+        # a(a,a,a) renders last of the 8 trees of 1 to 4 nodes
+        for cap in (7, 8):
+            bounds = EnumerationBounds(3, 3, cap)
+            got = _outcome(equiv_bounded, a, nta, bounds)
+            assert got == _outcome(_enumeration_oracle, a, nta, bounds)
+            if cap == 7:
+                assert got.equal
+            else:
+                assert got == ("KindError", "deterministic kind dta-nfa assigned "
+                               "['p', 'r'] at a 'a' node")
+
+    def test_designated_leaf_state(self):
+        b_leaf = TreeAutomaton(NTA_NFA, "ab", [], ["b"], leaf_symbols="b")
+        b_state = TreeAutomaton(NTA_NFA, "ab", ["qb"], ["qb"],
+                                horizontal={("qb", "b"): NFA("i", ["qb"], "i", "i", [])})
+        a_state = TreeAutomaton(NTA_NFA, "ab", ["qa"], ["qa"],
+                                horizontal={("qa", "a"): NFA("i", ["qa"], "i", "i", [])})
+        bounds = EnumerationBounds(3, 2, 100)
+        for other, want in ((b_state, None), (a_state, "a")):
+            v = equiv_bounded(b_leaf, other, bounds)
+            assert v == _enumeration_oracle(b_leaf, other, bounds)
+            assert v.counterexample == (want and parse_tree(want, "ab"))
+
+
+def _depth_at_most(n):
+    """Two SDTAs over {a} with the same runs: one accepting every tree, one
+    the trees of depth <= n.  The Moore state ``m<i>`` is the largest child
+    depth so far, capped at n."""
+    qs = [f"q{d}" for d in range(1, n + 2)]  # q<n+1>: depth > n
+    ms = [f"m{i}" for i in range(n + 1)]
+    trans = [(f"m{i}", f"q{d}", f"m{min(n, max(i, d))}")
+             for i in range(n + 1) for d in range(1, n + 2)]
+    moore = MooreDFA(ms, qs, "m0", ms, trans, {f"m{i}": f"q{i + 1}" for i in range(n + 1)})
+    return tuple(TreeAutomaton(SDTA, "a", qs, finals, moore={"a": moore})
+                 for finals in (qs, qs[:n]))
+
+
+def _two_states_at_arity_3():
+    """dta-nfa over {a}: p labels every node, r also labels a node with
+    exactly three children, so a(a,a,a) is assigned {p, r}."""
+    h = ["p", "r"]
+    any_word = NFA(["s"], h, ["s"], ["s"], [("s", c, "s") for c in h])
+    three = NFA(["t0", "t1", "t2", "t3"], h, ["t0"], ["t3"],
+                [(f"t{i}", c, f"t{i + 1}") for i in range(3) for c in h])
+    return TreeAutomaton(DTA_NFA, "a", h, ["p"],
+                         horizontal={("p", "a"): any_word, ("r", "a"): three})
+
+
+class TestAgreeingInputsEnumerateNothing:
+    @pytest.fixture(autouse=True)
+    def no_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("equiv_bounded enumerated trees")
+        monkeypatch.setattr(uta.analysis, "iter_trees", refuse)
+
+    def test_lemma34_against_itself_at_default_bounds(self):
+        base = gen_lemma34((2, 3))[0]
+        assert equiv_bounded(base, base, DEFAULT_BOUNDS).equal
+
+    def test_difference_only_past_the_width_bound(self):
+        everything, leaves = _depth_at_most(1)
+        assert equiv_bounded(everything, leaves, EnumerationBounds(4, 0, 1000)).equal
+
+    def test_conversions_checked_by_the_benchmark(self):
+        base = gen_lemma34((2, 3))[0]
+        assert equiv_bounded(base, dtadfa_to_sdta(base)[0], DEFAULT_BOUNDS).equal
+        base = gen_thm41(2)[0]
+        assert equiv_bounded(base, nta_to_dtadfa(base)[0], DEFAULT_BOUNDS).equal
 
 
 class TestCanonicalSdta:

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from uta import (DFA, DTA_DFA, DTA_NFA, KINDS, NTA_DFA, NTA_NFA, NFA, SDTA,
@@ -70,6 +72,13 @@ class TestRun:
             t = rand_tree(rng, auto.alphabet, max_depth=4, max_width=4)
             for states in run(auto, t).values():
                 assert len(states) <= 1
+
+    def test_pickles_after_a_run(self, lemma34_pair):
+        auto, _ = lemma34_pair
+        t = parse_tree("a(a(b,b,b,1,0))", auto.alphabet)
+        assert accepts(auto, t)
+        again = pickle.loads(pickle.dumps(auto))
+        assert again == auto and accepts(again, t)
 
     def test_nondeterministic_sets_can_grow(self):
         auto, _ = gen_thm41(2)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uta import trees
 from uta import (Context, EnumerationBounds, EnumerationCapExceeded, Tree,
                  TreeSyntaxError, UnknownSymbolError, enumerate_trees,
                  iter_trees, leaf, nest, node, parse_context, parse_tree, render_tree,
@@ -83,6 +84,27 @@ def test_enumeration_cap_signal_carries_partial():
     # emitted prefix agrees with the untruncated enumeration
     full = enumerate_trees({"a", "b"}, EnumerationBounds(3, 3, 10**6))
     assert err.value.trees == full[:7]
+
+
+def test_enumeration_cap_on_a_level_boundary_generates_no_further_level(monkeypatch):
+    full = enumerate_trees({"a", "b"}, EnumerationBounds(3, 3, 10**6))
+    asked = []
+    level = trees._Levels.level
+
+    def spy(self, n, depth):
+        asked.append(n)
+        return level(self, n, depth)
+
+    monkeypatch.setattr(trees._Levels, "level", spy)
+    # 2, 6 and 22 trees of up to 1, 2 and 3 nodes; 86 of up to 4
+    for cap, top in ((22, 3), (6, 2), (23, 4), (50, 4)):
+        asked.clear()
+        with pytest.raises(EnumerationCapExceeded) as err:
+            enumerate_trees({"a", "b"}, EnumerationBounds(3, 3, cap))
+        assert err.value.trees == full[:cap]
+        assert max(asked) == top
+    # a cap equal to the whole space is not exceeded
+    assert len(enumerate_trees({"a", "b"}, EnumerationBounds(3, 2, 422))) == 422
 
 
 def test_enumeration_is_duplicate_free_and_ordered():
