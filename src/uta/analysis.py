@@ -70,7 +70,8 @@ def _agree_within_width(a: TreeAutomaton, b: TreeAutomaton, width: int) -> bool:
     trees, so when every reached pair agrees on acceptance and on
     determinism, the enumeration can find no difference and raise no
     ``KindError``.  The cost grows with the reached pairs, not with the
-    number of trees.
+    number of trees, and the fixed point is left at the first pair that
+    disagrees.
     """
     machines = [_pair_machine(a.horizontal_run(sym), b.horizontal_run(sym), width)
                 for sym in sorted(a.alphabet)]
@@ -88,14 +89,16 @@ def _pair_machine(run_a, run_b, width) -> tuple:
     """The two horizontal runs of one symbol side by side, as a
     ``(start, step, output)`` machine for ``bottom_up_reach``.  Its state is
     (run of a, run of b, children read so far); it reads a child's pair of
-    state sets, stops at ``width`` children, and outputs the pair of state
-    sets the node is assigned."""
+    state sets, stops at ``width`` children or once both runs are dead, and
+    outputs the pair of state sets the node is assigned.  Stopping at two
+    dead runs may leave out (∅, ∅), which both automata reject and which,
+    read as a child, leads to nothing but two dead runs."""
     start_a, step_a, finish_a = run_a
     start_b, step_b, finish_b = run_b
 
     def step(state, letter):
         now_a, now_b, k = state
-        if k == width:
+        if k == width or (now_a is None and now_b is None):
             return None
         s_a, s_b = letter
         return (None if now_a is None else step_a(now_a, s_a),
@@ -218,9 +221,9 @@ def _canonical_labels(a: TreeAutomaton) -> dict:
     names.  Raises KindError naming a vertical state it never finds.
     """
     leaves = sorted(a.leaf_symbols)
-    found = bottom_up_reach(
+    found = list(bottom_up_reach(
         [(m.initial, m.successor, m.outputs.get) for _, m in sorted(a.moore.items())],
-        leaves)
+        leaves))
     label = {c: (0, c) for c in leaves}
     label.update((q, (1, n)) for n, q in enumerate(found[len(leaves):]))
     unreached = sorted(a.states.difference(label))

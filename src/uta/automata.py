@@ -322,17 +322,20 @@ def size(a: TreeAutomaton) -> SizePair:
     return SizePair(len(a.states), horiz)
 
 
-def bottom_up_reach(machines, items) -> list:
+def bottom_up_reach(machines, items):
     """Fixed point of bottom-up reachability over vertical items.
 
     ``machines`` is a list of (start, step, output) triples; ``items`` are the
     letters every tree provides, such as the leaf states.  Each round
     explores every machine in turn (see ``strings.explore``) over the items
-    found so far, and appends each new non-None ``output(state)`` of a
-    reached state.  Rounds repeat until nothing new is found.  Returns the
-    items in the order they were first found, the given ones first.
+    found so far, and adds each new non-None ``output(state)`` of a reached
+    state.  Rounds repeat until nothing new is found.  Yields the items in
+    the order they were first found, the given ones first, each as soon as
+    it is found, so a caller that stops early skips the rest of the fixed
+    point.
     """
     items = list(items)
+    yield from items
     found = set(items)
     grew = True
     while grew:
@@ -345,7 +348,7 @@ def bottom_up_reach(machines, items) -> list:
                     found.add(out)
                     items.append(out)
                     grew = True
-    return items
+                    yield out
 
 
 def prune_reachable(a: TreeAutomaton) -> TreeAutomaton:

@@ -128,8 +128,9 @@ def _assignable_subsets(a: TreeAutomaton):
     assign to a node, as frozensets of original vertical states."""
     leaf_items = [frozenset([s]) for s in sorted(a.leaf_symbols)]
     runs = [a.horizontal_run(sym) for sym in _symbols_with_machines(a)]
-    found = bottom_up_reach([(start, step, lambda run, finish=finish: finish(run, False) or None)
-                             for start, step, finish in runs], leaf_items)
+    found = list(bottom_up_reach(
+        [(start, step, lambda run, finish=finish: finish(run, False) or None)
+         for start, step, finish in runs], leaf_items))
     return sorted(found[len(leaf_items):], key=sorted)
 
 

@@ -9,7 +9,7 @@ from uta import (DFA, DTA_DFA, DTA_NFA, KINDS, NTA_DFA, NTA_NFA, NFA, SDTA,
                  nta_to_dtadfa, node, parse_tree, prune_reachable, run, size,
                  word_node)
 from uta import EnumerationBounds, EnumerationCapExceeded, enumerate_trees, iter_trees
-from uta.automata import _evaluate
+from uta.automata import _evaluate, bottom_up_reach
 
 from randgen import (rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta, rand_tree,
                      rand_trees)
@@ -159,6 +159,19 @@ class TestPrune:
         # state count uniform; no run ever enters it
         auto, _ = lemma34_pair
         assert size(prune_reachable(auto)) == SizePair(2, 11)
+
+
+class TestBottomUpReach:
+    def test_yields_each_item_as_found(self):
+        def step(state, letter):
+            raise AssertionError("explored past the first item")
+
+        found = bottom_up_reach([(0, step, lambda state: ("leaf", state))], ())
+        assert next(found) == ("leaf", 0)
+
+    def test_items_in_order_found_given_first(self):
+        counter = (0, lambda n, c: n + 1 if n < 3 else None, lambda n: f"s{n}")
+        assert list(bottom_up_reach([counter], ["x"])) == ["x", "s0", "s1", "s2", "s3"]
 
 
 class TestClassify:
