@@ -13,8 +13,7 @@ from .errors import (AlphabetMismatchError, DeterminismError, DocumentError,
                      SeparationError, TreeSyntaxError, UnknownSymbolError,
                      UtaError)
 from .strings import (DFA, NFA, MooreDFA, determinize, intersection_witness,
-                      isomorphic, marked_union, minimize_dfa, minimize_moore,
-                      nfa_accepts, product_disjoint, subset_name)
+                      marked_union, minimize_dfa, minimize_moore, subset_name)
 from .trees import (Context, EnumerationBounds, Tree, enumerate_trees,
                     iter_trees, leaf, nest, node, parse_context, parse_tree,
                     render_tree, substitute, word_node)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automata import (DETERMINISTIC_KINDS, SDTA, TreeAutomaton, _evaluate, bottom_up_reach,
-                       prune_reachable)
+                       prune_reachable, sdta_reach)
 from .errors import AlphabetMismatchError, KindError
 from .strings import MooreDFA, canonical_form, minimize_moore, subset_name
 from .trees import DEFAULT_BOUNDS, EnumerationBounds, Tree, iter_trees
@@ -212,20 +212,18 @@ def sdta_isomorphic(a: TreeAutomaton, b: TreeAutomaton) -> bool:
 
 def _canonical_labels(a: TreeAutomaton) -> dict:
     """Horizontal letter -> canonical label: leaf symbol ``c`` -> (0, c),
-    vertical state -> (1, n) numbered in the order ``bottom_up_reach``
-    first finds them.
+    vertical state -> (1, n) numbered in the order ``sdta_reach`` first
+    finds them.
 
     The fixed point explores every symbol's machine, symbols in sorted
     order, reading the leaf symbols by name and then the states found so far
     in the order found; it depends on the structure only, never on state
     names.  Raises KindError naming a vertical state it never finds.
     """
-    leaves = sorted(a.leaf_symbols)
-    found = list(bottom_up_reach(
-        [(m.initial, m.successor, m.outputs.get) for _, m in sorted(a.moore.items())],
-        leaves))
-    label = {c: (0, c) for c in leaves}
-    label.update((q, (1, n)) for n, q in enumerate(found[len(leaves):]))
+    found = list(sdta_reach(a))
+    leaves = len(a.leaf_symbols)
+    label = {c: (0, c) for c in found[:leaves]}
+    label.update((q, (1, n)) for n, q in enumerate(found[leaves:]))
     unreached = sorted(a.states.difference(label))
     if unreached:
         raise KindError(f"vertical state {unreached[0]!r} is never reached; "

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import KindError, UnknownSymbolError
-from .strings import DFA, MooreDFA, NFA, explore, intersection_witness
+from .strings import DFA, MooreDFA, NFA, explore, first_overlap
 from .trees import Tree
 
 NTA_NFA = "nta-nfa"
@@ -41,9 +41,6 @@ class SizePair:
 
     def __le__(self, other: "SizePair") -> bool:
         return self.vertical <= other.vertical and self.horizontal <= other.horizontal
-
-    def __ge__(self, other: "SizePair") -> bool:
-        return other.__le__(self)
 
     def __str__(self) -> str:
         return f"[{self.vertical}; {self.horizontal}]"
@@ -302,13 +299,10 @@ def check_semantic_determinism(a: TreeAutomaton) -> DeterminismReport:
         return DeterminismReport(True)
     for sym in sorted(a.alphabet):
         machines = a.machines_for(sym)
-        for i in range(len(machines)):
-            for j in range(i + 1, len(machines)):
-                q1, m1 = machines[i]
-                q2, m2 = machines[j]
-                w = intersection_witness(m1, m2)
-                if w is not None:
-                    return DeterminismReport(False, sym, (q1, q2), w)
+        overlap = first_overlap([m for _, m in machines])
+        if overlap is not None:
+            i, j, w = overlap
+            return DeterminismReport(False, sym, (machines[i][0], machines[j][0]), w)
     return DeterminismReport(True)
 
 
@@ -351,19 +345,26 @@ def bottom_up_reach(machines, items):
                     yield out
 
 
+def sdta_reach(a: TreeAutomaton):
+    """``bottom_up_reach`` over an SDTA's Moore machines, symbols in sorted
+    order, from its leaf states in sorted order: the leaf states, then the
+    vertical states that some tree is assigned, in the order found."""
+    return bottom_up_reach(
+        [(m.initial, m.successor, m.outputs.get) for _, m in sorted(a.moore.items())],
+        sorted(a.leaf_symbols))
+
+
 def prune_reachable(a: TreeAutomaton) -> TreeAutomaton:
     """Drop vertical states no run can assign, then drop horizontal states
     that became unreachable.  The language is unchanged.
 
-    For an SDTA the assignable states are the ``bottom_up_reach`` fixed
-    point of its Moore machines over the leaf states.  For the other kinds
-    a state is assignable once one of its acceptors reaches a final state
-    reading assignable states only; that is repeated until nothing changes.
+    For an SDTA the assignable states are those ``sdta_reach`` finds.  For
+    the other kinds a state is assignable once one of its acceptors reaches a
+    final state reading assignable states only; that is repeated until
+    nothing changes.
     """
     if a.kind == SDTA:
-        live = set(bottom_up_reach(
-            [(m.initial, m.successor, m.outputs.get) for _, m in sorted(a.moore.items())],
-            sorted(a.leaf_symbols)))
+        live = set(sdta_reach(a))
     else:
         live = set(a.leaf_symbols)
         changed = True

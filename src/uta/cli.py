@@ -5,43 +5,23 @@ nondeterminism, a violated bound, a failed certification), 2 on usage or
 document errors.  All output is deterministic: the same inputs produce
 byte-identical documents.
 
-The environment variable UTA_ENUM_BOUNDS ("depth,width,count") overrides
-the default enumeration bounds used by tree-level equivalence checks, and
-the ``equiv`` flags ``--depth``, ``--width`` and ``--count`` override it.
+The ``equiv`` flags ``--depth``, ``--width`` and ``--count`` override the
+default enumeration bounds used by tree-level equivalence checks.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
 from . import analysis, convert, docs, witnesses
-from .automata import SDTA, TreeAutomaton, accepts, check_semantic_determinism
+from .automata import DTA_DFA, SDTA, TreeAutomaton, accepts, check_semantic_determinism
 from .automata import prune_reachable, run, size
 from .errors import SeparationError, UtaError
 from .strings import DFA, marked_union
-from .trees import DEFAULT_BOUNDS, EnumerationBounds, parse_tree
+from .trees import DEFAULT_BOUNDS, parse_tree
 from .witnesses import gen_lemma34, gen_thm41
-
-
-def _bounds(depth=None, width=None, count=None) -> EnumerationBounds:
-    """The enumeration bounds: UTA_ENUM_BOUNDS or the defaults, with each
-    value that is not None overriding; invalid bounds are a usage error."""
-    bounds = DEFAULT_BOUNDS
-    raw = os.environ.get("UTA_ENUM_BOUNDS")
-    if raw:
-        try:
-            d, w, c = (int(v) for v in raw.split(","))
-            bounds = EnumerationBounds(d, w, c)
-        except (ValueError, TypeError):
-            raise UtaError(f"UTA_ENUM_BOUNDS must be 'depth,width,count', got {raw!r}") from None
-    given = {"max_depth": depth, "max_width": width, "max_count": count}
-    try:
-        return replace(bounds, **{k: v for k, v in given.items() if v is not None})
-    except ValueError as e:
-        raise UtaError(str(e)) from None
 
 
 def _read(path: str) -> str:
@@ -90,7 +70,7 @@ def _cmd_convert(args) -> int:
     if args.to == "sdta":
         if a.kind == SDTA:
             raise UtaError("input is already strongly deterministic")
-        if a.kind == "dta-dfa" and not args.force_general:
+        if a.kind == DTA_DFA and not args.force_general:
             out, report = convert.dtadfa_to_sdta(a)
         else:
             out, report = convert.nta_to_sdta(a, force_general=args.force_general)
@@ -112,7 +92,11 @@ def _cmd_size(args) -> int:
 def _cmd_equiv(args) -> int:
     a = _load_tree_automaton(args.file1)
     b = _load_tree_automaton(args.file2)
-    bounds = _bounds(args.depth, args.width, args.count)
+    given = {"max_depth": args.depth, "max_width": args.width, "max_count": args.count}
+    try:
+        bounds = replace(DEFAULT_BOUNDS, **{k: v for k, v in given.items() if v is not None})
+    except ValueError as e:  # out-of-range bounds are a usage error
+        raise UtaError(str(e)) from None
     if a.kind == SDTA and b.kind == SDTA:
         verdict = analysis.equiv_canonical(a, b, bounds)
     else:

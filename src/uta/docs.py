@@ -14,17 +14,14 @@ strongly deterministic kind.
 
 from __future__ import annotations
 
-import re
-
-from .automata import KINDS, SDTA, TreeAutomaton, check_semantic_determinism
+from .automata import (DFA_KINDS, DTA_DFA, DTA_NFA, KINDS, SDTA, TreeAutomaton,
+                       check_semantic_determinism)
 from .errors import DocumentError
 from .strings import DFA, NFA, MooreDFA
-from .trees import parse_context, parse_tree, render_tree
+from .trees import SYMBOL_RE, VARIABLE, parse_context, parse_tree, render_tree
 from .witnesses import FoolingSetHorizontal, FoolingSetVertical
 
 MACHINE_KINDS = ("nfa", "dfa", "moore-dfa")
-
-_TREE_SYMBOL = re.compile(r"[A-Za-z0-9_]+$")
 
 
 def _check_token(tok: str, what: str):
@@ -127,7 +124,7 @@ def _parse_machine_block(lines: _Lines, cls, alphabet, where):
             if len(toks) != 3:
                 raise DocumentError(f"trans needs 'src sym dst', got {toks}", no)
             trans.append(tuple(toks))
-        elif name == "outputs":
+        elif name == "outputs" and cls is MooreDFA:
             for tok in toks:
                 if "=" not in tok:
                     raise DocumentError(f"output entry {tok!r} needs 'state=value'", no)
@@ -205,7 +202,7 @@ def _parse_tree_automaton(lines: _Lines, kind):
             raise DocumentError(f"document is missing field {req!r}")
     alphabet = header["alphabet"]
     for sym in alphabet:
-        if not _TREE_SYMBOL.match(sym) or sym == "x":
+        if not SYMBOL_RE.fullmatch(sym) or sym == VARIABLE:
             raise DocumentError(f"alphabet symbol {sym!r} is not a valid tree symbol")
     states = header["states"]
     leaf = header.get("leafstates", [])
@@ -231,7 +228,7 @@ def _parse_tree_automaton(lines: _Lines, kind):
         else:
             if len(keys) != 2:
                 raise DocumentError("horizontal blocks are keyed by state and symbol", no)
-            cls = DFA if kind in ("nta-dfa", "dta-dfa") else NFA
+            cls = DFA if kind in DFA_KINDS else NFA
             mach = _parse_machine_block(lines, cls, ha, f"block {head!r}")
             if tuple(keys) in horizontal:
                 raise DocumentError(f"duplicate block for {keys}", no)
@@ -242,7 +239,7 @@ def _parse_tree_automaton(lines: _Lines, kind):
                              horizontal=horizontal, moore=moore, leaf_symbols=leaf)
     except Exception as e:
         raise DocumentError(str(e)) from None
-    if kind in ("dta-nfa", "dta-dfa"):
+    if kind in (DTA_NFA, DTA_DFA):
         det = check_semantic_determinism(auto)
         if not det.ok:
             raise DocumentError(
@@ -281,15 +278,24 @@ def parse_fooling_set(text: str, alphabet):
         raise DocumentError("empty document")
     _, toks = _field(line, no, "kind")
     kind = toks[0] if toks else ""
+    sep_lines = []
 
     def parse_sep_key(name, no):
         parts = name.split()
         if len(parts) != 3 or parts[0] != "sep":
             raise DocumentError(f"unexpected field {parts[0]!r}", no)
         try:
-            return int(parts[1]), int(parts[2])
+            key = int(parts[1]), int(parts[2])
         except ValueError:
             raise DocumentError(f"separator indices must be integers: {name!r}", no) from None
+        sep_lines.append((no, name, key))
+        return key
+
+    def check_sep_keys(count):
+        for no, name, (i, j) in sep_lines:
+            if not 0 <= i < j < count:
+                raise DocumentError(
+                    f"separator {name!r} needs indices 0 <= i < j < {count}", no)
 
     if kind == "fooling-vertical":
         trees = []
@@ -302,6 +308,7 @@ def parse_fooling_set(text: str, alphabet):
             else:
                 i, j = parse_sep_key(name, no)
                 seps[(i, j)] = parse_context(" ".join(toks), alphabet)
+        check_sep_keys(len(trees))
         return FoolingSetVertical(trees, seps)
 
     if kind == "fooling-horizontal":
@@ -325,6 +332,7 @@ def parse_fooling_set(text: str, alphabet):
                 seps[(i, j)] = (ctx, padding)
         if symbol is None:
             raise DocumentError("fooling-horizontal document is missing its symbol")
+        check_sep_keys(len(tuples))
         return FoolingSetHorizontal(tuples, symbol, seps)
 
     raise DocumentError(f"unknown fooling-set kind {kind!r}", no)

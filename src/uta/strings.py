@@ -80,9 +80,6 @@ class NFA:
                 return False
         return bool(cur & self.finals)
 
-    def is_deterministic(self) -> bool:
-        return len(self.initials) == 1 and all(len(v) <= 1 for v in self.delta.values())
-
     def __eq__(self, other):
         return (type(other) is NFA and self.states == other.states
                 and self.alphabet == other.alphabet and self.initials == other.initials
@@ -161,9 +158,6 @@ class DFA:
     def accepts(self, word) -> bool:
         return self.run_word(word) in self.finals
 
-    def is_complete(self) -> bool:
-        return all((s, c) in self.delta for s in self.states for c in self.alphabet)
-
     def to_nfa(self) -> NFA:
         return NFA(self.states, self.alphabet, {self.initial}, self.finals,
                    list(self.transitions()))
@@ -203,11 +197,6 @@ class MooreDFA(DFA):
 
     def __repr__(self):
         return f"<MooreDFA {len(self.states)} states, {len(self.delta)} edges>"
-
-
-def nfa_accepts(m, word) -> bool:
-    """Standard acceptance for an NFA or a (partial) DFA."""
-    return m.accepts(word)
 
 
 def explore(start, step, letters):
@@ -368,9 +357,16 @@ def intersection_witness(a, b):
     return None
 
 
-def product_disjoint(a, b) -> bool:
-    """True iff L(a) and L(b) are disjoint."""
-    return intersection_witness(a, b) is None
+def first_overlap(machines):
+    """The first pair i < j of ``machines`` whose languages meet, in
+    lexicographic order, as ``(i, j, shortest shared word)``; None when the
+    languages are pairwise disjoint."""
+    for i in range(len(machines)):
+        for j in range(i + 1, len(machines)):
+            w = intersection_witness(machines[i], machines[j])
+            if w is not None:
+                return i, j, w
+    return None
 
 
 def marked_union(parts) -> MooreDFA:
@@ -389,11 +385,10 @@ def marked_union(parts) -> MooreDFA:
     for i, p in enumerate(parts[1:], start=2):
         if p.alphabet != alphabet:
             raise AlphabetMismatchError(f"part {i} has a different alphabet")
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            w = intersection_witness(parts[i], parts[j])
-            if w is not None:
-                raise OverlapError(i + 1, j + 1, w)
+    overlap = first_overlap(parts)
+    if overlap is not None:
+        i, j, w = overlap
+        raise OverlapError(i + 1, j + 1, w)
 
     def name(tup):
         return "(" + "|".join("-" if s is None else s for s in tup) + ")"
@@ -426,7 +421,3 @@ def canonical_form(m):
         outs = tuple(sorted((number[s], m.outputs[s]) for s in m.finals if s in number))
     stray = len(m.states) - len(number)  # unreachable states still distinguish
     return (len(order), stray, tuple(edges), finals, outs)
-
-
-def isomorphic(a, b) -> bool:
-    return canonical_form(a) == canonical_form(b)

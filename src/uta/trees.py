@@ -18,16 +18,13 @@ from .errors import EnumerationCapExceeded, TreeSyntaxError, UnknownSymbolError
 
 VARIABLE = "x"
 
-_SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+")
+SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 @dataclass(frozen=True)
 class Tree:
     label: str
     children: tuple["Tree", ...] = ()
-
-    def is_leaf(self) -> bool:
-        return not self.children
 
     def node_count(self) -> int:
         return 1 + sum(c.node_count() for c in self.children)
@@ -130,7 +127,7 @@ def _parse(text: str, alphabet: frozenset, allow_variable: bool) -> Tree:
     def parse_node() -> Tree:
         nonlocal pos
         skip_ws()
-        m = _SYMBOL_RE.match(text, pos)
+        m = SYMBOL_RE.match(text, pos)
         if not m:
             raise TreeSyntaxError("expected a symbol", pos)
         sym = m.group(0)

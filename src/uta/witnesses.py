@@ -27,7 +27,7 @@ from typing import Callable
 from .automata import DTA_DFA, NTA_DFA, TreeAutomaton
 from .errors import SeparationError, TreeSyntaxError, UtaError
 from .strings import DFA
-from .trees import (Context, EnumerationBounds, Tree, iter_trees, leaf,
+from .trees import (Context, EnumerationBounds, Tree, iter_trees, leaf, nest,
                     substitute, word_node)
 
 
@@ -228,7 +228,7 @@ def lemma34_vertical_fooling(k) -> FoolingSetVertical:
     for i in range(len(trees)):
         for j in range(i + 1, len(trees)):
             level = min(i, j) + 1  # the a(b) extra sits last, so min picks a real level
-            seps[(i, j)] = Context(_nest_var("a", level - 1))
+            seps[(i, j)] = Context(nest("a", level - 1, Tree("x")))
     return FoolingSetVertical(trees, seps)
 
 
@@ -247,15 +247,8 @@ def lemma34_horizontal_fooling(k) -> FoolingSetHorizontal:
             z = r + ((-r) % ki)
             padding = tuple(leaf("b") for _ in range(z - r)) + tuple(
                 leaf(bit) for bit in _binary(i))
-            seps[(r, s)] = (Context(_nest_var("a", i - 1)), padding)
+            seps[(r, s)] = (Context(nest("a", i - 1, Tree("x"))), padding)
     return FoolingSetHorizontal(tuples, "a", seps)
-
-
-def _nest_var(label: str, depth: int) -> Tree:
-    t = Tree("x")
-    for _ in range(depth):
-        t = Tree(label, (t,))
-    return t
 
 
 _SEARCH_BOUNDS = EnumerationBounds(max_depth=3, max_width=3, max_count=2000)
@@ -276,6 +269,8 @@ def certify_vertical_bound(pred: LangPredicate, fs: FoolingSetVertical,
     deterministic automaton (or any semantically deterministic automaton
     with NFA transitions) for the language."""
     trees = fs.trees
+    if not trees:
+        raise UtaError("a vertical fooling set needs at least one tree")
     for i, j in combinations(range(len(trees)), 2):
         ctx = fs.separators.get((i, j))
         if ctx is not None:
@@ -304,6 +299,8 @@ def certify_horizontal_bound(pred: LangPredicate, fs: FoolingSetHorizontal,
     symbol and return |S| - 1, a lower bound on the size of the per-symbol
     machine of any strongly deterministic automaton for the language."""
     tuples = fs.tuples
+    if not tuples:
+        raise UtaError("a horizontal fooling set needs at least one tuple")
     for i, j in combinations(range(len(tuples)), 2):
         sep = fs.separators.get((i, j))
         if sep is not None:

@@ -92,6 +92,31 @@ class TestDocumentValidation:
         with pytest.raises(DocumentError):
             parse_automaton(text)
 
+    def test_outputs_only_in_moore_blocks(self):
+        block = "states: s\ninitial: s\nfinals: s\noutputs: s=1\n"
+        for text in (f"kind: dfa\nalphabet: a\n{block}",
+                     f"kind: nfa\nalphabet: a\n{block}",
+                     "kind: nta-nfa\nalphabet: a\nstates: q\nfinals: q\n"
+                     f"horizontal q a:\n{block}"):
+            with pytest.raises(DocumentError) as err:
+                parse_automaton(text)
+            assert "unexpected field 'outputs'" in str(err.value)
+            assert err.value.line == text.count("\n")
+        moore = parse_automaton(f"kind: moore-dfa\nalphabet: a\n{block}")
+        assert moore.outputs == {"s": "1"}
+
+    def test_separator_indices_checked(self):
+        alpha = frozenset("ab01")
+        vertical = "kind: fooling-vertical\ntree: b\ntree: a(b)\ntree: a(1)\n"
+        horizontal = "kind: fooling-horizontal\nsymbol: a\ntuple: b\ntuple: b b\ntuple: 1\n"
+        for head, sep in ((vertical, "x"), (horizontal, "x | b")):
+            for key in ("7 9", "1 0", "1 1", "-1 2", "0 3"):
+                with pytest.raises(DocumentError) as err:
+                    parse_fooling_set(f"{head}sep {key}: {sep}\n", alpha)
+                assert f"'sep {key}'" in str(err.value)
+                assert err.value.line == head.count("\n") + 1
+            assert (0, 2) in parse_fooling_set(f"{head}sep 0 2: {sep}\n", alpha).separators
+
 
 class TestCli:
     def run_cli(self, capsys, *argv):
@@ -215,11 +240,18 @@ class TestCli:
     def test_certify_usage_errors_exit_two(self, tmp_path, capsys):
         fv = tmp_path / "fv.txt"
         fv.write_text(render_fooling_vertical(lemma34_vertical_fooling((2, 3))))
-        for source, fooling in (("lemma34:2,3", tmp_path / "missing" / "fv.txt"),
-                                ("thm41:abc", fv), ("thm41:2,3", fv)):
-            code, out, err = self.run_cli(capsys, "certify", "vertical", source,
+        empty_v = tmp_path / "empty_v.txt"
+        empty_v.write_text("kind: fooling-vertical\n")
+        empty_h = tmp_path / "empty_h.txt"
+        empty_h.write_text("kind: fooling-horizontal\nsymbol: a\n")
+        for direction, source, fooling in (
+                ("vertical", "lemma34:2,3", tmp_path / "missing" / "fv.txt"),
+                ("vertical", "thm41:abc", fv), ("vertical", "thm41:2,3", fv),
+                ("vertical", "lemma34:2,3", empty_v),
+                ("horizontal", "lemma34:2,3", empty_h)):
+            code, out, err = self.run_cli(capsys, "certify", direction, source,
                                           "--fooling-set", str(fooling))
-            assert (code, out) == (2, "") and err.startswith("error: "), source
+            assert (code, out) == (2, "") and err.startswith("error: "), (source, fooling)
 
     def test_non_utf8_document_exits_two(self, tmp_path, capsys):
         binary = tmp_path / "bin.uta"
@@ -227,15 +259,6 @@ class TestCli:
         code, out, err = self.run_cli(capsys, "size", str(binary))
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot read {binary}: not UTF-8")
-
-    def test_env_bounds_override(self, tmp_path, capsys, monkeypatch):
-        doc = tmp_path / "l.uta"
-        self.run_cli(capsys, "witness", "lemma34", "--k", "2,3", "--out", str(doc))
-        monkeypatch.setenv("UTA_ENUM_BOUNDS", "2,2,50")
-        code, out, _ = self.run_cli(capsys, "equiv", str(doc), str(doc))
-        assert code == 0
-        monkeypatch.setenv("UTA_ENUM_BOUNDS", "not-numbers")
-        assert self.run_cli(capsys, "equiv", str(doc), str(doc))[0] == 2
 
     def test_unwritable_out_exits_two(self, tmp_path, capsys):
         doc = tmp_path / "family.uta"

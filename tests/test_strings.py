@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from uta import (DFA, NFA, AlphabetMismatchError, MooreDFA, OverlapError,
-                 determinize, intersection_witness, isomorphic, marked_union,
-                 minimize_dfa, minimize_moore, nfa_accepts, product_disjoint)
+from uta import (DFA, NFA, AlphabetMismatchError, MooreDFA, NTA_DFA, OverlapError,
+                 TreeAutomaton, check_semantic_determinism, determinize,
+                 intersection_witness, marked_union, minimize_dfa, minimize_moore)
+from uta.strings import canonical_form
 
 from randgen import rand_dtadfa, rand_sdta
 
@@ -37,12 +38,12 @@ def language(machine, upto):
 class TestAcceptance:
     def test_direct_run(self):
         m = nfa_b_then_one(1)
-        assert nfa_accepts(m, "ba")
-        assert not nfa_accepts(m, "ab")
+        assert m.accepts("ba")
+        assert not m.accepts("ab")
 
     def test_empty_word_with_initial_final_overlap(self):
         m = NFA(["s"], ["a"], ["s"], ["s"], [])
-        assert nfa_accepts(m, "")
+        assert m.accepts("")
 
 
 class TestDeterminize:
@@ -108,7 +109,7 @@ class TestMinimizeDfa:
 
     def test_idempotent_up_to_isomorphism(self):
         d = minimize_dfa(determinize(nfa_b_then_one(2)))
-        assert isomorphic(d, minimize_dfa(d))
+        assert canonical_form(d) == canonical_form(minimize_dfa(d))
 
     def test_dead_states_dropped(self):
         d = DFA(["s", "t", "dead"], ["a"], "s", ["t"],
@@ -146,7 +147,7 @@ class TestMinimizeMoore:
     def test_idempotent(self):
         mu = minimize_moore(marked_union([residue_dfa(3, i) for i in (1, 2, 0)]))
         again = minimize_moore(mu)
-        assert isomorphic(mu, again)
+        assert canonical_form(mu) == canonical_form(again)
 
     def test_distinct_outputs_block_merging(self):
         m = MooreDFA(["s", "t", "u"], ["a"], "s", ["t", "u"],
@@ -186,21 +187,21 @@ class TestDisjointness:
         # oracle: no shared word up to length 8
         shared = language(d1, 8) & language(d2, 8)
         assert not shared
-        assert product_disjoint(d1, d2)
+        assert intersection_witness(d1, d2) is None
 
     def test_language_meets_itself(self):
         d = residue_dfa(2, 0)
-        assert not product_disjoint(d, d)
+        assert intersection_witness(d, d) is not None
         assert intersection_witness(d, d) == ()
 
     def test_anything_vs_empty(self):
         d = residue_dfa(2, 0)
         empty = DFA(["z"], ["a"], "z", [], [])
-        assert product_disjoint(d, empty)
+        assert intersection_witness(d, empty) is None
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):
-            product_disjoint(residue_dfa(2, 0, "a"), residue_dfa(2, 0, "b"))
+            intersection_witness(residue_dfa(2, 0, "a"), residue_dfa(2, 0, "b"))
 
 
 class TestMarkedUnion:
@@ -231,6 +232,35 @@ class TestMarkedUnion:
         with pytest.raises(OverlapError) as err:
             marked_union([residue_dfa(2, 0), residue_dfa(4, 0)])
         assert err.value.indices == (1, 2)
+
+    def test_overlap_named_as_check_semantic_determinism_names_it(self):
+        # the same machines as one symbol's horizontal acceptors, state q<i>
+        # owning part i + 1, must report the same first pair and word
+        rng = random.Random(11)
+        overlapping = 0
+        for _ in range(200):
+            names = [f"q{i}" for i in range(rng.randint(2, 5))]
+            parts = []
+            for _ in names:
+                states = [f"s{k}" for k in range(rng.randint(1, 3))]
+                trans = [(s, c, rng.choice(states)) for s in states for c in names
+                         if rng.random() < 0.7]
+                finals = [s for s in states if rng.random() < 0.4]
+                parts.append(DFA(states, names, "s0", finals, trans))
+            auto = TreeAutomaton(NTA_DFA, ["a"], names, [],
+                                 horizontal={(q, "a"): m for q, m in zip(names, parts)})
+            report = check_semantic_determinism(auto)
+            try:
+                marked_union(parts)
+            except OverlapError as err:
+                i, j = err.indices
+                assert not report.ok
+                assert report.pair == (names[i - 1], names[j - 1])
+                assert report.witness == err.witness
+                overlapping += 1
+            else:
+                assert report.ok
+        assert overlapping >= 50
 
     def test_map_outputs_keeps_the_machine(self):
         mu = marked_union([residue_dfa(3, i) for i in (1, 2, 0)])

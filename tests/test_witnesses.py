@@ -115,6 +115,14 @@ class TestCertifiers:
         assert certify_horizontal_bound(
             pred, FoolingSetHorizontal([(leaf("b"),)], "a")) == 0
 
+    def test_empty_sets_are_usage_errors(self):
+        _, pred = gen_lemma34((2, 3))
+        for certify, fs in ((certify_vertical_bound, FoolingSetVertical([])),
+                            (certify_horizontal_bound, FoolingSetHorizontal([], "a"))):
+            with pytest.raises(UtaError) as err:
+                certify(pred, fs)
+            assert not isinstance(err.value, SeparationError)
+
     def test_supplied_separator_that_fails_is_refuted(self):
         _, pred = gen_lemma34((2, 3))
         fs = FoolingSetVertical(
