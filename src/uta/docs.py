@@ -277,8 +277,10 @@ def parse_fooling_set(text: str, alphabet):
     if line is None:
         raise DocumentError("empty document")
     _, toks = _field(line, no, "kind")
-    kind = toks[0] if toks else ""
-    sep_lines = []
+    if len(toks) != 1:
+        raise DocumentError("kind takes exactly one value", no)
+    kind = toks[0]
+    sep_lines = {}
 
     def parse_sep_key(name, no):
         parts = name.split()
@@ -288,11 +290,13 @@ def parse_fooling_set(text: str, alphabet):
             key = int(parts[1]), int(parts[2])
         except ValueError:
             raise DocumentError(f"separator indices must be integers: {name!r}", no) from None
-        sep_lines.append((no, name, key))
+        if key in sep_lines:
+            raise DocumentError(f"duplicate separator {name!r}", no)
+        sep_lines[key] = no, name
         return key
 
     def check_sep_keys(count):
-        for no, name, (i, j) in sep_lines:
+        for (i, j), (no, name) in sep_lines.items():
             if not 0 <= i < j < count:
                 raise DocumentError(
                     f"separator {name!r} needs indices 0 <= i < j < {count}", no)
@@ -319,7 +323,11 @@ def parse_fooling_set(text: str, alphabet):
             no, line = lines.next()
             name, toks = _field(line, no)
             if name == "symbol":
-                symbol = toks[0] if toks else None
+                if symbol is not None:
+                    raise DocumentError("duplicate field 'symbol'", no)
+                if len(toks) != 1:
+                    raise DocumentError("symbol takes exactly one value", no)
+                symbol = toks[0]
             elif name == "tuple":
                 tuples.append(tuple(parse_tree(t, alphabet) for t in toks))
             else:

@@ -10,13 +10,13 @@ states to sets of states.
 Every construction that builds reachable states only (subset construction,
 minimization, marked union, canonical form, and the subset machines of the
 tree-level conversions) runs one breadth-first explorer, ``explore``; only
-``intersection_witness`` keeps its own queue, for parent pointers and an
-early exit.
+the overlap search of ``intersection_witness`` and ``first_overlap`` keeps
+its own queue, for parent pointers and an early exit.  That search runs over
+pairs of live states; each machine is prepared for it once, as rows of live
+successors, however many pairs it takes part in.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .errors import AlphabetMismatchError, OverlapError, UnknownSymbolError
 
@@ -321,49 +321,100 @@ def minimize_moore(m: MooreDFA) -> MooreDFA:
     return _rebuild(m, reach, block, sink, MooreDFA)
 
 
-def _as_nfa(m) -> NFA:
-    return m if isinstance(m, NFA) else m.to_nfa()
+def _live_rows(m):
+    """Prepare an NFA or a DFA for the pair search, once per machine.
+
+    Keeps the live states only, those from which a final state is reachable:
+    a pair with a dead component never reaches a final pair, and live pairs
+    are reached only through live pairs, so the search visits the remaining
+    pairs in the same order.  Returns (rows, initials, finals): per live
+    state a ``{letter: sorted tuple of live successors}`` row with its
+    letters in sorted order, the live initial states in sorted order, and
+    the final states.
+    """
+    if isinstance(m, NFA):
+        succ = m.delta
+    else:
+        succ = {k: (d,) for k, d in m.delta.items()}
+    preds = {}
+    for (s, _), ds in succ.items():
+        for d in ds:
+            preds.setdefault(d, []).append(s)
+    live = set(m.finals)
+    stack = list(live)
+    while stack:
+        for p in preds.get(stack.pop(), ()):
+            if p not in live:
+                live.add(p)
+                stack.append(p)
+    rows = {s: {} for s in live}
+    for (s, c), ds in sorted(succ.items(), key=lambda item: item[0][1]):
+        if s in live:
+            kept = tuple(sorted(live.intersection(ds)))
+            if kept:
+                rows[s][c] = kept
+    return rows, sorted(live.intersection(m.initials)), m.finals
+
+
+def _pair_search(prepared_a, prepared_b):
+    """Shortest word in the intersection of two machines' languages, by
+    breadth-first search over pairs of live states given each machine's
+    ``_live_rows``; None when there is none."""
+    rows_a, initials_a, finals_a = prepared_a
+    rows_b, initials_b, finals_b = prepared_b
+    order = [(p, q) for p in initials_a for q in initials_b]
+    parent = dict.fromkeys(order)
+    for pq in order:
+        p, q = pq
+        if p in finals_a and q in finals_b:
+            word = []
+            while parent[pq] is not None:
+                pq, c = parent[pq]
+                word.append(c)
+            return tuple(reversed(word))
+        row_b = rows_b[q]
+        for c, ps in rows_a[p].items():
+            qs = row_b.get(c)
+            if qs is None:
+                continue
+            for p2 in ps:
+                for q2 in qs:
+                    if (p2, q2) not in parent:
+                        parent[(p2, q2)] = (pq, c)
+                        order.append((p2, q2))
+    return None
 
 
 def intersection_witness(a, b):
     """Shortest word in L(a) & L(b), or None if the languages are disjoint.
 
-    Works for any mix of NFAs and DFAs via the pair product; BFS order makes
-    the witness deterministic.
+    Works for any mix of NFAs and DFAs.  The search runs over pairs of live
+    states, breadth first, with letters and successors in sorted order, so
+    the witness is deterministic; each machine is prepared once.
     """
-    if frozenset(a.alphabet) != frozenset(b.alphabet):
-        raise AlphabetMismatchError(
-            f"alphabets differ: {sorted(a.alphabet)} vs {sorted(b.alphabet)}")
-    na, nb = _as_nfa(a), _as_nfa(b)
-    syms = sorted(na.alphabet)
-    start = [(p, q) for p in sorted(na.initials) for q in sorted(nb.initials)]
-    parent = {pq: None for pq in start}
-    queue = deque(start)
-    while queue:
-        p, q = queue.popleft()
-        if p in na.finals and q in nb.finals:
-            word = []
-            cur = (p, q)
-            while parent[cur] is not None:
-                cur, sym = parent[cur]
-                word.append(sym)
-            return tuple(reversed(word))
-        for c in syms:
-            for p2 in sorted(na.delta.get((p, c), ())):
-                for q2 in sorted(nb.delta.get((q, c), ())):
-                    if (p2, q2) not in parent:
-                        parent[(p2, q2)] = ((p, q), c)
-                        queue.append((p2, q2))
-    return None
+    overlap = first_overlap([a, b])
+    return None if overlap is None else overlap[2]
 
 
 def first_overlap(machines):
     """The first pair i < j of ``machines`` whose languages meet, in
     lexicographic order, as ``(i, j, shortest shared word)``; None when the
-    languages are pairwise disjoint."""
-    for i in range(len(machines)):
+    languages are pairwise disjoint.  Each machine is prepared for the pair
+    search once, on first use, and serves all of its pairs."""
+    prepared = [None] * len(machines)
+
+    def rows(i):
+        if prepared[i] is None:
+            prepared[i] = _live_rows(machines[i])
+        return prepared[i]
+
+    for i, a in enumerate(machines):
         for j in range(i + 1, len(machines)):
-            w = intersection_witness(machines[i], machines[j])
+            b = machines[j]
+            if frozenset(a.alphabet) != frozenset(b.alphabet):
+                raise AlphabetMismatchError(
+                    f"alphabets differ: {sorted(a.alphabet)} vs {sorted(b.alphabet)}")
+            w = _pair_search(rows(i), rows(j))
             if w is not None:
                 return i, j, w
     return None

@@ -5,9 +5,11 @@ import pytest
 from uta import (DFA, DTA_DFA, NFA, MooreDFA, DocumentError, TreeAutomaton,
                  dtadfa_to_sdta, gen_lemma34, gen_thm41, marked_union,
                  nta_to_dtadfa)
+from uta import automata
 from uta.cli import cli_main
 from uta.docs import (parse_automaton, parse_fooling_set, render_automaton,
                       render_fooling_horizontal, render_fooling_vertical)
+from uta.strings import first_overlap
 from uta.witnesses import lemma34_horizontal_fooling, lemma34_vertical_fooling
 
 from randgen import rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta
@@ -117,6 +119,26 @@ class TestDocumentValidation:
                 assert err.value.line == head.count("\n") + 1
             assert (0, 2) in parse_fooling_set(f"{head}sep 0 2: {sep}\n", alpha).separators
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("kind: fooling-vertical\ntree: b\ntree: a(b)\nsep 0 1: x\nsep 0 1: a(x)\n",
+         5, "duplicate separator 'sep 0 1'"),
+        ("kind: fooling-horizontal\nsymbol: a\ntuple: b\ntuple: b b\n"
+         "sep 0 1: x | b\nsep 0  1: a(x) |\n", 6, "duplicate separator 'sep 0  1'"),
+        ("kind: fooling-horizontal\nsymbol: a\ntuple: b\nsymbol: b\n",
+         4, "duplicate field 'symbol'"),
+        ("kind: fooling-horizontal\ntuple: b\nsymbol: a b\n",
+         3, "symbol takes exactly one value"),
+        ("kind: fooling-horizontal extra\nsymbol: a\ntuple: b\n",
+         1, "kind takes exactly one value"),
+    ], ids=["sep-twice-vertical", "sep-twice-horizontal", "symbol-twice",
+            "symbol-two-values", "kind-extra-value"])
+    def test_fooling_set_lines_not_dropped(self, text, line, message):
+        # each of these used to parse, keeping one of the repeated values
+        with pytest.raises(DocumentError) as err:
+            parse_fooling_set(text, frozenset("ab"))
+        assert message in str(err.value)
+        assert err.value.line == line
+
 
 class TestCli:
     def run_cli(self, capsys, *argv):
@@ -172,6 +194,25 @@ class TestCli:
         assert self.run_cli(capsys, "check-det", str(det))[0] == 0
         code, out, _ = self.run_cli(capsys, "check-det", str(nondet))
         assert code == 1 and "nondeterministic" in out
+
+    def test_check_det_searches_a_weakly_deterministic_document_once(
+            self, tmp_path, capsys, monkeypatch):
+        doc = tmp_path / "d2.uta"
+        self.run_cli(capsys, "witness", "thm41", "--n", "2", "--out", str(doc))
+        self.run_cli(capsys, "convert", str(doc), "--to", "dtadfa", "--out", str(doc))
+        auto = parse_automaton(doc.read_text())
+        assert auto.kind == DTA_DFA
+        calls = []
+
+        def counting(machines):
+            calls.append(len(machines))
+            return first_overlap(machines)
+
+        monkeypatch.setattr(automata, "first_overlap", counting)
+        assert self.run_cli(capsys, "check-det", str(doc))[:2] == (0, "deterministic\n")
+        # one search per symbol, as parsing made it, and none after
+        assert calls == [len(auto.machines_for(s)) for s in sorted(auto.alphabet)]
+        assert sum(calls) > 1
 
     def test_certify_via_named_predicate(self, tmp_path, capsys):
         fv = tmp_path / "fv.txt"
@@ -244,11 +285,14 @@ class TestCli:
         empty_v.write_text("kind: fooling-vertical\n")
         empty_h = tmp_path / "empty_h.txt"
         empty_h.write_text("kind: fooling-horizontal\nsymbol: a\n")
+        twice = tmp_path / "twice.txt"
+        twice.write_text(fv.read_text() + "sep 0 1: x\n")
         for direction, source, fooling in (
                 ("vertical", "lemma34:2,3", tmp_path / "missing" / "fv.txt"),
                 ("vertical", "thm41:abc", fv), ("vertical", "thm41:2,3", fv),
                 ("vertical", "lemma34:2,3", empty_v),
-                ("horizontal", "lemma34:2,3", empty_h)):
+                ("horizontal", "lemma34:2,3", empty_h),
+                ("vertical", "lemma34:2,3", twice)):
             code, out, err = self.run_cli(capsys, "certify", direction, source,
                                           "--fooling-set", str(fooling))
             assert (code, out) == (2, "") and err.startswith("error: "), (source, fooling)

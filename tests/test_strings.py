@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from uta import (DFA, NFA, AlphabetMismatchError, MooreDFA, NTA_DFA, OverlapError,
                  TreeAutomaton, check_semantic_determinism, determinize,
                  intersection_witness, marked_union, minimize_dfa, minimize_moore)
-from uta.strings import canonical_form
+from uta.strings import canonical_form, first_overlap
 
 from randgen import rand_dtadfa, rand_sdta
 
@@ -202,6 +203,134 @@ class TestDisjointness:
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):
             intersection_witness(residue_dfa(2, 0, "a"), residue_dfa(2, 0, "b"))
+
+
+def _reference_witness(a, b):
+    """Test-only reference: ``intersection_witness`` as it was before the
+    search ran over live-state rows, a breadth-first search over pairs of
+    NFA states that sorts every successor set it visits."""
+    if frozenset(a.alphabet) != frozenset(b.alphabet):
+        raise AlphabetMismatchError(
+            f"alphabets differ: {sorted(a.alphabet)} vs {sorted(b.alphabet)}")
+    na, nb = [m if isinstance(m, NFA) else m.to_nfa() for m in (a, b)]
+    start = [(p, q) for p in sorted(na.initials) for q in sorted(nb.initials)]
+    parent = {pq: None for pq in start}
+    queue = collections.deque(start)
+    while queue:
+        p, q = queue.popleft()
+        if p in na.finals and q in nb.finals:
+            word = []
+            cur = (p, q)
+            while parent[cur] is not None:
+                cur, sym = parent[cur]
+                word.append(sym)
+            return tuple(reversed(word))
+        for c in sorted(na.alphabet):
+            for p2 in sorted(na.delta.get((p, c), ())):
+                for q2 in sorted(nb.delta.get((q, c), ())):
+                    if (p2, q2) not in parent:
+                        parent[(p2, q2)] = ((p, q), c)
+                        queue.append((p2, q2))
+    return None
+
+
+def _reference_first_overlap(machines):
+    for i in range(len(machines)):
+        for j in range(i + 1, len(machines)):
+            w = _reference_witness(machines[i], machines[j])
+            if w is not None:
+                return i, j, w
+    return None
+
+
+def _random_machine(rng, alphabet="ab", most=3):
+    """A partial DFA or an NFA of 1 to ``most`` states over ``alphabet``.
+    Neither the state names nor the transitions come in sorted order, and
+    the NFAs often have several initial states.  States that cannot reach a
+    final state (dead states) are common in both."""
+    states = rng.sample("pqrstuvw", rng.randint(1, most))
+    finals = [s for s in states if rng.random() < 0.35]
+    if rng.random() < 0.5:
+        trans = [(s, c, rng.choice(states)) for s in states for c in alphabet
+                 if rng.random() < 0.7]
+        rng.shuffle(trans)
+        return DFA(states, alphabet, states[0], finals, trans)
+    trans = [(s, c, d) for s in states for c in alphabet for d in states
+             if rng.random() < 0.35]
+    rng.shuffle(trans)
+    return NFA(states, alphabet, rng.sample(states, rng.randint(1, len(states))),
+               finals, trans)
+
+
+def _has_dead_state(m):
+    """Whether some state of ``m`` cannot reach a final state."""
+    for start in m.states:
+        seen, todo = {start}, [start]
+        while todo:
+            for t in m.step_any({todo.pop()}, m.alphabet) - seen:
+                seen.add(t)
+                todo.append(t)
+        if not seen & m.finals:
+            return True
+    return False
+
+
+class TestOverlapSearch:
+    def pairs(self, seed, alphabet, most, count=600):
+        rng = random.Random(seed)
+        return [(_random_machine(rng, alphabet, most), _random_machine(rng, alphabet, most))
+                for _ in range(count)]
+
+    def test_witness_against_brute_force(self):
+        found = disjoint = 0
+        for a, b in self.pairs(23, "ab", 3):
+            horizon = a.size * b.size  # the pair product has at most this many states
+            shared = language(a, horizon) & language(b, horizon)
+            w = intersection_witness(a, b)
+            if w is None:
+                assert not shared
+                disjoint += 1
+            else:
+                assert a.accepts(w) and b.accepts(w)
+                assert len(w) == min(map(len, shared))
+                found += 1
+        assert found >= 100 and disjoint >= 100
+
+    def test_same_word_as_the_nfa_search(self):
+        rng = random.Random(29)
+        kinds = collections.Counter()
+        for pairs in (self.pairs(23, "ab", 3), self.pairs(37, "abc", 6)):
+            for a, b in pairs:
+                assert intersection_witness(a, b) == _reference_witness(a, b)
+                for m in (a, b):
+                    kinds["nfa" if isinstance(m, NFA) else "dfa"] += 1
+                    kinds["several initials"] += len(m.initials) > 1
+                    kinds["dead state"] += _has_dead_state(m)
+            machines = [m for pair in pairs for m in pair]
+            for _ in range(200):
+                group = rng.sample(machines, rng.randint(2, 6))
+                got = first_overlap(group)
+                assert got == _reference_first_overlap(group)
+                kinds["overlap" if got else "disjoint"] += 1
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_first_mismatching_pair_raises(self):
+        rng = random.Random(31)
+        outcomes = collections.Counter()
+        for _ in range(100):
+            group = [_random_machine(rng, rng.choice(["ab", "ab", "abc"]))
+                     for _ in range(rng.randint(2, 5))]
+            try:
+                want = _reference_first_overlap(group)
+            except AlphabetMismatchError as err:
+                with pytest.raises(AlphabetMismatchError) as got:
+                    first_overlap(group)
+                assert str(got.value) == str(err)
+                outcomes["mismatch"] += 1
+            else:
+                assert first_overlap(group) == want
+                outcomes["searched"] += 1
+        assert min(outcomes.values()) >= 20, outcomes
 
 
 class TestMarkedUnion:
