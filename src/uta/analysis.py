@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .automata import (DETERMINISTIC_KINDS, SDTA, TreeAutomaton, _evaluate, bottom_up_reach,
                        prune_reachable, sdta_reach)
 from .errors import AlphabetMismatchError, KindError
-from .strings import MooreDFA, canonical_form, minimize_moore, subset_name
+from .strings import MooreDFA, explore, minimize_moore, subset_name
 from .trees import DEFAULT_BOUNDS, EnumerationBounds, Tree, iter_trees
 
 
@@ -123,6 +123,7 @@ def canonical_sdta(a: TreeAutomaton) -> TreeAutomaton:
     and are interchangeable inside every horizontal machine.
 
     Designated leaf states are pinned: they never merge with counted states.
+    The quotient is returned renamed by ``_normal``.
     """
     if a.kind != SDTA:
         raise KindError(f"expected an SDTA, got {a.kind}")
@@ -145,7 +146,7 @@ def canonical_sdta(a: TreeAutomaton) -> TreeAutomaton:
             break
         block = nblock
 
-    return _quotient(a, block, reduced)
+    return _normal(_quotient(a, block, reduced))
 
 
 def _block_minimized(a: TreeAutomaton, block) -> dict:
@@ -189,31 +190,21 @@ def sdta_isomorphic(a: TreeAutomaton, b: TreeAutomaton) -> bool:
     bijection on horizontal states preserving transitions, finals and
     outputs.
 
-    Vertical states are renamed to their ``_canonical_labels``.  An
-    isomorphism maps one labelling exploration onto the other step for step,
-    so the automata are isomorphic iff the renamed finals agree and each
-    renamed per-symbol machine has the same canonical BFS form.  No
-    permutation is tried: the cost is rounds x symbols x horizontal states x
-    horizontal letters, with at most |states| + 1 rounds.  Raises KindError
-    if either input has a vertical state no tree reaches.
+    An isomorphism maps one ``_canonical_labels`` exploration onto the other
+    step for step, and so each automaton's ``_normal`` renaming onto the
+    other's: the automata are isomorphic iff the renamed automata are equal.
+    No permutation is tried.  Raises KindError if either input has a
+    vertical state no tree reaches.
     """
     if a.kind != SDTA or b.kind != SDTA:
         raise KindError("isomorphism is defined for SDTAs")
-    label_a, label_b = _canonical_labels(a), _canonical_labels(b)
-    if (a.alphabet != b.alphabet or a.leaf_symbols != b.leaf_symbols
-            or len(label_a) != len(label_b) or set(a.moore) != set(b.moore)):
-        return False
-    if {label_a[q] for q in a.finals} != {label_b[q] for q in b.finals}:
-        return False
-    return all(canonical_form(_rename(m, label_a))
-               == canonical_form(_rename(b.moore[sym], label_b))
-               for sym, m in a.moore.items())
+    return _normal(a) == _normal(b)
 
 
 def _canonical_labels(a: TreeAutomaton) -> dict:
-    """Horizontal letter -> canonical label: leaf symbol ``c`` -> (0, c),
-    vertical state -> (1, n) numbered in the order ``sdta_reach`` first
-    finds them.
+    """Horizontal letter -> normal name, in the order ``sdta_reach`` first
+    finds them: each leaf symbol keeps its own name, and the vertical states
+    are named ``v.0``, ``v.1``, ... (no tree symbol contains a dot).
 
     The fixed point explores every symbol's machine, symbols in sorted
     order, reading the leaf symbols by name and then the states found so far
@@ -222,8 +213,8 @@ def _canonical_labels(a: TreeAutomaton) -> dict:
     """
     found = list(sdta_reach(a))
     leaves = len(a.leaf_symbols)
-    label = {c: (0, c) for c in found[:leaves]}
-    label.update((q, (1, n)) for n, q in enumerate(found[leaves:]))
+    label = {c: c for c in found[:leaves]}
+    label.update((q, f"v.{n}") for n, q in enumerate(found[leaves:]))
     unreached = sorted(a.states.difference(label))
     if unreached:
         raise KindError(f"vertical state {unreached[0]!r} is never reached; "
@@ -231,21 +222,32 @@ def _canonical_labels(a: TreeAutomaton) -> dict:
     return label
 
 
-def _rename(mach: MooreDFA, label) -> MooreDFA:
-    """``mach`` with every letter and output ``c`` renamed to ``label[c]``."""
-    trans = [(s, label[c], d) for s, c, d in mach.transitions()]
-    outputs = {s: label[v] for s, v in mach.outputs.items()}
-    return MooreDFA(mach.states, map(label.__getitem__, mach.alphabet), mach.initial,
-                    mach.finals, trans, outputs)
+def _normal(a: TreeAutomaton) -> TreeAutomaton:
+    """``a`` renamed by its structure alone: vertical states by
+    ``_canonical_labels``, and each machine's states ``h0, h1, ...`` in
+    breadth-first order, reading the letters in label order.  Horizontal
+    states the search does not reach keep only their number: they follow
+    as bare states, with no transitions and no output."""
+    label = _canonical_labels(a)
+    letters = list(label)
+    moore = {}
+    for sym, m in a.moore.items():
+        order, edges = explore(m.initial, m.successor, letters)
+        names = [f"h{i}" for i in range(len(m.states))]
+        finals = [i for i, s in enumerate(order) if s in m.finals]
+        moore[sym] = MooreDFA(names, label.values(), names[0], [names[i] for i in finals],
+                              [(names[i], label[c], names[j]) for i, c, j in edges],
+                              {names[i]: label[m.outputs[order[i]]] for i in finals})
+    return TreeAutomaton(SDTA, a.alphabet, [label[q] for q in a.states],
+                         [label[q] for q in a.finals], moore=moore,
+                         leaf_symbols=a.leaf_symbols)
 
 
 def equiv_canonical(a: TreeAutomaton, b: TreeAutomaton,
                     bounds: EnumerationBounds = DEFAULT_BOUNDS) -> EquivalenceVerdict:
-    """Equality of canonical forms up to isomorphism; on mismatch, bounded
-    enumeration supplies a counterexample when one exists within bounds."""
-    ca = canonical_sdta(a)
-    cb = canonical_sdta(b)
-    if sdta_isomorphic(ca, cb):
+    """Equality of canonical forms; on mismatch, bounded enumeration supplies
+    a counterexample when one exists within bounds."""
+    if canonical_sdta(a) == canonical_sdta(b):
         return EquivalenceVerdict(True, None, "canonical-sdta")
     fallback = equiv_bounded(a, b, bounds)
     return EquivalenceVerdict(False, fallback.counterexample, "canonical-sdta")

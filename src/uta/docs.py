@@ -125,10 +125,15 @@ def _parse_machine_block(lines: _Lines, cls, alphabet, where):
                 raise DocumentError(f"trans needs 'src sym dst', got {toks}", no)
             trans.append(tuple(toks))
         elif name == "outputs" and cls is MooreDFA:
+            if name in fields:
+                raise DocumentError(f"duplicate field {name!r} in {where}", no)
+            fields[name] = (no, toks)
             for tok in toks:
                 if "=" not in tok:
                     raise DocumentError(f"output entry {tok!r} needs 'state=value'", no)
                 s, _, v = tok.partition("=")
+                if s in outputs:
+                    raise DocumentError(f"state {s!r} has two outputs in {where}", no)
                 outputs[s] = v
         elif name in ("states", "initial", "finals"):
             if name in fields:

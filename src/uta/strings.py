@@ -8,7 +8,7 @@ step the same way: ``initials``, ``step`` and ``step_any`` map sets of
 states to sets of states.
 
 Every construction that builds reachable states only (subset construction,
-minimization, marked union, canonical form, and the subset machines of the
+minimization, marked union, and the subset machines of the
 tree-level conversions) runs one breadth-first explorer, ``explore``; only
 the overlap search of ``intersection_witness`` and ``first_overlap`` keeps
 its own queue, for parent pointers and an early exit.  That search runs over
@@ -460,15 +460,3 @@ def marked_union(parts) -> MooreDFA:
     return MooreDFA(names, alphabet, names[0], set(outputs),
                     [(names[i], c, names[j]) for i, c, j in edges], outputs)
 
-
-def canonical_form(m):
-    """Structure of a DFA/Moore machine under BFS renaming; two machines are
-    isomorphic iff their forms are equal."""
-    order, edges = explore(m.initial, m.successor, sorted(m.alphabet))
-    number = {s: i for i, s in enumerate(order)}
-    finals = tuple(sorted(number[s] for s in m.finals if s in number))
-    outs = ()
-    if isinstance(m, MooreDFA):
-        outs = tuple(sorted((number[s], m.outputs[s]) for s in m.finals if s in number))
-    stray = len(m.states) - len(number)  # unreachable states still distinguish
-    return (len(order), stray, tuple(edges), finals, outs)

@@ -5,6 +5,7 @@ weakly deterministic generator builds disjoint horizontal languages by
 splitting one complete master DFA per symbol along its output map, then
 disguises the copies with renamings and state duplications; completeness of
 the copies is what keeps the product construction inside the stated bounds.
+``canonical_form`` compares string machines up to isomorphism.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import random
 
 from uta import DFA, NFA, DTA_DFA, DTA_NFA, NTA_NFA, SDTA, MooreDFA, Tree, TreeAutomaton
+from uta.strings import explore
 
 ALPHABET_POOL = ("a", "b", "c")
 
@@ -212,3 +214,16 @@ def inflate_sdta(rng: random.Random, a: TreeAutomaton) -> TreeAutomaton:
     finals = set(a.finals) | ({twin} if victim in a.finals else set())
     return TreeAutomaton(SDTA, a.alphabet, states + [twin], finals, moore=moore,
                          leaf_symbols=a.leaf_symbols)
+
+
+def canonical_form(m):
+    """Structure of a DFA/Moore machine under BFS renaming; two machines are
+    isomorphic iff their forms are equal."""
+    order, edges = explore(m.initial, m.successor, sorted(m.alphabet))
+    number = {s: i for i, s in enumerate(order)}
+    finals = tuple(sorted(number[s] for s in m.finals if s in number))
+    outs = ()
+    if isinstance(m, MooreDFA):
+        outs = tuple(sorted((number[s], m.outputs[s]) for s in m.finals if s in number))
+    stray = len(m.states) - len(number)  # unreachable states still distinguish
+    return (len(order), stray, tuple(edges), finals, outs)

@@ -12,11 +12,11 @@ from uta import (DTA_NFA, NFA, NTA_NFA, SDTA, AlphabetMismatchError, KindError,
                  sdta_isomorphic, sdta_to_dtadfa, size)
 from uta import EnumerationBounds, EquivalenceVerdict, iter_trees
 from uta.automata import _evaluate
-from uta.strings import canonical_form
+from uta.docs import render_automaton
 from uta.trees import DEFAULT_BOUNDS
 
-from randgen import (inflate_sdta, rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta,
-                     rename_sdta)
+from randgen import (canonical_form, inflate_sdta, rand_dta_nfa, rand_dtadfa, rand_nta,
+                     rand_sdta, rename_sdta)
 
 BOUNDS = EnumerationBounds(3, 3, 400)
 
@@ -229,8 +229,27 @@ class TestCanonicalSdta:
     def test_idempotent(self, lemma34_sdta):
         c1 = canonical_sdta(lemma34_sdta)
         c2 = canonical_sdta(c1)
-        assert size(c1) == size(c2)
-        assert sdta_isomorphic(c1, c2)
+        assert render_automaton(c1) == render_automaton(c2)
+
+    def test_language_equal_inputs_render_identically(self):
+        rng = random.Random(47)
+        pairs = []
+        while len(pairs) < 400:
+            x = rand_sdta(rng)
+            split = sdta_to_dtadfa(x)[0]
+            pairs += [(x, rename_sdta(rng, x)), (x, inflate_sdta(rng, x)),
+                      (x, nta_to_sdta(split)[0]), (x, dtadfa_to_sdta(split)[0])]
+        # designated leaf states, and the two routes of the command line
+        for base in (gen_lemma34((2, 3))[0], gen_lemma34((2, 3, 5))[0]):
+            pairs.append((dtadfa_to_sdta(base)[0], nta_to_sdta(base, force_general=True)[0]))
+        for base in (gen_thm41(2)[0], gen_thm41(3)[0]):
+            pairs.append((nta_to_sdta(base)[0], nta_to_sdta(base, force_general=True)[0]))
+        merged = 0
+        for x, y in pairs:
+            cx = canonical_sdta(x)
+            assert render_automaton(cx) == render_automaton(canonical_sdta(y))
+            merged += size(cx) != size(prune_reachable(x))
+        assert merged >= 50
 
     def test_never_grows(self):
         rng = random.Random(17)

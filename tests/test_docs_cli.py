@@ -107,6 +107,25 @@ class TestDocumentValidation:
         moore = parse_automaton(f"kind: moore-dfa\nalphabet: a\n{block}")
         assert moore.outputs == {"s": "1"}
 
+    @pytest.mark.parametrize("block, line, message", [
+        ("outputs: h0=q\noutputs: h1=q\n", 12, "duplicate field 'outputs'"),
+        ("outputs: h0=q h1=q h1=p\n", 11, "state 'h1' has two outputs"),
+        ("outputs: h0=q h1=q\nfinals: h0\n", 12, "duplicate field 'finals'"),
+    ], ids=["outputs-twice", "state-output-twice", "finals-twice"])
+    def test_machine_block_lines_not_dropped(self, tmp_path, capsys, block, line, message):
+        # the first two used to parse, keeping the last of the repeated values
+        text = ("kind: sdta\nalphabet: a\nstates: p q\nfinals: q\nhorizontal a:\n"
+                "  states: h0 h1\n  initial: h0\n  finals: h0 h1\n"
+                "  trans: h0 q h1\n  trans: h1 p h0\n" + block)
+        with pytest.raises(DocumentError) as err:
+            parse_automaton(text)
+        assert message in str(err.value)
+        assert err.value.line == line
+        doc = tmp_path / "bad.uta"
+        doc.write_text(text)
+        assert cli_main(["size", str(doc)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_separator_indices_checked(self):
         alpha = frozenset("ab01")
         vertical = "kind: fooling-vertical\ntree: b\ntree: a(b)\ntree: a(1)\n"

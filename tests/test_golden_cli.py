@@ -65,7 +65,7 @@ GOLDEN = [
      0, '',
      '',
      {'minimal.uta':
-       'b99507414d37e322d0be8f59a6a8a8e64d2de587649240280a7099e3c898ba53'}),
+       '862d00ce581b51bca20b6da4ca59d6e0d0c453fc2ad8591ee0f2341afc1f416a'}),
     ('prune family.uta',
      0, 'sha256:856e13bb90a49fc5e1e7af16ee0b9460738ac623b15eb84a731b77e93be92c8a',
      '',
@@ -176,7 +176,7 @@ GOLDEN = [
      0, '',
      '',
      {'m4.uta':
-       '0c46f89fa00a8745e3b1900998c6f61b2858e0f6ee75e1b9c1d56be9bbe72fa3'}),
+       '428f9e76f0b50073f1a98ee8ab6396e694a2aa2e0688050c9260829051c92f2f'}),
 ]
 
 

@@ -19,17 +19,17 @@ from uta import (DFA, NTA_DFA, TreeAutomaton, UtaError, canonical_sdta, determin
                  nta_to_dtadfa, nta_to_sdta, prune_reachable, sdta_isomorphic,
                  sdta_to_dtadfa)
 from uta.docs import render_automaton
-from uta.strings import canonical_form
 
-from randgen import rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta, rename_sdta
+from randgen import (canonical_form, rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta,
+                     rename_sdta)
 
 SEEDS = range(100)
 
 GOLDEN = {
-    "sdta": "3eb66de4686e5c658f2b9ba7b22cac0ecb70fa73816a5cd0ea8adc35b2e3ec7c",
-    "dtadfa": "d632c7eee2d3b519f0a14a99c4ee1af98f99024cfa3962fd7cc95b32a1053208",
-    "nta": "f2ea0ca28e2bd13095f0ce9faad9ec1b5f035fdac5ccded786a5ce0c1ad0bbff",
-    "dta_nfa": "6697f1639c10c5a42805bda8747abe7b343f9981a916739d0c5909731c8b649d",
+    "sdta": "6a76aa447447812bc75b656ba944ac4346e92deb518d486987c6b396e82084b5",
+    "dtadfa": "c8797bf7879d500fdacac8446cad54ca7b087d784c47ea6e5eb62a914c7388d0",
+    "nta": "3d3af8b29be30783996f39334286c2bd6d6a657cefa6bd0c79b300c5600a68a2",
+    "dta_nfa": "1e9c0099faa497c6a3479e013e7fc40aee8a6cba2e99cc77c351ed80cbf2b252",
     "marked_union": "16bbeb588635a3e4d3cf2cda42b44c6b323ec67701938e65e42f252ad31e15b0",
 }
 

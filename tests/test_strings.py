@@ -7,9 +7,9 @@ import pytest
 from uta import (DFA, NFA, AlphabetMismatchError, MooreDFA, NTA_DFA, OverlapError,
                  TreeAutomaton, check_semantic_determinism, determinize,
                  intersection_witness, marked_union, minimize_dfa, minimize_moore)
-from uta.strings import canonical_form, first_overlap
+from uta.strings import first_overlap
 
-from randgen import rand_dtadfa, rand_sdta
+from randgen import canonical_form, rand_dtadfa, rand_sdta
 
 
 def nfa_b_then_one(n):
