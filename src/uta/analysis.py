@@ -8,13 +8,15 @@ covers every tree of arity within the width bound; trees are enumerated
 only when that product finds a pair the automata disagree on, to report the
 first counterexample in enumeration order.
 
-Canonical equivalence reduces both automata to a canonical form and tests
-exact isomorphism; the canonicalizer is a fixed point of vertical-state
-merging and per-symbol Moore minimization, validated empirically against
-bounded enumeration rather than trusted as minimal.
+Canonical equivalence compares two canonical forms with ``==``.  The
+canonicalizer quotients a pruned SDTA by one coarsest stable partition of
+its vertical and horizontal states, which gives the unique minimal SDTA,
+and names the states by structure alone, so its output is a normal form:
+language-equal inputs give equal automata and byte-identical documents.
 
-Isomorphism is decided in polynomial time by a canonical labelling of the
-vertical states, which needs them all reachable (pruned SDTAs are).
+Isomorphism is decided in polynomial time by comparing the same structural
+renaming of both automata, which needs every vertical state reachable
+(pruned SDTAs have that).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from .automata import (DETERMINISTIC_KINDS, SDTA, TreeAutomaton, _evaluate, bottom_up_reach,
                        prune_reachable, sdta_reach)
 from .errors import AlphabetMismatchError, KindError
-from .strings import MooreDFA, explore, minimize_moore, subset_name
+from .strings import MooreDFA, coarsest_partition, explore
 from .trees import DEFAULT_BOUNDS, EnumerationBounds, Tree, iter_trees
 
 
@@ -112,77 +114,60 @@ def _pair_machine(run_a, run_b, width) -> tuple:
 
 
 def canonical_sdta(a: TreeAutomaton) -> TreeAutomaton:
-    """Fixed-point reduction of an SDTA.
+    """The minimal SDTA for the language of ``a``, in normal form.
 
-    Starting from the vertical partition {finals, non-finals}, alternately
-    (a) minimize each per-symbol machine as a Moore machine whose outputs
-    are the current vertical blocks, and (b) split blocks whose members act
-    differently as input symbols of some minimized machine.  Splits are
-    permanent, so the iteration terminates; the quotient by the final
-    partition is language-equivalent, since block mates have equal finality
-    and are interchangeable inside every horizontal machine.
-
-    Designated leaf states are pinned: they never merge with counted states.
-    The quotient is returned renamed by ``_normal``.
+    After ``prune_reachable``, one ``coarsest_partition`` runs over the
+    vertical states, every machine's states and one dead sink per machine.
+    A vertical state is keyed by its finality; its successors are the states
+    each horizontal state moves to on reading it.  A horizontal state is
+    keyed by its symbol and finality; its successors are its output and its
+    transitions.  Block mates are interchangeable in every run, so the
+    quotient by the partition accepts the same trees, and it is the unique
+    minimal SDTA of that language (Martens & Niehren); ``_normal`` names its
+    states, so language-equal inputs give equal results.  Designated leaf
+    states are letters, not elements, so they never merge.
     """
     if a.kind != SDTA:
         raise KindError(f"expected an SDTA, got {a.kind}")
     a = prune_reachable(a)
-    states = sorted(a.states)
-    block = {q: (q in a.finals) for q in states}
+    letters = sorted(a.leaf_symbols) + sorted(a.states)
+    horizontal = [(sym, s) for sym, m in sorted(a.moore.items())
+                  for s in [*sorted(m.states), None]]
 
-    while True:
-        reduced = _block_minimized(a, block)
-        sig = {}
-        for q in states:
-            parts = [block[q]]
-            for sym, mach in sorted(reduced.items()):
-                for s in sorted(mach.states):
-                    parts.append((sym, s, mach.delta.get((s, q))))
-            sig[q] = tuple(parts)
-        ids: dict = {}
-        nblock = {q: ids.setdefault(sig[q], len(ids)) for q in states}
-        if len(set(nblock.values())) == len(set(block.values())):
-            break
-        block = nblock
+    def move(h, c):
+        """The horizontal state ``h`` moves to on reading ``c``; a missing
+        transition, and any from the sink (sym, None), goes to the sink."""
+        sym, s = h
+        return sym, (None if s is None else a.moore[sym].delta.get((s, c)))
 
-    return _normal(_quotient(a, block, reduced))
+    keys = {q: q in a.finals for q in sorted(a.states)}
+    keys.update((h, (h[0], h[1] in a.moore[h[0]].finals)) for h in horizontal)
+    succ = {q: tuple(move(h, q) for h in horizontal) for q in a.states}
+    for sym, s in horizontal:
+        m = a.moore[sym]
+        out = (m.outputs[s],) if s in m.finals else ()
+        succ[(sym, s)] = out + tuple(move((sym, s), c) for c in letters)
+    block = coarsest_partition(keys, succ)
 
-
-def _block_minimized(a: TreeAutomaton, block) -> dict:
-    """Each per-symbol machine minimized with outputs coarsened to blocks."""
-    return {sym: minimize_moore(mach.map_outputs(block.__getitem__))
-            for sym, mach in sorted(a.moore.items())}
-
-
-def _quotient(a: TreeAutomaton, block, reduced) -> TreeAutomaton:
-    members: dict = {}
-    for q in sorted(a.states):
-        members.setdefault(block[q], []).append(q)
-    name = {}
-    for b, qs in members.items():
-        name[b] = qs[0] if len(qs) == 1 else subset_name(qs)
-    new_states = frozenset(name.values())
-    ha = new_states | a.leaf_symbols
-
-    def sym_name(c):
-        return name[block[c]] if c in block else c
-
+    first: dict = {}
+    rep = {x: first.setdefault(b, x) for x, b in block.items()}  # x -> its block's first
+    states = {rep[q] for q in a.states}
+    ha = states | a.leaf_symbols
     moore = {}
-    for sym, mach in sorted(reduced.items()):
-        trans = {}
-        for (s, c), d in mach.delta.items():
-            key = (s, sym_name(c))
-            if key in trans and trans[key] != d:
-                raise AssertionError("block mates disagreed inside a machine")
-            trans[key] = d
-        moore[sym] = MooreDFA(mach.states, ha, mach.initial, mach.finals,
-                              [(s, c, d) for (s, c), d in sorted(trans.items())],
-                              {s: name[b] for s, b in mach.outputs.items()})
-    finals = {name[b] for b, qs in members.items() if qs[0] in a.finals}
-    finals |= a.finals & a.leaf_symbols
-    return TreeAutomaton(SDTA, a.alphabet, new_states, finals,
-                         moore=moore, leaf_symbols=a.leaf_symbols)
+    for sym, m in sorted(a.moore.items()):
+        live = {rep[(sym, s)][1] for s in m.states} - {rep[(sym, None)][1]}
+        trans = []
+        for s in live:
+            for c in ha:
+                _, d = rep[move((sym, s), c)]
+                if d in live:
+                    trans.append((s, c, d))
+        finals = live & m.finals
+        moore[sym] = MooreDFA(live, ha, rep[(sym, m.initial)][1], finals, trans,
+                              {s: rep[m.outputs[s]] for s in finals})
+    return _normal(TreeAutomaton(SDTA, a.alphabet, states,
+                                 {rep.get(q, q) for q in a.finals}, moore=moore,
+                                 leaf_symbols=a.leaf_symbols))
 
 
 def sdta_isomorphic(a: TreeAutomaton, b: TreeAutomaton) -> bool:

@@ -8,12 +8,15 @@ step the same way: ``initials``, ``step`` and ``step_any`` map sets of
 states to sets of states.
 
 Every construction that builds reachable states only (subset construction,
-minimization, marked union, and the subset machines of the
-tree-level conversions) runs one breadth-first explorer, ``explore``; only
-the overlap search of ``intersection_witness`` and ``first_overlap`` keeps
-its own queue, for parent pointers and an early exit.  That search runs over
-pairs of live states; each machine is prepared for it once, as rows of live
+minimization, marked union, and the subset machines of the tree-level
+conversions) runs one breadth-first explorer, ``explore``; only the overlap
+search of ``intersection_witness`` and ``first_overlap`` keeps its own
+queue, for parent pointers and an early exit.  That search runs over pairs
+of live states; each machine is prepared for it once, as rows of live
 successors, however many pairs it takes part in.
+
+Every minimizer runs one partition refinement, ``coarsest_partition``: the
+DFA and Moore minimizers here, and the SDTA canonicalizer of ``analysis``.
 """
 
 from __future__ import annotations
@@ -234,43 +237,46 @@ def determinize(m) -> DFA:
                [(names[i], c, names[j]) for i, c, j in edges])
 
 
+def coarsest_partition(keys, successors) -> dict:
+    """The coarsest partition of the elements of ``keys`` that separates
+    elements with different keys and is stable: block mates have successor
+    tuples that agree block by block.
+
+    ``keys`` maps each element to a hashable key, and ``successors`` maps it
+    to a tuple of elements.  Each round splits every block by the blocks of
+    its members' successors, until a round splits nothing.  Returns element
+    -> block number, blocks numbered in the order their first member
+    appears in ``keys``.
+    """
+    ids: dict = {}
+    block = {s: ids.setdefault(k, len(ids)) for s, k in keys.items()}
+    while True:
+        count = len(ids)
+        ids = {}
+        block = {s: ids.setdefault((b, *map(block.__getitem__, successors[s])), len(ids))
+                 for s, b in block.items()}
+        if len(ids) == count:
+            return block
+
+
 _SINK = object()
 
 
 def _refine(machine, block_key):
-    """Partition refinement over reachable states plus a virtual sink.
-
-    ``block_key(state)`` seeds the partition; the sink seeds as
+    """The coarsest stable partition of the reachable states plus a virtual
+    sink, seeded by ``block_key(state)``; the sink seeds as
     ``block_key(None)``.  Missing transitions go to the sink, which loops on
     every symbol, so states that can never reach a final end up merged with
     the sink.  Returns (reachable order, state -> block id, sink block id).
     """
     syms = sorted(machine.alphabet)
     reach, _ = explore(machine.initial, machine.successor, syms)
-
     keys = {s: block_key(s) for s in reach}
     keys[_SINK] = block_key(None)
-    universe = reach + [_SINK]
-    ids = {}
-    block = {}
-    for s in universe:
-        block[s] = ids.setdefault(keys[s], len(ids))
-
-    def succ(s, c):
-        if s is _SINK:
-            return _SINK
-        t = machine.delta.get((s, c))
-        return _SINK if t is None else t
-
-    while True:
-        sigs = {s: (block[s],) + tuple(block[succ(s, c)] for c in syms) for s in universe}
-        ids = {}
-        nblock = {}
-        for s in universe:
-            nblock[s] = ids.setdefault(sigs[s], len(ids))
-        if all(nblock[s] == block[s] for s in universe):
-            return reach, block, block[_SINK]
-        block = nblock
+    succ = {s: tuple(machine.delta.get((s, c), _SINK) for c in syms) for s in reach}
+    succ[_SINK] = (_SINK,) * len(syms)
+    block = coarsest_partition(keys, succ)
+    return reach, block, block[_SINK]
 
 
 def _rebuild(machine, reach, block, sink_block, make):

@@ -8,8 +8,8 @@ import uta.analysis
 from uta import (DTA_NFA, NFA, NTA_NFA, SDTA, AlphabetMismatchError, KindError,
                  MooreDFA, TreeAutomaton, UtaError, accepts, canonical_sdta,
                  dtadfa_to_sdta, equiv_bounded, equiv_canonical, gen_lemma34,
-                 gen_thm41, nta_to_dtadfa, nta_to_sdta, parse_tree, prune_reachable,
-                 sdta_isomorphic, sdta_to_dtadfa, size)
+                 gen_thm41, minimize_moore, nta_to_dtadfa, nta_to_sdta, parse_tree,
+                 prune_reachable, sdta_isomorphic, sdta_to_dtadfa, size, subset_name)
 from uta import EnumerationBounds, EquivalenceVerdict, iter_trees
 from uta.automata import _evaluate
 from uta.docs import render_automaton
@@ -276,6 +276,77 @@ class TestCanonicalSdta:
     def test_kind_checked(self):
         with pytest.raises(KindError):
             canonical_sdta(gen_lemma34((2, 3))[0])
+
+
+def _nested_reference(a):
+    """Test-only reference: ``canonical_sdta`` as it was before the joint
+    partition refinement, without the normal naming.  From the vertical
+    partition {finals, non-finals} it alternately minimizes each per-symbol
+    machine as a Moore machine whose outputs are the current vertical
+    blocks, and splits the blocks whose members act differently as letters
+    of some minimized machine, until no block splits; then it quotients."""
+    a = prune_reachable(a)
+    states = sorted(a.states)
+    block = {q: (q in a.finals) for q in states}
+    while True:
+        reduced = {sym: minimize_moore(m.map_outputs(block.__getitem__))
+                   for sym, m in sorted(a.moore.items())}
+        sig = {}
+        for q in states:
+            parts = [block[q]]
+            for sym, mach in sorted(reduced.items()):
+                for s in sorted(mach.states):
+                    parts.append((sym, s, mach.delta.get((s, q))))
+            sig[q] = tuple(parts)
+        ids: dict = {}
+        nblock = {q: ids.setdefault(sig[q], len(ids)) for q in states}
+        if len(set(nblock.values())) == len(set(block.values())):
+            break
+        block = nblock
+
+    members: dict = {}
+    for q in states:
+        members.setdefault(block[q], []).append(q)
+    name = {b: qs[0] if len(qs) == 1 else subset_name(qs) for b, qs in members.items()}
+    ha = frozenset(name.values()) | a.leaf_symbols
+    moore = {}
+    for sym, mach in sorted(reduced.items()):
+        trans: dict = {}
+        for (s, c), d in mach.delta.items():
+            key = (s, name[block[c]] if c in block else c)
+            assert trans.setdefault(key, d) == d, "block mates disagreed inside a machine"
+        moore[sym] = MooreDFA(mach.states, ha, mach.initial, mach.finals,
+                              [(s, c, d) for (s, c), d in sorted(trans.items())],
+                              {s: name[b] for s, b in mach.outputs.items()})
+    finals = {name[b] for b, qs in members.items() if qs[0] in a.finals}
+    finals |= a.finals & a.leaf_symbols
+    return TreeAutomaton(SDTA, a.alphabet, name.values(), finals, moore=moore,
+                         leaf_symbols=a.leaf_symbols)
+
+
+class TestCanonicalAgainstNestedReference:
+    def test_random_families_and_witnesses(self):
+        inputs = []
+        for seed in range(100):
+            rng = random.Random(seed)
+            x = rand_sdta(rng)
+            inputs.append(x)
+            for a in (sdta_to_dtadfa(x)[0], rand_dtadfa(rng), rand_nta(rng),
+                      rand_dta_nfa(rng)):
+                inputs += [nta_to_sdta(a)[0], nta_to_sdta(a, force_general=True)[0]]
+        for n in (2, 3, 4):
+            base = gen_thm41(n)[0]
+            inputs += [nta_to_sdta(base)[0], nta_to_sdta(base, force_general=True)[0]]
+        for k in ((2, 3), (2, 3, 5), (2, 3, 5, 7)):
+            base = gen_lemma34(k)[0]
+            inputs += [dtadfa_to_sdta(base)[0], nta_to_sdta(base, force_general=True)[0]]
+        merged = 0
+        for x in inputs:
+            got, want = canonical_sdta(x), _nested_reference(x)
+            assert size(got) == size(want)
+            assert sdta_isomorphic(got, want)
+            merged += size(got) != size(prune_reachable(x))
+        assert merged >= 100
 
 
 class TestEquivCanonical:
