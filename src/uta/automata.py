@@ -5,7 +5,10 @@ node labeled ``sym`` whose children were assigned S_1..S_m, a state ``q`` is
 assigned iff some choice (q_1..q_m) from S_1 x..x S_m is accepted by the
 horizontal acceptor for (q, sym).  This is computed exactly in polynomial
 time by running each horizontal acceptor with subset-labeled steps instead
-of enumerating the product of the children's state sets.
+of enumerating the product of the children's state sets.  Each step, from a
+subset on a child's state set, is computed once per automaton and then
+looked up: the runs fill in, on demand, the transition table of the subset
+machine that ``convert.nta_to_sdta`` builds (see ``_horizontal_run``).
 
 Leaf-state convention: an automaton may designate, per symbol, a dedicated
 state (named by the symbol itself) that leaves with that label receive.
@@ -186,26 +189,42 @@ def run(a: TreeAutomaton, t: Tree) -> dict:
 
 def _evaluate(a: TreeAutomaton, t: Tree, memo: dict) -> frozenset:
     """The states assigned to the root of ``t``, computed bottom-up with an
-    explicit stack, children left to right as in ``run``.
+    explicit stack, children left to right as in ``run``, so the first fault
+    raised is the one ``run`` raises.
 
-    ``memo`` maps id(subtree) -> (subtree, states) for proper subtrees: it is
-    read and extended but never given the root, so a memo kept across many
-    trees grows with their shared subtrees only.  Holding the subtree keeps
-    its id from being reused while the entry lives.
+    A frame is a node with the state sets of its children so far, whose
+    length is the index of the next child.  A leaf child's set comes from a
+    per-call table keyed by label; an internal child not in ``memo`` gets a
+    frame of its own when the index reaches it.  ``memo`` maps id(subtree)
+    -> (subtree, states) for internal proper subtrees: it is read and
+    extended but never given the root, so a memo kept across many trees
+    grows with their shared subtrees only.  Holding the subtree keeps its id
+    from being reused while the entry lives.
     """
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        try:
-            child_sets = [memo[id(c)][1] for c in node.children]
-        except KeyError:
-            stack.extend(reversed([c for c in node.children if id(c) not in memo]))
-            continue
-        stack.pop()
-        states = _node_states(a, node.label, child_sets)
-        if node is t:
-            return states
-        memo[id(node)] = (node, states)
+    leaves: dict = {}
+    stack = [(t, [])]
+    while True:
+        node, sets = stack[-1]
+        children = node.children
+        for c in children[len(sets):]:
+            if not c.children:
+                states = leaves.get(c.label)
+                if states is None:
+                    states = leaves[c.label] = _node_states(a, c.label, [])
+            else:
+                got = memo.get(id(c))
+                if got is None:
+                    stack.append((c, []))
+                    break
+                states = got[1]
+            sets.append(states)
+        else:
+            stack.pop()
+            states = _node_states(a, node.label, sets)
+            if not stack:
+                return states
+            memo[id(node)] = (node, states)
+            stack[-1][1].append(states)
 
 
 def _node_states(a: TreeAutomaton, sym: str, child_sets: list, addr=None) -> frozenset:
@@ -243,6 +262,13 @@ def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
     ``_by_symbol[sym]`` step together as one NFA, their disjoint union with
     states tagged (i, h) by acceptor index; the run is its current subset,
     and a state is assigned iff the run holds a final state of its acceptor.
+    ``step`` computes each (subset, child set) step once and keeps it, a
+    dead step as None, in a table that lives as long as the run (in
+    ``TreeAutomaton._runs``, which pickling drops).  A key pairs a subset the
+    run reaches with a state set some node is assigned, so the table holds
+    at most one entry per cell of the transition table of the subset
+    machine ``convert._subset_moore`` builds, plus one per subset for the
+    empty set.
     """
     leaf = frozenset([sym]) if sym in a.leaf_symbols else None
     nothing = frozenset()
@@ -273,8 +299,14 @@ def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
                     [(i, h) for i, m in tagged for h in m.finals],
                     [((i, h), c, (i, d)) for i, m in tagged for h, c, d in m.transitions()])
 
+    table: dict = {}
+
     def step(run, s):
-        return union.step_any(run, s) or None
+        try:
+            return table[run, s]
+        except KeyError:
+            got = table[run, s] = union.step_any(run, s) or None
+            return got
 
     def finish(run, empty):
         if empty and leaf:

@@ -27,10 +27,19 @@ class Tree:
     children: tuple["Tree", ...] = ()
 
     def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
+        count, stack = 0, [self]
+        while stack:
+            count += 1
+            stack.extend(stack.pop().children)
+        return count
 
     def depth(self) -> int:
-        return 1 + max((c.depth() for c in self.children), default=0)
+        deepest, stack = 0, [(self, 1)]
+        while stack:
+            t, d = stack.pop()
+            deepest = max(deepest, d)
+            stack.extend((c, d + 1) for c in t.children)
+        return deepest
 
     def __str__(self) -> str:
         return render_tree(self)

@@ -77,8 +77,12 @@ class TestRun:
         auto, _ = lemma34_pair
         t = parse_tree("a(a(b,b,b,1,0))", auto.alphabet)
         assert accepts(auto, t)
+        trees = enum(auto.alphabet, 3, 3, 400)
+        verdicts = [accepts(auto, u) for u in trees]
+        assert _step_table(auto, "a")
         again = pickle.loads(pickle.dumps(auto))
         assert again == auto and accepts(again, t)
+        assert [accepts(again, u) for u in trees] == verdicts
 
     def test_nondeterministic_sets_can_grow(self):
         auto, _ = gen_thm41(2)
@@ -275,11 +279,52 @@ class TestMemoizedEvaluation:
 
     def test_first_fault_raised_as_run_raises_it(self):
         wrong = _two_leaf_states()
-        for t, error in ((node("b", leaf("z"), leaf("a")), UnknownSymbolError),
-                         (node("b", leaf("a"), leaf("z")), KindError)):
+        for text, error in (("b(z,a)", UnknownSymbolError),
+                            ("b(a,z)", KindError),
+                            # a leaf ahead of an internal sibling is read first
+                            ("b(a,b(z))", KindError),
+                            ("b(b(z),a)", UnknownSymbolError),
+                            ("b(b(b),a,b(z))", KindError)):
+            t = parse_tree(text, {"a", "b", "z"})
             for evaluate in (run, accepts):
                 with pytest.raises(error):
                     evaluate(wrong, t)
+
+    def test_warm_step_tables_answer_as_cold_ones(self):
+        rng = random.Random(10)
+        autos = [gen_lemma34((2, 3))[0], gen_thm41(2)[0], _two_leaf_states()]
+        for _ in range(100):
+            autos += [f(rng) for f in (rand_sdta, rand_dtadfa, rand_nta, rand_dta_nfa)]
+        for a in autos:
+            trees = list(iter_trees(a.alphabet, EnumerationBounds(3, 3, 200)))
+            fresh = TreeAutomaton(a.kind, a.alphabet, a.states, a.finals,
+                                  horizontal=a.horizontal, moore=a.moore,
+                                  leaf_symbols=a.leaf_symbols)
+            cold = [_outcome(accepts, a, t) for t in trees]
+            warm = [_outcome(accepts, a, t) for t in trees]
+            # the copy fills its tables in the other order
+            other = [_outcome(accepts, fresh, t) for t in reversed(trees)][::-1]
+            assert cold == warm == other
+            for t, got in zip(trees, cold):
+                want = _outcome(lambda b, u: bool(run(b, u)[()] & b.finals), a, t)
+                assert got[0] == want[0]
+                if got[0] is bool:
+                    assert got == want
+
+
+def _outcome(evaluate, a, t):
+    """(bool, verdict), or (error type, message) when ``evaluate`` raises."""
+    try:
+        return bool, evaluate(a, t)
+    except (KindError, UnknownSymbolError) as e:
+        return type(e), str(e)
+
+
+def _step_table(a, sym):
+    """The memo that the ``step`` of ``sym``'s horizontal run keeps."""
+    _, step, _ = a.horizontal_run(sym)
+    (table,) = [c.cell_contents for c in step.__closure__ if type(c.cell_contents) is dict]
+    return table
 
 
 def _two_leaf_states():

@@ -222,3 +222,11 @@ def test_substitution_node_count(skeleton, plug):
     ctx = Context(node("c", skeleton, leaf("x")))
     result = substitute(ctx, plug)
     assert result.node_count() == ctx.skeleton.node_count() - 1 + plug.node_count()
+
+
+def test_size_measures_hold_on_a_deep_chain():
+    deep = 100_000
+    chain = nest("a", deep - 1, node("b", leaf("c"), nest("d", 2, leaf("e"))))
+    assert chain.depth() == deep + 3
+    assert chain.node_count() == deep + 4
+    assert node("a", leaf("b"), nest("c", 3, leaf("d")), leaf("e")).depth() == 5
