@@ -18,6 +18,7 @@ but are excluded from the vertical state count.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .errors import KindError, UnknownSymbolError
@@ -168,41 +169,71 @@ class TreeAutomaton:
         return f"<TreeAutomaton {self.kind} {size(self)}>"
 
 
-def run(a: TreeAutomaton, t: Tree) -> dict:
-    """Bottom-up state-set assignment: node address (tuple of child indexes)
-    -> set of assignable vertical states.
-
+def run(a: TreeAutomaton, t: Tree) -> Mapping:
+    """Bottom-up state-set assignment, as a read-only mapping: node address
+    (tuple of child indexes) -> set of assignable vertical states.  It reads
+    ``_evaluate``'s memo: ``[()]`` costs O(1), ``[addr]`` O(len(addr)).
     For deterministic kinds every assigned set has at most one element; a
     violation means the declared kind is wrong and raises KindError.
     """
-    assignment: dict[tuple, frozenset] = {}
-
-    def go(node: Tree, addr: tuple) -> frozenset:
-        child_sets = [go(c, addr + (i,)) for i, c in enumerate(node.children)]
-        states = _node_states(a, node.label, child_sets, addr)
-        assignment[addr] = states
-        return states
-
-    go(t, ())
-    return assignment
+    memo, leaves = {}, {}
+    return _Assignment(t, _evaluate(a, t, memo, leaves, addressed=True), memo, leaves)
 
 
-def _evaluate(a: TreeAutomaton, t: Tree, memo: dict) -> frozenset:
+class _Assignment(Mapping):
+    """``run``'s result: a node's states depend only on its subtree.
+    Iteration is postorder and holds only the path to the current node."""
+
+    def __init__(self, tree, root, memo, leaves):
+        self._tree, self._root, self._memo, self._leaves = tree, root, memo, leaves
+
+    def __getitem__(self, addr):
+        if type(addr) is not tuple:
+            raise KeyError(addr)
+        node = self._tree
+        for i in addr:
+            if not isinstance(i, int) or not 0 <= i < len(node.children):
+                raise KeyError(addr)
+            node = node.children[i]
+        if node is self._tree:
+            return self._root
+        return self._memo[id(node)][1] if node.children else self._leaves[node.label]
+
+    def __iter__(self):
+        path, stack = [], [iter(enumerate(self._tree.children))]
+        while stack:
+            i, c = next(stack[-1], (None, None))
+            if c is None:
+                stack.pop()
+                yield tuple(path)
+                del path[-1:]
+            else:
+                path.append(i)
+                stack.append(iter(enumerate(c.children)))
+
+    def __len__(self):
+        return self._tree.node_count()
+
+
+def _evaluate(a: TreeAutomaton, t: Tree, memo: dict, leaves=None,
+              addressed=False) -> frozenset:
     """The states assigned to the root of ``t``, computed bottom-up with an
-    explicit stack, children left to right as in ``run``, so the first fault
-    raised is the one ``run`` raises.
+    explicit stack, children left to right, so the first fault raised is
+    the one a recursive postorder raises, in O(depth) frames.
 
     A frame is a node with the state sets of its children so far, whose
-    length is the index of the next child.  A leaf child's set comes from a
-    per-call table keyed by label; an internal child not in ``memo`` gets a
-    frame of its own when the index reaches it.  ``memo`` maps id(subtree)
-    -> (subtree, states) for internal proper subtrees: it is read and
-    extended but never given the root, so a memo kept across many trees
-    grows with their shared subtrees only.  Holding the subtree keeps its id
-    from being reused while the entry lives.
+    length is the index of the next child; the lengths along the stack are
+    the address a KindError names when ``addressed``.  A leaf child's set
+    comes from ``leaves``, keyed by label (per call unless given); an
+    internal child not in ``memo`` gets a frame of its own when the index
+    reaches it.  ``memo`` maps id(subtree) -> (subtree, states) for internal
+    proper subtrees: it is read and extended but never given the root, so a
+    memo kept across many trees grows with their shared subtrees only.
+    Holding the subtree keeps its id from being reused while it lives.
     """
-    leaves: dict = {}
+    leaves = {} if leaves is None else leaves
     stack = [(t, [])]
+    where = (lambda: tuple(len(sets) for _, sets in stack)) if addressed else None
     while True:
         node, sets = stack[-1]
         children = node.children
@@ -210,7 +241,7 @@ def _evaluate(a: TreeAutomaton, t: Tree, memo: dict) -> frozenset:
             if not c.children:
                 states = leaves.get(c.label)
                 if states is None:
-                    states = leaves[c.label] = _node_states(a, c.label, [])
+                    states = leaves[c.label] = _node_states(a, c.label, [], where)
             else:
                 got = memo.get(id(c))
                 if got is None:
@@ -220,21 +251,21 @@ def _evaluate(a: TreeAutomaton, t: Tree, memo: dict) -> frozenset:
             sets.append(states)
         else:
             stack.pop()
-            states = _node_states(a, node.label, sets)
+            states = _node_states(a, node.label, sets, where)
             if not stack:
                 return states
             memo[id(node)] = (node, states)
             stack[-1][1].append(states)
 
 
-def _node_states(a: TreeAutomaton, sym: str, child_sets: list, addr=None) -> frozenset:
+def _node_states(a: TreeAutomaton, sym: str, child_sets: list, where=None) -> frozenset:
     """One bottom-up step: the states of a ``sym`` node whose children were
     assigned ``child_sets``, with the alphabet and determinism checks."""
     if sym not in a.alphabet:
         raise UnknownSymbolError(sym)
     states = _states_at(a, sym, child_sets)
     if len(states) > 1 and a.kind in DETERMINISTIC_KINDS:
-        at = addr if addr is not None else f"a {sym!r} node"
+        at = where() if where else f"a {sym!r} node"
         raise KindError(f"deterministic kind {a.kind} assigned {sorted(states)} at {at}")
     return states
 

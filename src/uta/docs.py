@@ -267,16 +267,25 @@ def render_fooling_horizontal(fs: FoolingSetHorizontal) -> str:
     lines = ["kind: fooling-horizontal", f"symbol: {fs.symbol}"]
     for tup in fs.tuples:
         lines.append(("tuple: " + " ".join(render_tree(t) for t in tup)).rstrip())
+    texts = {}  # a separator's rendering, by the identity of its parts
     for (i, j) in sorted(fs.separators):
         ctx, padding = fs.separators[(i, j)]
-        pad = " ".join(render_tree(t) for t in padding)
-        lines.append(f"sep {i} {j}: {ctx} | {pad}".rstrip())
+        text = texts.get((id(ctx), id(padding)))
+        if text is None:
+            pad = " ".join(render_tree(t) for t in padding)
+            text = texts[id(ctx), id(padding)] = f"{ctx} | {pad}".rstrip()
+        lines.append(f"sep {i} {j}: {text}")
     return "\n".join(lines) + "\n"
+
+
+def _parse_padding(text, alphabet):
+    return tuple(parse_tree(t, alphabet) for t in text.split())
 
 
 def parse_fooling_set(text: str, alphabet):
     """Parse a fooling-set document; trees use term syntax with no internal
-    whitespace so they can be listed space-separated."""
+    whitespace so they can be listed space-separated.  Each distinct text
+    is parsed once, and equal texts share one parsed object."""
     lines = _Lines(text)
     no, line = lines.next()
     if line is None:
@@ -286,6 +295,13 @@ def parse_fooling_set(text: str, alphabet):
         raise DocumentError("kind takes exactly one value", no)
     kind = toks[0]
     sep_lines = {}
+    parsed = {}
+
+    def once(parse, text):
+        got = parsed.get((parse, text))
+        if got is None:
+            got = parsed[parse, text] = parse(text, alphabet)
+        return got
 
     def parse_sep_key(name, no):
         parts = name.split()
@@ -313,10 +329,10 @@ def parse_fooling_set(text: str, alphabet):
             no, line = lines.next()
             name, toks = _field(line, no)
             if name == "tree":
-                trees.append(parse_tree(" ".join(toks), alphabet))
+                trees.append(once(parse_tree, " ".join(toks)))
             else:
                 i, j = parse_sep_key(name, no)
-                seps[(i, j)] = parse_context(" ".join(toks), alphabet)
+                seps[(i, j)] = once(parse_context, " ".join(toks))
         check_sep_keys(len(trees))
         return FoolingSetVertical(trees, seps)
 
@@ -334,15 +350,14 @@ def parse_fooling_set(text: str, alphabet):
                     raise DocumentError("symbol takes exactly one value", no)
                 symbol = toks[0]
             elif name == "tuple":
-                tuples.append(tuple(parse_tree(t, alphabet) for t in toks))
+                tuples.append(tuple(once(parse_tree, t) for t in toks))
             else:
                 i, j = parse_sep_key(name, no)
                 if "|" not in toks:
                     raise DocumentError("separator needs 'context | padding...'", no)
                 cut = toks.index("|")
-                ctx = parse_context(" ".join(toks[:cut]), alphabet)
-                padding = tuple(parse_tree(t, alphabet) for t in toks[cut + 1:])
-                seps[(i, j)] = (ctx, padding)
+                seps[(i, j)] = (once(parse_context, " ".join(toks[:cut])),
+                                once(_parse_padding, " ".join(toks[cut + 1:])))
         if symbol is None:
             raise DocumentError("fooling-horizontal document is missing its symbol")
         check_sep_keys(len(tuples))

@@ -19,6 +19,7 @@ from .errors import EnumerationCapExceeded, TreeSyntaxError, UnknownSymbolError
 VARIABLE = "x"
 
 SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+")
+_TOKEN_RE = re.compile(f"({SYMBOL_RE.pattern})|\\S")
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,9 @@ class Tree:
 
     def __str__(self) -> str:
         return render_tree(self)
+
+    def __repr__(self) -> str:
+        return f"Tree({render_tree(self)!r})"
 
 
 def leaf(label: str) -> Tree:
@@ -97,11 +101,15 @@ class Context:
 
 
 def _count_variable(t: Tree) -> int:
-    if t.label == VARIABLE:
-        if t.children:
-            raise TreeSyntaxError(f"{VARIABLE!r} must label a leaf", 0)
-        return 1
-    return sum(_count_variable(c) for c in t.children)
+    holes, stack = 0, [t]
+    while stack:
+        s = stack.pop()
+        if s.label == VARIABLE:
+            if s.children:
+                raise TreeSyntaxError(f"{VARIABLE!r} must label a leaf", 0)
+            holes += 1
+        stack.extend(s.children)
+    return holes
 
 
 def substitute(c: Context, t: Tree) -> Tree:
@@ -126,52 +134,59 @@ def parse_context(text: str, alphabet) -> Context:
 
 
 def _parse(text: str, alphabet: frozenset, allow_variable: bool) -> Tree:
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def parse_node() -> Tree:
-        nonlocal pos
-        skip_ws()
-        m = SYMBOL_RE.match(text, pos)
-        if not m:
-            raise TreeSyntaxError("expected a symbol", pos)
-        sym = m.group(0)
-        at = pos
-        pos = m.end()
-        if sym != VARIABLE and sym not in alphabet:
-            raise UnknownSymbolError(sym, at)
-        if sym == VARIABLE and not allow_variable:
-            raise UnknownSymbolError(sym, at)
-        skip_ws()
-        if pos < len(text) and text[pos] == "(":
-            pos += 1
-            children = [parse_node()]
-            skip_ws()
-            while pos < len(text) and text[pos] == ",":
-                pos += 1
-                children.append(parse_node())
-                skip_ws()
-            if pos >= len(text) or text[pos] != ")":
-                raise TreeSyntaxError("expected ',' or ')'", pos)
-            pos += 1
-            return Tree(sym, tuple(children))
-        return Tree(sym)
-
-    t = parse_node()
-    skip_ws()
-    if pos != len(text):
-        raise TreeSyntaxError("trailing input after tree", pos)
-    return t
+    """Recursive descent over the tokens of ``text`` (symbols and single
+    other characters), run on an explicit stack of (symbol, children so
+    far) frames, one per open parenthesis, so any depth parses."""
+    tokens = _TOKEN_RE.finditer(text)
+    stack = []
+    while True:
+        m = next(tokens, None)
+        sym = m and m.group(1)
+        if not sym:
+            raise TreeSyntaxError("expected a symbol", m.start() if m else len(text))
+        if sym not in alphabet if sym != VARIABLE else not allow_variable:
+            raise UnknownSymbolError(sym, m.start())
+        m = next(tokens, None)
+        if m and m.group() == "(":
+            stack.append((sym, []))
+            continue
+        t = Tree(sym)
+        while stack:
+            stack[-1][1].append(t)
+            if m and m.group() == ",":
+                break
+            if not m or m.group() != ")":
+                raise TreeSyntaxError("expected ',' or ')'", m.start() if m else len(text))
+            sym, children = stack.pop()
+            t = Tree(sym, tuple(children))
+            m = next(tokens, None)
+        else:
+            if m:
+                raise TreeSyntaxError("trailing input after tree", m.start())
+            return t
 
 
 def render_tree(t: Tree) -> str:
-    if not t.children:
-        return t.label
-    return t.label + "(" + ",".join(render_tree(c) for c in t.children) + ")"
+    """Term syntax, built on an explicit stack of child iterators: each
+    node is written as its label then "(" or ","; closing a node turns the
+    last "," into ")"."""
+    parts = []
+    stack = [iter((t,))]
+    while stack:
+        for c in stack[-1]:
+            parts.append(c.label)
+            if c.children:
+                parts.append("(")
+                stack.append(iter(c.children))
+                break
+            parts.append(",")
+        else:
+            stack.pop()
+            if stack:
+                parts[-1] = ")"
+                parts.append(",")
+    parts.pop()
+    return "".join(parts)
 
 
 @dataclass(frozen=True)

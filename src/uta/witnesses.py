@@ -238,16 +238,21 @@ def lemma34_horizontal_fooling(k) -> FoolingSetHorizontal:
     that does not divide s - r, then the matching numeral and chain."""
     k = tuple(int(v) for v in k)
     total = math.prod(k)
-    tuples = [tuple(leaf("b") for _ in range(r)) for r in range(total)]
+    b = leaf("b")
+    tuples = [(b,) * r for r in range(total)]
+    # one context per modulus and one padding per (gap, modulus), shared by
+    # every pair that uses it
+    contexts = [Context(nest("a", i - 1, Tree("x"))) for i in range(1, len(k) + 1)]
+    paddings = {}
     seps = {}
     for r in range(total):
         for s in range(r + 1, total):
             i = next(i for i, ki in enumerate(k, start=1) if (s - r) % ki)
-            ki = k[i - 1]
-            z = r + ((-r) % ki)
-            padding = tuple(leaf("b") for _ in range(z - r)) + tuple(
-                leaf(bit) for bit in _binary(i))
-            seps[(r, s)] = (Context(nest("a", i - 1, Tree("x"))), padding)
+            gap = (-r) % k[i - 1]
+            padding = paddings.get((gap, i))
+            if padding is None:
+                padding = paddings[gap, i] = (b,) * gap + tuple(leaf(bit) for bit in _binary(i))
+            seps[(r, s)] = (contexts[i - 1], padding)
     return FoolingSetHorizontal(tuples, "a", seps)
 
 

@@ -6,14 +6,17 @@ from uta import (DFA, DTA_DFA, DTA_NFA, KINDS, NTA_DFA, NTA_NFA, NFA, SDTA,
                  KindError, SizePair, Tree, TreeAutomaton, UnknownSymbolError, accepts,
                  check_semantic_determinism, classify, determinize,
                  dtadfa_to_sdta, gen_lemma34, gen_thm41, leaf, nest,
-                 nta_to_dtadfa, node, parse_tree, prune_reachable, run, size,
-                 word_node)
+                 nta_to_dtadfa, node, parse_tree, prune_reachable, render_tree,
+                 run, size, word_node)
 from uta import EnumerationBounds, EnumerationCapExceeded, enumerate_trees, iter_trees
-from uta.automata import _evaluate, bottom_up_reach
+from uta.automata import _evaluate, _node_states, bottom_up_reach
+from uta.cli import cli_main
+from uta.docs import render_automaton
 
 from randgen import (rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta, rand_tree,
                      rand_trees)
 import random
+import re
 
 
 def enum(alphabet, depth, width, count):
@@ -312,6 +315,85 @@ class TestMemoizedEvaluation:
                     assert got == want
 
 
+def _recursive_run(a, t):
+    """The recursive evaluation that ``run`` once was: a dict filled in
+    postorder.  Kept as the oracle of the view ``run`` returns now."""
+    assignment = {}
+
+    def go(n, addr):
+        child_sets = [go(c, addr + (i,)) for i, c in enumerate(n.children)]
+        states = assignment[addr] = _node_states(a, n.label, child_sets, lambda: addr)
+        return states
+
+    go(t, ())
+    return assignment
+
+
+class TestAddressView:
+    @pytest.mark.parametrize("family", [rand_sdta, rand_dtadfa, rand_nta, rand_dta_nfa])
+    def test_view_equals_the_recursive_run(self, family):
+        rng = random.Random(family.__name__)
+        for _ in range(15):
+            a = family(rng)
+            trees = rand_trees(rng, a.alphabet, 40)
+            trees += [leaf(sym) for sym in sorted(a.alphabet)]
+            trees += _with_shared_subtrees(rng, trees)
+            for t in trees:
+                got = _outcome(lambda b, u: dict(run(b, u)), a, t)
+                want = _outcome(_recursive_run, a, t)
+                assert got == want
+                if got[0] is bool:
+                    view = run(a, t)
+                    # the same addresses, in the same (postorder) order
+                    assert list(view) == list(want[1])
+                    assert len(view) == t.node_count()
+                    assert all(addr in view for addr in want[1])
+
+    def test_shared_subtree_at_two_addresses(self, lemma34_pair):
+        auto, _ = lemma34_pair
+        inner = parse_tree("a(b,b,b,1,0)", auto.alphabet)
+        t = node("a", node("a", inner, inner), inner)
+        view = run(auto, t)
+        assert dict(view) == _recursive_run(auto, t)
+        assert view[(0, 0)] == view[(0, 1)] == view[(1,)] == frozenset({"q2"})
+        assert view[(0, 1, 4)] == frozenset({"0"})
+
+    def test_missing_addresses_raise_key_error(self, lemma34_pair):
+        auto, _ = lemma34_pair
+        t = parse_tree("a(a(b,b,b,1,0))", auto.alphabet)
+        view = run(auto, t)
+        for addr in [(1,), (0, 5), (0, 0, 0), (-1,), (0, -1), (0.0,), ("0",),
+                     [0], 0, "", None]:
+            with pytest.raises(KeyError):
+                view[addr]
+            assert view.get(addr) is None
+            assert addr not in view
+        assert () in view and (0, 4) in view
+        assert sorted(view) == [()] + [(0,)] + [(0, i) for i in range(5)]
+        assert view == _recursive_run(auto, t)
+
+    def test_leaf_root(self, lemma34_pair):
+        auto, _ = lemma34_pair
+        view = run(auto, leaf("b"))
+        assert list(view.items()) == [((), frozenset({"b"}))]
+        with pytest.raises(KeyError):
+            view[(0,)]
+
+    def test_kind_error_names_the_address(self):
+        wrong = _two_leaf_states()
+        for text, addr in (("a", ()), ("b(b,a)", (1,)), ("b(b,b(b,b(a)))", (1, 1, 0)),
+                           ("b(b(b),b(b,a),a)", (1, 1))):
+            t = parse_tree(text, wrong.alphabet)
+            with pytest.raises(KindError, match=rf"at {re.escape(str(addr))}$") as err:
+                run(wrong, t)
+            with pytest.raises(KindError) as oracle:
+                _recursive_run(wrong, t)
+            assert str(err.value) == str(oracle.value)
+            # accepts names the label, not the address
+            with pytest.raises(KindError, match="at a 'a' node$"):
+                accepts(wrong, t)
+
+
 def _outcome(evaluate, a, t):
     """(bool, verdict), or (error type, message) when ``evaluate`` raises."""
     try:
@@ -367,3 +449,20 @@ class TestDeepTrees:
                 for a in autos:
                     assert accepts(a, t) == want, (a.kind, k, extra)
         assert verdicts == {True, False}
+
+    def test_chain_of_100_000_through_every_layer(self, tmp_path, capsys):
+        auto, pred = gen_thm41(2)
+        depth = 100_000
+        text = "a(" * depth + "b,b,b" + ")" * depth
+        t = parse_tree(text, auto.alphabet)
+        assert t.depth() == depth + 1 and pred(t)
+        assert render_tree(t) == text
+        assert repr(t) == f"Tree({text!r})"
+        view = run(auto, t)
+        assert view[()] & auto.finals and accepts(auto, t)
+        assert view[(0,) * depth] == frozenset({"b"})
+        assert len(view) == depth + 3
+        doc = tmp_path / "g2.uta"
+        doc.write_text(render_automaton(auto))
+        assert cli_main(["run", str(doc), "--tree", text]) == 0
+        assert capsys.readouterr().out.startswith("accept {")

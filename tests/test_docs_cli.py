@@ -60,6 +60,24 @@ class TestDocumentRoundTrip:
         assert got_h.tuples == fh.tuples and got_h.symbol == fh.symbol
         assert got_h.separators == fh.separators
 
+    def test_horizontal_fooling_separators_are_shared(self):
+        fh = lemma34_horizontal_fooling((2, 3, 5, 7))
+        assert len(fh.separators) == 21945
+
+        def distinct(fs):
+            return (len({id(c) for c, _ in fs.separators.values()}),
+                    len({id(p) for _, p in fs.separators.values()}))
+
+        assert distinct(fh) == (4, 17)
+        text = render_fooling_horizontal(fh)
+        lines = text.splitlines()[2 + len(fh.tuples):]
+        assert lines == [f"sep {i} {j}: {c} | {' '.join(map(str, p))}".rstrip()
+                         for (i, j), (c, p) in sorted(fh.separators.items())]
+        got = parse_fooling_set(text, frozenset("ab01"))
+        assert distinct(got) == (4, 17)
+        assert got.tuples == fh.tuples and got.separators == fh.separators
+        assert render_fooling_horizontal(got) == text
+
 
 class TestDocumentValidation:
     def test_unknown_kind(self):

@@ -50,6 +50,12 @@ def test_render_examples():
     assert render_tree(word_node("a", "bb1")) == "a(b,b,1)"
 
 
+def test_repr_is_the_rendering():
+    assert repr(leaf("b")) == "Tree('b')"
+    assert repr(node("a", leaf("b"), nest("c", 2, leaf("d")))) == "Tree('a(b,c(c(d)))')"
+    assert repr(nest("a", 250, leaf("b"))) == f"Tree('{'a(' * 250}b{')' * 250}')"
+
+
 def test_context_validation():
     parse_context("a(x)", ABCD)
     with pytest.raises(TreeSyntaxError):
@@ -214,6 +220,26 @@ def _tree_strategy():
 @given(_tree_strategy())
 def test_parse_render_round_trip(t):
     assert parse_tree(render_tree(t), ABCD) == t
+
+
+def _render_recursively(t):
+    if not t.children:
+        return t.label
+    return t.label + "(" + ",".join(_render_recursively(c) for c in t.children) + ")"
+
+
+@settings(max_examples=150)
+@given(_tree_strategy())
+def test_render_matches_the_recursive_definition(t):
+    assert render_tree(t) == _render_recursively(t)
+
+
+def test_deep_context_parses():
+    deep = 100_000
+    ctx = parse_context("a(" * deep + "b,x" + ")" * deep, ABCD)
+    assert ctx.skeleton.depth() == deep + 1
+    with pytest.raises(TreeSyntaxError):
+        parse_context("a(" * deep + "b,x,x" + ")" * deep, ABCD)
 
 
 @settings(max_examples=100)
