@@ -21,20 +21,18 @@ renaming of both automata, which needs every vertical state reachable
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .automata import (DETERMINISTIC_KINDS, SDTA, TreeAutomaton, _evaluate, bottom_up_reach,
                        prune_reachable, sdta_reach)
 from .errors import AlphabetMismatchError, KindError
 from .strings import MooreDFA, coarsest_partition, explore
-from .trees import DEFAULT_BOUNDS, EnumerationBounds, Tree, iter_trees
+from .trees import DEFAULT_BOUNDS, EnumerationBounds, Tree, _Record, iter_trees
 
 
-@dataclass(frozen=True)
-class EquivalenceVerdict:
-    equal: bool
-    counterexample: Tree | None
-    method: str
+class EquivalenceVerdict(_Record):
+    __slots__ = ("equal", "counterexample", "method")
+
+    def __init__(self, equal: bool, counterexample: Tree | None, method: str):
+        self._init(equal, counterexample, method)
 
 
 def equiv_bounded(a: TreeAutomaton, b: TreeAutomaton,

@@ -19,11 +19,10 @@ but are excluded from the vertical state count.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 from .errors import KindError, UnknownSymbolError
 from .strings import DFA, MooreDFA, NFA, explore, first_overlap
-from .trees import Tree
+from .trees import Tree, _Record
 
 NTA_NFA = "nta-nfa"
 NTA_DFA = "nta-dfa"
@@ -36,12 +35,13 @@ DETERMINISTIC_KINDS = (DTA_NFA, DTA_DFA, SDTA)
 DFA_KINDS = (NTA_DFA, DTA_DFA)
 
 
-@dataclass(frozen=True)
-class SizePair:
+class SizePair(_Record):
     """Vertical and horizontal state counts, compared componentwise."""
 
-    vertical: int
-    horizontal: int
+    __slots__ = ("vertical", "horizontal")
+
+    def __init__(self, vertical: int, horizontal: int):
+        self._init(vertical, horizontal)
 
     def __le__(self, other: "SizePair") -> bool:
         return self.vertical <= other.vertical and self.horizontal <= other.horizontal
@@ -50,12 +50,12 @@ class SizePair:
         return f"[{self.vertical}; {self.horizontal}]"
 
 
-@dataclass(frozen=True)
-class DeterminismReport:
-    ok: bool
-    symbol: str | None = None
-    pair: tuple | None = None
-    witness: tuple | None = None
+class DeterminismReport(_Record):
+    __slots__ = ("ok", "symbol", "pair", "witness")
+
+    def __init__(self, ok: bool, symbol: str | None = None, pair: tuple | None = None,
+                 witness: tuple | None = None):
+        self._init(ok, symbol, pair, witness)
 
 
 class TreeAutomaton:
@@ -299,7 +299,7 @@ def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
     run reaches with a state set some node is assigned, so the table holds
     at most one entry per cell of the transition table of the subset
     machine ``convert._subset_moore`` builds, plus one per subset for the
-    empty set.
+    empty set.  ``finish`` likewise keeps the states each subset assigns.
     """
     leaf = frozenset([sym]) if sym in a.leaf_symbols else None
     nothing = frozenset()
@@ -330,7 +330,7 @@ def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
                     [(i, h) for i, m in tagged for h in m.finals],
                     [((i, h), c, (i, d)) for i, m in tagged for h, c, d in m.transitions()])
 
-    table: dict = {}
+    table, assigned = {}, {}
 
     def step(run, s):
         try:
@@ -344,7 +344,10 @@ def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
             return leaf
         if run is None:
             return nothing
-        return frozenset([pairs[i][0] for i, _ in run & union.finals])
+        got = assigned.get(run)
+        if got is None:
+            got = assigned[run] = frozenset([pairs[i][0] for i, _ in run & union.finals])
+        return got
 
     return (union.initials if union else None), step, finish
 

@@ -7,21 +7,21 @@ byte-identical documents.
 
 The ``equiv`` flags ``--depth``, ``--width`` and ``--count`` override the
 default enumeration bounds used by tree-level equivalence checks.
+
+Commands import ``analysis``, ``convert`` and ``witnesses`` on first use, to start faster.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
-from . import analysis, convert, docs, witnesses
+from . import docs
 from .automata import DTA_DFA, DTA_NFA, SDTA, TreeAutomaton, accepts
 from .automata import check_semantic_determinism, prune_reachable, run, size
 from .errors import SeparationError, UtaError
 from .strings import DFA, marked_union
-from .trees import DEFAULT_BOUNDS, parse_tree
-from .witnesses import gen_lemma34, gen_thm41
+from .trees import EnumerationBounds, parse_tree
 
 
 def _read(path: str) -> str:
@@ -66,6 +66,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    from . import convert
     a = _load_tree_automaton(args.file)
     if args.to == "sdta":
         if a.kind == SDTA:
@@ -90,11 +91,12 @@ def _cmd_size(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    from . import analysis
     a = _load_tree_automaton(args.file1)
     b = _load_tree_automaton(args.file2)
     given = {"max_depth": args.depth, "max_width": args.width, "max_count": args.count}
     try:
-        bounds = replace(DEFAULT_BOUNDS, **{k: v for k, v in given.items() if v is not None})
+        bounds = EnumerationBounds(**{k: v for k, v in given.items() if v is not None})
     except ValueError as e:  # out-of-range bounds are a usage error
         raise UtaError(str(e)) from None
     if a.kind == SDTA and b.kind == SDTA:
@@ -133,9 +135,10 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from . import witnesses
     if args.family == "lemma34":
         k = _parse_ints(args.k, "--k")
-        auto, pred = gen_lemma34(k)
+        auto, pred = witnesses.gen_lemma34(k)
         manifest = [f"witness: lemma34 k={','.join(map(str, k))}",
                     f"expected-size: {size(auto)}",
                     f"language: {pred.description}"]
@@ -148,7 +151,7 @@ def _cmd_witness(args) -> int:
                 witnesses.lemma34_horizontal_fooling(k)), args.fooling_horizontal)
         return 0
     if args.family == "thm41":
-        auto, pred = gen_thm41(args.n)
+        auto, pred = witnesses.gen_thm41(args.n)
         manifest = [f"witness: thm41 n={args.n}",
                     f"expected-size: {size(auto)}",
                     f"language: {pred.description}"]
@@ -177,20 +180,22 @@ def _parse_ints(raw: str, flag: str) -> tuple:
 
 
 def _named_predicate(spec: str):
+    from . import witnesses
     name, _, rest = spec.partition(":")
     if name == "lemma34":
-        _, pred = gen_lemma34(_parse_ints(rest, "lemma34:"))
+        _, pred = witnesses.gen_lemma34(_parse_ints(rest, "lemma34:"))
         return pred
     if name == "thm41":
         n = _parse_ints(rest, "thm41:")
         if len(n) != 1:
             raise UtaError(f"thm41: takes one integer, got {rest!r}")
-        _, pred = gen_thm41(n[0])
+        _, pred = witnesses.gen_thm41(n[0])
         return pred
     return None
 
 
 def _cmd_certify(args) -> int:
+    from . import witnesses
     pred = _named_predicate(args.source)
     if pred is None:
         auto = _load_tree_automaton(args.source)
@@ -210,6 +215,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_canon(args) -> int:
+    from . import analysis
     a = _load_tree_automaton(args.file)
     if a.kind != SDTA:
         raise UtaError("canon applies to strongly deterministic automata only")

@@ -9,22 +9,20 @@ conversion outputs are byte-for-byte reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .automata import (DTA_DFA, SDTA, SizePair, TreeAutomaton, bottom_up_reach,
                        check_semantic_determinism, size)
 from .errors import DeterminismError, KindError, OverlapError
 from .strings import DFA, MooreDFA, determinize, explore, marked_union, subset_name
+from .trees import _Record
 
 
-@dataclass(frozen=True)
-class ConversionReport:
+class ConversionReport(_Record):
     """Measured sizes plus the upper-bound formula evaluated on the input."""
 
-    rule: str
-    input_size: SizePair
-    output_size: SizePair
-    bound: SizePair
+    __slots__ = ("rule", "input_size", "output_size", "bound")
+
+    def __init__(self, rule: str, input_size: SizePair, output_size: SizePair, bound: SizePair):
+        self._init(rule, input_size, output_size, bound)
 
     @property
     def bound_satisfied(self) -> bool:

@@ -19,7 +19,6 @@ from .automata import (DFA_KINDS, DTA_DFA, DTA_NFA, KINDS, SDTA, TreeAutomaton,
 from .errors import DocumentError
 from .strings import DFA, NFA, MooreDFA
 from .trees import SYMBOL_RE, VARIABLE, parse_context, parse_tree, render_tree
-from .witnesses import FoolingSetHorizontal, FoolingSetVertical
 
 MACHINE_KINDS = ("nfa", "dfa", "moore-dfa")
 
@@ -254,7 +253,7 @@ def _parse_tree_automaton(lines: _Lines, kind):
     return auto
 
 
-def render_fooling_vertical(fs: FoolingSetVertical) -> str:
+def render_fooling_vertical(fs) -> str:
     lines = ["kind: fooling-vertical"]
     for t in fs.trees:
         lines.append(f"tree: {render_tree(t)}")
@@ -263,7 +262,7 @@ def render_fooling_vertical(fs: FoolingSetVertical) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_fooling_horizontal(fs: FoolingSetHorizontal) -> str:
+def render_fooling_horizontal(fs) -> str:
     lines = ["kind: fooling-horizontal", f"symbol: {fs.symbol}"]
     for tup in fs.tuples:
         lines.append(("tuple: " + " ".join(render_tree(t) for t in tup)).rstrip())
@@ -286,6 +285,7 @@ def parse_fooling_set(text: str, alphabet):
     """Parse a fooling-set document; trees use term syntax with no internal
     whitespace so they can be listed space-separated.  Each distinct text
     is parsed once, and equal texts share one parsed object."""
+    from .witnesses import FoolingSetHorizontal, FoolingSetVertical
     lines = _Lines(text)
     no, line = lines.next()
     if line is None:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
+from operator import attrgetter
 
 from .errors import EnumerationCapExceeded, TreeSyntaxError, UnknownSymbolError
 
@@ -22,10 +22,46 @@ SYMBOL_RE = re.compile(r"[A-Za-z0-9_]+")
 _TOKEN_RE = re.compile(f"({SYMBOL_RE.pattern})|\\S")
 
 
-@dataclass(frozen=True)
-class Tree:
-    label: str
-    children: tuple["Tree", ...] = ()
+class _Record:
+    """Base of the frozen value classes: fields are the ``__slots__``, set in
+    ``__init__``; equality, hash, repr and pickling go by their values."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = property(attrgetter(*cls.__slots__))  # a tuple: two or more fields
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # unpickle through __init__, since __setattr__ refuses the fields
+        return type(self), self._values
+
+
+class Tree(_Record):
+    __slots__ = ("label", "children")
+
+    def __init__(self, label: str, children: tuple[Tree, ...] = ()):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "children", children)
 
     def node_count(self) -> int:
         count, stack = 0, [self]
@@ -113,14 +149,17 @@ def _count_variable(t: Tree) -> int:
 
 
 def substitute(c: Context, t: Tree) -> Tree:
-    """Replace the unique variable leaf of ``c`` with ``t``."""
-
-    def go(s: Tree) -> Tree:
-        if s.label == VARIABLE:
-            return t
-        return Tree(s.label, tuple(go(ch) for ch in s.children))
-
-    return go(c.skeleton)
+    """Replace the unique variable leaf of ``c`` with ``t``.  One explicit-stack
+    search maps nodes to parents; the path to the variable is rebuilt from it."""
+    up, stack = {}, [c.skeleton]
+    while (s := stack.pop()).label != VARIABLE:
+        for i, ch in enumerate(s.children):
+            up[id(ch)] = s, i
+            stack.append(ch)
+    while s is not c.skeleton:
+        s, i = up[id(s)]
+        t = Tree(s.label, s.children[:i] + (t,) + s.children[i + 1:])
+    return t
 
 
 def parse_tree(text: str, alphabet) -> Tree:
@@ -189,14 +228,12 @@ def render_tree(t: Tree) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class EnumerationBounds:
-    max_depth: int = 4
-    max_width: int = 5
-    max_count: int = 200_000
+class EnumerationBounds(_Record):
+    __slots__ = ("max_depth", "max_width", "max_count")
 
-    def __post_init__(self):
-        if self.max_depth < 1 or self.max_width < 0 or self.max_count < 1:
+    def __init__(self, max_depth: int = 4, max_width: int = 5, max_count: int = 200_000):
+        self._init(max_depth, max_width, max_count)
+        if max_depth < 1 or max_width < 0 or max_count < 1:
             raise ValueError(f"invalid enumeration bounds {self}")
 
 

@@ -20,44 +20,46 @@ failed search is reported as unknown, never as a refutation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from itertools import combinations
-from typing import Callable
 
 from .automata import DTA_DFA, NTA_DFA, TreeAutomaton
 from .errors import SeparationError, TreeSyntaxError, UtaError
 from .strings import DFA
-from .trees import (Context, EnumerationBounds, Tree, iter_trees, leaf, nest,
+from .trees import (Context, EnumerationBounds, Tree, _Record, iter_trees, leaf, nest,
                     substitute, word_node)
 
 
-@dataclass(frozen=True)
-class LangPredicate:
+class LangPredicate(_Record):
     """Decidable membership oracle, independent of any automaton."""
 
-    alphabet: frozenset
-    decide: Callable[[Tree], bool]
-    description: str
+    __slots__ = ("alphabet", "decide", "description")
+
+    def __init__(self, alphabet: frozenset, decide: Callable[[Tree], bool], description: str):
+        self._init(alphabet, decide, description)
 
     def __call__(self, t: Tree) -> bool:
         return self.decide(t)
 
 
-@dataclass
-class FoolingSetVertical:
+class FoolingSetVertical(_Record):
     """Trees pairwise separated by contexts; keys are (i, j) with i < j."""
 
-    trees: list
-    separators: dict = field(default_factory=dict)
+    __slots__ = ("trees", "separators")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, trees: list, separators: dict | None = None):
+        self._init(trees, {} if separators is None else separators)
 
 
-@dataclass
-class FoolingSetHorizontal:
+class FoolingSetHorizontal(_Record):
     """Child tuples for one symbol, pairwise separated by (context, padding)."""
 
-    tuples: list
-    symbol: str
-    separators: dict = field(default_factory=dict)
+    __slots__ = ("tuples", "symbol", "separators")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, tuples: list, symbol: str, separators: dict | None = None):
+        self._init(tuples, symbol, {} if separators is None else separators)
 
 
 LEMMA34_ALPHABET = frozenset({"a", "b", "0", "1"})

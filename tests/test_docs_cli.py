@@ -4,7 +4,7 @@ import pytest
 
 from uta import (DFA, DTA_DFA, NFA, MooreDFA, DocumentError, TreeAutomaton,
                  dtadfa_to_sdta, gen_lemma34, gen_thm41, marked_union,
-                 nta_to_dtadfa)
+                 nta_to_dtadfa, parse_context)
 from uta import automata
 from uta.cli import cli_main
 from uta.docs import (parse_automaton, parse_fooling_set, render_automaton,
@@ -333,6 +333,17 @@ class TestCli:
             code, out, err = self.run_cli(capsys, "certify", direction, source,
                                           "--fooling-set", str(fooling))
             assert (code, out) == (2, "") and err.startswith("error: "), (source, fooling)
+
+    def test_deep_separator_fails_certification_cleanly(self, tmp_path, capsys):
+        deep = 100_000
+        fs = lemma34_vertical_fooling((2, 3))
+        fs.separators[(1, 2)] = parse_context("a(" * deep + "x" + ")" * deep, "ab01")
+        fv = tmp_path / "fv.txt"
+        fv.write_text(render_fooling_vertical(fs))
+        code, out, err = self.run_cli(capsys, "certify", "vertical", "lemma34:2,3",
+                                      "--fooling-set", str(fv))
+        assert (code, out) == (1, "")
+        assert err.startswith("certification failed: context a(a(")
 
     def test_non_utf8_document_exits_two(self, tmp_path, capsys):
         binary = tmp_path / "bin.uta"

@@ -250,6 +250,33 @@ def test_substitution_node_count(skeleton, plug):
     assert result.node_count() == ctx.skeleton.node_count() - 1 + plug.node_count()
 
 
+def _substitute_recursively(c, t):
+    def go(s):
+        return t if s.label == "x" else Tree(s.label, tuple(go(ch) for ch in s.children))
+    return go(c.skeleton)
+
+
+def _with_leaf_replaced(t, target):
+    if t is target:
+        return leaf("x")
+    return Tree(t.label, tuple(_with_leaf_replaced(c, target) for c in t.children))
+
+
+@settings(max_examples=100)
+@given(_tree_strategy(), _tree_strategy())
+def test_substitute_matches_the_recursive_definition(skeleton, plug):
+    for target in [s for s in _walk(skeleton) if not s.children]:
+        ctx = Context(_with_leaf_replaced(skeleton, target))
+        assert substitute(ctx, plug) == _substitute_recursively(ctx, plug)
+
+
+def test_substitute_into_a_deep_context():
+    deep = 100_000
+    ctx = parse_context("a(" * deep + "b,x,c" + ")" * deep, ABCD)
+    got = substitute(ctx, parse_tree("d(b)", ABCD))
+    assert render_tree(got) == "a(" * deep + "b,d(b),c" + ")" * deep
+
+
 def test_size_measures_hold_on_a_deep_chain():
     deep = 100_000
     chain = nest("a", deep - 1, node("b", leaf("c"), nest("d", 2, leaf("e"))))
