@@ -10,9 +10,10 @@ first counterexample in enumeration order.
 
 Canonical equivalence compares two canonical forms with ``==``.  The
 canonicalizer quotients a pruned SDTA by one coarsest stable partition of
-its vertical and horizontal states, which gives the unique minimal SDTA,
-and names the states by structure alone, so its output is a normal form:
-language-equal inputs give equal automata and byte-identical documents.
+its vertical and horizontal states and a vertical sink, which trims the
+states in no accepted tree and gives the unique minimal SDTA, and names the
+states by structure alone, so its output is a normal form: language-equal
+inputs give equal automata and byte-identical documents.
 
 Isomorphism is decided in polynomial time by comparing the same structural
 renaming of both automata, which needs every vertical state reachable
@@ -115,15 +116,20 @@ def canonical_sdta(a: TreeAutomaton) -> TreeAutomaton:
     """The minimal SDTA for the language of ``a``, in normal form.
 
     After ``prune_reachable``, one ``coarsest_partition`` runs over the
-    vertical states, every machine's states and one dead sink per machine.
-    A vertical state is keyed by its finality; its successors are the states
-    each horizontal state moves to on reading it.  A horizontal state is
-    keyed by its symbol and finality; its successors are its output and its
-    transitions.  Block mates are interchangeable in every run, so the
-    quotient by the partition accepts the same trees, and it is the unique
-    minimal SDTA of that language (Martens & Niehren); ``_normal`` names its
-    states, so language-equal inputs give equal results.  Designated leaf
-    states are letters, not elements, so they never merge.
+    vertical states, a vertical sink (None), every machine's states and one
+    dead sink per machine.  A vertical state is keyed by its finality (the
+    sink as non-final); its successors are the states each horizontal state
+    moves to on reading it (every machine's sink, for the sink).  A
+    horizontal state is keyed by its symbol; its successors are its output
+    (the sink when not final) and its transitions.  Block mates are
+    interchangeable in every run, and the useless states (in no accepted
+    tree) join the sink's block, since every pruned horizontal state is
+    reachable.  The quotient drops that block, the finals that output it and
+    the machines whose initial state joins their own sink.  It is the unique
+    minimal trimmed SDTA of the language (Martens & Niehren, JCSS 2007), and
+    ``_normal`` names its states, so language-equal inputs give equal
+    results.  Designated leaf states are letters, not elements, so they
+    never merge.
     """
     if a.kind != SDTA:
         raise KindError(f"expected an SDTA, got {a.kind}")
@@ -139,29 +145,32 @@ def canonical_sdta(a: TreeAutomaton) -> TreeAutomaton:
         return sym, (None if s is None else a.moore[sym].delta.get((s, c)))
 
     keys = {q: q in a.finals for q in sorted(a.states)}
-    keys.update((h, (h[0], h[1] in a.moore[h[0]].finals)) for h in horizontal)
-    succ = {q: tuple(move(h, q) for h in horizontal) for q in a.states}
+    keys[None] = False  # the vertical sink
+    keys.update((h, h[0]) for h in horizontal)
+    succ = {q: tuple(move(h, q) for h in horizontal) for q in [*a.states, None]}
     for sym, s in horizontal:
         m = a.moore[sym]
-        out = (m.outputs[s],) if s in m.finals else ()
-        succ[(sym, s)] = out + tuple(move((sym, s), c) for c in letters)
+        succ[(sym, s)] = (m.outputs.get(s),) + tuple(move((sym, s), c) for c in letters)
     block = coarsest_partition(keys, succ)
 
     first: dict = {}
     rep = {x: first.setdefault(b, x) for x, b in block.items()}  # x -> its block's first
-    states = {rep[q] for q in a.states}
+    states = {rep[q] for q in a.states} - {rep[None]}
     ha = states | a.leaf_symbols
     moore = {}
     for sym, m in sorted(a.moore.items()):
         live = {rep[(sym, s)][1] for s in m.states} - {rep[(sym, None)][1]}
+        initial = rep[(sym, m.initial)][1]
+        if initial not in live:
+            continue
         trans = []
         for s in live:
             for c in ha:
                 _, d = rep[move((sym, s), c)]
                 if d in live:
                     trans.append((s, c, d))
-        finals = live & m.finals
-        moore[sym] = MooreDFA(live, ha, rep[(sym, m.initial)][1], finals, trans,
+        finals = {s for s in live & m.finals if rep[m.outputs[s]] in states}
+        moore[sym] = MooreDFA(live, ha, initial, finals, trans,
                               {s: rep[m.outputs[s]] for s in finals})
     return _normal(TreeAutomaton(SDTA, a.alphabet, states,
                                  {rep.get(q, q) for q in a.finals}, moore=moore,

@@ -254,26 +254,27 @@ def _parse_tree_automaton(lines: _Lines, kind):
 
 
 def render_fooling_vertical(fs) -> str:
-    lines = ["kind: fooling-vertical"]
-    for t in fs.trees:
-        lines.append(f"tree: {render_tree(t)}")
-    for (i, j) in sorted(fs.separators):
-        lines.append(f"sep {i} {j}: {fs.separators[(i, j)]}")
-    return "\n".join(lines) + "\n"
+    lines = ["kind: fooling-vertical", *(f"tree: {render_tree(t)}" for t in fs.trees)]
+    return _render_separators(lines, fs.separators, str)
 
 
 def render_fooling_horizontal(fs) -> str:
     lines = ["kind: fooling-horizontal", f"symbol: {fs.symbol}"]
-    for tup in fs.tuples:
-        lines.append(("tuple: " + " ".join(render_tree(t) for t in tup)).rstrip())
-    texts = {}  # a separator's rendering, by the identity of its parts
-    for (i, j) in sorted(fs.separators):
-        ctx, padding = fs.separators[(i, j)]
-        text = texts.get((id(ctx), id(padding)))
-        if text is None:
-            pad = " ".join(render_tree(t) for t in padding)
-            text = texts[id(ctx), id(padding)] = f"{ctx} | {pad}".rstrip()
-        lines.append(f"sep {i} {j}: {text}")
+    lines += [("tuple: " + " ".join(map(render_tree, tup))).rstrip() for tup in fs.tuples]
+    return _render_separators(
+        lines, fs.separators,
+        lambda sep: f"{sep[0]} | {' '.join(map(render_tree, sep[1]))}".rstrip())
+
+
+def _render_separators(lines, separators, render) -> str:
+    """``lines`` and then one ``sep i j`` line per pair, in index order;
+    each separator object is rendered once, however many pairs share it."""
+    texts = {}
+    for i, j in sorted(separators):
+        sep = separators[i, j]
+        if id(sep) not in texts:
+            texts[id(sep)] = render(sep)
+        lines.append(f"sep {i} {j}: {texts[id(sep)]}")
     return "\n".join(lines) + "\n"
 
 
@@ -284,7 +285,9 @@ def _parse_padding(text, alphabet):
 def parse_fooling_set(text: str, alphabet):
     """Parse a fooling-set document; trees use term syntax with no internal
     whitespace so they can be listed space-separated.  Each distinct text
-    is parsed once, and equal texts share one parsed object."""
+    is parsed once, and equal texts share one parsed object: a horizontal
+    separator is one (context, padding) pair per distinct text, whose parts
+    are shared with the other pairs as well."""
     from .witnesses import FoolingSetHorizontal, FoolingSetVertical
     lines = _Lines(text)
     no, line = lines.next()
@@ -294,8 +297,10 @@ def parse_fooling_set(text: str, alphabet):
     if len(toks) != 1:
         raise DocumentError("kind takes exactly one value", no)
     kind = toks[0]
-    sep_lines = {}
-    parsed = {}
+    horizontal = kind == "fooling-horizontal"
+    if not horizontal and kind != "fooling-vertical":
+        raise DocumentError(f"unknown fooling-set kind {kind!r}", no)
+    parsed, sep_lines = {}, {}
 
     def once(parse, text):
         got = parsed.get((parse, text))
@@ -303,64 +308,45 @@ def parse_fooling_set(text: str, alphabet):
             got = parsed[parse, text] = parse(text, alphabet)
         return got
 
-    def parse_sep_key(name, no):
-        parts = name.split()
-        if len(parts) != 3 or parts[0] != "sep":
-            raise DocumentError(f"unexpected field {parts[0]!r}", no)
-        try:
-            key = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise DocumentError(f"separator indices must be integers: {name!r}", no) from None
-        if key in sep_lines:
-            raise DocumentError(f"duplicate separator {name!r}", no)
-        sep_lines[key] = no, name
-        return key
+    def parse_separator(text, alphabet):
+        toks = text.split()
+        cut = toks.index("|")
+        return (once(parse_context, " ".join(toks[:cut])),
+                once(_parse_padding, " ".join(toks[cut + 1:])))
 
-    def check_sep_keys(count):
-        for (i, j), (no, name) in sep_lines.items():
-            if not 0 <= i < j < count:
-                raise DocumentError(
-                    f"separator {name!r} needs indices 0 <= i < j < {count}", no)
-
-    if kind == "fooling-vertical":
-        trees = []
-        seps = {}
-        while not lines.done():
-            no, line = lines.next()
-            name, toks = _field(line, no)
-            if name == "tree":
-                trees.append(once(parse_tree, " ".join(toks)))
-            else:
-                i, j = parse_sep_key(name, no)
-                seps[(i, j)] = once(parse_context, " ".join(toks))
-        check_sep_keys(len(trees))
-        return FoolingSetVertical(trees, seps)
-
-    if kind == "fooling-horizontal":
-        symbol = None
-        tuples = []
-        seps = {}
-        while not lines.done():
-            no, line = lines.next()
-            name, toks = _field(line, no)
-            if name == "symbol":
-                if symbol is not None:
-                    raise DocumentError("duplicate field 'symbol'", no)
-                if len(toks) != 1:
-                    raise DocumentError("symbol takes exactly one value", no)
-                symbol = toks[0]
-            elif name == "tuple":
-                tuples.append(tuple(once(parse_tree, t) for t in toks))
-            else:
-                i, j = parse_sep_key(name, no)
-                if "|" not in toks:
-                    raise DocumentError("separator needs 'context | padding...'", no)
-                cut = toks.index("|")
-                seps[(i, j)] = (once(parse_context, " ".join(toks[:cut])),
-                                once(_parse_padding, " ".join(toks[cut + 1:])))
-        if symbol is None:
-            raise DocumentError("fooling-horizontal document is missing its symbol")
-        check_sep_keys(len(tuples))
-        return FoolingSetHorizontal(tuples, symbol, seps)
-
-    raise DocumentError(f"unknown fooling-set kind {kind!r}", no)
+    symbol, members, seps = None, [], {}
+    while not lines.done():
+        no, line = lines.next()
+        name, toks = _field(line, no)
+        if name == "symbol" and horizontal:
+            if symbol is not None:
+                raise DocumentError("duplicate field 'symbol'", no)
+            if len(toks) != 1:
+                raise DocumentError("symbol takes exactly one value", no)
+            symbol = toks[0]
+        elif name == ("tuple" if horizontal else "tree"):
+            members.append(tuple(once(parse_tree, t) for t in toks) if horizontal
+                           else once(parse_tree, " ".join(toks)))
+        else:
+            parts = name.split()
+            if len(parts) != 3 or parts[0] != "sep":
+                raise DocumentError(f"unexpected field {parts[0]!r}", no)
+            try:
+                key = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise DocumentError(f"separator indices must be integers: {name!r}", no) from None
+            if key in sep_lines:
+                raise DocumentError(f"duplicate separator {name!r}", no)
+            sep_lines[key] = no, name
+            if horizontal and "|" not in toks:
+                raise DocumentError("separator needs 'context | padding...'", no)
+            seps[key] = once(parse_separator if horizontal else parse_context, " ".join(toks))
+    if horizontal and symbol is None:
+        raise DocumentError("fooling-horizontal document is missing its symbol")
+    for (i, j), (no, name) in sep_lines.items():
+        if not 0 <= i < j < len(members):
+            raise DocumentError(
+                f"separator {name!r} needs indices 0 <= i < j < {len(members)}", no)
+    if horizontal:
+        return FoolingSetHorizontal(members, symbol, seps)
+    return FoolingSetVertical(members, seps)

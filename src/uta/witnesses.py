@@ -13,8 +13,12 @@ The certifiers implement two lower-bound arguments:
   by a context plus trailing padding, certifies that the per-symbol machine
   of any strongly deterministic automaton needs at least |S| - 1 states.
 
-Separators may be supplied explicitly or discovered by bounded search; a
-failed search is reported as unknown, never as a refutation.
+Both run one pair loop, ``_certify``; a direction only says how a member is
+plugged into a separator and which separators a search tries.  Separators
+may be supplied explicitly or discovered by bounded search; a failed search
+is reported as unknown, never as a refutation.  A supplied separator is
+usually shared by many pairs, so the loop decides the predicate once per
+(member, separator object).
 """
 
 from __future__ import annotations
@@ -226,11 +230,10 @@ def lemma34_vertical_fooling(k) -> FoolingSetVertical:
     m = len(k)
     trees = [word_node("a", "b" * k[i - 1] + _binary(i)) for i in range(1, m + 1)]
     trees.append(Tree("a", (leaf("b"),)))
-    seps = {}
-    for i in range(len(trees)):
-        for j in range(i + 1, len(trees)):
-            level = min(i, j) + 1  # the a(b) extra sits last, so min picks a real level
-            seps[(i, j)] = Context(nest("a", level - 1, Tree("x")))
+    # one context per level; the a(b) extra sits last, so the smaller index
+    # of a pair always names a real level
+    contexts = [Context(nest("a", level - 1, Tree("x"))) for level in range(1, m + 1)]
+    seps = {(i, j): contexts[i] for i, j in combinations(range(len(trees)), 2)}
     return FoolingSetVertical(trees, seps)
 
 
@@ -242,19 +245,19 @@ def lemma34_horizontal_fooling(k) -> FoolingSetHorizontal:
     total = math.prod(k)
     b = leaf("b")
     tuples = [(b,) * r for r in range(total)]
-    # one context per modulus and one padding per (gap, modulus), shared by
-    # every pair that uses it
+    # one context per modulus and one (context, padding) separator per
+    # (gap, modulus), shared by every pair that uses it
     contexts = [Context(nest("a", i - 1, Tree("x"))) for i in range(1, len(k) + 1)]
-    paddings = {}
+    shared = {}
     seps = {}
-    for r in range(total):
-        for s in range(r + 1, total):
-            i = next(i for i, ki in enumerate(k, start=1) if (s - r) % ki)
-            gap = (-r) % k[i - 1]
-            padding = paddings.get((gap, i))
-            if padding is None:
-                padding = paddings[gap, i] = (b,) * gap + tuple(leaf(bit) for bit in _binary(i))
-            seps[(r, s)] = (contexts[i - 1], padding)
+    for r, s in combinations(range(total), 2):
+        i = next(i for i, ki in enumerate(k, start=1) if (s - r) % ki)
+        gap = (-r) % k[i - 1]
+        sep = shared.get((gap, i))
+        if sep is None:
+            padding = (b,) * gap + tuple(leaf(bit) for bit in _binary(i))
+            sep = shared[gap, i] = (contexts[i - 1], padding)
+        seps[(r, s)] = sep
     return FoolingSetHorizontal(tuples, "a", seps)
 
 
@@ -275,68 +278,62 @@ def certify_vertical_bound(pred: LangPredicate, fs: FoolingSetVertical,
     return |R| - 1, a lower bound on the vertical states of any strongly
     deterministic automaton (or any semantically deterministic automaton
     with NFA transitions) for the language."""
-    trees = fs.trees
-    if not trees:
+    if not fs.trees:
         raise UtaError("a vertical fooling set needs at least one tree")
-    for i, j in combinations(range(len(trees)), 2):
-        ctx = fs.separators.get((i, j))
-        if ctx is not None:
-            if pred(substitute(ctx, trees[i])) == pred(substitute(ctx, trees[j])):
-                raise SeparationError(
-                    f"context {ctx} does not separate trees {i} and {j}",
-                    (i, j))
-            continue
-        if not _search_vertical(pred, trees[i], trees[j], search_bounds):
-            raise SeparationError(
-                f"no separating context found for trees {i} and {j} within "
-                f"search bounds; separation unknown", (i, j), unknown=True)
-    return len(trees) - 1
-
-
-def _search_vertical(pred, t1, t2, bounds) -> bool:
-    for ctx in _candidate_contexts(pred.alphabet, bounds):
-        if pred(substitute(ctx, t1)) != pred(substitute(ctx, t2)):
-            return True
-    return False
+    return _certify(pred, fs.trees, fs.separators, lambda t, ctx: substitute(ctx, t),
+                    lambda: _candidate_contexts(pred.alphabet, search_bounds), "trees")
 
 
 def certify_horizontal_bound(pred: LangPredicate, fs: FoolingSetHorizontal,
                              search_bounds: EnumerationBounds = _SEARCH_BOUNDS) -> int:
     """Verify every pair of child tuples is separated under the fooling
     symbol and return |S| - 1, a lower bound on the size of the per-symbol
-    machine of any strongly deterministic automaton for the language."""
-    tuples = fs.tuples
-    if not tuples:
+    machine of any strongly deterministic automaton for the language.  A
+    separator (context, padding) wraps ``symbol(tuple + padding)``."""
+    if not fs.tuples:
         raise UtaError("a horizontal fooling set needs at least one tuple")
-    for i, j in combinations(range(len(tuples)), 2):
-        sep = fs.separators.get((i, j))
-        if sep is not None:
-            ctx, padding = sep
-            if not _separates_horizontal(pred, fs.symbol, tuples[i], tuples[j], ctx, padding):
-                raise SeparationError(
-                    f"context {ctx} with padding {[str(p) for p in padding]} does "
-                    f"not separate tuples {i} and {j}", (i, j))
-            continue
-        if not _search_horizontal(pred, fs.symbol, tuples[i], tuples[j], search_bounds):
-            raise SeparationError(
-                f"no separator found for tuples {i} and {j} within search "
-                f"bounds; separation unknown", (i, j), unknown=True)
-    return len(tuples) - 1
-
-
-def _separates_horizontal(pred, sym, tup1, tup2, ctx, padding) -> bool:
-    w1 = Tree(sym, tuple(tup1) + tuple(padding))
-    w2 = Tree(sym, tuple(tup2) + tuple(padding))
-    return pred(substitute(ctx, w1)) != pred(substitute(ctx, w2))
-
-
-def _search_horizontal(pred, sym, tup1, tup2, bounds) -> bool:
-    paddings = [()]
     leaves = [leaf(s) for s in sorted(pred.alphabet)]
-    paddings += [(l,) for l in leaves]
-    paddings += [(l1, l2) for l1 in leaves for l2 in leaves]
-    for ctx in _candidate_contexts(pred.alphabet, bounds):
-        for padding in paddings:
-            if _separates_horizontal(pred, sym, tup1, tup2, ctx, padding):
-                return True
-    return False
+    paddings = [(), *((l,) for l in leaves), *((l1, l2) for l1 in leaves for l2 in leaves)]
+
+    def plug(tup, sep):
+        ctx, padding = sep
+        return substitute(ctx, Tree(fs.symbol, tuple(tup) + tuple(padding)))
+
+    def candidates():
+        return ((ctx, padding) for ctx in _candidate_contexts(pred.alphabet, search_bounds)
+                for padding in paddings)
+
+    return _certify(pred, fs.tuples, fs.separators, plug, candidates, "tuples")
+
+
+def _certify(pred, members, separators, plug, candidates, noun) -> int:
+    """The one pair loop of both certifiers: members i < j are separated by
+    ``separators[(i, j)]`` when supplied, else by some separator of the
+    fresh iterable ``candidates()``; ``pred(plug(member, sep))`` tells the
+    two apart.  Supplied separators are shared by many pairs, so the side of
+    each (member index, separator object) is decided once; searched
+    candidates are not memoized.  Returns len(members) - 1."""
+    sides = {}  # (k, id(sep)) -> (sep, side); holding sep keeps its id unique
+
+    def side(k, sep):
+        got = sides.get((k, id(sep)))
+        if got is None:
+            got = sides[k, id(sep)] = sep, pred(plug(members[k], sep))
+        return got[1]
+
+    for i, j in combinations(range(len(members)), 2):
+        sep = separators.get((i, j))
+        if sep is not None:
+            if side(i, sep) == side(j, sep):
+                shown = (str(sep) if isinstance(sep, Context)
+                         else f"{sep[0]} with padding {[str(p) for p in sep[1]]}")
+                if len(shown) > 60:  # a deep separator still makes one short line
+                    shown = shown[:57] + "..."
+                raise SeparationError(
+                    f"context {shown} does not separate {noun} {i} and {j}", (i, j))
+        elif all(pred(plug(members[i], c)) == pred(plug(members[j], c))
+                 for c in candidates()):
+            raise SeparationError(
+                f"no separator found for {noun} {i} and {j} within search "
+                f"bounds; separation unknown", (i, j), unknown=True)
+    return len(members) - 1

@@ -11,7 +11,8 @@ from uta import (DTA_NFA, NFA, NTA_NFA, SDTA, AlphabetMismatchError, KindError,
                  gen_thm41, minimize_moore, nta_to_dtadfa, nta_to_sdta, parse_tree,
                  prune_reachable, sdta_isomorphic, sdta_to_dtadfa, size, subset_name)
 from uta import EnumerationBounds, EquivalenceVerdict, iter_trees
-from uta.automata import _evaluate
+from uta.automata import _evaluate, bottom_up_reach
+from uta.cli import cli_main
 from uta.docs import render_automaton
 from uta.trees import DEFAULT_BOUNDS
 
@@ -278,14 +279,49 @@ class TestCanonicalSdta:
             canonical_sdta(gen_lemma34((2, 3))[0])
 
 
+def _useful_trim(a):
+    """Test-only usefulness trim of a pruned SDTA, by a top-down fixed point.
+    The final states are useful; a state is useful once some machine reads
+    it on a transition into a state from which a final state with a useful
+    output is reachable.  Useless states, and the finals whose output is
+    useless, are dropped; ``prune_reachable`` then drops what that strands."""
+    useful = set(a.finals & a.states)
+    changed = True
+    while changed:
+        changed = False
+        for m in a.moore.values():
+            back = {s for s in m.finals if m.outputs[s] in useful}
+            grew = True
+            while grew:
+                grew = False
+                for (s, c), d in m.delta.items():
+                    if d in back and s not in back:
+                        back.add(s)
+                        grew = True
+            for (s, c), d in m.delta.items():
+                if d in back and c in a.states and c not in useful:
+                    useful.add(c)
+                    changed = True
+    allowed = useful | a.leaf_symbols
+    moore = {}
+    for sym, m in a.moore.items():
+        finals = {s for s in m.finals if m.outputs[s] in useful}
+        moore[sym] = MooreDFA(m.states, allowed, m.initial, finals,
+                              [(s, c, d) for (s, c), d in m.delta.items() if c in allowed],
+                              {s: m.outputs[s] for s in finals})
+    return prune_reachable(TreeAutomaton(SDTA, a.alphabet, useful, a.finals, moore=moore,
+                                         leaf_symbols=a.leaf_symbols))
+
+
 def _nested_reference(a):
     """Test-only reference: ``canonical_sdta`` as it was before the joint
-    partition refinement, without the normal naming.  From the vertical
-    partition {finals, non-finals} it alternately minimizes each per-symbol
-    machine as a Moore machine whose outputs are the current vertical
-    blocks, and splits the blocks whose members act differently as letters
-    of some minimized machine, until no block splits; then it quotients."""
-    a = prune_reachable(a)
+    partition refinement, without the normal naming.  After ``_useful_trim``,
+    from the vertical partition {finals, non-finals} it alternately
+    minimizes each per-symbol machine as a Moore machine whose outputs are
+    the current vertical blocks, and splits the blocks whose members act
+    differently as letters of some minimized machine, until no block
+    splits; then it quotients."""
+    a = _useful_trim(prune_reachable(a))
     states = sorted(a.states)
     block = {q: (q in a.finals) for q in states}
     while True:
@@ -347,6 +383,97 @@ class TestCanonicalAgainstNestedReference:
             assert sdta_isomorphic(got, want)
             merged += size(got) != size(prune_reachable(x))
         assert merged >= 100
+
+
+def _seeded_pair(seed):
+    """Two automata of the four sound families, each family drawn by rng;
+    every third seed pairs an automaton with one of its own conversions."""
+    rng = random.Random(seed)
+    make_a, make_b = rng.choice(FAMILIES[:4]), rng.choice(FAMILIES[:4])
+    a = make_a(rng)
+    if seed % 3 == 0:
+        return a, (sdta_to_dtadfa(a)[0] if a.kind == SDTA
+                   else nta_to_sdta(a, force_general=True)[0])
+    return a, make_b(rng)
+
+
+def _as_sdta(a):
+    return a if a.kind == SDTA else nta_to_sdta(a)[0]
+
+
+def _pair_fixed_point_equal(a, b):
+    """Test-only exact equivalence: the ``bottom_up_reach`` fixed point of
+    one machine per symbol whose state is (run of a, run of b, any child
+    read), with no child counter, reaches every pair of state sets that
+    some tree of any arity and depth makes a and b assign.  The languages
+    are equal iff every reached pair agrees on acceptance."""
+    def machine(sym):
+        start_a, step_a, finish_a = a.horizontal_run(sym)
+        start_b, step_b, finish_b = b.horizontal_run(sym)
+
+        def step(state, letter):
+            now_a, now_b, _ = state
+            if now_a is None and now_b is None:
+                return None
+            return (None if now_a is None else step_a(now_a, letter[0]),
+                    None if now_b is None else step_b(now_b, letter[1]), True)
+
+        def output(state):
+            now_a, now_b, read = state
+            return finish_a(now_a, not read), finish_b(now_b, not read)
+
+        return (start_a, start_b, False), step, output
+
+    reached = bottom_up_reach([machine(sym) for sym in sorted(a.alphabet)], ())
+    return all(bool(s_a & a.finals) == bool(s_b & b.finals) for s_a, s_b in reached)
+
+
+class TestCanonicalTrimsUselessStates:
+    def test_seed_517_empty_languages_are_equal(self):
+        pair = _seeded_pair(517)
+        assert [x.kind for x in pair] == [DTA_NFA, DTA_NFA]
+        a, b = map(_as_sdta, pair)
+        assert a.alphabet == b.alphabet and _pair_fixed_point_equal(a, b)
+        ca = canonical_sdta(a)
+        assert ca == canonical_sdta(b) and not ca.states and not ca.moore
+        assert equiv_canonical(a, b, BOUNDS) == EquivalenceVerdict(True, None, "canonical-sdta")
+
+    def test_seed_517_through_the_command_line(self, tmp_path, capsys):
+        paths = []
+        for n, x in enumerate(_seeded_pair(517)):
+            path = tmp_path / f"s{n}.uta"
+            path.write_text(render_automaton(_as_sdta(x)))
+            paths.append(str(path))
+        assert cli_main(["equiv", *paths]) == 0
+        assert capsys.readouterr().out == "equal (canonical-sdta)\n"
+
+    def test_canonical_equality_is_language_equality(self):
+        compared = disagreeing = 0
+        for seed in range(720):
+            a, b = _seeded_pair(seed)
+            if a.alphabet != b.alphabet:
+                continue
+            a, b = _as_sdta(a), _as_sdta(b)
+            equal = _pair_fixed_point_equal(a, b)
+            assert (canonical_sdta(a) == canonical_sdta(b)) == equal, seed
+            compared += 1
+            disagreeing += not equal
+        assert compared >= 400 and 0 < disagreeing < compared
+
+    def test_idempotent_and_never_grows_on_inputs_with_useless_states(self):
+        useless = 0
+        for seed in range(100):
+            rng = random.Random(seed)
+            x = rand_sdta(rng)
+            inputs = [x]
+            for a in (sdta_to_dtadfa(x)[0], rand_dtadfa(rng), rand_nta(rng),
+                      rand_dta_nfa(rng)):
+                inputs += [nta_to_sdta(a)[0], nta_to_sdta(a, force_general=True)[0]]
+            for x in inputs:
+                pruned, c = prune_reachable(x), canonical_sdta(x)
+                assert size(c) <= size(pruned) and canonical_sdta(c) == c
+                useless += size(_useful_trim(pruned)) != size(pruned)
+        assert useless >= 100
 
 
 class TestEquivCanonical:

@@ -69,12 +69,14 @@ class TestDocumentRoundTrip:
                     len({id(p) for _, p in fs.separators.values()}))
 
         assert distinct(fh) == (4, 17)
+        assert len({id(sep) for sep in fh.separators.values()}) == 17
         text = render_fooling_horizontal(fh)
         lines = text.splitlines()[2 + len(fh.tuples):]
         assert lines == [f"sep {i} {j}: {c} | {' '.join(map(str, p))}".rstrip()
                          for (i, j), (c, p) in sorted(fh.separators.items())]
         got = parse_fooling_set(text, frozenset("ab01"))
         assert distinct(got) == (4, 17)
+        assert len({id(sep) for sep in got.separators.values()}) == 17
         assert got.tuples == fh.tuples and got.separators == fh.separators
         assert render_fooling_horizontal(got) == text
 
@@ -344,6 +346,7 @@ class TestCli:
                                       "--fooling-set", str(fv))
         assert (code, out) == (1, "")
         assert err.startswith("certification failed: context a(a(")
+        assert len(err) < 200
 
     def test_non_utf8_document_exits_two(self, tmp_path, capsys):
         binary = tmp_path / "bin.uta"

@@ -26,10 +26,10 @@ from randgen import (canonical_form, rand_dta_nfa, rand_dtadfa, rand_nta, rand_s
 SEEDS = range(100)
 
 GOLDEN = {
-    "sdta": "6a76aa447447812bc75b656ba944ac4346e92deb518d486987c6b396e82084b5",
-    "dtadfa": "c8797bf7879d500fdacac8446cad54ca7b087d784c47ea6e5eb62a914c7388d0",
-    "nta": "3d3af8b29be30783996f39334286c2bd6d6a657cefa6bd0c79b300c5600a68a2",
-    "dta_nfa": "1e9c0099faa497c6a3479e013e7fc40aee8a6cba2e99cc77c351ed80cbf2b252",
+    "sdta": "a19c54704dca2f688e73ad387da6c9615f690893a4dabaca1899c3a42ddb44b6",
+    "dtadfa": "825e395393931498e61983e3dc37ccc0ea665cc85a0a3e54fb2b4dc698fa98d8",
+    "nta": "50e4283b63ac5951a33870a9d455e62d69e0155504b540ba6a70151a5f19b01d",
+    "dta_nfa": "caef5751764b2d51994efbe05d8a1742c8f5e354b6e9f624dda61ffafa511508",
     "marked_union": "16bbeb588635a3e4d3cf2cda42b44c6b323ec67701938e65e42f252ad31e15b0",
 }
 

@@ -8,6 +8,7 @@ from uta import (Context, SeparationError, SizePair, UtaError, accepts,
                  word_node)
 from uta import FoolingSetHorizontal, FoolingSetVertical, LangPredicate
 from uta import EnumerationBounds, EnumerationCapExceeded, enumerate_trees
+from uta.docs import parse_fooling_set, render_fooling_horizontal
 
 
 def enum(alphabet, depth=4, width=4, count=600):
@@ -155,3 +156,56 @@ class TestCertifiers:
         h = certify_horizontal_bound(pred, lemma34_horizontal_fooling((2, 3)))
         assert v <= len(sdta.states)
         assert h <= sdta.moore["a"].size
+
+
+def _counting(pred):
+    """``pred`` with a call counter, read from the returned list."""
+    calls = [0]
+
+    def decide(t):
+        calls[0] += 1
+        return pred(t)
+
+    return LangPredicate(pred.alphabet, decide, pred.description), calls
+
+
+class TestOneSidePerSeparator:
+    def test_each_member_and_separator_decided_once(self):
+        auto, _ = gen_lemma34((2, 3, 5, 7))
+        by_automaton = LangPredicate(auto.alphabet, lambda t: accepts(auto, t), "automaton")
+        fs = lemma34_horizontal_fooling((2, 3, 5, 7))
+        round_trip = parse_fooling_set(render_fooling_horizontal(fs), auto.alphabet)
+        for given in (fs, round_trip):
+            pred, calls = _counting(by_automaton)
+            assert certify_horizontal_bound(pred, given) == 209
+            assert calls[0] == 2834
+
+    def test_vertical_separators_shared_per_level(self):
+        fs = lemma34_vertical_fooling((2, 3, 5, 7))
+        assert len(fs.separators) == 10
+        assert len({id(c) for c in fs.separators.values()}) == 4
+
+    def test_equal_but_distinct_separators_certify(self):
+        _, pred = gen_lemma34((2, 3))
+        fs = lemma34_horizontal_fooling((2, 3))
+        copies = {key: (Context(ctx.skeleton), tuple(padding))
+                  for key, (ctx, padding) in fs.separators.items()}
+        assert certify_horizontal_bound(pred, FoolingSetHorizontal(fs.tuples, "a", copies)) == 5
+        fv = lemma34_vertical_fooling((2, 3))
+        copies = {key: Context(ctx.skeleton) for key, ctx in fv.separators.items()}
+        assert certify_vertical_bound(pred, FoolingSetVertical(fv.trees, copies)) == 2
+
+    def test_failing_supplied_horizontal_separator_is_refuted(self):
+        _, pred = gen_lemma34((2, 3))
+        fs = lemma34_horizontal_fooling((2, 3))
+        fs.separators[(0, 2)] = fs.separators[(0, 1)]  # 0 and 2 b-leaves agree mod 2
+        with pytest.raises(SeparationError) as err:
+            certify_horizontal_bound(pred, fs)
+        assert err.value.pair == (0, 2) and not err.value.unknown
+
+    def test_failed_horizontal_search_reports_unknown(self):
+        flat = LangPredicate(frozenset("ab"), lambda t: True, "everything")
+        fs = FoolingSetHorizontal([(leaf("a"),), (leaf("b"),)], "a")
+        with pytest.raises(SeparationError) as err:
+            certify_horizontal_bound(flat, fs, EnumerationBounds(2, 2, 50))
+        assert err.value.pair == (0, 1) and err.value.unknown
