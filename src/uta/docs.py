@@ -1,18 +1,25 @@
 """The textual document format for automata and fooling sets.
 
 One self-describing, line-oriented format covers all five tree automaton
-kinds and standalone string machines, so conversion output can be piped
-straight back into any command.  Rendering is canonical (sorted fields,
-fixed order), which makes every command's output byte-reproducible, and
+kinds, standalone string machines and fooling sets, so conversion output
+can be piped straight back into any command.  Rendering is canonical
+(sorted fields, fixed order): output is byte-reproducible, and
 ``parse(render(x)) == x`` for every automaton the library produces.
 
-Lines are ``field: tokens``; tokens are whitespace-separated; ``#`` starts a
-comment line.  Tree-automaton documents contain one ``horizontal`` block per
-(state, symbol) pair, or per symbol with an ``outputs`` line for the
-strongly deterministic kind.
+Lines are ``field: tokens`` (tokens split on whitespace); blank lines and
+``#`` comments are skipped.  A document opens with ``kind`` (a standalone
+machine then with ``alphabet``).  Tree-automaton documents hold a header
+and one ``horizontal`` block per (state, symbol) pair, or per symbol with
+``outputs`` for the strongly deterministic kind.  One field reader reads
+every section: a field appears at most once unless it may repeat (``trans``,
+``tree``, ``tuple``; ``sep i j`` once per pair), a required field must
+appear, and any other field is an error.  Each error is a DocumentError
+naming its line, if it has one; the command line then exits with status 2.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .automata import (DFA_KINDS, DTA_DFA, DTA_NFA, KINDS, SDTA, TreeAutomaton,
                        check_semantic_determinism)
@@ -20,7 +27,16 @@ from .errors import DocumentError
 from .strings import DFA, NFA, MooreDFA
 from .trees import SYMBOL_RE, VARIABLE, parse_context, parse_tree, render_tree
 
-MACHINE_KINDS = ("nfa", "dfa", "moore-dfa")
+MACHINES = {"nfa": NFA, "dfa": DFA, "moore-dfa": MooreDFA}
+
+# Field names, shared by the renderers and the reader.
+KIND, ALPHABET, STATES, FINALS, LEAFSTATES = "kind", "alphabet", "states", "finals", "leafstates"
+INITIAL, OUTPUTS, TRANS, HORIZONTAL = "initial", "outputs", "trans", "horizontal"
+SYMBOL, TREE, TUPLE, SEP = "symbol", "tree", "tuple", "sep"
+
+# How often a field may appear in its section; a _PAIR field (a separator)
+# is written "name i j" and appears at most once per pair of integers.
+_ONCE, _REQUIRED, _REPEAT, _PAIR = "at most once", "required", "may repeat", "once per pair"
 
 
 def _check_token(tok: str, what: str):
@@ -31,130 +47,143 @@ def _check_token(tok: str, what: str):
 def render_machine_lines(mach, indent="") -> list:
     for s in mach.states:
         _check_token(s, "state name")
+    lines = [(f"{indent}{STATES}: " + " ".join(sorted(mach.states))).rstrip()]
+    lines.append(f"{indent}{INITIAL}: " + " ".join(sorted(mach.initials)))
+    lines.append((f"{indent}{FINALS}: " + " ".join(sorted(mach.finals))).rstrip())
     if isinstance(mach, MooreDFA):
         for v in mach.outputs.values():
             _check_token(str(v), "output value")
-    lines = [(f"{indent}states: " + " ".join(sorted(mach.states))).rstrip()]
-    if isinstance(mach, DFA):
-        lines.append(f"{indent}initial: {mach.initial}")
-    else:
-        lines.append(f"{indent}initial: " + " ".join(sorted(mach.initials)))
-    lines.append((f"{indent}finals: " + " ".join(sorted(mach.finals))).rstrip())
-    if isinstance(mach, MooreDFA):
         outs = " ".join(f"{s}={mach.outputs[s]}" for s in sorted(mach.outputs))
-        lines.append(f"{indent}outputs: {outs}".rstrip())
+        lines.append(f"{indent}{OUTPUTS}: {outs}".rstrip())
     for src, sym, dst in mach.transitions():
-        lines.append(f"{indent}trans: {src} {sym} {dst}")
+        lines.append(f"{indent}{TRANS}: {src} {sym} {dst}")
     return lines
 
 
 def render_automaton(a, header_comments=()) -> str:
     """Canonical document text for a TreeAutomaton or a standalone machine."""
     lines = [f"# {c}" for c in header_comments]
-    if isinstance(a, TreeAutomaton):
+    tree = isinstance(a, TreeAutomaton)
+    kind = a.kind if tree else {c: k for k, c in MACHINES.items()}[type(a)]
+    lines.append(f"{KIND}: {kind}")
+    lines.append(f"{ALPHABET}: " + " ".join(sorted(a.alphabet)))
+    if tree:
         for q in a.states:
             _check_token(q, "state name")
-        lines.append(f"kind: {a.kind}")
-        lines.append("alphabet: " + " ".join(sorted(a.alphabet)))
-        lines.append(("states: " + " ".join(sorted(a.states))).rstrip())
-        lines.append(("finals: " + " ".join(sorted(a.finals))).rstrip())
+        lines.append((f"{STATES}: " + " ".join(sorted(a.states))).rstrip())
+        lines.append((f"{FINALS}: " + " ".join(sorted(a.finals))).rstrip())
         if a.leaf_symbols:
-            lines.append("leafstates: " + " ".join(sorted(a.leaf_symbols)))
-        if a.kind == SDTA:
-            for sym in sorted(a.moore):
-                lines.append(f"horizontal {sym}:")
-                lines.extend(render_machine_lines(a.moore[sym], "  "))
-        else:
-            for (q, sym) in sorted(a.horizontal):
-                lines.append(f"horizontal {q} {sym}:")
-                lines.extend(render_machine_lines(a.horizontal[(q, sym)], "  "))
-        return "\n".join(lines) + "\n"
-
-    kind = {NFA: "nfa", DFA: "dfa", MooreDFA: "moore-dfa"}[type(a)]
-    lines.append(f"kind: {kind}")
-    lines.append("alphabet: " + " ".join(sorted(a.alphabet)))
-    lines.extend(render_machine_lines(a))
+            lines.append(f"{LEAFSTATES}: " + " ".join(sorted(a.leaf_symbols)))
+        blocks = {**a.horizontal, **{(sym,): m for sym, m in a.moore.items()}}
+        for key in sorted(blocks):  # (state, symbol), or (symbol,) for an sdta
+            lines.append(f"{HORIZONTAL} {' '.join(key)}:")
+            lines.extend(render_machine_lines(blocks[key], "  "))
+    else:
+        lines.extend(render_machine_lines(a))
     return "\n".join(lines) + "\n"
 
 
-class _Lines:
-    def __init__(self, text):
-        self.items = []
-        for no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            self.items.append((no, line))
-        self.pos = 0
-
-    def peek(self):
-        return self.items[self.pos] if self.pos < len(self.items) else (None, None)
-
-    def next(self):
-        item = self.peek()
-        self.pos += 1
-        return item
-
-    def done(self):
-        return self.pos >= len(self.items)
-
-
-def _field(line, no, expected=None):
-    if ":" not in line:
-        raise DocumentError(f"expected 'field: value', got {line!r}", no)
-    name, _, rest = line.partition(":")
-    name = name.strip()
-    if expected is not None and name != expected:
-        raise DocumentError(f"expected field {expected!r}, got {name!r}", no)
-    return name, rest.split()
-
-
-def _parse_machine_block(lines: _Lines, cls, alphabet, where):
-    fields = {}
-    trans = []
-    outputs = {}
-    while not lines.done():
-        no, line = lines.peek()
-        if line.startswith("horizontal"):
-            break
-        lines.next()
-        name, toks = _field(line, no)
-        if name == "trans":
-            if len(toks) != 3:
-                raise DocumentError(f"trans needs 'src sym dst', got {toks}", no)
-            trans.append(tuple(toks))
-        elif name == "outputs" and cls is MooreDFA:
-            if name in fields:
-                raise DocumentError(f"duplicate field {name!r} in {where}", no)
-            fields[name] = (no, toks)
-            for tok in toks:
-                if "=" not in tok:
-                    raise DocumentError(f"output entry {tok!r} needs 'state=value'", no)
-                s, _, v = tok.partition("=")
-                if s in outputs:
-                    raise DocumentError(f"state {s!r} has two outputs in {where}", no)
-                outputs[s] = v
-        elif name in ("states", "initial", "finals"):
-            if name in fields:
-                raise DocumentError(f"duplicate field {name!r} in {where}", no)
-            fields[name] = (no, toks)
+def _records(text):
+    """The record scanner: (line number, name, tokens) per line that is
+    neither blank nor a comment; a ``horizontal`` block header has the rest
+    of its line for tokens."""
+    for no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        name, colon, rest = line.partition(":")
+        if line.startswith(HORIZONTAL):
+            yield no, HORIZONTAL, line[len(HORIZONTAL):].strip()
+        elif colon:
+            yield no, name.strip(), rest.split()
         else:
+            raise DocumentError(f"expected 'field: value', got {line!r}", no)
+
+
+def _one(name, toks, no):
+    if len(toks) != 1:
+        raise DocumentError(f"{name} takes exactly one value", no)
+    return toks[0]
+
+
+def _lead(records, name, values=None):
+    """The tokens of the next record, which must be field ``name``; given
+    ``values`` (the kind check), its one token, which must be among them."""
+    no, got, toks = next(records, (None, None, None))
+    if got != name:
+        raise DocumentError(f"expected field {name!r}, got {got!r}" if no
+                            else f"document is missing field {name!r}", no)
+    if values is not None and _one(name, toks, no) not in values:
+        raise DocumentError(f"unknown {name} {toks[0]!r}", no)
+    return toks if values is None else toks[0]
+
+
+def _read_fields(records, fields, where, blocks=True):
+    """The field reader: one section of ``records``, up to the next block
+    header if ``blocks`` may follow (else a header is unexpected).  For
+    each name, ``fields`` holds (rule, parse); ``parse(tokens, line)`` reads
+    an occurrence as it is met, so errors come in line order.  Returns the
+    values (a list for _REPEAT, a dict by (i, j) for _PAIR), the lines by
+    name or (i, j), and the block header ``(line, text)``, or None."""
+    got, lines, header = {}, {}, None
+    for no, name, toks in records:
+        if name == HORIZONTAL and blocks:
+            header = no, toks
+            break
+        word, *index = name.split() or [""]
+        rule, parse = fields.get(word, (None, None))
+        if rule is None or len(index) != (2 if rule is _PAIR else 0):
             raise DocumentError(f"unexpected field {name!r} in {where}", no)
-    for req in ("states", "initial", "finals"):
-        if req not in fields:
-            raise DocumentError(f"{where} is missing field {req!r}")
-    no_i, initial = fields["initial"]
+        if rule is _REPEAT:
+            got.setdefault(word, []).append(parse(toks, no))
+            continue
+        seen, key = got, word
+        if rule is _PAIR:
+            seen = got.setdefault(word, {})
+            try:
+                key = int(index[0]), int(index[1])
+            except ValueError:
+                raise DocumentError(f"separator indices must be integers: {name!r}", no) from None
+        if key in seen:
+            what = "separator" if rule is _PAIR else "field"
+            raise DocumentError(f"duplicate {what} {name!r} in {where}", no)
+        seen[key], lines[key] = parse(toks, no) if parse else toks, no
+    for name, (rule, _) in fields.items():
+        if rule is _REQUIRED and name not in got:
+            raise DocumentError(f"{where} is missing field {name!r}")
+    return got, lines, header
+
+
+def _read_machine(records, cls, alphabet, where):
+    """One string machine of class ``cls``, and the header ending it."""
+    def trans(toks, no):
+        if len(toks) != 3:
+            raise DocumentError(f"trans needs 'src sym dst', got {toks}", no)
+        return tuple(toks)
+
+    def outputs(toks, no):
+        out = {}
+        for tok in toks:
+            if "=" not in tok:
+                raise DocumentError(f"output entry {tok!r} needs 'state=value'", no)
+            s, _, v = tok.partition("=")
+            if s in out:
+                raise DocumentError(f"state {s!r} has two outputs in {where}", no)
+            out[s] = v
+        return out
+
+    fields = {**dict.fromkeys((STATES, INITIAL, FINALS), (_REQUIRED, None)),
+              TRANS: (_REPEAT, trans)}
+    if cls is MooreDFA:
+        fields[OUTPUTS] = (_ONCE, outputs)
+    got, lines, header = _read_fields(records, fields, where)
+    initial = got[INITIAL] if cls is NFA else _one(INITIAL, got[INITIAL], lines[INITIAL])
+    extra = (got.get(OUTPUTS, {}),) if cls is MooreDFA else ()
     try:
-        if cls is NFA:
-            return NFA(fields["states"][1], alphabet, initial, fields["finals"][1], trans)
-        if len(initial) != 1:
-            raise DocumentError(f"{where} needs exactly one initial state", no_i)
-        if cls is MooreDFA:
-            return MooreDFA(fields["states"][1], alphabet, initial[0],
-                            fields["finals"][1], trans, outputs)
-        return DFA(fields["states"][1], alphabet, initial[0], fields["finals"][1], trans)
+        return cls(got[STATES], alphabet, initial, got[FINALS], got.get(TRANS, []),
+                   *extra), header
     except ValueError as e:
-        raise DocumentError(f"{where}: {e}", fields["states"][0]) from None
+        raise DocumentError(f"{where}: {e}", lines[STATES]) from None
 
 
 def parse_automaton(text: str):
@@ -164,83 +193,38 @@ def parse_automaton(text: str):
     including the semantic-determinism requirement of the two weakly
     deterministic kinds.
     """
-    lines = _Lines(text)
-    no, line = lines.next()
-    if line is None:
-        raise DocumentError("empty document")
-    _, toks = _field(line, no, "kind")
-    if len(toks) != 1:
-        raise DocumentError("kind takes exactly one value", no)
-    kind = toks[0]
-    if kind in MACHINE_KINDS:
-        return _parse_standalone(lines, kind)
-    if kind not in KINDS:
-        raise DocumentError(f"unknown kind {kind!r}", no)
-    return _parse_tree_automaton(lines, kind)
+    records = _records(text)
+    kind = _lead(records, KIND, (*MACHINES, *KINDS))
+    if kind in MACHINES:
+        alphabet = _lead(records, ALPHABET)
+        return _read_machine(records, MACHINES[kind], alphabet, f"{kind} machine")[0]
 
-
-def _parse_standalone(lines: _Lines, kind):
-    no, line = lines.next()
-    if line is None:
-        raise DocumentError("missing alphabet", no)
-    _, alphabet = _field(line, no, "alphabet")
-    cls = {"nfa": NFA, "dfa": DFA, "moore-dfa": MooreDFA}[kind]
-    return _parse_machine_block(lines, cls, alphabet, f"{kind} machine")
-
-
-def _parse_tree_automaton(lines: _Lines, kind):
-    header = {}
-    while not lines.done():
-        no, line = lines.peek()
-        if line.startswith("horizontal"):
-            break
-        lines.next()
-        name, toks = _field(line, no)
-        if name not in ("alphabet", "states", "finals", "leafstates"):
-            raise DocumentError(f"unexpected header field {name!r}", no)
-        if name in header:
-            raise DocumentError(f"duplicate header field {name!r}", no)
-        header[name] = toks
-    for req in ("alphabet", "states", "finals"):
-        if req not in header:
-            raise DocumentError(f"document is missing field {req!r}")
-    alphabet = header["alphabet"]
+    fields = {**dict.fromkeys((ALPHABET, STATES, FINALS), (_REQUIRED, None)),
+              LEAFSTATES: (_ONCE, None)}
+    got, _, header = _read_fields(records, fields, "document")
+    alphabet, states, leaf = got[ALPHABET], got[STATES], got.get(LEAFSTATES, [])
     for sym in alphabet:
         if not SYMBOL_RE.fullmatch(sym) or sym == VARIABLE:
             raise DocumentError(f"alphabet symbol {sym!r} is not a valid tree symbol")
-    states = header["states"]
-    leaf = header.get("leafstates", [])
     ha = set(states) | set(leaf)
 
-    horizontal = {}
-    moore = {}
-    while not lines.done():
-        no, line = lines.next()
-        if not line.startswith("horizontal"):
-            raise DocumentError(f"expected a horizontal block, got {line!r}", no)
-        head = line[len("horizontal"):].strip()
-        if not head.endswith(":"):
-            raise DocumentError("horizontal block header must end with ':'", no)
+    blocks = {}  # by (state, symbol), or (symbol,) for an sdta
+    cls = MooreDFA if kind == SDTA else DFA if kind in DFA_KINDS else NFA
+    arity, keyed = (1, "<symbol>") if kind == SDTA else (2, "<state> <symbol>")
+    while header:
+        no, head = header
         keys = head[:-1].split()
-        if kind == SDTA:
-            if len(keys) != 1:
-                raise DocumentError("sdta horizontal blocks are keyed by one symbol", no)
-            mach = _parse_machine_block(lines, MooreDFA, ha, f"block {head!r}")
-            if keys[0] in moore:
-                raise DocumentError(f"duplicate block for symbol {keys[0]!r}", no)
-            moore[keys[0]] = mach
-        else:
-            if len(keys) != 2:
-                raise DocumentError("horizontal blocks are keyed by state and symbol", no)
-            cls = DFA if kind in DFA_KINDS else NFA
-            mach = _parse_machine_block(lines, cls, ha, f"block {head!r}")
-            if tuple(keys) in horizontal:
-                raise DocumentError(f"duplicate block for {keys}", no)
-            horizontal[tuple(keys)] = mach
+        if not head.endswith(":") or len(keys) != arity:
+            raise DocumentError(f"a {kind} block header reads '{HORIZONTAL} {keyed}:'", no)
+        mach, header = _read_machine(records, cls, ha, f"block {head!r}")
+        if tuple(keys) in blocks:
+            raise DocumentError(f"duplicate block {head!r}", no)
+        blocks[tuple(keys)] = mach
 
+    moore = {sym: m for (sym,), m in blocks.items()} if kind == SDTA else {}
     try:
-        auto = TreeAutomaton(kind, alphabet, states, header["finals"],
-                             horizontal=horizontal, moore=moore, leaf_symbols=leaf)
+        auto = TreeAutomaton(kind, alphabet, states, got[FINALS], leaf_symbols=leaf,
+                             horizontal={} if kind == SDTA else blocks, moore=moore)
     except Exception as e:
         raise DocumentError(str(e)) from None
     if kind in (DTA_NFA, DTA_DFA):
@@ -254,13 +238,13 @@ def _parse_tree_automaton(lines: _Lines, kind):
 
 
 def render_fooling_vertical(fs) -> str:
-    lines = ["kind: fooling-vertical", *(f"tree: {render_tree(t)}" for t in fs.trees)]
+    lines = [f"{KIND}: fooling-vertical", *(f"{TREE}: {render_tree(t)}" for t in fs.trees)]
     return _render_separators(lines, fs.separators, str)
 
 
 def render_fooling_horizontal(fs) -> str:
-    lines = ["kind: fooling-horizontal", f"symbol: {fs.symbol}"]
-    lines += [("tuple: " + " ".join(map(render_tree, tup))).rstrip() for tup in fs.tuples]
+    lines = [f"{KIND}: fooling-horizontal", f"{SYMBOL}: {fs.symbol}"]
+    lines += [(f"{TUPLE}: " + " ".join(map(render_tree, tup))).rstrip() for tup in fs.tuples]
     return _render_separators(
         lines, fs.separators,
         lambda sep: f"{sep[0]} | {' '.join(map(render_tree, sep[1]))}".rstrip())
@@ -274,12 +258,8 @@ def _render_separators(lines, separators, render) -> str:
         sep = separators[i, j]
         if id(sep) not in texts:
             texts[id(sep)] = render(sep)
-        lines.append(f"sep {i} {j}: {texts[id(sep)]}")
+        lines.append(f"{SEP} {i} {j}: {texts[id(sep)]}")
     return "\n".join(lines) + "\n"
-
-
-def _parse_padding(text, alphabet):
-    return tuple(parse_tree(t, alphabet) for t in text.split())
 
 
 def parse_fooling_set(text: str, alphabet):
@@ -289,64 +269,38 @@ def parse_fooling_set(text: str, alphabet):
     separator is one (context, padding) pair per distinct text, whose parts
     are shared with the other pairs as well."""
     from .witnesses import FoolingSetHorizontal, FoolingSetVertical
-    lines = _Lines(text)
-    no, line = lines.next()
-    if line is None:
-        raise DocumentError("empty document")
-    _, toks = _field(line, no, "kind")
-    if len(toks) != 1:
-        raise DocumentError("kind takes exactly one value", no)
-    kind = toks[0]
+    records = _records(text)
+    kind = _lead(records, KIND, ("fooling-vertical", "fooling-horizontal"))
     horizontal = kind == "fooling-horizontal"
-    if not horizontal and kind != "fooling-vertical":
-        raise DocumentError(f"unknown fooling-set kind {kind!r}", no)
-    parsed, sep_lines = {}, {}
+    once = cache(lambda parse, text: parse(text, alphabet))  # one object per text
 
-    def once(parse, text):
-        got = parsed.get((parse, text))
-        if got is None:
-            got = parsed[parse, text] = parse(text, alphabet)
-        return got
+    def trees(text, alphabet):  # a tuple or padding
+        return tuple(once(parse_tree, t) for t in text.split())
 
     def parse_separator(text, alphabet):
         toks = text.split()
         cut = toks.index("|")
         return (once(parse_context, " ".join(toks[:cut])),
-                once(_parse_padding, " ".join(toks[cut + 1:])))
+                once(trees, " ".join(toks[cut + 1:])))
 
-    symbol, members, seps = None, [], {}
-    while not lines.done():
-        no, line = lines.next()
-        name, toks = _field(line, no)
-        if name == "symbol" and horizontal:
-            if symbol is not None:
-                raise DocumentError("duplicate field 'symbol'", no)
-            if len(toks) != 1:
-                raise DocumentError("symbol takes exactly one value", no)
-            symbol = toks[0]
-        elif name == ("tuple" if horizontal else "tree"):
-            members.append(tuple(once(parse_tree, t) for t in toks) if horizontal
-                           else once(parse_tree, " ".join(toks)))
-        else:
-            parts = name.split()
-            if len(parts) != 3 or parts[0] != "sep":
-                raise DocumentError(f"unexpected field {parts[0]!r}", no)
-            try:
-                key = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise DocumentError(f"separator indices must be integers: {name!r}", no) from None
-            if key in sep_lines:
-                raise DocumentError(f"duplicate separator {name!r}", no)
-            sep_lines[key] = no, name
-            if horizontal and "|" not in toks:
-                raise DocumentError("separator needs 'context | padding...'", no)
-            seps[key] = once(parse_separator if horizontal else parse_context, " ".join(toks))
-    if horizontal and symbol is None:
-        raise DocumentError("fooling-horizontal document is missing its symbol")
-    for (i, j), (no, name) in sep_lines.items():
-        if not 0 <= i < j < len(members):
-            raise DocumentError(
-                f"separator {name!r} needs indices 0 <= i < j < {len(members)}", no)
+    def member(toks, no):
+        return once(trees if horizontal else parse_tree, " ".join(toks))
+
+    def separator(toks, no):
+        if horizontal and "|" not in toks:
+            raise DocumentError("separator needs 'context | padding...'", no)
+        return once(parse_separator if horizontal else parse_context, " ".join(toks))
+
+    name = TUPLE if horizontal else TREE
+    fields = {name: (_REPEAT, member), SEP: (_PAIR, separator)}
     if horizontal:
-        return FoolingSetHorizontal(members, symbol, seps)
+        fields[SYMBOL] = (_REQUIRED, lambda toks, no: _one(SYMBOL, toks, no))
+    got, lines, _ = _read_fields(records, fields, f"{kind} document", blocks=False)
+    members, seps = got.get(name, []), got.get(SEP, {})
+    for i, j in seps:
+        if not 0 <= i < j < len(members):
+            raise DocumentError(f"separator 'sep {i} {j}' needs indices "
+                                f"0 <= i < j < {len(members)}", lines[i, j])
+    if horizontal:
+        return FoolingSetHorizontal(members, got[SYMBOL], seps)
     return FoolingSetVertical(members, seps)

@@ -206,26 +206,28 @@ def _parse(text: str, alphabet: frozenset, allow_variable: bool) -> Tree:
 
 
 def render_tree(t: Tree) -> str:
-    """Term syntax, built on an explicit stack of child iterators: each
-    node is written as its label then "(" or ","; closing a node turns the
-    last "," into ")"."""
-    parts = []
-    stack = [iter((t,))]
+    """Term syntax, such as ``a(b,c(x))``; a leaf is just its label."""
+    return "".join(_render_chunks(t)) if t.children else t.label
+
+
+def _render_chunks(t: Tree):
+    """Term syntax piece by piece, so a caller can stop early.  On a stack of child
+    iterators a node writes "," unless a first child, its label, and its children in "()"."""
+    stack, comma = [iter((t,))], ""
     while stack:
         for c in stack[-1]:
-            parts.append(c.label)
             if c.children:
-                parts.append("(")
+                yield f"{comma}{c.label}("
                 stack.append(iter(c.children))
+                comma = ""
                 break
-            parts.append(",")
+            yield comma + c.label
+            comma = ","
         else:
             stack.pop()
             if stack:
-                parts[-1] = ")"
-                parts.append(",")
-    parts.pop()
-    return "".join(parts)
+                yield ")"
+                comma = ","
 
 
 class EnumerationBounds(_Record):

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .automata import DTA_DFA, NTA_DFA, TreeAutomaton
 from .errors import SeparationError, TreeSyntaxError, UtaError
 from .strings import DFA
-from .trees import (Context, EnumerationBounds, Tree, _Record, iter_trees, leaf, nest,
-                    substitute, word_node)
+from .trees import (Context, EnumerationBounds, Tree, _Record, _render_chunks, iter_trees,
+                    leaf, nest, substitute, word_node)
 
 
 class LangPredicate(_Record):
@@ -264,16 +264,15 @@ def lemma34_horizontal_fooling(k) -> FoolingSetHorizontal:
 _SEARCH_BOUNDS = EnumerationBounds(max_depth=3, max_width=3, max_count=2000)
 
 
-def _candidate_contexts(alphabet, bounds):
-    for t in iter_trees(set(alphabet) | {"x"}, bounds):
+def _candidate_contexts(alphabet):
+    for t in iter_trees(set(alphabet) | {"x"}, _SEARCH_BOUNDS):
         try:
             yield Context(t)
         except TreeSyntaxError:
             continue
 
 
-def certify_vertical_bound(pred: LangPredicate, fs: FoolingSetVertical,
-                           search_bounds: EnumerationBounds = _SEARCH_BOUNDS) -> int:
+def certify_vertical_bound(pred: LangPredicate, fs: FoolingSetVertical) -> int:
     """Verify every pair of fooling trees is separated by some context and
     return |R| - 1, a lower bound on the vertical states of any strongly
     deterministic automaton (or any semantically deterministic automaton
@@ -281,11 +280,10 @@ def certify_vertical_bound(pred: LangPredicate, fs: FoolingSetVertical,
     if not fs.trees:
         raise UtaError("a vertical fooling set needs at least one tree")
     return _certify(pred, fs.trees, fs.separators, lambda t, ctx: substitute(ctx, t),
-                    lambda: _candidate_contexts(pred.alphabet, search_bounds), "trees")
+                    lambda: _candidate_contexts(pred.alphabet), "trees")
 
 
-def certify_horizontal_bound(pred: LangPredicate, fs: FoolingSetHorizontal,
-                             search_bounds: EnumerationBounds = _SEARCH_BOUNDS) -> int:
+def certify_horizontal_bound(pred: LangPredicate, fs: FoolingSetHorizontal) -> int:
     """Verify every pair of child tuples is separated under the fooling
     symbol and return |S| - 1, a lower bound on the size of the per-symbol
     machine of any strongly deterministic automaton for the language.  A
@@ -300,7 +298,7 @@ def certify_horizontal_bound(pred: LangPredicate, fs: FoolingSetHorizontal,
         return substitute(ctx, Tree(fs.symbol, tuple(tup) + tuple(padding)))
 
     def candidates():
-        return ((ctx, padding) for ctx in _candidate_contexts(pred.alphabet, search_bounds)
+        return ((ctx, padding) for ctx in _candidate_contexts(pred.alphabet)
                 for padding in paddings)
 
     return _certify(pred, fs.tuples, fs.separators, plug, candidates, "tuples")
@@ -325,15 +323,21 @@ def _certify(pred, members, separators, plug, candidates, noun) -> int:
         sep = separators.get((i, j))
         if sep is not None:
             if side(i, sep) == side(j, sep):
-                shown = (str(sep) if isinstance(sep, Context)
-                         else f"{sep[0]} with padding {[str(p) for p in sep[1]]}")
-                if len(shown) > 60:  # a deep separator still makes one short line
-                    shown = shown[:57] + "..."
-                raise SeparationError(
-                    f"context {shown} does not separate {noun} {i} and {j}", (i, j))
+                raise SeparationError(f"context {_shown(sep)} does not separate "
+                                      f"{noun} {i} and {j}", (i, j))
         elif all(pred(plug(members[i], c)) == pred(plug(members[j], c))
                  for c in candidates()):
             raise SeparationError(
                 f"no separator found for {noun} {i} and {j} within search "
                 f"bounds; separation unknown", (i, j), unknown=True)
     return len(members) - 1
+
+
+def _shown(sep) -> str:
+    """A supplied separator's text cut to 60 characters: one short line even
+    for a deep separator, whose context is rendered only that far."""
+    ctx = sep if isinstance(sep, Context) else sep[0]
+    shown = next((s for s in accumulate(_render_chunks(ctx.skeleton)) if len(s) > 60), None)
+    if shown is None:  # the context is short: show the separator whole
+        shown = str(sep) if ctx is sep else f"{ctx} with padding {[str(p) for p in sep[1]]}"
+    return shown if len(shown) <= 60 else shown[:57] + "..."

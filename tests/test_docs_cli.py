@@ -169,10 +169,13 @@ class TestDocumentValidation:
          3, "symbol takes exactly one value"),
         ("kind: fooling-horizontal extra\nsymbol: a\ntuple: b\n",
          1, "kind takes exactly one value"),
+        ("kind: fooling-vertical\ntree: b\ntree: a(b)\n: a(x)\n",
+         4, "unexpected field ''"),
     ], ids=["sep-twice-vertical", "sep-twice-horizontal", "symbol-twice",
-            "symbol-two-values", "kind-extra-value"])
+            "symbol-two-values", "kind-extra-value", "empty-field-name"])
     def test_fooling_set_lines_not_dropped(self, text, line, message):
-        # each of these used to parse, keeping one of the repeated values
+        # each of these used to parse, keeping one of the repeated values,
+        # except the empty field name, which raised IndexError
         with pytest.raises(DocumentError) as err:
             parse_fooling_set(text, frozenset("ab"))
         assert message in str(err.value)
@@ -347,6 +350,15 @@ class TestCli:
         assert (code, out) == (1, "")
         assert err.startswith("certification failed: context a(a(")
         assert len(err) < 200
+
+    def test_empty_field_name_in_fooling_set_exits_two(self, tmp_path, capsys):
+        fv = tmp_path / "bad.txt"
+        fv.write_text("kind: fooling-vertical\ntree: b\ntree: a(b)\n: a(x)\n")
+        code, out, err = self.run_cli(capsys, "certify", "vertical", "lemma34:2,3",
+                                      "--fooling-set", str(fv))
+        assert (code, out) == (2, "")
+        assert err == ("error: unexpected field '' in fooling-vertical document "
+                       "(line 4)\n")
 
     def test_non_utf8_document_exits_two(self, tmp_path, capsys):
         binary = tmp_path / "bin.uta"

@@ -138,8 +138,7 @@ class TestCertifiers:
         flat = LangPredicate(frozenset("ab"), lambda t: True, "everything")
         fs = FoolingSetVertical([leaf("a"), leaf("b")])
         with pytest.raises(SeparationError) as err:
-            certify_vertical_bound(
-                flat, fs, EnumerationBounds(2, 2, 50))
+            certify_vertical_bound(flat, fs)
         assert err.value.unknown
 
     def test_search_discovers_simple_separators(self):
@@ -207,5 +206,5 @@ class TestOneSidePerSeparator:
         flat = LangPredicate(frozenset("ab"), lambda t: True, "everything")
         fs = FoolingSetHorizontal([(leaf("a"),), (leaf("b"),)], "a")
         with pytest.raises(SeparationError) as err:
-            certify_horizontal_bound(flat, fs, EnumerationBounds(2, 2, 50))
+            certify_horizontal_bound(flat, fs)
         assert err.value.pair == (0, 1) and err.value.unknown
