@@ -115,46 +115,50 @@ def _pair_machine(run_a, run_b, width) -> tuple:
 def canonical_sdta(a: TreeAutomaton) -> TreeAutomaton:
     """The minimal SDTA for the language of ``a``, in normal form.
 
-    After ``prune_reachable``, one ``coarsest_partition`` runs over the
-    vertical states, a vertical sink (None), every machine's states and one
-    dead sink per machine.  A vertical state is keyed by its finality (the
-    sink as non-final); its successors are the states each horizontal state
-    moves to on reading it (every machine's sink, for the sink).  A
-    horizontal state is keyed by its symbol; its successors are its output
-    (the sink when not final) and its transitions.  Block mates are
-    interchangeable in every run, and the useless states (in no accepted
-    tree) join the sink's block, since every pruned horizontal state is
-    reachable.  The quotient drops that block, the finals that output it and
-    the machines whose initial state joins their own sink.  It is the unique
-    minimal trimmed SDTA of the language (Martens & Niehren, JCSS 2007), and
-    ``_normal`` names its states, so language-equal inputs give equal
-    results.  Designated leaf states are letters, not elements, so they
-    never merge.
+    After ``prune_reachable``, one ``coarsest_partition`` runs over integer
+    elements: the vertical states, a vertical sink (None), every machine's
+    states and one dead sink per machine.  A vertical state is keyed by its
+    finality (the sink as non-final); its row holds the state each
+    horizontal state moves to on reading it.  A horizontal state is keyed by
+    its symbol; its row holds its output (the sink when not final) and its
+    transitions.  The worklist reads a row again only after a successor
+    changed block, which each element does at most log2 n times.  Block
+    mates are interchangeable in every run, and the useless states (in no
+    accepted tree) join the sink's block, since every pruned horizontal
+    state is reachable.  The quotient drops that block, the finals that
+    output it and the machines whose initial state joins their own sink.
+    It is the unique minimal trimmed SDTA of the language (Martens &
+    Niehren, JCSS 2007), and ``_normal`` names its states, so language-equal
+    inputs give equal results.  Designated leaf states are letters, not
+    elements, so they never merge.
     """
     if a.kind != SDTA:
         raise KindError(f"expected an SDTA, got {a.kind}")
     a = prune_reachable(a)
-    letters = sorted(a.leaf_symbols) + sorted(a.states)
-    horizontal = [(sym, s) for sym, m in sorted(a.moore.items())
-                  for s in [*sorted(m.states), None]]
-
-    def move(h, c):
-        """The horizontal state ``h`` moves to on reading ``c``; a missing
-        transition, and any from the sink (sym, None), goes to the sink."""
-        sym, s = h
-        return sym, (None if s is None else a.moore[sym].delta.get((s, c)))
-
-    keys = {q: q in a.finals for q in sorted(a.states)}
-    keys[None] = False  # the vertical sink
-    keys.update((h, h[0]) for h in horizontal)
-    succ = {q: tuple(move(h, q) for h in horizontal) for q in [*a.states, None]}
-    for sym, s in horizontal:
-        m = a.moore[sym]
-        succ[(sym, s)] = (m.outputs.get(s),) + tuple(move((sym, s), c) for c in letters)
-    block = coarsest_partition(keys, succ)
+    elements = [*sorted(a.states), None]  # None: the vertical sink
+    keys = [q in a.finals for q in elements]
+    for sym, m in sorted(a.moore.items()):
+        elements += [(sym, s) for s in [*sorted(m.states), None]]  # None: the dead sink
+        keys += [sym] * (len(m.states) + 1)
+    index = {x: i for i, x in enumerate(elements)}
+    first_h = index[None] + 1  # the first horizontal element
+    letters = {c: x for x, c in enumerate(sorted(a.leaf_symbols) + elements[:first_h - 1], 1)}
+    # a vertical row: where each horizontal state goes on reading it; a
+    # horizontal row: the output, then where each letter leads
+    sinks = [index[sym, None] for sym, _ in elements[first_h:]]
+    rows = [sinks.copy() for _ in range(first_h)]
+    rows += [[index[None]] + [sink] * len(letters) for sink in sinks]
+    for sym, m in a.moore.items():
+        for s, q in m.outputs.items():
+            rows[index[sym, s]][0] = index[q]
+        for (s, c), d in m.delta.items():
+            rows[index[sym, s]][letters[c]] = index[sym, d]
+            if c in index:
+                rows[index[c]][index[sym, s] - first_h] = index[sym, d]
+    block = coarsest_partition(keys, rows)
 
     first: dict = {}
-    rep = {x: first.setdefault(b, x) for x, b in block.items()}  # x -> its block's first
+    rep = {x: first.setdefault(b, x) for x, b in zip(elements, block)}  # x -> its block's first
     states = {rep[q] for q in a.states} - {rep[None]}
     ha = states | a.leaf_symbols
     moore = {}
@@ -166,7 +170,7 @@ def canonical_sdta(a: TreeAutomaton) -> TreeAutomaton:
         trans = []
         for s in live:
             for c in ha:
-                _, d = rep[move((sym, s), c)]
+                _, d = rep[sym, m.delta.get((s, c))]
                 if d in live:
                     trans.append((s, c, d))
         finals = {s for s in live & m.finals if rep[m.outputs[s]] in states}

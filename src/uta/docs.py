@@ -197,7 +197,10 @@ def parse_automaton(text: str):
     kind = _lead(records, KIND, (*MACHINES, *KINDS))
     if kind in MACHINES:
         alphabet = _lead(records, ALPHABET)
-        return _read_machine(records, MACHINES[kind], alphabet, f"{kind} machine")[0]
+        mach, header = _read_machine(records, MACHINES[kind], alphabet, f"{kind} machine")
+        if header:  # a block belongs to tree automata only
+            raise DocumentError(f"unexpected field {HORIZONTAL!r} in {kind} machine", header[0])
+        return mach
 
     fields = {**dict.fromkeys((ALPHABET, STATES, FINALS), (_REQUIRED, None)),
               LEAFSTATES: (_ONCE, None)}

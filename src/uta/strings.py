@@ -17,6 +17,8 @@ successors, however many pairs it takes part in.
 
 Every minimizer runs one partition refinement, ``coarsest_partition``: the
 DFA and Moore minimizers here, and the SDTA canonicalizer of ``analysis``.
+It is a worklist over integer-indexed rows of successors, and costs
+O(m log n) for m successor references in rows of bounded length.
 """
 
 from __future__ import annotations
@@ -237,66 +239,93 @@ def determinize(m) -> DFA:
                [(names[i], c, names[j]) for i, c, j in edges])
 
 
-def coarsest_partition(keys, successors) -> dict:
-    """The coarsest partition of the elements of ``keys`` that separates
-    elements with different keys and is stable: block mates have successor
-    tuples that agree block by block.
+def coarsest_partition(keys, rows) -> list:
+    """The coarsest partition of the elements ``0 .. len(keys) - 1`` that
+    separates different keys and is stable: block mates have rows of
+    successors (``rows[i]``, a list of indexes) that agree block by block.
+    Returns each element's block number, in the order of first members.
 
-    ``keys`` maps each element to a hashable key, and ``successors`` maps it
-    to a tuple of elements.  Each round splits every block by the blocks of
-    its members' successors, until a round splits nothing.  Returns element
-    -> block number, blocks numbered in the order their first member
-    appears in ``keys``.
+    A worklist after Hopcroft (1971): a pass splits blocks by their members'
+    tuples of successor block ids, but re-signs only the predecessors of
+    elements that changed block in the pass before (at first, all).  The
+    largest part keeps the block id, so an element changes block at most
+    log2 n times, and rows of bounded length cost O(m log n) in all.
     """
     ids: dict = {}
-    block = {s: ids.setdefault(k, len(ids)) for s, k in keys.items()}
-    while True:
-        count = len(ids)
-        ids = {}
-        block = {s: ids.setdefault((b, *map(block.__getitem__, successors[s])), len(ids))
-                 for s, b in block.items()}
-        if len(ids) == count:
-            return block
+    block = [ids.setdefault(k, len(ids)) for k in keys]
+    members = [set() for _ in ids]
+    for i, b in enumerate(block):
+        members[b].add(i)
+    preds = [[] for _ in block]
+    for i, row in enumerate(rows):
+        for j in set(row):
+            preds[j].append(i)
+    at = block.__getitem__
+    hit = range(len(block))
+    while hit:
+        touched = {}
+        for p in hit:
+            touched.setdefault(block[p], []).append(p)
+        moved = []
+        for b, resign in touched.items():
+            rest = members[b]
+            if len(rest) == 1:
+                continue
+            parts = {}
+            for i in resign:
+                parts.setdefault(tuple(map(at, rows[i])), []).append(i)
+            parts = [*map(set, parts.values())]
+            if len(resign) < len(rest):
+                # the untouched keep the signature they shared, and no
+                # touched member does: one of its successors changed block
+                rest.difference_update(resign)
+                parts.append(rest)
+            elif len(parts) == 1:
+                continue
+            members[b] = max(parts, key=len)
+            for part in parts:
+                if part is not members[b]:
+                    moved.append((len(members), part))
+                    members.append(part)
+        hit = set()
+        for b, part in moved:
+            for i in part:
+                block[i] = b
+                hit.update(preds[i])
+    first: dict = {}
+    return [first.setdefault(b, len(first)) for b in block]
 
 
-_SINK = object()
-
-
-def _refine(machine, block_key):
-    """The coarsest stable partition of the reachable states plus a virtual
-    sink, seeded by ``block_key(state)``; the sink seeds as
-    ``block_key(None)``.  Missing transitions go to the sink, which loops on
-    every symbol, so states that can never reach a final end up merged with
-    the sink.  Returns (reachable order, state -> block id, sink block id).
-    """
-    syms = sorted(machine.alphabet)
-    reach, _ = explore(machine.initial, machine.successor, syms)
-    keys = {s: block_key(s) for s in reach}
-    keys[_SINK] = block_key(None)
-    succ = {s: tuple(machine.delta.get((s, c), _SINK) for c in syms) for s in reach}
-    succ[_SINK] = (_SINK,) * len(syms)
-    block = coarsest_partition(keys, succ)
-    return reach, block, block[_SINK]
-
-
-def _rebuild(machine, reach, block, sink_block, make):
-    """Quotient the machine by the partition; the sink block disappears.
+def _minimize(machine, block_key, make):
+    """Quotient of the reachable part of ``machine`` by the coarsest stable
+    partition of its states plus a virtual sink, seeded by
+    ``block_key(state)`` and, for the sink, ``block_key(None)``.  Missing
+    transitions go to the sink, which loops on every symbol, so states that
+    can never reach a final merge with the sink, whose block disappears.
     Blocks are named m0, m1, ... in breadth-first discovery order."""
-    if block[machine.initial] == sink_block:
+    syms = sorted(machine.alphabet)
+    reach, edges = explore(machine.initial, machine.successor, syms)
+    sink = len(reach)
+    column = {c: x for x, c in enumerate(syms)}
+    rows = [[sink] * len(syms) for _ in range(sink + 1)]
+    for i, c, j in edges:
+        rows[i][column[c]] = j
+    block = coarsest_partition([*map(block_key, reach), block_key(None)], rows)
+    if block[0] == block[sink]:
         # empty language: a lone initial state is the smallest valid machine
         return make(["m0"], machine.alphabet, "m0", [], [], {})
 
-    rep = {}
-    for s in reach:
-        rep.setdefault(block[s], s)
+    rep = {}  # block -> its first state's index
+    for i, b in enumerate(block):
+        rep.setdefault(b, i)
 
     def step(b, c):
-        t = machine.successor(rep[b], c)
-        return None if t is None or block[t] == sink_block else block[t]
+        t = block[rows[rep[b]][column[c]]]
+        return None if t == block[sink] else t
 
-    order, edges = explore(block[machine.initial], step, sorted(machine.alphabet))
+    order, edges = explore(block[0], step, syms)
     names = [f"m{i}" for i in range(len(order))]
-    final_rep = {n: rep[b] for n, b in zip(names, order) if rep[b] in machine.finals}
+    final_rep = {n: reach[rep[b]] for n, b in zip(names, order) if reach[rep[b]] in machine.finals}
     outputs = ({n: machine.outputs[s] for n, s in final_rep.items()}
                if isinstance(machine, MooreDFA) else {})
     return make(names, machine.alphabet, "m0", list(final_rep),
@@ -307,9 +336,8 @@ def minimize_dfa(m: DFA) -> DFA:
     """Unique minimal partial DFA: unreachable and dead states drop out,
     indistinguishable states merge.  Minimality is the Myhill-Nerode
     partition over live residuals."""
-    reach, block, sink = _refine(m, lambda s: s is not None and s in m.finals)
-    return _rebuild(m, reach, block, sink,
-                    lambda st, al, i, f, tr, _o: DFA(st, al, i, f, tr))
+    return _minimize(m, lambda s: s is not None and s in m.finals,
+                     lambda st, al, i, f, tr, _o: DFA(st, al, i, f, tr))
 
 
 def minimize_moore(m: MooreDFA) -> MooreDFA:
@@ -323,8 +351,7 @@ def minimize_moore(m: MooreDFA) -> MooreDFA:
             return None
         return ("out", m.outputs[s])
 
-    reach, block, sink = _refine(m, key)
-    return _rebuild(m, reach, block, sink, MooreDFA)
+    return _minimize(m, key, MooreDFA)
 
 
 def _live_rows(m):

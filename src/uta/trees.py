@@ -78,6 +78,20 @@ class Tree(_Record):
             stack.extend((c, d + 1) for c in t.children)
         return deepest
 
+    def __eq__(self, other):
+        if other.__class__ is not Tree:
+            return NotImplemented
+        pairs = [(self, other)]
+        for a, b in pairs:
+            if a is not b:
+                if a.label != b.label or len(a.children) != len(b.children):
+                    return False
+                pairs += zip(a.children, b.children)
+        return True
+
+    def __hash__(self):
+        return hash(render_tree(self))  # equal trees render alike
+
     def __str__(self) -> str:
         return render_tree(self)
 

@@ -360,6 +360,18 @@ class TestCli:
         assert err == ("error: unexpected field '' in fooling-vertical document "
                        "(line 4)\n")
 
+    def test_block_in_standalone_machine_exits_two(self, tmp_path, capsys):
+        # the header and everything after it used to be dropped without a word
+        doc = tmp_path / "dfa.uta"
+        doc.write_text("kind: dfa\nalphabet: a\nstates: s\ninitial: s\nfinals: s\n"
+                       "horizontal q a:\nnonsense\n")
+        with pytest.raises(DocumentError) as err:
+            parse_automaton(doc.read_text())
+        assert err.value.line == 6
+        code, out, err = self.run_cli(capsys, "size", str(doc))
+        assert (code, out) == (2, "")
+        assert err == "error: unexpected field 'horizontal' in dfa machine (line 6)\n"
+
     def test_non_utf8_document_exits_two(self, tmp_path, capsys):
         binary = tmp_path / "bin.uta"
         binary.write_bytes(b"\xff\xfe")

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+import uta.analysis
 from uta import (DFA, NFA, AlphabetMismatchError, MooreDFA, NTA_DFA, OverlapError,
-                 TreeAutomaton, check_semantic_determinism, determinize,
-                 intersection_witness, marked_union, minimize_dfa, minimize_moore)
-from uta.strings import first_overlap
+                 TreeAutomaton, canonical_sdta, check_semantic_determinism, determinize,
+                 dtadfa_to_sdta, gen_lemma34, gen_thm41, intersection_witness, marked_union,
+                 minimize_dfa, minimize_moore, nta_to_sdta)
+from uta.strings import coarsest_partition, first_overlap
 
 from randgen import canonical_form, rand_dtadfa, rand_sdta
 
@@ -402,3 +404,85 @@ class TestMarkedUnion:
         parts = [residue_dfa(5, i) for i in (0, 2, 4)]
         mu = marked_union(parts)  # the internal assertion guards this
         assert mu.size >= 5
+
+
+def round_partition(keys, successors) -> dict:
+    """Test oracle: Moore-style refinement by rounds, the plain form of
+    ``coarsest_partition``.  ``keys`` maps each element to a key, and
+    ``successors`` to a tuple of elements; each round re-signs every element
+    by its block and its successors' blocks, until a round splits nothing.
+    Returns element -> block number, blocks numbered in the order their
+    first member appears in ``keys``."""
+    ids: dict = {}
+    block = {s: ids.setdefault(k, len(ids)) for s, k in keys.items()}
+    while True:
+        count = len(ids)
+        ids = {}
+        block = {s: ids.setdefault((b, *map(block.__getitem__, successors[s])), len(ids))
+                 for s, b in block.items()}
+        if len(ids) == count:
+            return block
+
+
+def agrees_with_rounds(keys, rows):
+    worklist = coarsest_partition(keys, rows)
+    rounds = round_partition(dict(enumerate(keys)), dict(enumerate(map(tuple, rows))))
+    assert worklist == [rounds[i] for i in range(len(keys))]
+    return worklist
+
+
+def random_graph(rng):
+    """Keys and rows over up to 30 elements: rows of 0 to 5 successors, some
+    repeated, some self-loops, some empty, and a few keys met only once."""
+    n = rng.randint(1, 30)
+    keys = [rng.choice("aab") if rng.random() < 0.85 else f"only{i}" for i in range(n)]
+    width = rng.randint(0, 3)
+    rows = []
+    for i in range(n):
+        row = [rng.randrange(n) for _ in range(width + (rng.random() < 0.1))]
+        if row and rng.random() < 0.2:
+            row[rng.randrange(len(row))] = i
+        if row and rng.random() < 0.2:
+            row.append(row[0])
+        rows.append([] if rng.random() < 0.1 else row)
+    return keys, rows
+
+
+class TestCoarsestPartition:
+    def test_worklist_agrees_with_rounds_on_random_graphs(self):
+        rng = random.Random(15)
+        seen = collections.Counter()
+        for _ in range(600):
+            keys, rows = random_graph(rng)
+            block = agrees_with_rounds(keys, rows)
+            seen["repeated"] += any(len(set(r)) < len(r) for r in rows)
+            seen["self-loop"] += any(i in r for i, r in enumerate(rows))
+            seen["empty row"] += any(not r for r in rows)
+            seen["singleton"] += any(n == 1 for n in collections.Counter(block).values())
+            seen["split"] += len(set(block)) > len(set(keys))
+        assert min(seen.values()) >= 100, seen
+
+    def test_cycle_with_one_marked_element_splits_into_singletons(self):
+        # a cycle with one distinguished element: every element ends alone
+        for n in (1, 2, 17, 64):
+            keys = [i == 0 for i in range(n)]
+            assert agrees_with_rounds(keys, [[(i + 1) % n] for i in range(n)]) == list(range(n))
+
+    @pytest.mark.parametrize("make", [
+        lambda: nta_to_sdta(gen_thm41(3)[0])[0],
+        lambda: nta_to_sdta(gen_thm41(4)[0])[0],
+        lambda: dtadfa_to_sdta(gen_lemma34((2, 3, 5, 7))[0])[0],
+        lambda: dtadfa_to_sdta(gen_lemma34((3, 4, 5, 7))[0])[0],
+    ], ids=["thm41(3)", "thm41(4)", "lemma34(2,3,5,7)", "lemma34(3,4,5,7)"])
+    def test_worklist_agrees_with_rounds_in_canonical_sdta(self, make, monkeypatch):
+        inputs = []
+
+        def recording(keys, rows):
+            inputs.append((keys, rows))
+            return coarsest_partition(keys, rows)
+
+        monkeypatch.setattr(uta.analysis, "coarsest_partition", recording)
+        canonical_sdta(make())
+        (keys, rows), = inputs
+        assert len(keys) > 40
+        agrees_with_rounds(keys, rows)

@@ -283,3 +283,22 @@ def test_size_measures_hold_on_a_deep_chain():
     assert chain.depth() == deep + 3
     assert chain.node_count() == deep + 4
     assert node("a", leaf("b"), nest("c", 3, leaf("d")), leaf("e")).depth() == 5
+
+
+def test_equality_and_hash_on_deep_chains():
+    deep = 100_000
+    chain, twin = nest("a", deep, leaf("b")), nest("a", deep, leaf("b"))
+    assert chain == twin and not chain != twin
+    assert hash(chain) == hash(twin)
+    assert {chain: 1}[twin] == 1
+    assert chain != nest("a", deep, leaf("c"))  # unequal at the bottom only
+    assert chain != nest("a", deep, node("b", leaf("b")))
+    assert chain != nest("a", deep - 1, leaf("b"))
+
+
+@settings(max_examples=150)
+@given(_tree_strategy(), _tree_strategy())
+def test_equality_and_hash_follow_the_structure(s, t):
+    assert (s == t) == (render_tree(s) == render_tree(t))
+    copy = parse_tree(render_tree(s), ABCD)
+    assert copy == s and hash(copy) == hash(s)
