@@ -23,9 +23,9 @@ renaming of both automata, which needs every vertical state reachable
 from __future__ import annotations
 
 from .automata import (DETERMINISTIC_KINDS, SDTA, TreeAutomaton, _evaluate, bottom_up_reach,
-                       prune_reachable, sdta_reach)
+                       prune_reachable, reach)
 from .errors import AlphabetMismatchError, KindError
-from .strings import MooreDFA, coarsest_partition, explore
+from .strings import MooreDFA, coarsest_partition
 from .trees import DEFAULT_BOUNDS, EnumerationBounds, Tree, _Record, iter_trees
 
 
@@ -88,7 +88,7 @@ def _agree_within_width(a: TreeAutomaton, b: TreeAutomaton, width: int) -> bool:
 
 def _pair_machine(run_a, run_b, width) -> tuple:
     """The two horizontal runs of one symbol side by side, as a
-    ``(start, step, output)`` machine for ``bottom_up_reach``.  Its state is
+    ``(starts, read, output)`` machine for ``bottom_up_reach``.  Its state is
     (run of a, run of b, children read so far); it reads a child's pair of
     state sets, stops at ``width`` children or once both runs are dead, and
     outputs the pair of state sets the node is assigned.  Stopping at two
@@ -97,31 +97,33 @@ def _pair_machine(run_a, run_b, width) -> tuple:
     start_a, step_a, finish_a = run_a
     start_b, step_b, finish_b = run_b
 
-    def step(state, letter):
-        now_a, now_b, k = state
-        if k == width or (now_a is None and now_b is None):
-            return None
-        s_a, s_b = letter
-        return (None if now_a is None else step_a(now_a, s_a),
-                None if now_b is None else step_b(now_b, s_b), k + 1)
+    def read(letters):
+        def successors(state):
+            now_a, now_b, k = state
+            if k < width and (now_a is not None or now_b is not None):
+                for c in letters:
+                    yield c, (None if now_a is None else step_a(now_a, c[0]),
+                              None if now_b is None else step_b(now_b, c[1]), k + 1)
+        return successors
 
     def output(state):
         now_a, now_b, k = state
         return finish_a(now_a, k == 0), finish_b(now_b, k == 0)
 
-    return (start_a, start_b, 0), step, output
+    return [(start_a, start_b, 0)], read, output
 
 
 def canonical_sdta(a: TreeAutomaton) -> TreeAutomaton:
     """The minimal SDTA for the language of ``a``, in normal form.
 
     After ``prune_reachable``, one ``coarsest_partition`` runs over integer
-    elements: the vertical states, a vertical sink (None), every machine's
-    states and one dead sink per machine.  A vertical state is keyed by its
+    elements: the vertical states, a vertical sink, and per machine its
+    compiled positions and a dead sink.  A vertical state is keyed by its
     finality (the sink as non-final); its row holds the state each
     horizontal state moves to on reading it.  A horizontal state is keyed by
     its symbol; its row holds its output (the sink when not final) and its
-    transitions.  The worklist reads a row again only after a successor
+    transitions.  Rows start at the sinks, and each compiled transition
+    fills two entries.  The worklist reads a row again only after a successor
     changed block, which each element does at most log2 n times.  Block
     mates are interchangeable in every run, and the useless states (in no
     accepted tree) join the sink's block, since every pruned horizontal
@@ -135,50 +137,53 @@ def canonical_sdta(a: TreeAutomaton) -> TreeAutomaton:
     if a.kind != SDTA:
         raise KindError(f"expected an SDTA, got {a.kind}")
     a = prune_reachable(a)
-    elements = [*sorted(a.states), None]  # None: the vertical sink
-    keys = [q in a.finals for q in elements]
+    vertical = sorted(a.states)
+    vindex = {q: v for v, q in enumerate(vertical)}
+    keys = [q in a.finals for q in vertical] + [False]  # then the vertical sink
+    first_h = len(keys)  # the first horizontal element
+    letters = {c: x for x, c in enumerate(sorted(a.leaf_symbols) + vertical, 1)}
+    machines, sinks = [], []
     for sym, m in sorted(a.moore.items()):
-        elements += [(sym, s) for s in [*sorted(m.states), None]]  # None: the dead sink
-        keys += [sym] * (len(m.states) + 1)
-    index = {x: i for i, x in enumerate(elements)}
-    first_h = index[None] + 1  # the first horizontal element
-    letters = {c: x for x, c in enumerate(sorted(a.leaf_symbols) + elements[:first_h - 1], 1)}
+        form = m.compiled()
+        base, n = first_h + len(sinks), len(form.states)  # its states, then its dead sink
+        machines.append((sym, m, form, base))
+        keys += [sym] * (n + 1)
+        sinks += [base + n] * (n + 1)
     # a vertical row: where each horizontal state goes on reading it; a
     # horizontal row: the output, then where each letter leads
-    sinks = [index[sym, None] for sym, _ in elements[first_h:]]
     rows = [sinks.copy() for _ in range(first_h)]
-    rows += [[index[None]] + [sink] * len(letters) for sink in sinks]
-    for sym, m in a.moore.items():
+    rows += [[first_h - 1] + [sink] * len(letters) for sink in sinks]
+    for sym, m, form, base in machines:
         for s, q in m.outputs.items():
-            rows[index[sym, s]][0] = index[q]
-        for (s, c), d in m.delta.items():
-            rows[index[sym, s]][letters[c]] = index[sym, d]
-            if c in index:
-                rows[index[c]][index[sym, s] - first_h] = index[sym, d]
+            rows[base + form.index[s]][0] = vindex[q]
+        for c, column in form.columns.items():
+            x, v = letters[c], vindex.get(c)
+            for i, j in column:
+                rows[base + i][x] = base + j
+                if v is not None:
+                    rows[v][base + i - first_h] = base + j
     block = coarsest_partition(keys, rows)
 
     first: dict = {}
-    rep = {x: first.setdefault(b, x) for x, b in zip(elements, block)}  # x -> its block's first
-    states = {rep[q] for q in a.states} - {rep[None]}
+    rep = [first.setdefault(b, x) for x, b in enumerate(block)]  # x -> its block's first
+    name = [*vertical, None, *(s for _, _, form, _ in machines for s in [*form.states, None])]
+    states = {name[rep[v]] for v in range(len(vertical))} - {name[rep[len(vertical)]]}
     ha = states | a.leaf_symbols
     moore = {}
-    for sym, m in sorted(a.moore.items()):
-        live = {rep[(sym, s)][1] for s in m.states} - {rep[(sym, None)][1]}
-        initial = rep[(sym, m.initial)][1]
+    for sym, m, form, base in machines:
+        sink = base + len(form.states)
+        live = {rep[i] for i in range(base, sink)} - {rep[sink]}
+        initial = rep[base + form.index[m.initial]]
         if initial not in live:
             continue
-        trans = []
-        for s in live:
-            for c in ha:
-                _, d = rep[sym, m.delta.get((s, c))]
-                if d in live:
-                    trans.append((s, c, d))
-        finals = {s for s in live & m.finals if rep[m.outputs[s]] in states}
-        moore[sym] = MooreDFA(live, ha, initial, finals, trans,
-                              {s: rep[m.outputs[s]] for s in finals})
+        trans = [(name[base + i], c, name[rep[base + j]]) for c in ha
+                 for i, j in form.columns.get(c, ()) if base + i in live and rep[base + j] in live]
+        outputs = {name[i]: q for i in live if (q := name[rep[rows[i][0]]]) in states}
+        moore[sym] = MooreDFA([name[i] for i in live], ha, name[initial], set(outputs), trans,
+                              outputs)
     return _normal(TreeAutomaton(SDTA, a.alphabet, states,
-                                 {rep.get(q, q) for q in a.finals}, moore=moore,
-                                 leaf_symbols=a.leaf_symbols))
+                                 {name[rep[vindex[q]]] if q in vindex else q for q in a.finals},
+                                 moore=moore, leaf_symbols=a.leaf_symbols))
 
 
 def sdta_isomorphic(a: TreeAutomaton, b: TreeAutomaton) -> bool:
@@ -186,7 +191,7 @@ def sdta_isomorphic(a: TreeAutomaton, b: TreeAutomaton) -> bool:
     bijection on horizontal states preserving transitions, finals and
     outputs.
 
-    An isomorphism maps one ``_canonical_labels`` exploration onto the other
+    An isomorphism maps one ``_normal`` exploration onto the other
     step for step, and so each automaton's ``_normal`` renaming onto the
     other's: the automata are isomorphic iff the renamed automata are equal.
     No permutation is tried.  Raises KindError if either input has a
@@ -197,17 +202,21 @@ def sdta_isomorphic(a: TreeAutomaton, b: TreeAutomaton) -> bool:
     return _normal(a) == _normal(b)
 
 
-def _canonical_labels(a: TreeAutomaton) -> dict:
-    """Horizontal letter -> normal name, in the order ``sdta_reach`` first
-    finds them: each leaf symbol keeps its own name, and the vertical states
-    are named ``v.0``, ``v.1``, ... (no tree symbol contains a dot).
+def _normal(a: TreeAutomaton) -> TreeAutomaton:
+    """``a`` renamed by its structure alone, never by its state names.
 
-    The fixed point explores every symbol's machine, symbols in sorted
-    order, reading the leaf symbols by name and then the states found so far
-    in the order found; it depends on the structure only, never on state
-    names.  Raises KindError naming a vertical state it never finds.
-    """
-    found = list(sdta_reach(a))
+    ``reach`` finds the letters in structural order: it explores every
+    symbol's machine, symbols in sorted order, reading the leaf symbols by
+    name and then the states found so far in the order found.  Each leaf
+    symbol keeps its name, and the vertical states are named ``v.0``,
+    ``v.1``, ... in that order (no tree symbol contains a dot).  Each
+    machine's states are named ``h0, h1, ...`` in the order of the search's
+    last round, which read every letter; states it does not reach keep only
+    their number and follow as bare states, with no transitions and no
+    output.  Raises KindError naming a vertical state the search never
+    finds."""
+    walks = {}
+    found = list(reach(a, walks))
     leaves = len(a.leaf_symbols)
     label = {c: c for c in found[:leaves]}
     label.update((q, f"v.{n}") for n, q in enumerate(found[leaves:]))
@@ -215,20 +224,9 @@ def _canonical_labels(a: TreeAutomaton) -> dict:
     if unreached:
         raise KindError(f"vertical state {unreached[0]!r} is never reached; "
                         f"prune the SDTA before testing isomorphism")
-    return label
-
-
-def _normal(a: TreeAutomaton) -> TreeAutomaton:
-    """``a`` renamed by its structure alone: vertical states by
-    ``_canonical_labels``, and each machine's states ``h0, h1, ...`` in
-    breadth-first order, reading the letters in label order.  Horizontal
-    states the search does not reach keep only their number: they follow
-    as bare states, with no transitions and no output."""
-    label = _canonical_labels(a)
-    letters = list(label)
     moore = {}
-    for sym, m in a.moore.items():
-        order, edges = explore(m.initial, m.successor, letters)
+    for (sym, m), (order, edges) in zip(sorted(a.moore.items()), walks.values()):
+        order = [*map(m.compiled().states.__getitem__, order)]
         names = [f"h{i}" for i in range(len(m.states))]
         finals = [i for i, s in enumerate(order) if s in m.finals]
         moore[sym] = MooreDFA(names, label.values(), names[0], [names[i] for i in finals],

@@ -382,17 +382,18 @@ def size(a: TreeAutomaton) -> SizePair:
     return SizePair(len(a.states), horiz)
 
 
-def bottom_up_reach(machines, items):
+def bottom_up_reach(machines, items, walks=None):
     """Fixed point of bottom-up reachability over vertical items.
 
-    ``machines`` is a list of (start, step, output) triples; ``items`` are the
-    letters every tree provides, such as the leaf states.  Each round
-    explores every machine in turn (see ``strings.explore``) over the items
-    found so far, and adds each new non-None ``output(state)`` of a reached
-    state.  Rounds repeat until nothing new is found.  Yields the items in
-    the order they were first found, the given ones first, each as soon as
-    it is found, so a caller that stops early skips the rest of the fixed
-    point.
+    ``machines`` is a list of (starts, read, output) triples, where
+    ``read(letters)`` gives ``strings.explore`` the successors reading
+    ``letters`` in order; ``items`` are the letters every tree provides,
+    such as the leaf states.  Each round explores every machine in turn over
+    the items found so far and adds each new non-None ``output(state)`` of a
+    reached state, until a round finds nothing new.  Yields the items in the
+    order first found, the given ones first, each as soon as it is found.
+    Once exhausted, it leaves in a given dict ``walks`` each machine's
+    ``explore`` result of the last round, which read every item, by index.
     """
     items = list(items)
     yield from items
@@ -400,8 +401,10 @@ def bottom_up_reach(machines, items):
     grew = True
     while grew:
         grew = False
-        for start, step, output in machines:
-            order, _ = explore(start, step, items)
+        for k, (starts, read, output) in enumerate(machines):
+            order, edges = explore(starts, read(items))
+            if walks is not None:
+                walks[k] = order, edges
             for state in order:
                 out = output(state)
                 if out is not None and out not in found:
@@ -411,83 +414,48 @@ def bottom_up_reach(machines, items):
                     yield out
 
 
-def sdta_reach(a: TreeAutomaton):
-    """``bottom_up_reach`` over an SDTA's Moore machines, symbols in sorted
-    order, from its leaf states in sorted order: the leaf states, then the
-    vertical states that some tree is assigned, in the order found."""
-    return bottom_up_reach(
-        [(m.initial, m.successor, m.outputs.get) for _, m in sorted(a.moore.items())],
-        sorted(a.leaf_symbols))
+def reach(a: TreeAutomaton, walks=None):
+    """``bottom_up_reach`` over the compiled horizontal machines of ``a``,
+    keys in sorted order, from its leaf states in sorted order: a Moore
+    machine outputs its outputs, an acceptor for (q, sym) outputs q in its
+    finals.  Yields the leaf states, then each vertical state that some tree
+    is assigned, in the order found."""
+    machines = []
+    for key, m in sorted((a.moore if a.kind == SDTA else a.horizontal).items()):
+        form = m.compiled()
+        out = ([*map(m.outputs.get, form.states)] if a.kind == SDTA
+               else [key[0] if s in m.finals else None for s in form.states])
+        machines.append((form.initials, form.reading, out.__getitem__))
+    return bottom_up_reach(machines, sorted(a.leaf_symbols), walks)
 
 
 def prune_reachable(a: TreeAutomaton) -> TreeAutomaton:
     """Drop vertical states no run can assign, then drop horizontal states
     that became unreachable.  The language is unchanged.
 
-    For an SDTA the assignable states are those ``sdta_reach`` finds.  For
-    the other kinds a state is assignable once one of its acceptors reaches a
-    final state reading assignable states only; that is repeated until
-    nothing changes.
+    The assignable states are those ``reach`` finds.  Each machine keeps
+    what the last round of that search walked, reading the leaf and
+    assignable states; a machine that walked to no final, or accepts for a
+    state that is not assignable, is dropped.
     """
-    if a.kind == SDTA:
-        live = set(sdta_reach(a))
-    else:
-        live = set(a.leaf_symbols)
-        changed = True
-        while changed:
-            changed = False
-            for (q, sym), mach in a.horizontal.items():
-                if q not in live and _reachable_states(mach, live) & mach.finals:
-                    live.add(q)
-                    changed = True
-
+    walks = {}
+    live = set(reach(a, walks))
     keep = frozenset(live & a.states)
     allowed = keep | a.leaf_symbols
-    if a.kind == SDTA:
-        moore = {}
-        for sym, mach in sorted(a.moore.items()):
-            cut = _restrict(mach, allowed)
-            if cut is not None:
-                moore[sym] = cut
-        return TreeAutomaton(SDTA, a.alphabet, keep, a.finals & (keep | a.leaf_symbols),
-                             moore=moore, leaf_symbols=a.leaf_symbols)
-    horizontal = {}
-    for (q, sym), mach in sorted(a.horizontal.items()):
-        if q not in keep:
+    parts = {}
+    for (key, m), (order, edges) in zip(sorted((a.moore if a.kind == SDTA else a.horizontal)
+                                               .items()), walks.values()):
+        names = [*map(m.compiled().states.__getitem__, order)]
+        finals = m.finals.intersection(names)
+        if not finals or (a.kind != SDTA and key[0] not in keep):
             continue
-        cut = _restrict(mach, allowed)
-        if cut is not None:
-            horizontal[(q, sym)] = cut
-    return TreeAutomaton(a.kind, a.alphabet, keep, a.finals & (keep | a.leaf_symbols),
-                         horizontal=horizontal, leaf_symbols=a.leaf_symbols)
-
-
-def _reachable_states(mach, allowed):
-    seen = set(mach.initials)
-    frontier = set(seen)
-    while frontier:
-        nxt = mach.step_any(frontier, allowed) - seen
-        seen |= nxt
-        frontier = nxt
-    return seen
-
-
-def _restrict(mach, allowed):
-    """The machine with symbols outside ``allowed`` removed and unreachable
-    states dropped; None when its restricted language is empty."""
-    reach = _reachable_states(mach, allowed)
-    if not reach & mach.finals:
-        return None
-    trans = [(s, c, d) for (s, c, d) in mach.transitions()
-             if s in reach and d in reach and c in allowed]
-    alphabet = allowed
-    if isinstance(mach, MooreDFA):
-        return MooreDFA(reach, alphabet, mach.initial, mach.finals & reach, trans,
-                        {s: v for s, v in mach.outputs.items() if s in reach})
-    if isinstance(mach, DFA):
-        return DFA(reach, alphabet, mach.initial, mach.finals & reach, trans)
-    initials = mach.initials & reach
-    return NFA(reach, alphabet, initials, mach.finals & reach, trans)
+        args = (names, allowed, m.initials if isinstance(m, NFA) else m.initial, finals,
+                [(names[i], c, names[j]) for i, c, j in edges])
+        parts[key] = (MooreDFA(*args, {s: m.outputs[s] for s in finals})
+                      if isinstance(m, MooreDFA) else type(m)(*args))
+    return TreeAutomaton(a.kind, a.alphabet, keep, a.finals & allowed,
+                         leaf_symbols=a.leaf_symbols,
+                         **{"moore" if a.kind == SDTA else "horizontal": parts})
 
 
 def classify(a: TreeAutomaton) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .automata import (DTA_DFA, SDTA, SizePair, TreeAutomaton, bottom_up_reach,
                        check_semantic_determinism, size)
 from .errors import DeterminismError, KindError, OverlapError
-from .strings import DFA, MooreDFA, determinize, explore, marked_union, subset_name
+from .strings import DFA, MooreDFA, determinize, explore, marked_union, stepwise, subset_name
 from .trees import _Record
 
 
@@ -106,7 +106,7 @@ def _subset_moore(a: TreeAutomaton, sym, items, name, alphabet) -> MooreDFA:
     item read as the symbol ``name(item)``, and every nonempty set of
     accepting states given as the output ``name(set)``."""
     start, step, finish = a.horizontal_run(sym)
-    order, edges = explore(start, step, items)
+    order, edges = explore([start], stepwise(step)(items))
     hname = [f"h{i}" for i in range(len(order))]
     trans = [(hname[i], name(item), hname[j]) for i, item, j in edges]
     outs = {h: finish(run, False) for h, run in zip(hname, order)}
@@ -127,7 +127,7 @@ def _assignable_subsets(a: TreeAutomaton):
     leaf_items = [frozenset([s]) for s in sorted(a.leaf_symbols)]
     runs = [a.horizontal_run(sym) for sym in _symbols_with_machines(a)]
     found = list(bottom_up_reach(
-        [(start, step, lambda run, finish=finish: finish(run, False) or None)
+        [([start], stepwise(step), lambda run, finish=finish: finish(run, False) or None)
          for start, step, finish in runs], leaf_items))
     return sorted(found[len(leaf_items):], key=sorted)
 

@@ -3,17 +3,17 @@
 The same machinery serves plain alphabets, vertical states, and sets of
 vertical states: symbols and states are opaque string tokens.  DFAs may be
 partial; a missing transition rejects.  Reported sizes count the declared
-states only, so the implicit reject sink is never included.  NFAs and DFAs
-step the same way: ``initials``, ``step`` and ``step_any`` map sets of
-states to sets of states.
+states only, so the implicit reject sink is never included.  Subsets of
+states step the same way in NFAs and DFAs (``initials``, ``step``,
+``step_any``); walks over one machine read its ``compiled`` form, integer
+columns of the transitions that exist, so they cost O(edges), not O(states
+x letters).
 
-Every construction that builds reachable states only (subset construction,
-minimization, marked union, and the subset machines of the tree-level
-conversions) runs one breadth-first explorer, ``explore``; only the overlap
-search of ``intersection_witness`` and ``first_overlap`` keeps its own
-queue, for parent pointers and an early exit.  That search runs over pairs
-of live states; each machine is prepared for it once, as rows of live
-successors, however many pairs it takes part in.
+Every construction that builds reachable states only runs one breadth-first
+explorer, ``explore``; only the overlap search of ``intersection_witness``
+and ``first_overlap`` keeps its own queue, for parent pointers and an early
+exit.  That search runs over pairs of live states; each machine is prepared
+for it once, as rows of live successors read from its compiled form.
 
 Every minimizer runs one partition refinement, ``coarsest_partition``: the
 DFA and Moore minimizers here, and the SDTA canonicalizer of ``analysis``.
@@ -31,7 +31,65 @@ def subset_name(members) -> str:
     return "{" + ",".join(sorted(members)) + "}"
 
 
-class NFA:
+class _Compiled:
+    """A machine in integer form: ``states`` in sorted order, ``index`` from
+    state to position, sorted ``initials``, and per letter a column of the
+    transitions that exist, as (position, successor position) pairs; an
+    NFA's successors of one state come in sorted order.  Positions sort like
+    the names, so every tie-break and witness is the one the names give."""
+
+    __slots__ = ("states", "index", "columns", "initials")
+
+    def __init__(self, m):
+        self.states = sorted(m.states)
+        self.index = index = dict(zip(self.states, range(len(self.states))))
+        self.initials = sorted(map(index.__getitem__, m.initials))
+        self.columns = columns = {c: [] for c in m.alphabet}
+        many = isinstance(m, NFA)
+        for (s, c), d in m.delta.items():
+            if many:
+                columns[c] += [(index[s], j) for j in sorted(map(index.__getitem__, d))]
+            else:
+                columns[c].append((index[s], index[d]))
+
+    def reading(self, letters):
+        """``explore``'s successors over positions, reading only ``letters``
+        in their order, in O(states + the transitions on ``letters``)."""
+        rows = [[] for _ in self.states]
+        for c in letters:
+            for i, j in self.columns.get(c, ()):
+                rows[i].append((c, j))
+        return rows.__getitem__
+
+    def column(self, c, dead) -> list:
+        """The successor on ``c`` of each position and of ``dead``, a
+        position past the states that stands for no successor."""
+        out = [dead] * (len(self.states) + 1)
+        for i, j in self.columns[c]:
+            out[i] = j
+        return out
+
+
+class _Machine:
+    """What NFAs and DFAs share: the size, and the ``compiled`` form, built
+    on first use, cached on the machine and dropped on pickling."""
+
+    _form = None
+
+    @property
+    def size(self) -> int:
+        return len(self.states)
+
+    def compiled(self) -> _Compiled:
+        if self._form is None:
+            self._form = _Compiled(self)
+        return self._form
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_form"}
+
+
+class NFA(_Machine):
     """Nondeterministic finite automaton; transitions form a relation."""
 
     def __init__(self, states, alphabet, initials, finals, transitions):
@@ -39,11 +97,11 @@ class NFA:
         self.alphabet = frozenset(alphabet)
         self.initials = frozenset(initials)
         self.finals = frozenset(finals)
-        delta: dict = {}
+        states, alphabet, delta = self.states, self.alphabet, {}
         for src, sym, dst in transitions:
-            if src not in self.states or dst not in self.states:
+            if src not in states or dst not in states:
                 raise ValueError(f"transition ({src},{sym},{dst}) uses undeclared state")
-            if sym not in self.alphabet:
+            if sym not in alphabet:
                 raise ValueError(f"transition ({src},{sym},{dst}) uses undeclared symbol")
             delta.setdefault((src, sym), set()).add(dst)
         self.delta = {k: frozenset(v) for k, v in delta.items()}
@@ -51,10 +109,6 @@ class NFA:
             raise ValueError("initial state set must be non-empty")
         if not self.initials <= self.states or not self.finals <= self.states:
             raise ValueError("initials/finals must be declared states")
-
-    @property
-    def size(self) -> int:
-        return len(self.states)
 
     def transitions(self):
         for (src, sym), dsts in sorted(self.delta.items()):
@@ -97,7 +151,7 @@ class NFA:
         return f"<NFA {len(self.states)} states, {len(self.delta)} edges>"
 
 
-class DFA:
+class DFA(_Machine):
     """Deterministic, possibly partial, finite automaton."""
 
     def __init__(self, states, alphabet, initial, finals, transitions):
@@ -105,24 +159,19 @@ class DFA:
         self.alphabet = frozenset(alphabet)
         self.initial = initial
         self.finals = frozenset(finals)
-        delta: dict = {}
+        states, alphabet, delta = self.states, self.alphabet, {}
         for src, sym, dst in transitions:
-            if src not in self.states or dst not in self.states:
+            if src not in states or dst not in states:
                 raise ValueError(f"transition ({src},{sym},{dst}) uses undeclared state")
-            if sym not in self.alphabet:
+            if sym not in alphabet:
                 raise ValueError(f"transition ({src},{sym},{dst}) uses undeclared symbol")
-            if (src, sym) in delta and delta[(src, sym)] != dst:
+            if delta.setdefault((src, sym), dst) != dst:
                 raise ValueError(f"conflicting transitions from ({src},{sym})")
-            delta[(src, sym)] = dst
         self.delta = delta
         if self.initial not in self.states:
             raise ValueError(f"initial state {initial!r} not declared")
         if not self.finals <= self.states:
             raise ValueError("finals must be declared states")
-
-    @property
-    def size(self) -> int:
-        return len(self.states)
 
     def transitions(self):
         for (src, sym), dst in sorted(self.delta.items()):
@@ -134,10 +183,6 @@ class DFA:
 
     def step(self, subset, sym) -> frozenset:
         return self.step_any(subset, (sym,))
-
-    def successor(self, state, sym):
-        """The state after reading ``sym`` in ``state``, or None."""
-        return self.delta.get((state, sym))
 
     def step_any(self, subset, syms) -> frozenset:
         """One step where the input symbol may be any member of ``syms``."""
@@ -204,17 +249,17 @@ class MooreDFA(DFA):
         return f"<MooreDFA {len(self.states)} states, {len(self.delta)} edges>"
 
 
-def explore(start, step, letters):
-    """Breadth-first search from ``start`` reading ``letters`` in the given
-    order; ``step(state, letter)`` is the successor, or None for no
-    transition.  Returns the states in discovery order and the edges as
-    (i, letter, j) triples of indexes into that order."""
-    index = {start: 0}
-    order = [start]
-    edges = []
+def explore(starts, successors):
+    """Breadth-first search from ``starts``; ``successors(state)`` yields
+    (letter, next state or None) pairs in reading order.  Returns the states
+    in discovery order and the edges as (i, letter, j) triples of indexes
+    into that order."""
+    order, index, edges = [], {}, []
+    for s in starts:
+        index[s] = len(order)
+        order.append(s)
     for i, s in enumerate(order):
-        for c in letters:
-            t = step(s, c)
+        for c, t in successors(s):
             if t is None:
                 continue
             j = index.get(t)
@@ -225,14 +270,25 @@ def explore(start, step, letters):
     return order, edges
 
 
+def stepwise(step):
+    """``read(letters)``, the ``explore`` successors reading ``letters`` in
+    order, of a machine whose ``step(state, letter)`` is a state or None."""
+    def read(letters):
+        def successors(s):
+            for c in letters:
+                yield c, step(s, c)
+        return successors
+    return read
+
+
 def determinize(m) -> DFA:
     """Subset construction over reachable subsets only, for an NFA or a DFA.
 
     Subset states are named canonically by their sorted member list, so the
     result is reproducible.
     """
-    order, edges = explore(frozenset(m.initials), lambda s, c: m.step(s, c) or None,
-                           sorted(m.alphabet))
+    read = stepwise(lambda s, c: m.step(s, c) or None)
+    order, edges = explore([frozenset(m.initials)], read(sorted(m.alphabet)))
     names = [subset_name(s) for s in order]
     return DFA(names, m.alphabet, names[0],
                {n for n, s in zip(names, order) if s & m.finals},
@@ -297,35 +353,30 @@ def coarsest_partition(keys, rows) -> list:
 
 
 def _minimize(machine, block_key, make):
-    """Quotient of the reachable part of ``machine`` by the coarsest stable
-    partition of its states plus a virtual sink, seeded by
-    ``block_key(state)`` and, for the sink, ``block_key(None)``.  Missing
-    transitions go to the sink, which loops on every symbol, so states that
-    can never reach a final merge with the sink, whose block disappears.
-    Blocks are named m0, m1, ... in breadth-first discovery order."""
+    """Quotient of ``machine`` by the coarsest stable partition of its
+    compiled states plus a virtual sink, seeded by ``block_key(state)`` and
+    ``block_key(None)``.  Missing transitions go to the sink, which loops on
+    every symbol, so states that never reach a final merge with it; states
+    that are not reachable change no reachable block.  The blocks reachable
+    from the initial one are named m0, m1, ... in breadth-first order."""
+    form = machine.compiled()
     syms = sorted(machine.alphabet)
-    reach, edges = explore(machine.initial, machine.successor, syms)
-    sink = len(reach)
-    column = {c: x for x, c in enumerate(syms)}
-    rows = [[sink] * len(syms) for _ in range(sink + 1)]
-    for i, c, j in edges:
-        rows[i][column[c]] = j
-    block = coarsest_partition([*map(block_key, reach), block_key(None)], rows)
-    if block[0] == block[sink]:
+    sink = len(form.states)
+    rows = [*zip(*(form.column(c, sink) for c in syms))] or [()] * (sink + 1)
+    block = coarsest_partition([*map(block_key, form.states), block_key(None)], rows)
+    start, dead = block[form.index[machine.initial]], block[sink]
+    if start == dead:
         # empty language: a lone initial state is the smallest valid machine
         return make(["m0"], machine.alphabet, "m0", [], [], {})
 
     rep = {}  # block -> its first state's index
     for i, b in enumerate(block):
         rep.setdefault(b, i)
-
-    def step(b, c):
-        t = block[rows[rep[b]][column[c]]]
-        return None if t == block[sink] else t
-
-    order, edges = explore(block[0], step, syms)
+    live = [None if b == dead else b for b in block].__getitem__
+    order, edges = explore([start], lambda b: zip(syms, map(live, rows[rep[b]])))
     names = [f"m{i}" for i in range(len(order))]
-    final_rep = {n: reach[rep[b]] for n, b in zip(names, order) if reach[rep[b]] in machine.finals}
+    final_rep = {n: s for n, b in zip(names, order)
+                 if (s := form.states[rep[b]]) in machine.finals}
     outputs = ({n: machine.outputs[s] for n, s in final_rep.items()}
                if isinstance(machine, MooreDFA) else {})
     return make(names, machine.alphabet, "m0", list(final_rep),
@@ -355,51 +406,39 @@ def minimize_moore(m: MooreDFA) -> MooreDFA:
 
 
 def _live_rows(m):
-    """Prepare an NFA or a DFA for the pair search, once per machine.
-
-    Keeps the live states only, those from which a final state is reachable:
-    a pair with a dead component never reaches a final pair, and live pairs
-    are reached only through live pairs, so the search visits the remaining
-    pairs in the same order.  Returns (rows, initials, finals): per live
-    state a ``{letter: sorted tuple of live successors}`` row with its
-    letters in sorted order, the live initial states in sorted order, and
-    the final states.
-    """
-    if isinstance(m, NFA):
-        succ = m.delta
-    else:
-        succ = {k: (d,) for k, d in m.delta.items()}
-    preds = {}
-    for (s, _), ds in succ.items():
-        for d in ds:
-            preds.setdefault(d, []).append(s)
-    live = set(m.finals)
-    stack = list(live)
-    while stack:
-        for p in preds.get(stack.pop(), ()):
-            if p not in live:
-                live.add(p)
-                stack.append(p)
-    rows = {s: {} for s in live}
-    for (s, c), ds in sorted(succ.items(), key=lambda item: item[0][1]):
-        if s in live:
-            kept = tuple(sorted(live.intersection(ds)))
-            if kept:
-                rows[s][c] = kept
-    return rows, sorted(live.intersection(m.initials)), m.finals
+    """Prepare an NFA or a DFA for the pair search, once per machine: per
+    compiled position a ``{letter: live successors}`` row in sorted order,
+    the live initials and a final flag.  A state is live when it reaches a
+    final; a pair with a dead component never reaches a final pair, and live
+    pairs are reached only through live pairs, so dropping the dead states
+    leaves the search order of the rest as it is."""
+    form = m.compiled()
+    succ = form.reading(sorted(m.alphabet))
+    preds = [[] for _ in form.states]
+    for i in range(len(preds)):
+        for _, j in succ(i):
+            preds[j].append((None, i))  # explore's (letter, state) pairs
+    final = [s in m.finals for s in form.states]
+    live = set(explore([i for i, f in enumerate(final) if f], preds.__getitem__)[0])
+    rows = [{} for _ in preds]
+    for i in live:
+        for c, j in succ(i):
+            if j in live:
+                rows[i].setdefault(c, []).append(j)
+    return rows, [i for i in form.initials if i in live], final
 
 
 def _pair_search(prepared_a, prepared_b):
     """Shortest word in the intersection of two machines' languages, by
     breadth-first search over pairs of live states given each machine's
     ``_live_rows``; None when there is none."""
-    rows_a, initials_a, finals_a = prepared_a
-    rows_b, initials_b, finals_b = prepared_b
+    rows_a, initials_a, final_a = prepared_a
+    rows_b, initials_b, final_b = prepared_b
     order = [(p, q) for p in initials_a for q in initials_b]
     parent = dict.fromkeys(order)
     for pq in order:
         p, q = pq
-        if p in finals_a and q in finals_b:
+        if final_a[p] and final_b[q]:
             word = []
             while parent[pq] is not None:
                 pq, c = parent[pq]
@@ -433,21 +472,15 @@ def first_overlap(machines):
     """The first pair i < j of ``machines`` whose languages meet, in
     lexicographic order, as ``(i, j, shortest shared word)``; None when the
     languages are pairwise disjoint.  Each machine is prepared for the pair
-    search once, on first use, and serves all of its pairs."""
-    prepared = [None] * len(machines)
-
-    def rows(i):
-        if prepared[i] is None:
-            prepared[i] = _live_rows(machines[i])
-        return prepared[i]
-
+    search once, and serves all of its pairs."""
+    prepared = [*map(_live_rows, machines)]
     for i, a in enumerate(machines):
         for j in range(i + 1, len(machines)):
             b = machines[j]
             if frozenset(a.alphabet) != frozenset(b.alphabet):
                 raise AlphabetMismatchError(
                     f"alphabets differ: {sorted(a.alphabet)} vs {sorted(b.alphabet)}")
-            w = _pair_search(rows(i), rows(j))
+            w = _pair_search(prepared[i], prepared[j])
             if w is not None:
                 return i, j, w
     return None
@@ -474,22 +507,23 @@ def marked_union(parts) -> MooreDFA:
         i, j, w = overlap
         raise OverlapError(i + 1, j + 1, w)
 
-    def name(tup):
-        return "(" + "|".join("-" if s is None else s for s in tup) + ")"
-
-    def step(cur, c):
-        nxt = tuple(None if s is None else parts[i].successor(s, c)
-                    for i, s in enumerate(cur))
-        return None if all(s is None for s in nxt) else nxt
-
-    order, edges = explore(tuple(p.initial for p in parts), step, sorted(alphabet))
-    names = [name(tup) for tup in order]
+    # a product state is a tuple of positions, a part's dead position past
+    # its states; each letter has one column of successors per part
+    forms = [p.compiled() for p in parts]
+    dead = tuple(len(f.states) for f in forms)
+    columns = [(c, [f.column(c, n) for f, n in zip(forms, dead)]) for c in sorted(alphabet)]
+    at = list.__getitem__
+    start = tuple(f.index[p.initial] for p, f in zip(parts, forms))
+    order, edges = explore([start], lambda cur: [(c, nxt) for c, column in columns
+                                                 if (nxt := tuple(map(at, column, cur))) != dead])
+    labels = [[*f.states, "-"] for f in forms]
+    finals = [[s in p.finals for s in f.states] + [False] for p, f in zip(parts, forms)]
+    names = ["(" + "|".join(map(at, labels, tup)) + ")" for tup in order]
     outputs = {}
     for n, tup in zip(names, order):
-        accepting = [i for i, s in enumerate(tup) if s is not None and s in parts[i].finals]
+        accepting = [i for i, final in enumerate(map(at, finals, tup)) if final]
         assert len(accepting) <= 1, "disjoint parts accepted the same word"
         if accepting:
             outputs[n] = accepting[0] + 1
     return MooreDFA(names, alphabet, names[0], set(outputs),
                     [(names[i], c, names[j]) for i, c, j in edges], outputs)
-

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from uta import DFA, NFA, DTA_DFA, DTA_NFA, NTA_NFA, SDTA, MooreDFA, Tree, TreeAutomaton
-from uta.strings import explore
+from uta.strings import explore, stepwise
 
 ALPHABET_POOL = ("a", "b", "c")
 
@@ -219,7 +219,8 @@ def inflate_sdta(rng: random.Random, a: TreeAutomaton) -> TreeAutomaton:
 def canonical_form(m):
     """Structure of a DFA/Moore machine under BFS renaming; two machines are
     isomorphic iff their forms are equal."""
-    order, edges = explore(m.initial, m.successor, sorted(m.alphabet))
+    read = stepwise(lambda s, c: m.delta.get((s, c)))
+    order, edges = explore([m.initial], read(sorted(m.alphabet)))
     number = {s: i for i, s in enumerate(order)}
     finals = tuple(sorted(number[s] for s in m.finals if s in number))
     outs = ()

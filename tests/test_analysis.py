@@ -14,6 +14,7 @@ from uta import EnumerationBounds, EquivalenceVerdict, iter_trees
 from uta.automata import _evaluate, bottom_up_reach
 from uta.cli import cli_main
 from uta.docs import render_automaton
+from uta.strings import stepwise
 from uta.trees import DEFAULT_BOUNDS
 
 from randgen import (canonical_form, inflate_sdta, rand_dta_nfa, rand_dtadfa, rand_nta,
@@ -422,7 +423,7 @@ def _pair_fixed_point_equal(a, b):
             now_a, now_b, read = state
             return finish_a(now_a, not read), finish_b(now_b, not read)
 
-        return (start_a, start_b, False), step, output
+        return [(start_a, start_b, False)], stepwise(step), output
 
     reached = bottom_up_reach([machine(sym) for sym in sorted(a.alphabet)], ())
     return all(bool(s_a & a.finals) == bool(s_b & b.finals) for s_a, s_b in reached)

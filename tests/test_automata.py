@@ -1,3 +1,4 @@
+import collections
 import pickle
 
 import pytest
@@ -9,10 +10,12 @@ from uta import (DFA, DTA_DFA, DTA_NFA, KINDS, NTA_DFA, NTA_NFA, NFA, SDTA,
                  nta_to_dtadfa, node, parse_tree, prune_reachable, render_tree,
                  run, size, word_node)
 from uta import EnumerationBounds, EnumerationCapExceeded, enumerate_trees, iter_trees
-from uta.automata import _evaluate, _node_states, bottom_up_reach
+from uta.automata import _evaluate, _node_states, bottom_up_reach, reach
 from uta.cli import cli_main
 from uta.docs import render_automaton
+from uta.strings import stepwise
 
+from oracles import prune_by_step_any, sdta_reach_by_step
 from randgen import (rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta, rand_tree,
                      rand_trees)
 import random
@@ -168,16 +171,49 @@ class TestPrune:
         assert size(prune_reachable(auto)) == SizePair(2, 11)
 
 
+def _all_kinds(rng):
+    """One seeded automaton of each kind; the nta-dfa is a dta-dfa
+    declared with the weaker kind."""
+    d = rand_dtadfa(rng)
+    return [rand_nta(rng), TreeAutomaton(NTA_DFA, d.alphabet, d.states, d.finals,
+                                         horizontal=d.horizontal),
+            rand_dta_nfa(rng), rand_dtadfa(rng), rand_sdta(rng)]
+
+
+class TestPruneAgainstFrozensetSteps:
+    def test_equal_to_the_step_any_reference(self):
+        rng = random.Random(59)
+        seen = collections.Counter()
+        named = [gen_lemma34((2, 3))[0], gen_thm41(2)[0], nta_to_dtadfa(gen_thm41(2)[0])[0],
+                 dtadfa_to_sdta(gen_lemma34((2, 3))[0])[0]]
+        for auto in named + [a for _ in range(80) for a in _all_kinds(rng)]:
+            pruned = prune_reachable(auto)
+            assert pruned == prune_by_step_any(auto)
+            seen[auto.kind] += 1
+            seen["states dropped"] += pruned.states != auto.states
+            seen["machines dropped"] += (len(pruned.horizontal) + len(pruned.moore)
+                                         < len(auto.horizontal) + len(auto.moore))
+        assert set(seen) >= set(KINDS) and min(seen.values()) >= 20, seen
+
+    def test_sdta_reach_order_as_the_step_reference(self):
+        rng = random.Random(61)
+        for _ in range(150):
+            auto = rand_sdta(rng)
+            assert list(reach(auto)) == sdta_reach_by_step(auto)
+        auto = dtadfa_to_sdta(gen_lemma34((2, 3, 5))[0])[0]
+        assert list(reach(auto)) == sdta_reach_by_step(auto)
+
+
 class TestBottomUpReach:
     def test_yields_each_item_as_found(self):
         def step(state, letter):
             raise AssertionError("explored past the first item")
 
-        found = bottom_up_reach([(0, step, lambda state: ("leaf", state))], ())
+        found = bottom_up_reach([([0], stepwise(step), lambda state: ("leaf", state))], ())
         assert next(found) == ("leaf", 0)
 
     def test_items_in_order_found_given_first(self):
-        counter = (0, lambda n, c: n + 1 if n < 3 else None, lambda n: f"s{n}")
+        counter = ([0], stepwise(lambda n, c: n + 1 if n < 3 else None), lambda n: f"s{n}")
         assert list(bottom_up_reach([counter], ["x"])) == ["x", "s0", "s1", "s2", "s3"]
 
 

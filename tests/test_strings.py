@@ -1,5 +1,6 @@
 import collections
 import itertools
+import pickle
 import random
 
 import pytest
@@ -9,9 +10,10 @@ from uta import (DFA, NFA, AlphabetMismatchError, MooreDFA, NTA_DFA, OverlapErro
                  TreeAutomaton, canonical_sdta, check_semantic_determinism, determinize,
                  dtadfa_to_sdta, gen_lemma34, gen_thm41, intersection_witness, marked_union,
                  minimize_dfa, minimize_moore, nta_to_sdta)
-from uta.strings import coarsest_partition, first_overlap
+from uta.strings import coarsest_partition, explore, first_overlap
 
-from randgen import canonical_form, rand_dtadfa, rand_sdta
+from oracles import explore_by_step, marked_union_by_product, successor
+from randgen import canonical_form, rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta
 
 
 def nfa_b_then_one(n):
@@ -486,3 +488,130 @@ class TestCoarsestPartition:
         (keys, rows), = inputs
         assert len(keys) > 40
         agrees_with_rounds(keys, rows)
+
+
+def _string_machines(rng):
+    """DFAs, Moore machines and NFAs from the seeded tree-automaton
+    generators, whose horizontal alphabets are vertical state names."""
+    out = list(rand_dtadfa(rng).horizontal.values()) + list(rand_sdta(rng).moore.values())
+    out += list(rand_nta(rng).horizontal.values()) + list(rand_dta_nfa(rng).horizontal.values())
+    return out
+
+
+def _letter_orders(rng, m):
+    """Sorted, shuffled, partial, and with letters outside the alphabet."""
+    letters = sorted(m.alphabet)
+    shuffled = rng.sample(letters, len(letters))
+    partial = rng.sample(letters, rng.randint(0, len(letters)))
+    foreign = rng.sample(letters + ["zz", "q9", "a"], rng.randint(1, len(letters) + 3))
+    return [letters, shuffled, partial, foreign]
+
+
+def _compiled_walk(m, letters):
+    """``explore`` over the compiled form from the initial states, with the
+    positions turned back into state names."""
+    form = m.compiled()
+    order, edges = explore(form.initials, form.reading(letters))
+    return [form.states[i] for i in order], edges
+
+
+def _nfa_walk_by_step(m, letters):
+    """Test oracle: breadth-first search over an NFA's states from its
+    sorted initial states, reading ``letters`` in order and each letter's
+    successors in sorted order."""
+    order = sorted(m.initials)
+    index = {s: i for i, s in enumerate(order)}
+    edges = []
+    for i, s in enumerate(order):
+        for c in letters:
+            for t in sorted(m.delta.get((s, c), ())):
+                if t not in index:
+                    index[t] = len(order)
+                    order.append(t)
+                edges.append((i, c, index[t]))
+    return order, edges
+
+
+class TestCompiledForm:
+    def test_walks_match_dict_stepping(self):
+        rng = random.Random(41)
+        seen = collections.Counter()
+        for _ in range(60):
+            for m in _string_machines(rng):
+                for letters in _letter_orders(rng, m):
+                    if isinstance(m, NFA):
+                        want = _nfa_walk_by_step(m, letters)
+                    else:
+                        want = explore_by_step(m.initial, successor(m), letters)
+                    assert _compiled_walk(m, letters) == want
+                    seen[type(m).__name__] += 1
+                    seen["foreign letter"] += not set(letters) <= m.alphabet
+                    seen["unsorted"] += letters != sorted(letters)
+        assert min(seen.values()) >= 200, seen
+
+    def test_compiled_once_and_positions_sort_like_names(self):
+        m = rand_sdta(random.Random(2)).moore["a"]
+        form = m.compiled()
+        assert m.compiled() is form
+        assert form.states == sorted(m.states)
+        assert all(form.index[s] == i for i, s in enumerate(form.states))
+        edges = [(form.states[i], c, form.states[j])
+                 for c, column in form.columns.items() for i, j in column]
+        assert sorted(edges) == list(m.transitions())
+
+    def test_pickling_drops_the_compiled_form(self):
+        rng = random.Random(43)
+        for m in _string_machines(rng) + [nfa_b_then_one(3), residue_dfa(3, 1)]:
+            before = pickle.dumps(m)
+            letters = sorted(m.alphabet)
+            walked = _compiled_walk(m, letters)
+            assert pickle.dumps(m) == before
+            again = pickle.loads(before)
+            assert again == m and type(again) is type(m)
+            assert "_form" not in vars(again)
+            assert _compiled_walk(again, letters) == walked
+
+
+def _disjoint_parts(rng):
+    """Copies of one master DFA over one alphabet, its finals split among
+    them, with states renamed per copy.  Each copy drops some transitions,
+    which only shrinks its language, so the copies stay disjoint."""
+    alphabet = rng.sample("abc", rng.randint(1, 3))
+    states = [f"g{i}" for i in range(rng.randint(1, 6))]
+    trans = [(s, c, rng.choice(states)) for s in states for c in alphabet]
+    count = rng.randint(1, 4)
+    owner = {s: rng.randrange(count + 1) for s in states}
+    parts = []
+    for i in range(count):
+        name = {s: f"{s}.{i}" for s in states}
+        parts.append(DFA(name.values(), alphabet, name["g0"],
+                         {name[s] for s in states if owner[s] == i},
+                         [(name[s], c, name[d]) for s, c, d in trans if rng.random() < 0.85]))
+    return parts
+
+
+class TestMarkedUnionAgainstTheNameProduct:
+    def test_equal_to_the_product_over_state_names(self):
+        rng = random.Random(47)
+        sizes = collections.Counter()
+        for _ in range(300):
+            parts = _disjoint_parts(rng)
+            assert first_overlap(parts) is None
+            mu = marked_union(parts)
+            assert mu == marked_union_by_product(parts)
+            sizes["parts > 1"] += len(parts) > 1
+            sizes["dead component"] += any("-" in s for s in mu.states)
+        assert min(sizes.values()) >= 50, sizes
+
+    def test_first_overlap_as_the_reference_search(self):
+        rng = random.Random(53)
+        found = collections.Counter()
+        for _ in range(300):
+            parts = _disjoint_parts(rng)
+            if rng.random() < 0.5:
+                parts.append(rng.choice(parts))  # a part overlaps itself unless empty
+            rng.shuffle(parts)
+            got = first_overlap(parts)
+            assert got == _reference_first_overlap(parts)
+            found["overlap" if got else "disjoint"] += 1
+        assert min(found.values()) >= 50, found
