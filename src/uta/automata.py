@@ -4,9 +4,10 @@ An automaton assigns sets of vertical states to tree nodes bottom-up.  For a
 node labeled ``sym`` whose children were assigned S_1..S_m, a state ``q`` is
 assigned iff some choice (q_1..q_m) from S_1 x..x S_m is accepted by the
 horizontal acceptor for (q, sym).  This is computed exactly in polynomial
-time by running each horizontal acceptor with subset-labeled steps instead
-of enumerating the product of the children's state sets.  Each step, from a
-subset on a child's state set, is computed once per automaton and then
+time by stepping the acceptors of ``sym`` on whole child state sets, in
+place over their transition dicts, instead of enumerating the product of
+the children's state sets.  Each step, from a set of (acceptor, state)
+pairs on a child's state set, is computed once per automaton and then
 looked up: the runs fill in, on demand, the transition table of the subset
 machine that ``convert.nta_to_sdta`` builds (see ``_horizontal_run``).
 
@@ -289,10 +290,10 @@ def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
     a dead run.  ``finish(run, empty)`` is the node's state set, where
     ``empty`` says the node has no children (the designated-leaf rule).
 
-    An SDTA's run is its Moore state.  For the other kinds the acceptors of
-    ``_by_symbol[sym]`` step together as one NFA, their disjoint union with
-    states tagged (i, h) by acceptor index; the run is its current subset,
-    and a state is assigned iff the run holds a final state of its acceptor.
+    An SDTA's run is its Moore state.  For the other kinds the run is a
+    frozenset (which caches its hash) of (i, h) pairs, state h of acceptor i
+    of ``_by_symbol[sym]``, stepped in place over the acceptors' dicts; a
+    state is assigned iff the run holds a final state of its acceptor.
     ``step`` computes each (subset, child set) step once and keeps it, a
     dead step as None, in a table that lives as long as the run (in
     ``TreeAutomaton._runs``, which pickling drops).  A key pairs a subset the
@@ -322,21 +323,25 @@ def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
         return (mach.initial if mach else None), step, finish
 
     pairs = a._by_symbol.get(sym, ())
-    union = None
-    if pairs:
-        tagged = list(enumerate(m for _, m in pairs))
-        union = NFA([(i, h) for i, m in tagged for h in m.states], a.horizontal_alphabet,
-                    [(i, h) for i, m in tagged for h in m.initials],
-                    [(i, h) for i, m in tagged for h in m.finals],
-                    [((i, h), c, (i, d)) for i, m in tagged for h, c, d in m.transitions()])
-
+    gets = [(m.delta.get, isinstance(m, NFA)) for _, m in pairs]
     table, assigned = {}, {}
+
+    def advance(run, s):
+        # kept out of ``step``, whose small frame makes the many table hits cheap
+        out = set()
+        for i, h in run:
+            get, many = gets[i]
+            for c in s:
+                t = get((h, c))
+                if t is not None:
+                    out.update([(i, d) for d in t] if many else [(i, t)])
+        return frozenset(out) or None
 
     def step(run, s):
         try:
             return table[run, s]
         except KeyError:
-            got = table[run, s] = union.step_any(run, s) or None
+            got = table[run, s] = advance(run, s)
             return got
 
     def finish(run, empty):
@@ -346,10 +351,12 @@ def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
             return nothing
         got = assigned.get(run)
         if got is None:
-            got = assigned[run] = frozenset([pairs[i][0] for i, _ in run & union.finals])
+            got = assigned[run] = frozenset([pairs[i][0] for i, h in run
+                                             if h in pairs[i][1].finals])
         return got
 
-    return (union.initials if union else None), step, finish
+    start = frozenset([(i, h) for i, (_, m) in enumerate(pairs) for h in m.initials])
+    return start or None, step, finish
 
 
 def accepts(a: TreeAutomaton, t: Tree) -> bool:

@@ -3,11 +3,11 @@
 The same machinery serves plain alphabets, vertical states, and sets of
 vertical states: symbols and states are opaque string tokens.  DFAs may be
 partial; a missing transition rejects.  Reported sizes count the declared
-states only, so the implicit reject sink is never included.  Subsets of
-states step the same way in NFAs and DFAs (``initials``, ``step``,
-``step_any``); walks over one machine read its ``compiled`` form, integer
-columns of the transitions that exist, so they cost O(edges), not O(states
-x letters).
+states only, so the implicit reject sink is never included.  NFAs and DFAs
+share one subset step, ``step(subset, letters)``, over their transition
+dicts, and one ``accepts``; walks over one machine read its ``compiled``
+form, integer columns of the transitions that exist, so they cost
+O(edges), not O(states x letters).
 
 Every construction that builds reachable states only runs one breadth-first
 explorer, ``explore``; only the overlap search of ``intersection_witness``
@@ -45,9 +45,8 @@ class _Compiled:
         self.index = index = dict(zip(self.states, range(len(self.states))))
         self.initials = sorted(map(index.__getitem__, m.initials))
         self.columns = columns = {c: [] for c in m.alphabet}
-        many = isinstance(m, NFA)
         for (s, c), d in m.delta.items():
-            if many:
+            if m._many:
                 columns[c] += [(index[s], j) for j in sorted(map(index.__getitem__, d))]
             else:
                 columns[c].append((index[s], index[d]))
@@ -71,14 +70,41 @@ class _Compiled:
 
 
 class _Machine:
-    """What NFAs and DFAs share: the size, and the ``compiled`` form, built
-    on first use, cached on the machine and dropped on pickling."""
+    """What NFAs and DFAs share: the size, the subset step, acceptance, and
+    the ``compiled`` form, built on first use, cached on the machine and
+    dropped on pickling.  ``delta`` maps (state, letter) to a frozenset of
+    states in an NFA (``_many``) and to one state in a DFA."""
 
     _form = None
 
     @property
     def size(self) -> int:
         return len(self.states)
+
+    def step(self, subset, letters) -> frozenset:
+        """The states some member of ``subset`` reaches on some letter of
+        ``letters``."""
+        out, get, many = set(), self.delta.get, self._many
+        for c in letters:
+            for s in subset:
+                t = get((s, c))
+                if t is not None:
+                    out |= t if many else {t}
+        return frozenset(out)
+
+    def _ends(self, word) -> frozenset:
+        """The states the runs on ``word`` end in; every letter of ``word``
+        is checked against the alphabet, also after the runs have died."""
+        cur = self.initials
+        for c in word:
+            if c not in self.alphabet:
+                raise UnknownSymbolError(c)
+            if cur:
+                cur = self.step(cur, (c,))
+        return cur
+
+    def accepts(self, word) -> bool:
+        return not self._ends(word).isdisjoint(self.finals)
 
     def compiled(self) -> _Compiled:
         if self._form is None:
@@ -91,6 +117,8 @@ class _Machine:
 
 class NFA(_Machine):
     """Nondeterministic finite automaton; transitions form a relation."""
+
+    _many = True
 
     def __init__(self, states, alphabet, initials, finals, transitions):
         self.states = frozenset(states)
@@ -115,30 +143,6 @@ class NFA(_Machine):
             for dst in sorted(dsts):
                 yield src, sym, dst
 
-    def step(self, subset, sym) -> frozenset:
-        out = set()
-        for s in subset:
-            out |= self.delta.get((s, sym), frozenset())
-        return frozenset(out)
-
-    def step_any(self, subset, syms) -> frozenset:
-        """One step where the input symbol may be any member of ``syms``."""
-        out = set()
-        for s in subset:
-            for c in syms:
-                out |= self.delta.get((s, c), frozenset())
-        return frozenset(out)
-
-    def accepts(self, word) -> bool:
-        cur = self.initials
-        for sym in word:
-            if sym not in self.alphabet:
-                raise UnknownSymbolError(sym)
-            cur = self.step(cur, sym)
-            if not cur:
-                return False
-        return bool(cur & self.finals)
-
     def __eq__(self, other):
         return (type(other) is NFA and self.states == other.states
                 and self.alphabet == other.alphabet and self.initials == other.initials
@@ -153,6 +157,8 @@ class NFA(_Machine):
 
 class DFA(_Machine):
     """Deterministic, possibly partial, finite automaton."""
+
+    _many = False
 
     def __init__(self, states, alphabet, initial, finals, transitions):
         self.states = frozenset(states)
@@ -180,33 +186,6 @@ class DFA(_Machine):
     @property
     def initials(self) -> frozenset:
         return frozenset([self.initial])
-
-    def step(self, subset, sym) -> frozenset:
-        return self.step_any(subset, (sym,))
-
-    def step_any(self, subset, syms) -> frozenset:
-        """One step where the input symbol may be any member of ``syms``."""
-        out = set()
-        for s in subset:
-            for c in syms:
-                t = self.delta.get((s, c))
-                if t is not None:
-                    out.add(t)
-        return frozenset(out)
-
-    def run_word(self, word):
-        """Ending state, or None once a missing transition is hit."""
-        cur = self.initial
-        for sym in word:
-            if sym not in self.alphabet:
-                raise UnknownSymbolError(sym)
-            cur = self.delta.get((cur, sym))
-            if cur is None:
-                return None
-        return cur
-
-    def accepts(self, word) -> bool:
-        return self.run_word(word) in self.finals
 
     def to_nfa(self) -> NFA:
         return NFA(self.states, self.alphabet, {self.initial}, self.finals,
@@ -236,8 +215,7 @@ class MooreDFA(DFA):
 
     def output_of(self, word):
         """Output for the word, or None if the word is not accepted."""
-        end = self.run_word(word)
-        return self.outputs.get(end) if end is not None else None
+        return self.outputs.get(next(iter(self._ends(word)), None))
 
     def map_outputs(self, f) -> "MooreDFA":
         """The same machine with every output ``v`` replaced by ``f(v)``."""
@@ -287,8 +265,9 @@ def determinize(m) -> DFA:
     Subset states are named canonically by their sorted member list, so the
     result is reproducible.
     """
-    read = stepwise(lambda s, c: m.step(s, c) or None)
-    order, edges = explore([frozenset(m.initials)], read(sorted(m.alphabet)))
+    letters = [(c, (c,)) for c in sorted(m.alphabet)]
+    order, edges = explore([frozenset(m.initials)],
+                           lambda s: [(c, m.step(s, one) or None) for c, one in letters])
     names = [subset_name(s) for s in order]
     return DFA(names, m.alphabet, names[0],
                {n for n, s in zip(names, order) if s & m.finals},

@@ -1,9 +1,10 @@
 """Test-only oracles: the dict-stepping code that compiled walks replaced.
 
 Each function is the library code as it was before machines were compiled
-into integer rows: it steps one ``(state, letter)`` lookup at a time and
-tries every letter in every state.  The differential tests check that the
-compiled walks give exactly the same results.
+into integer rows, or before tree runs stepped their acceptors in place: it
+steps one ``(state, letter)`` lookup at a time, reading the transition dicts
+itself, and tries every letter in every state.  The differential tests check
+that the library gives exactly the same results.
 """
 
 from __future__ import annotations
@@ -55,11 +56,52 @@ def sdta_reach_by_step(a: TreeAutomaton) -> list:
     return items
 
 
+def delta_step(m, subset, letters) -> frozenset:
+    """The states some member of ``subset`` reaches on some letter of
+    ``letters``, one ``m.delta`` lookup at a time: an NFA maps a (state,
+    letter) key to a set of states, a DFA to one state."""
+    out = set()
+    for s in subset:
+        for c in letters:
+            t = m.delta.get((s, c))
+            if t is not None:
+                out |= t if isinstance(m, NFA) else {t}
+    return frozenset(out)
+
+
+def union_run(a: TreeAutomaton, sym):
+    """The ``(start, step, finish)`` horizontal run of ``sym`` for a
+    non-SDTA kind as one NFA: the disjoint union of the acceptors, states
+    tagged (i, h) by acceptor index, whose run is its current subset (None
+    once empty).  Nothing is memoized."""
+    leaf = frozenset([sym]) if sym in a.leaf_symbols else None
+    pairs = a.machines_for(sym)
+    union = None
+    if pairs:
+        tagged = list(enumerate(m for _, m in pairs))
+        union = NFA([(i, h) for i, m in tagged for h in m.states], a.horizontal_alphabet,
+                    [(i, h) for i, m in tagged for h in m.initials],
+                    [(i, h) for i, m in tagged for h in m.finals],
+                    [((i, h), c, (i, d)) for i, m in tagged for h, c, d in m.transitions()])
+
+    def step(run, s):
+        return delta_step(union, run, s) or None
+
+    def finish(run, empty):
+        if empty and leaf:
+            return leaf
+        if run is None:
+            return frozenset()
+        return frozenset([pairs[i][0] for i, _ in run & union.finals])
+
+    return (union.initials if union else None), step, finish
+
+
 def _reachable_by_step_any(mach, allowed) -> set:
     seen = set(mach.initials)
     frontier = set(seen)
     while frontier:
-        nxt = mach.step_any(frontier, allowed) - seen
+        nxt = delta_step(mach, frontier, allowed) - seen
         seen |= nxt
         frontier = nxt
     return seen

@@ -15,7 +15,7 @@ from uta.cli import cli_main
 from uta.docs import render_automaton
 from uta.strings import stepwise
 
-from oracles import prune_by_step_any, sdta_reach_by_step
+from oracles import prune_by_step_any, sdta_reach_by_step, union_run
 from randgen import (rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta, rand_tree,
                      rand_trees)
 import random
@@ -363,6 +363,37 @@ def _recursive_run(a, t):
 
     go(t, ())
     return assignment
+
+
+class TestRunAgainstTheUnionNfa:
+    def test_same_runs_as_the_tagged_union(self):
+        rng = random.Random(67)
+        seen = collections.Counter()
+        named = [gen_lemma34((2, 3))[0], gen_thm41(2)[0], nta_to_dtadfa(gen_thm41(2)[0])[0]]
+        autos = named + [RANDOM_AUTOMATA[kind](rng) for _ in range(40)
+                         for kind in (NTA_NFA, NTA_DFA, DTA_NFA, DTA_DFA)]
+        for a in autos:
+            letters = sorted(a.horizontal_alphabet)
+            for sym in sorted(a.alphabet):
+                start, step, finish = a.horizontal_run(sym)
+                u_start, u_step, u_finish = union_run(a, sym)
+                assert start == u_start
+                assert finish(start, True) == u_finish(u_start, True)
+                for _ in range(6):
+                    # child sets as nodes are assigned them, empty ones included
+                    run, u_run = start, u_start
+                    for _ in range(rng.randint(1, 4)):
+                        if run is None:
+                            break
+                        s = frozenset(rng.sample(letters, rng.randint(0, min(2, len(letters)))))
+                        run, u_run = step(run, s), u_step(u_run, s)
+                        assert run == u_run
+                    assert finish(run, False) == u_finish(u_run, False)
+                    seen["dead" if run is None else "alive"] += 1
+                    seen["assigns" if finish(run, False) else "assigns nothing"] += 1
+                seen[a.kind] += 1
+                seen["leaf symbol"] += sym in a.leaf_symbols
+        assert min(seen.values()) >= 5 and seen["assigns"] >= 100, seen
 
 
 class TestAddressView:

@@ -7,12 +7,12 @@ import pytest
 
 import uta.analysis
 from uta import (DFA, NFA, AlphabetMismatchError, MooreDFA, NTA_DFA, OverlapError,
-                 TreeAutomaton, canonical_sdta, check_semantic_determinism, determinize,
-                 dtadfa_to_sdta, gen_lemma34, gen_thm41, intersection_witness, marked_union,
-                 minimize_dfa, minimize_moore, nta_to_sdta)
+                 TreeAutomaton, UnknownSymbolError, canonical_sdta, check_semantic_determinism,
+                 determinize, dtadfa_to_sdta, gen_lemma34, gen_thm41, intersection_witness,
+                 marked_union, minimize_dfa, minimize_moore, nta_to_sdta)
 from uta.strings import coarsest_partition, explore, first_overlap
 
-from oracles import explore_by_step, marked_union_by_product, successor
+from oracles import delta_step, explore_by_step, marked_union_by_product, successor
 from randgen import canonical_form, rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta
 
 
@@ -49,6 +49,18 @@ class TestAcceptance:
     def test_empty_word_with_initial_final_overlap(self):
         m = NFA(["s"], ["a"], ["s"], ["s"], [])
         assert m.accepts("")
+
+    def test_unknown_symbol_raises_also_after_the_run_dies(self):
+        d = DFA(["s", "t"], "ab", "s", ["t"], [("s", "a", "t")])
+        moore = MooreDFA(["s", "t"], "ab", "s", ["t"], [("s", "a", "t")], {"t": "out"})
+        # "b" kills the run before "z" is read; "a" keeps it alive
+        for word in ("bz", "az"):
+            for check in (d.accepts, d.to_nfa().accepts, moore.accepts, moore.output_of):
+                with pytest.raises(UnknownSymbolError) as e:
+                    check(word)
+                assert e.value.symbol == "z"
+        assert not d.accepts("b") and d.accepts("a") and d.to_nfa().accepts("a")
+        assert moore.output_of("a") == "out" and moore.output_of("ab") is None
 
 
 class TestDeterminize:
@@ -98,9 +110,9 @@ class TestSteppingInterface:
                 for _ in range(5):
                     sub = frozenset(rng.sample(states, rng.randint(0, len(states))))
                     some = rng.sample(syms, rng.randint(0, len(syms)))
-                    assert d.step_any(sub, some) == n.step_any(sub, some)
+                    assert d.step(sub, some) == n.step(sub, some) == delta_step(d, sub, some)
                     for c in syms:
-                        assert d.step(sub, c) == n.step(sub, c)
+                        assert d.step(sub, (c,)) == n.step(sub, (c,)) == delta_step(n, sub, (c,))
                 assert determinize(d) == determinize(n)
 
 
@@ -271,7 +283,7 @@ def _has_dead_state(m):
     for start in m.states:
         seen, todo = {start}, [start]
         while todo:
-            for t in m.step_any({todo.pop()}, m.alphabet) - seen:
+            for t in delta_step(m, {todo.pop()}, m.alphabet) - seen:
                 seen.add(t)
                 todo.append(t)
         if not seen & m.finals:
