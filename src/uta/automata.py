@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from .errors import KindError, UnknownSymbolError
-from .strings import DFA, MooreDFA, NFA, explore, first_overlap
+from .strings import DFA, MooreDFA, NFA, explore, first_overlap, shared_structures
 from .trees import Tree, _Record
 
 NTA_NFA = "nta-nfa"
@@ -401,15 +401,20 @@ def bottom_up_reach(machines, items, walks=None):
     order first found, the given ones first, each as soon as it is found.
     Once exhausted, it leaves in a given dict ``walks`` each machine's
     ``explore`` result of the last round, which read every item, by index.
+    It keeps the last walk of each ``read``, and a machine with that ``read``
+    and equal ``starts`` reuses it while no item was found since.
     """
     items = list(items)
     yield from items
     found = set(items)
+    last = {}  # read -> (starts, items read, walk)
     grew = True
     while grew:
         grew = False
         for k, (starts, read, output) in enumerate(machines):
-            order, edges = explore(starts, read(items))
+            if last.get(read, ())[:2] != (starts, len(items)):
+                last[read] = starts, len(items), explore(starts, read(items))
+            order, edges = last[read][2]
             if walks is not None:
                 walks[k] = order, edges
             for state in order:
@@ -426,9 +431,12 @@ def reach(a: TreeAutomaton, walks=None):
     keys in sorted order, from its leaf states in sorted order: a Moore
     machine outputs its outputs, an acceptor for (q, sym) outputs q in its
     finals.  Yields the leaf states, then each vertical state that some tree
-    is assigned, in the order found."""
+    is assigned, in the order found.  Machines of one structure
+    (``strings.shared_structures``) share a compiled form, so a walk."""
+    keyed = sorted((a.moore if a.kind == SDTA else a.horizontal).items())
+    shared_structures([m for _, m in keyed])
     machines = []
-    for key, m in sorted((a.moore if a.kind == SDTA else a.horizontal).items()):
+    for key, m in keyed:
         form = m.compiled()
         out = ([*map(m.outputs.get, form.states)] if a.kind == SDTA
                else [key[0] if s in m.finals else None for s in form.states])

@@ -10,10 +10,12 @@ form, integer columns of the transitions that exist, so they cost
 O(edges), not O(states x letters).
 
 Every construction that builds reachable states only runs one breadth-first
-explorer, ``explore``; only the overlap search of ``intersection_witness``
-and ``first_overlap`` keeps its own queue, for parent pointers and an early
-exit.  That search runs over pairs of live states; each machine is prepared
-for it once, as rows of live successors read from its compiled form.
+explorer, ``explore``; only the overlap search of ``first_overlap`` keeps
+its own queue, for parent pointers and an early exit.  Machines of one
+transition structure, such as the copies of a Moore machine that split its
+finals, are compiled once (``shared_structures``): the overlap search
+prepares each structure once, as rows of live successors, and walks each
+pair of structures once, over pairs of live states, for all member pairs.
 
 Every minimizer runs one partition refinement, ``coarsest_partition``: the
 DFA and Moore minimizers here, and the SDTA canonicalizer of ``analysis``.
@@ -22,6 +24,8 @@ O(m log n) for m successor references in rows of bounded length.
 """
 
 from __future__ import annotations
+
+from bisect import bisect
 
 from .errors import AlphabetMismatchError, OverlapError, UnknownSymbolError
 
@@ -92,19 +96,18 @@ class _Machine:
                     out |= t if many else {t}
         return frozenset(out)
 
-    def _ends(self, word) -> frozenset:
-        """The states the runs on ``word`` end in; every letter of ``word``
-        is checked against the alphabet, also after the runs have died."""
-        cur = self.initials
+    def _ends(self, word):
+        """The states the runs on ``word`` end in (a DFA's run is one state,
+        or None); every letter is checked, also after the runs have died."""
+        cur = self.initials if self._many else self.initial
         for c in word:
             if c not in self.alphabet:
                 raise UnknownSymbolError(c)
-            if cur:
-                cur = self.step(cur, (c,))
-        return cur
+            cur = self.step(cur, (c,)) if self._many else self.delta.get((cur, c))
+        return cur if self._many else () if cur is None else (cur,)
 
     def accepts(self, word) -> bool:
-        return not self._ends(word).isdisjoint(self.finals)
+        return not self.finals.isdisjoint(self._ends(word))
 
     def compiled(self) -> _Compiled:
         if self._form is None:
@@ -384,20 +387,35 @@ def minimize_moore(m: MooreDFA) -> MooreDFA:
     return _minimize(m, key, MooreDFA)
 
 
-def _live_rows(m):
-    """Prepare an NFA or a DFA for the pair search, once per machine: per
+def shared_structures(machines) -> list:
+    """``machines`` grouped by equal alphabet, states, initials and delta, as
+    lists of indexes; each group's members get its first member's compiled form."""
+    groups, shapes = [], {}
+    for i, m in enumerate(machines):
+        alike = shapes.setdefault((m.alphabet, m.states, m.initials, len(m.delta)), [])
+        g = next((g for g in alike if machines[g[0]].delta == m.delta), None)
+        if g is None:
+            alike.append(g := [])
+            groups.append(g)
+        else:
+            m._form = machines[g[0]].compiled()
+        g.append(i)
+    return groups
+
+
+def _live_rows(machines, group):
+    """Prepare a ``shared_structures`` group for the pair search: per
     compiled position a ``{letter: live successors}`` row in sorted order,
-    the live initials and a final flag.  A state is live when it reaches a
-    final; a pair with a dead component never reaches a final pair, and live
-    pairs are reached only through live pairs, so dropping the dead states
-    leaves the search order of the rest as it is."""
-    form = m.compiled()
-    succ = form.reading(sorted(m.alphabet))
+    the live initials, and per position the members it is final in.  Live
+    states reach a final of some member; live pairs are reached only through
+    live pairs, so dropping the dead states keeps the search order of the rest."""
+    form = machines[group[0]].compiled()
+    final = [tuple(i for i in group if s in machines[i].finals) for s in form.states]
+    succ = form.reading(sorted(form.columns))
     preds = [[] for _ in form.states]
     for i in range(len(preds)):
         for _, j in succ(i):
             preds[j].append((None, i))  # explore's (letter, state) pairs
-    final = [s in m.finals for s in form.states]
     live = set(explore([i for i, f in enumerate(final) if f], preds.__getitem__)[0])
     rows = [{} for _ in preds]
     for i in live:
@@ -407,22 +425,28 @@ def _live_rows(m):
     return rows, [i for i in form.initials if i in live], final
 
 
-def _pair_search(prepared_a, prepared_b):
-    """Shortest word in the intersection of two machines' languages, by
-    breadth-first search over pairs of live states given each machine's
-    ``_live_rows``; None when there is none."""
-    rows_a, initials_a, final_a = prepared_a
-    rows_b, initials_b, final_b = prepared_b
+def _pair_search(a, b, first, best):
+    """Breadth-first search over pairs of live states of two ``_live_rows``
+    structures.  The least member pair i < j final at a pair it meets, if it
+    comes before ``best``, becomes the ``best`` (i, j, word); the search ends
+    at ``first``, the least pair it can meet.  Pairs live for (i, j) have only
+    such predecessors, so they are met as a search of i and j alone meets them."""
+    rows_a, initials_a, final_a = a
+    rows_b, initials_b, final_b = b
     order = [(p, q) for p in initials_a for q in initials_b]
     parent = dict.fromkeys(order)
     for pq in order:
         p, q = pq
         if final_a[p] and final_b[q]:
-            word = []
-            while parent[pq] is not None:
-                pq, c = parent[pq]
-                word.append(c)
-            return tuple(reversed(word))
+            ij = next(((i, j) for i in final_a[p] for j in final_b[q] if i < j), best[:2])
+            if ij < best[:2]:
+                word, at = [], pq
+                while parent[at] is not None:
+                    at, c = parent[at]
+                    word.append(c)
+                best = (*ij, tuple(reversed(word)))
+                if ij == first:
+                    return best
         row_b = rows_b[q]
         for c, ps in rows_a[p].items():
             qs = row_b.get(c)
@@ -433,36 +457,38 @@ def _pair_search(prepared_a, prepared_b):
                     if (p2, q2) not in parent:
                         parent[(p2, q2)] = (pq, c)
                         order.append((p2, q2))
-    return None
+    return best
 
 
 def intersection_witness(a, b):
-    """Shortest word in L(a) & L(b), or None if the languages are disjoint.
-
-    Works for any mix of NFAs and DFAs.  The search runs over pairs of live
-    states, breadth first, with letters and successors in sorted order, so
-    the witness is deterministic; each machine is prepared once.
-    """
+    """Shortest word in L(a) & L(b), or None if the languages are disjoint:
+    ``first_overlap`` of the two, for any mix of NFAs and DFAs."""
     overlap = first_overlap([a, b])
     return None if overlap is None else overlap[2]
 
 
 def first_overlap(machines):
     """The first pair i < j of ``machines`` whose languages meet, in
-    lexicographic order, as ``(i, j, shortest shared word)``; None when the
-    languages are pairwise disjoint.  Each machine is prepared for the pair
-    search once, and serves all of its pairs."""
-    prepared = [*map(_live_rows, machines)]
-    for i, a in enumerate(machines):
-        for j in range(i + 1, len(machines)):
-            b = machines[j]
-            if frozenset(a.alphabet) != frozenset(b.alphabet):
-                raise AlphabetMismatchError(
-                    f"alphabets differ: {sorted(a.alphabet)} vs {sorted(b.alphabet)}")
-            w = _pair_search(prepared[i], prepared[j])
-            if w is not None:
-                return i, j, w
-    return None
+    lexicographic order, as ``(i, j, shortest shared word)``, None if none
+    do; an earlier pair of alphabets that differ raises.  Each structure
+    (``shared_structures``) is prepared once, live for all its members, and
+    each ordered pair of them is searched once, least possible pair first."""
+    mismatch = next((j for j, m in enumerate(machines) if m.alphabet != machines[0].alphabet), 0)
+    groups = shared_structures(machines)
+    prepared = [_live_rows(machines, g) for g in groups]
+    # (0, mismatch) is the first pair of alphabets that differ, if any
+    best = (0, mismatch, None) if mismatch else (len(machines), 0, None)
+    for x, g in enumerate(groups):
+        if best[0] < g[0]:
+            break
+        for j, y in sorted((h[bisect(h, g[0])], y) for y, h in enumerate(groups) if h[-1] > g[0]):
+            if best[:2] <= (g[0], j):
+                break
+            best = _pair_search(prepared[x], prepared[y], (g[0], j), best)
+    if best[2] is None and mismatch:
+        raise AlphabetMismatchError(f"alphabets differ: {sorted(machines[0].alphabet)} "
+                                    f"vs {sorted(machines[mismatch].alphabet)}")
+    return None if best[2] is None else best
 
 
 def marked_union(parts) -> MooreDFA:

@@ -1,19 +1,21 @@
 import collections
+import itertools
 import pickle
 
 import pytest
 
 from uta import (DFA, DTA_DFA, DTA_NFA, KINDS, NTA_DFA, NTA_NFA, NFA, SDTA,
-                 KindError, SizePair, Tree, TreeAutomaton, UnknownSymbolError, accepts,
-                 check_semantic_determinism, classify, determinize,
+                 KindError, MooreDFA, SizePair, Tree, TreeAutomaton, UnknownSymbolError,
+                 accepts, canonical_sdta, check_semantic_determinism, classify, determinize,
                  dtadfa_to_sdta, gen_lemma34, gen_thm41, leaf, nest,
-                 nta_to_dtadfa, node, parse_tree, prune_reachable, render_tree,
-                 run, size, word_node)
+                 nta_to_dtadfa, nta_to_sdta, node, parse_tree, prune_reachable, render_tree,
+                 run, sdta_isomorphic, sdta_to_dtadfa, size, word_node)
 from uta import EnumerationBounds, EnumerationCapExceeded, enumerate_trees, iter_trees
 from uta.automata import _evaluate, _node_states, bottom_up_reach, reach
 from uta.cli import cli_main
 from uta.docs import render_automaton
-from uta.strings import stepwise
+from uta import automata, strings
+from uta.strings import explore, shared_structures, stepwise
 
 from oracles import prune_by_step_any, sdta_reach_by_step, union_run
 from randgen import (rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta, rand_tree,
@@ -215,6 +217,85 @@ class TestBottomUpReach:
     def test_items_in_order_found_given_first(self):
         counter = ([0], stepwise(lambda n, c: n + 1 if n < 3 else None), lambda n: f"s{n}")
         assert list(bottom_up_reach([counter], ["x"])) == ["x", "s0", "s1", "s2", "s3"]
+
+
+@pytest.fixture(scope="module")
+def thm41_canonical():
+    return canonical_sdta(nta_to_sdta(gen_thm41(4)[0])[0])
+
+
+@pytest.fixture
+def thm41_split(thm41_canonical):
+    """The canonical SDTA of theorem 4.1 (4) split into a dta-dfa: one
+    symbol, one Moore machine copied once per output value.  Each test gets
+    fresh machines, so none finds forms compiled by another."""
+    return sdta_to_dtadfa(thm41_canonical)[0]
+
+
+def _equal_machine_sdtas(rng):
+    """Pruned random SDTAs in which two symbols carry equal Moore machines."""
+    while True:
+        a = rand_sdta(rng, max_alphabet=3)
+        if len(a.alphabet) < 2:
+            continue
+        x, y = rng.sample(sorted(a.alphabet), 2)
+        m = a.moore[x]
+        moore = {**a.moore, y: MooreDFA(m.states, m.alphabet, m.initial, m.finals,
+                                        list(m.transitions()), m.outputs)}
+        yield prune_reachable(TreeAutomaton(SDTA, a.alphabet, a.states, a.finals, moore=moore))
+
+
+def _renamed_per_symbol(a):
+    """``a`` with each symbol's horizontal states renamed apart."""
+    moore = {}
+    for sym, m in a.moore.items():
+        name = {s: f"{sym}.{s}" for s in m.states}
+        moore[sym] = MooreDFA(name.values(), m.alphabet, name[m.initial],
+                              {name[s] for s in m.finals},
+                              [(name[s], c, name[d]) for s, c, d in m.transitions()],
+                              {name[s]: v for s, v in m.outputs.items()})
+    return TreeAutomaton(SDTA, a.alphabet, a.states, a.finals, moore=moore,
+                         leaf_symbols=a.leaf_symbols)
+
+
+class TestSharedStructures:
+    def test_determinism_check_prepares_one_structure(self, thm41_split, monkeypatch):
+        machines = list(thm41_split.horizontal.values())
+        assert all(m.delta == machines[0].delta for m in machines)
+        calls = []
+
+        def counting(machines, group):
+            calls.append(len(group))
+            return live_rows(machines, group)
+
+        live_rows = strings._live_rows
+        monkeypatch.setattr(strings, "_live_rows", counting)
+        assert check_semantic_determinism(thm41_split).ok
+        assert calls == [len(thm41_split.horizontal)] == [15]
+
+    def test_prune_walks_each_structure_once_a_round(self, thm41_split, monkeypatch):
+        calls = []
+
+        def counting(starts, successors):
+            calls.append(starts)
+            return explore(starts, successors)
+
+        monkeypatch.setattr(automata, "explore", counting)
+        pruned = prune_reachable(thm41_split)
+        monkeypatch.undo()
+        assert len(calls) <= 16
+        assert pruned == prune_by_step_any(thm41_split)
+
+    def test_equal_moore_machines_keep_the_reach_order(self):
+        rng = random.Random(89)
+        seen = collections.Counter()
+        for a in itertools.islice(_equal_machine_sdtas(rng), 250):
+            assert list(reach(a)) == sdta_reach_by_step(a)
+            b = _renamed_per_symbol(a)
+            assert sdta_isomorphic(a, b) and sdta_isomorphic(b, a)
+            forms = {len(shared_structures(list(x.moore.values()))) for x in (a, b)}
+            seen["shared"] += forms == {len(a.moore) - 1, len(a.moore)}
+        assert seen["shared"] >= 100, seen
 
 
 class TestClassify:

@@ -10,7 +10,7 @@ from uta import (DFA, NFA, AlphabetMismatchError, MooreDFA, NTA_DFA, OverlapErro
                  TreeAutomaton, UnknownSymbolError, canonical_sdta, check_semantic_determinism,
                  determinize, dtadfa_to_sdta, gen_lemma34, gen_thm41, intersection_witness,
                  marked_union, minimize_dfa, minimize_moore, nta_to_sdta)
-from uta.strings import coarsest_partition, explore, first_overlap
+from uta.strings import coarsest_partition, explore, first_overlap, shared_structures
 
 from oracles import delta_step, explore_by_step, marked_union_by_product, successor
 from randgen import canonical_form, rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta
@@ -627,3 +627,102 @@ class TestMarkedUnionAgainstTheNameProduct:
             assert got == _reference_first_overlap(parts)
             found["overlap" if got else "disjoint"] += 1
         assert min(found.values()) >= 50, found
+
+
+def _copy(m, finals, extra=()):
+    """``m`` with its finals replaced, and ``extra`` states declared that no
+    transition touches; equal delta and initials."""
+    trans = list(m.transitions())
+    if isinstance(m, NFA):
+        return NFA(m.states | set(extra), m.alphabet, m.initials, finals, trans)
+    return DFA(m.states | set(extra), m.alphabet, m.initial, finals, trans)
+
+
+def _split_copies(rng, alphabet="ab", most=5):
+    """2 to 5 copies of one random machine, each final of it given to at
+    most one copy; DFA copies are disjoint, NFA copies may meet."""
+    m = _random_machine(rng, alphabet, most)
+    count = rng.randint(2, 5)
+    owner = {s: rng.randrange(count + 1) for s in m.states}
+    return m, [_copy(m, {s for s in m.finals if owner[s] == i}) for i in range(count)]
+
+
+class TestSharedStructureSearch:
+    """``first_overlap`` searches machines of one structure together; the
+    result must be the pair-by-pair reference search's."""
+
+    def test_copies_with_split_finals(self):
+        rng = random.Random(67)
+        seen = collections.Counter()
+        for _ in range(300):
+            m, copies = _split_copies(rng)
+            got = first_overlap(copies)
+            assert got == _reference_first_overlap(copies)
+            assert shared_structures(copies) == [list(range(len(copies)))]
+            if isinstance(m, DFA):
+                assert got is None
+            seen["dfa" if isinstance(m, DFA) else "nfa"] += 1
+        assert min(seen.values()) >= 100, seen
+
+    def test_copies_sharing_one_final(self):
+        rng = random.Random(71)
+        seen = collections.Counter()
+        for _ in range(300):
+            m, copies = _split_copies(rng)
+            shared = rng.choice(sorted(m.states))
+            i, j = rng.sample(range(len(copies)), 2)
+            for k in (i, j):
+                copies[k] = _copy(m, copies[k].finals | {shared})
+            got = first_overlap(copies)
+            assert got == _reference_first_overlap(copies)
+            seen["overlap" if got else "disjoint"] += 1
+        assert seen["overlap"] >= 100 and seen["disjoint"] >= 20, seen
+
+    def test_equal_delta_and_initials_but_other_declared_states(self):
+        rng = random.Random(73)
+        seen = collections.Counter()
+        for _ in range(300):
+            m, copies = _split_copies(rng)
+            for k in rng.sample(range(len(copies)), rng.randint(1, len(copies))):
+                extra = rng.sample(["x0", "x1", "x2"], rng.randint(1, 2))
+                copies[k] = _copy(m, copies[k].finals | set(extra[:rng.randint(0, 1)]),
+                                  extra)
+            got = first_overlap(copies)
+            assert got == _reference_first_overlap(copies)
+            seen["groups"] += len(shared_structures(copies)) > 1
+            seen["overlap" if got else "disjoint"] += 1
+        assert seen["groups"] >= 250 and min(seen.values()) >= 20, seen
+
+    def test_groups_interleaved_with_unrelated_machines(self):
+        rng = random.Random(79)
+        seen = collections.Counter()
+        for _ in range(400):
+            alphabet = rng.choice(["ab", "abc"])
+            groups = []
+            for _ in range(rng.randint(2, 3)):
+                m, copies = _split_copies(rng, alphabet, 4)
+                if rng.random() < 0.5:
+                    k = rng.randrange(len(copies))
+                    copies[k] = _copy(m, copies[k].finals | {rng.choice(sorted(m.states))})
+                groups.append(copies)
+            machines = [m for g in groups for m in g]
+            machines += [_random_machine(rng, alphabet, 3) for _ in range(rng.randint(0, 3))]
+            rng.shuffle(machines)
+            got = first_overlap(machines)
+            assert got == _reference_first_overlap(machines)
+            where = [[machines.index(m) for m in g] for g in groups[:2]]
+            seen["both orders"] += (min(where[0]) < max(where[1])
+                                    and min(where[1]) < max(where[0]))
+            seen["overlap" if got else "disjoint"] += 1
+        assert seen["both orders"] >= 100 and min(seen.values()) >= 50, seen
+
+    def test_machine_against_itself(self):
+        rng = random.Random(83)
+        seen = collections.Counter()
+        for _ in range(200):
+            d = _random_machine(rng, rng.choice(["ab", "abc"]), 5)
+            want = _reference_witness(d, d)
+            assert intersection_witness(d, d) == want
+            assert intersection_witness(d, _copy(d, d.finals)) == want
+            seen["empty" if want is None else "meets"] += 1
+        assert min(seen.values()) >= 50, seen
