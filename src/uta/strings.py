@@ -74,10 +74,11 @@ class _Compiled:
 
 
 class _Machine:
-    """What NFAs and DFAs share: the size, the subset step, acceptance, and
-    the ``compiled`` form, built on first use, cached on the machine and
-    dropped on pickling.  ``delta`` maps (state, letter) to a frozenset of
-    states in an NFA (``_many``) and to one state in a DFA."""
+    """What NFAs and DFAs share: the size, the subset step, acceptance,
+    equality, hash and repr, and the ``compiled`` form, built on first use,
+    cached on the machine, and left out of pickling and of equality.
+    ``delta`` maps (state, letter) to a frozenset of states in an NFA
+    (``_many``) and to one state in a DFA."""
 
     _form = None
 
@@ -117,6 +118,15 @@ class _Machine:
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "_form"}
 
+    def __eq__(self, other):
+        return type(other) is type(self) and self.__getstate__() == other.__getstate__()
+
+    def __hash__(self):
+        return hash((self.states, self.alphabet, self.finals))
+
+    def __repr__(self):
+        return f"<{type(self).__name__} {len(self.states)} states, {len(self.delta)} edges>"
+
 
 class NFA(_Machine):
     """Nondeterministic finite automaton; transitions form a relation."""
@@ -145,17 +155,6 @@ class NFA(_Machine):
         for (src, sym), dsts in sorted(self.delta.items()):
             for dst in sorted(dsts):
                 yield src, sym, dst
-
-    def __eq__(self, other):
-        return (type(other) is NFA and self.states == other.states
-                and self.alphabet == other.alphabet and self.initials == other.initials
-                and self.finals == other.finals and self.delta == other.delta)
-
-    def __hash__(self):
-        return hash((self.states, self.alphabet, self.initials, self.finals))
-
-    def __repr__(self):
-        return f"<NFA {len(self.states)} states, {len(self.delta)} edges>"
 
 
 class DFA(_Machine):
@@ -194,18 +193,6 @@ class DFA(_Machine):
         return NFA(self.states, self.alphabet, {self.initial}, self.finals,
                    list(self.transitions()))
 
-    def __eq__(self, other):
-        return (type(other) is type(self) and self.states == other.states
-                and self.alphabet == other.alphabet and self.initial == other.initial
-                and self.finals == other.finals and self.delta == other.delta
-                and getattr(self, "outputs", None) == getattr(other, "outputs", None))
-
-    def __hash__(self):
-        return hash((self.states, self.alphabet, self.initial, self.finals))
-
-    def __repr__(self):
-        return f"<DFA {len(self.states)} states, {len(self.delta)} edges>"
-
 
 class MooreDFA(DFA):
     """A DFA with an output attached to every final state (and only those)."""
@@ -225,9 +212,6 @@ class MooreDFA(DFA):
         return MooreDFA(self.states, self.alphabet, self.initial, self.finals,
                         [(s, c, d) for (s, c), d in self.delta.items()],
                         {s: f(v) for s, v in self.outputs.items()})
-
-    def __repr__(self):
-        return f"<MooreDFA {len(self.states)} states, {len(self.delta)} edges>"
 
 
 def explore(starts, successors):

@@ -3,7 +3,8 @@
 Trees are immutable values; sibling order is significant and equality is
 structural.  Symbols are identifiers matching ``[A-Za-z0-9_]+``; the symbol
 ``x`` is reserved for the variable leaf of a context and is rejected inside
-plain trees.
+plain trees.  ``iter_trees`` enumerates the trees within depth and width
+bounds by node count, then by rendering, generating them in that order.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import heapq
 import re
 from collections.abc import Iterator
-from functools import lru_cache
+from itertools import chain, count, islice, tee
 from operator import attrgetter
 
 from .errors import EnumerationCapExceeded, TreeSyntaxError, UnknownSymbolError
@@ -256,119 +257,78 @@ class EnumerationBounds(_Record):
 DEFAULT_BOUNDS = EnumerationBounds()
 
 
-@lru_cache(maxsize=None)
-def _count_trees(nsyms: int, n: int, depth: int, width: int) -> int:
-    """Number of trees with exactly n nodes, depth <= depth, arity <= width."""
-    if n < 1 or depth < 1:
-        return 0
-    if n == 1:
-        return nsyms
-    return nsyms * _count_seqs(nsyms, n - 1, depth - 1, width, width)
-
-
-@lru_cache(maxsize=None)
-def _count_seqs(nsyms: int, m: int, depth: int, width: int, slots: int) -> int:
-    """Number of sequences of <= slots trees, each nonempty, totaling m nodes."""
-    if m == 0:
-        return 1
-    if slots == 0 or depth < 1:
-        return 0
-    return sum(
-        _count_trees(nsyms, p, depth, width) * _count_seqs(nsyms, m - p, depth, width, slots - 1)
-        for p in range(1, m + 1)
-    )
-
-
-def _max_nodes(depth: int, width: int) -> int:
-    if width == 0:
-        return 1
-    if width == 1:
-        return depth
-    return (width**depth - 1) // (width - 1)
-
-
 def iter_trees(alphabet, bounds: EnumerationBounds = DEFAULT_BOUNDS) -> Iterator[Tree]:
     """The first max_count trees within the depth/width bounds, by node count
     then by rendered string; deterministic and duplicate-free.
 
-    Each level (the trees of n nodes) is assembled from memoized lists of the
-    smaller trees of depth below max_depth, so proper subtrees are shared
-    objects and every rendering is built from the children's strings.  A
-    level is sorted on that string.  The level the cap cuts into is
-    generated in full, without building its trees, and cut with
-    heapq.nsmallest, so only the trees emitted are kept.
+    The trees are generated in that order and the enumeration stops at the
+    cap.  That order rests on every symbol matching ``SYMBOL_RE``; any other
+    symbol is a ValueError.
     """
-    depth, width = bounds.max_depth, bounds.max_width
-    levels = _Levels(tuple(sorted(alphabet)), width)
-    emitted = 0
-    for n in range(1, _max_nodes(depth, width) + 1):
-        total = _count_trees(len(levels.symbols), n, depth, width)
-        if total == 0:
-            continue
-        remaining = bounds.max_count - emitted
-        if total <= remaining:
-            level = sorted(levels.level(n, depth))
-        else:
-            level = heapq.nsmallest(remaining, levels.level(n, depth))
-        for _, sym, children in level:
-            yield Tree(sym, children)
-        emitted += len(level)
-        if emitted >= bounds.max_count:
-            return
+    symbols = sorted(alphabet)
+    bad = next((s for s in symbols if not SYMBOL_RE.fullmatch(s)), None)
+    if bad is not None:
+        raise ValueError(f"cannot enumerate trees over the symbol {bad!r}")
+    yield from islice(_in_render_order(symbols, bounds.max_depth, bounds.max_width),
+                      bounds.max_count)
 
 
-class _Levels:
-    """The building blocks of one enumeration, each carried with its
-    rendering: lists of (rendered, tree) per node count and depth bound, and
-    of (joined renderings, children) per node total, depth bound and slots."""
+def _in_render_order(symbols: list, depth: int, width: int) -> Iterator[Tree]:
+    """Every tree of depth <= depth and arity <= width over the sorted
+    ``symbols``, level by level (a level is the trees of n nodes), each level
+    in render order.
 
-    def __init__(self, symbols: tuple, width: int):
-        self.symbols = symbols
-        self.width = width
-        self._trees: dict = {}
-        self._seqs: dict = {}
+    Symbol characters sort above "(" < ")" < ",", so a level is ordered label
+    by label, and the child sequences whose first children have one size are
+    ordered by first child, then by the rest; one merge over that size orders
+    them all.  A sequence is carried with its renderings joined by "," and
+    closed by ")", so one that ends sorts before one that continues.  The
+    root level's sequences are merged as the labels draw them; the lists of
+    the levels below, and the sequence lists made from them, are memoized,
+    so proper subtrees are shared objects.
+    """
+    trees, seqs = {}, {}
 
-    def level(self, n: int, depth: int):
-        """(rendered, label, children) for every tree of n nodes and
-        depth <= depth; the children come from the memoized lists."""
-        if n == 1:
-            for s in self.symbols:
-                yield s, s, ()
-            return
-        for joined, children in self._iter_seqs(n - 1, depth - 1, self.width):
-            for s in self.symbols:
-                yield s + "(" + joined + ")", s, children
+    def tree_list(n, d):
+        """(rendering, tree) for the trees of n nodes and depth <= d."""
+        if (n, d) not in trees:
+            kids = seq_list(n - 1, d - 1, width)
+            trees[n, d] = [(s + "(" + key if children else s, Tree(s, children))
+                           for s in symbols for key, children in kids]
+        return trees[n, d]
 
-    def trees(self, n: int, depth: int) -> list:
-        """(rendered, tree) for the trees of n nodes and depth <= depth."""
-        key = (n, depth)
-        got = self._trees.get(key)
-        if got is None:
-            got = self._trees[key] = [(r, Tree(s, c)) for r, s, c in self.level(n, depth)]
-        return got
+    def seq_list(m, d, slots):
+        key = (m, d, min(slots, m))  # m nodes fill at most m slots
+        if key not in seqs:
+            seqs[key] = list(seq_stream(*key))
+        return seqs[key]
 
-    def seqs(self, m: int, depth: int, slots: int) -> list:
-        """(joined renderings, children) for the sequences of at most
-        ``slots`` trees of depth <= depth totaling m nodes."""
-        key = (m, depth, min(slots, m))  # m nodes fill at most m slots
-        got = self._seqs.get(key)
-        if got is None:
-            got = self._seqs[key] = list(self._iter_seqs(*key))
-        return got
-
-    def _iter_seqs(self, m: int, depth: int, slots: int):
+    def seq_stream(m, d, slots):
+        """(rendering, children) for the sequences of at most ``slots`` trees
+        of depth <= d totaling m nodes."""
         if m == 0:
-            yield "", ()
-            return
-        if slots == 0 or depth < 1:
-            return
-        for p in range(1, m + 1):
-            rest = self.seqs(m - p, depth, slots - 1)
-            if not rest:
-                continue
-            for r, t in self.trees(p, depth):
-                for joined, children in rest:
-                    yield (r + "," + joined if children else r), (t,) + children
+            return iter([(")", ())])
+        if slots == 0 or d < 1:
+            return iter(())
+        # renderings are distinct, so the merge never compares trees
+        return heapq.merge(*(first_of_size(p, m, d, slots) for p in range(1, m + 1)))
+
+    def first_of_size(p, m, d, slots):
+        rest = seq_list(m - p, d, slots - 1)
+        for r, t in tree_list(p, d):
+            for key, children in rest:
+                yield (r + "," + key if children else r + key), (t,) + children
+
+    if not symbols:
+        return
+    for n in count(1):
+        kids = seq_stream(n - 1, depth - 1, width)
+        first = next(kids, None)
+        if first is None:
+            return  # removing a leaf keeps a tree within bounds, so no level follows
+        for s, stream in zip(symbols, tee(chain([first], kids), len(symbols))):
+            for _, children in stream:
+                yield Tree(s, children)
 
 
 def enumerate_trees(alphabet, bounds: EnumerationBounds = DEFAULT_BOUNDS) -> list:
@@ -376,18 +336,11 @@ def enumerate_trees(alphabet, bounds: EnumerationBounds = DEFAULT_BOUNDS) -> lis
 
     Raises EnumerationCapExceeded (carrying the partial list) when more trees
     exist beyond the cap; the caller decides whether that is fatal.  Whether
-    they do is read from the per-level ``_count_trees`` totals, which
-    ``iter_trees`` has already computed up to the level the cap falls in, so
-    no tree past the cap is generated.
+    they do is told by asking ``iter_trees`` for one tree more than the cap.
     """
-    symbols = sorted(alphabet)
-    out = list(iter_trees(symbols, bounds))
-    if len(out) < bounds.max_count:
-        return out
-    depth, width = bounds.max_depth, bounds.max_width
-    total = 0
-    for n in range(1, _max_nodes(depth, width) + 1):
-        total += _count_trees(len(symbols), n, depth, width)
-        if total > bounds.max_count:
-            raise EnumerationCapExceeded(out, bounds.max_count)
+    cap = bounds.max_count
+    out = list(iter_trees(alphabet, EnumerationBounds(bounds.max_depth, bounds.max_width,
+                                                      cap + 1)))
+    if len(out) > cap:
+        raise EnumerationCapExceeded(out[:-1], cap)
     return out

@@ -583,6 +583,20 @@ class TestCompiledForm:
             assert "_form" not in vars(again)
             assert _compiled_walk(again, letters) == walked
 
+    def test_equality_goes_by_kind_and_every_field_but_the_compiled_form(self):
+        trans = [("s", "a", "t")]
+        d = DFA(["s", "t"], "ab", "s", ["t"], trans)
+        moore = MooreDFA(["s", "t"], "ab", "s", ["t"], trans, {"t": 1})
+        twin = MooreDFA(["s", "t"], "ab", "s", ["t"], trans, {"t": 1})
+        twin.compiled()
+        assert moore == twin and hash(moore) == hash(twin)
+        assert d != moore and d.to_nfa() != d
+        assert moore != moore.map_outputs(str)
+        assert d != DFA(["s", "t"], "ab", "t", ["t"], trans)
+        assert d.to_nfa() != NFA(["s", "t"], "ab", ["s", "t"], ["t"], trans)
+        assert [repr(m) for m in (d.to_nfa(), d, moore)] == [
+            "<NFA 2 states, 1 edges>", "<DFA 2 states, 1 edges>", "<MooreDFA 2 states, 1 edges>"]
+
 
 def _disjoint_parts(rng):
     """Copies of one master DFA over one alphabet, its finals split among

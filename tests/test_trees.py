@@ -92,25 +92,33 @@ def test_enumeration_cap_signal_carries_partial():
     assert err.value.trees == full[:7]
 
 
-def test_enumeration_cap_on_a_level_boundary_generates_no_further_level(monkeypatch):
+def test_enumeration_cap_draws_one_tree_past_the_cap(monkeypatch):
     full = enumerate_trees({"a", "b"}, EnumerationBounds(3, 3, 10**6))
-    asked = []
-    level = trees._Levels.level
+    drawn = []
+    stream = trees._in_render_order
 
-    def spy(self, n, depth):
-        asked.append(n)
-        return level(self, n, depth)
+    def spy(*args):
+        for t in stream(*args):
+            drawn.append(t)
+            yield t
 
-    monkeypatch.setattr(trees._Levels, "level", spy)
+    monkeypatch.setattr(trees, "_in_render_order", spy)
     # 2, 6 and 22 trees of up to 1, 2 and 3 nodes; 86 of up to 4
-    for cap, top in ((22, 3), (6, 2), (23, 4), (50, 4)):
-        asked.clear()
+    for cap in (22, 6, 23, 50):
+        drawn.clear()
         with pytest.raises(EnumerationCapExceeded) as err:
             enumerate_trees({"a", "b"}, EnumerationBounds(3, 3, cap))
         assert err.value.trees == full[:cap]
-        assert max(asked) == top
+        # one tree past the cap tells that the cap was exceeded
+        assert drawn == full[:cap + 1]
     # a cap equal to the whole space is not exceeded
     assert len(enumerate_trees({"a", "b"}, EnumerationBounds(3, 2, 422))) == 422
+
+
+def test_enumeration_rejects_symbols_outside_the_identifier_set():
+    # "a!(a!)" renders before "a(a)", out of label order
+    with pytest.raises(ValueError, match="'a!'"):
+        list(iter_trees({"a", "a!"}, EnumerationBounds(2, 1, 10)))
 
 
 def test_enumeration_is_duplicate_free_and_ordered():
@@ -165,7 +173,7 @@ def _reference(alphabet, depth, width, cap):
 
 
 ORACLE_ALPHABETS = (frozenset({"a", "b"}), frozenset({"0", "1", "a", "b"}),
-                    frozenset({"a", "ab", "x"}))
+                    frozenset({"a", "ab", "x"}), frozenset({"A", "_", "a", "b0", "0"}))
 # (depth, width, cap); most caps fall inside a level
 ORACLE_BOUNDS = ((3, 0, 1), (3, 0, 2), (3, 0, 50), (4, 1, 5), (4, 1, 13), (4, 1, 1000),
                  (3, 5, 40), (3, 5, 333), (4, 5, 700), (4, 5, 2000))
