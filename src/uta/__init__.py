@@ -9,15 +9,12 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "analysis": "EquivalenceVerdict canonical_sdta equiv_bounded equiv_canonical sdta_isomorphic",
     "automata": "DTA_DFA DTA_NFA KINDS NTA_DFA NTA_NFA SDTA DeterminismReport SizePair "
-                "TreeAutomaton accepts check_semantic_determinism classify prune_reachable "
-                "run size",
+                "TreeAutomaton accepts check_semantic_determinism prune_reachable run size",
     "convert": "ConversionReport dtadfa_to_sdta nta_to_dtadfa nta_to_sdta sdta_to_dtadfa",
-    "errors": "AlphabetMismatchError DeterminismError DocumentError EnumerationCapExceeded "
-              "KindError OverlapError SeparationError TreeSyntaxError "
-              "UnknownSymbolError UtaError",
-    "strings": "DFA NFA MooreDFA determinize intersection_witness marked_union minimize_dfa "
-               "minimize_moore subset_name",
-    "trees": "Context EnumerationBounds Tree enumerate_trees iter_trees leaf nest node "
+    "errors": "AlphabetMismatchError DeterminismError DocumentError KindError OverlapError "
+              "SeparationError TreeSyntaxError UnknownSymbolError UtaError",
+    "strings": "DFA NFA MooreDFA determinize marked_union minimize_dfa minimize_moore subset_name",
+    "trees": "Context EnumerationBounds Tree iter_trees leaf nest node "
              "parse_context parse_tree render_tree substitute word_node",
     "witnesses": "FoolingSetHorizontal FoolingSetVertical LangPredicate certify_horizontal_bound "
                  "certify_vertical_bound first_primes gen_lemma34 gen_thm41 "

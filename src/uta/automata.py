@@ -471,18 +471,3 @@ def prune_reachable(a: TreeAutomaton) -> TreeAutomaton:
     return TreeAutomaton(a.kind, a.alphabet, keep, a.finals & allowed,
                          leaf_symbols=a.leaf_symbols,
                          **{"moore" if a.kind == SDTA else "horizontal": parts})
-
-
-def classify(a: TreeAutomaton) -> str:
-    """The strongest kind the automaton's structure supports."""
-    if a.kind == SDTA:
-        return SDTA
-    all_dfa = all(isinstance(m, DFA) for m in a.horizontal.values())
-    det = check_semantic_determinism(a).ok
-    if det and all_dfa:
-        return DTA_DFA
-    if det:
-        return DTA_NFA
-    if all_dfa:
-        return NTA_DFA
-    return NTA_NFA

@@ -44,6 +44,12 @@ def _check_token(tok: str, what: str):
         raise DocumentError(f"{what} {tok!r} is not a valid token")
 
 
+def _check_tree_alphabet(symbols, line=None):  # the parser's and renderer's rule
+    for sym in symbols:
+        if not SYMBOL_RE.fullmatch(sym) or sym == VARIABLE:
+            raise DocumentError(f"alphabet symbol {sym!r} is not a valid tree symbol", line)
+
+
 def render_machine_lines(mach, indent="") -> list:
     for s in mach.states:
         _check_token(s, "state name")
@@ -68,6 +74,7 @@ def render_automaton(a, header_comments=()) -> str:
     lines.append(f"{KIND}: {kind}")
     lines.append(f"{ALPHABET}: " + " ".join(sorted(a.alphabet)))
     if tree:
+        _check_tree_alphabet(sorted(a.alphabet))
         for q in a.states:
             _check_token(q, "state name")
         lines.append((f"{STATES}: " + " ".join(sorted(a.states))).rstrip())
@@ -79,6 +86,8 @@ def render_automaton(a, header_comments=()) -> str:
             lines.append(f"{HORIZONTAL} {' '.join(key)}:")
             lines.extend(render_machine_lines(blocks[key], "  "))
     else:
+        for sym in a.alphabet:
+            _check_token(sym, "alphabet symbol")
         lines.extend(render_machine_lines(a))
     return "\n".join(lines) + "\n"
 
@@ -204,11 +213,9 @@ def parse_automaton(text: str):
 
     fields = {**dict.fromkeys((ALPHABET, STATES, FINALS), (_REQUIRED, None)),
               LEAFSTATES: (_ONCE, None)}
-    got, _, header = _read_fields(records, fields, "document")
+    got, lines, header = _read_fields(records, fields, "document")
     alphabet, states, leaf = got[ALPHABET], got[STATES], got.get(LEAFSTATES, [])
-    for sym in alphabet:
-        if not SYMBOL_RE.fullmatch(sym) or sym == VARIABLE:
-            raise DocumentError(f"alphabet symbol {sym!r} is not a valid tree symbol")
+    _check_tree_alphabet(alphabet, lines[ALPHABET])
     ha = set(states) | set(leaf)
 
     blocks = {}  # by (state, symbol), or (symbol,) for an sdta
@@ -294,10 +301,15 @@ def parse_fooling_set(text: str, alphabet):
             raise DocumentError("separator needs 'context | padding...'", no)
         return once(parse_separator if horizontal else parse_context, " ".join(toks))
 
+    def symbol(toks, no):
+        if _one(SYMBOL, toks, no) not in alphabet or toks[0] == VARIABLE:
+            raise DocumentError(f"unknown symbol {toks[0]!r}", no)
+        return toks[0]
+
     name = TUPLE if horizontal else TREE
     fields = {name: (_REPEAT, member), SEP: (_PAIR, separator)}
     if horizontal:
-        fields[SYMBOL] = (_REQUIRED, lambda toks, no: _one(SYMBOL, toks, no))
+        fields[SYMBOL] = (_REQUIRED, symbol)
     got, lines, _ = _read_fields(records, fields, f"{kind} document", blocks=False)
     members, seps = got.get(name, []), got.get(SEP, {})
     for i, j in seps:

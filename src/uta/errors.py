@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  A cap that cuts an enumeration
+short is no error: ``iter_trees``, the one enumeration entry point, stops there."""
 
 
 class UtaError(Exception):
@@ -19,18 +20,6 @@ class UnknownSymbolError(UtaError):
         super().__init__(f"unknown symbol {symbol!r}{at}")
         self.symbol = symbol
         self.position = position
-
-
-class EnumerationCapExceeded(UtaError):
-    """Raised when tree enumeration is truncated by max_count.
-
-    The trees produced before truncation are attached so the caller can
-    decide whether truncation is fatal.
-    """
-
-    def __init__(self, trees, max_count):
-        super().__init__(f"enumeration truncated at max_count={max_count}")
-        self.trees = trees
 
 
 class AlphabetMismatchError(UtaError):

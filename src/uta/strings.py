@@ -444,13 +444,6 @@ def _pair_search(a, b, first, best):
     return best
 
 
-def intersection_witness(a, b):
-    """Shortest word in L(a) & L(b), or None if the languages are disjoint:
-    ``first_overlap`` of the two, for any mix of NFAs and DFAs."""
-    overlap = first_overlap([a, b])
-    return None if overlap is None else overlap[2]
-
-
 def first_overlap(machines):
     """The first pair i < j of ``machines`` whose languages meet, in
     lexicographic order, as ``(i, j, shortest shared word)``, None if none

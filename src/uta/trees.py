@@ -3,8 +3,8 @@
 Trees are immutable values; sibling order is significant and equality is
 structural.  Symbols are identifiers matching ``[A-Za-z0-9_]+``; the symbol
 ``x`` is reserved for the variable leaf of a context and is rejected inside
-plain trees.  ``iter_trees`` enumerates the trees within depth and width
-bounds by node count, then by rendering, generating them in that order.
+plain trees.  ``iter_trees``, the one enumeration entry point, yields the trees
+within depth and width bounds by node count, then by rendering, up to a cap.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from collections.abc import Iterator
 from itertools import chain, count, islice, tee
 from operator import attrgetter
 
-from .errors import EnumerationCapExceeded, TreeSyntaxError, UnknownSymbolError
+from .errors import TreeSyntaxError, UnknownSymbolError
 
 VARIABLE = "x"
 
@@ -259,12 +259,9 @@ DEFAULT_BOUNDS = EnumerationBounds()
 
 def iter_trees(alphabet, bounds: EnumerationBounds = DEFAULT_BOUNDS) -> Iterator[Tree]:
     """The first max_count trees within the depth/width bounds, by node count
-    then by rendered string; deterministic and duplicate-free.
-
-    The trees are generated in that order and the enumeration stops at the
-    cap.  That order rests on every symbol matching ``SYMBOL_RE``; any other
-    symbol is a ValueError.
-    """
+    then by rendered string, generated in that order; deterministic and
+    duplicate-free.  The order rests on every symbol matching ``SYMBOL_RE``;
+    any other symbol is a ValueError."""
     symbols = sorted(alphabet)
     bad = next((s for s in symbols if not SYMBOL_RE.fullmatch(s)), None)
     if bad is not None:
@@ -329,18 +326,3 @@ def _in_render_order(symbols: list, depth: int, width: int) -> Iterator[Tree]:
         for s, stream in zip(symbols, tee(chain([first], kids), len(symbols))):
             for _, children in stream:
                 yield Tree(s, children)
-
-
-def enumerate_trees(alphabet, bounds: EnumerationBounds = DEFAULT_BOUNDS) -> list:
-    """Materialized enumeration, truncated at max_count.
-
-    Raises EnumerationCapExceeded (carrying the partial list) when more trees
-    exist beyond the cap; the caller decides whether that is fatal.  Whether
-    they do is told by asking ``iter_trees`` for one tree more than the cap.
-    """
-    cap = bounds.max_count
-    out = list(iter_trees(alphabet, EnumerationBounds(bounds.max_depth, bounds.max_width,
-                                                      cap + 1)))
-    if len(out) > cap:
-        raise EnumerationCapExceeded(out[:-1], cap)
-    return out

@@ -18,7 +18,7 @@ from uta import (DFA, NFA, SizePair, TreeAutomaton, accepts, canonical_sdta,
                  marked_union, minimize_dfa, minimize_moore, nest,
                  nta_to_dtadfa, nta_to_sdta, parse_tree, prune_reachable,
                  render_tree, run, sdta_to_dtadfa, size, word_node)
-from uta import EnumerationBounds, EnumerationCapExceeded, enumerate_trees
+from uta import EnumerationBounds, iter_trees
 
 from randgen import (inflate_sdta, rand_dta_nfa, rand_dtadfa, rand_nta,
                      rand_sdta, rand_tree, rename_sdta)
@@ -27,10 +27,7 @@ EQ_BOUNDS = EnumerationBounds(3, 3, 300)
 
 
 def enum(alphabet, depth, width, count):
-    try:
-        return enumerate_trees(alphabet, EnumerationBounds(depth, width, count))
-    except EnumerationCapExceeded as e:
-        return e.trees
+    return list(iter_trees(alphabet, EnumerationBounds(depth, width, count)))
 
 
 def report(criterion, detail):

@@ -6,11 +6,11 @@ import pytest
 
 from uta import (DFA, DTA_DFA, DTA_NFA, KINDS, NTA_DFA, NTA_NFA, NFA, SDTA,
                  KindError, MooreDFA, SizePair, Tree, TreeAutomaton, UnknownSymbolError,
-                 accepts, canonical_sdta, check_semantic_determinism, classify, determinize,
+                 accepts, canonical_sdta, check_semantic_determinism, determinize,
                  dtadfa_to_sdta, gen_lemma34, gen_thm41, leaf, nest,
                  nta_to_dtadfa, nta_to_sdta, node, parse_tree, prune_reachable, render_tree,
                  run, sdta_isomorphic, sdta_to_dtadfa, size, word_node)
-from uta import EnumerationBounds, EnumerationCapExceeded, enumerate_trees, iter_trees
+from uta import EnumerationBounds, iter_trees
 from uta.automata import _evaluate, _node_states, bottom_up_reach, reach
 from uta.cli import cli_main
 from uta.docs import render_automaton
@@ -25,10 +25,7 @@ import re
 
 
 def enum(alphabet, depth, width, count):
-    try:
-        return enumerate_trees(alphabet, EnumerationBounds(depth, width, count))
-    except EnumerationCapExceeded as e:
-        return e.trees
+    return list(iter_trees(alphabet, EnumerationBounds(depth, width, count)))
 
 
 @pytest.fixture(scope="module")
@@ -298,21 +295,14 @@ class TestSharedStructures:
         assert seen["shared"] >= 100, seen
 
 
-class TestClassify:
-    def test_lemma34_strongest_kind(self, lemma34_pair):
-        assert classify(lemma34_pair[0]) == DTA_DFA
-
-    def test_thm41_stays_nondeterministic(self):
-        assert classify(gen_thm41(2)[0]) == "nta-dfa"
-
-    def test_kind_validated_not_inferred(self):
-        ha = frozenset({"q1", "q2"})
-        machines = {
-            (q, "a"): NFA(["h"], ha, ["h"], ["h"], [])
-            for q in ("q1", "q2")
-        }
-        with pytest.raises(KindError):
-            TreeAutomaton(DTA_DFA, ["a"], ["q1", "q2"], ["q1"], horizontal=machines)
+def test_kind_validated_not_inferred():
+    ha = frozenset({"q1", "q2"})
+    machines = {
+        (q, "a"): NFA(["h"], ha, ["h"], ["h"], [])
+        for q in ("q1", "q2")
+    }
+    with pytest.raises(KindError):
+        TreeAutomaton(DTA_DFA, ["a"], ["q1", "q2"], ["q1"], horizontal=machines)
 
 
 class TestLeafConvention:

@@ -9,16 +9,13 @@ from uta import (DFA, DTA_DFA, SDTA, DeterminismError, KindError, MooreDFA,
                  SizePair, TreeAutomaton, accepts, check_semantic_determinism,
                  dtadfa_to_sdta, gen_lemma34, gen_thm41, nta_to_dtadfa,
                  nta_to_sdta, prune_reachable, sdta_to_dtadfa, size)
-from uta import EnumerationBounds, EnumerationCapExceeded, enumerate_trees
+from uta import EnumerationBounds, iter_trees
 
 from randgen import rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta, rand_trees
 
 
 def enum(alphabet, depth=3, width=3, count=400):
-    try:
-        return enumerate_trees(alphabet, EnumerationBounds(depth, width, count))
-    except EnumerationCapExceeded as e:
-        return e.trees
+    return list(iter_trees(alphabet, EnumerationBounds(depth, width, count)))
 
 
 def assert_equivalent(a, b, trees):

@@ -146,6 +146,20 @@ class TestDocumentValidation:
         assert cli_main(["size", str(doc)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_render_refuses_symbols_it_cannot_write_back(self):
+        # the first rendered a document of alphabet {a, b}, the second one that
+        # parse_automaton rejects, the third a machine of alphabet {a, b}
+        for bad, message in (
+                (TreeAutomaton("nta-nfa", {"a b"}, ["q"], ["q"]),
+                 "alphabet symbol 'a b' is not a valid tree symbol"),
+                (TreeAutomaton("nta-nfa", {"x"}, ["q"], ["q"]),
+                 "alphabet symbol 'x' is not a valid tree symbol"),
+                (DFA(["s"], ["a b"], "s", ["s"], []),
+                 "alphabet symbol 'a b' is not a valid token")):
+            with pytest.raises(DocumentError) as err:
+                render_automaton(bad)
+            assert str(err.value) == message
+
     def test_separator_indices_checked(self):
         alpha = frozenset("ab01")
         vertical = "kind: fooling-vertical\ntree: b\ntree: a(b)\ntree: a(1)\n"
@@ -359,6 +373,21 @@ class TestCli:
         assert (code, out) == (2, "")
         assert err == ("error: unexpected field '' in fooling-vertical document "
                        "(line 4)\n")
+
+    @pytest.mark.parametrize("symbol", ["z", "x"])
+    def test_fooling_symbol_outside_the_alphabet_exits_two(self, tmp_path, capsys, symbol):
+        # with the named predicate this was a false refutation, exit 1; with
+        # the automaton, an "unknown symbol" error that named no line
+        doc = tmp_path / "l.uta"
+        fh = tmp_path / "fh.txt"
+        self.run_cli(capsys, "witness", "lemma34", "--k", "2,3", "--out", str(doc),
+                     "--fooling-horizontal", str(fh))
+        fh.write_text(fh.read_text().replace("symbol: a\n", f"symbol: {symbol}\n"))
+        for source in ("lemma34:2,3", str(doc)):
+            code, out, err = self.run_cli(capsys, "certify", "horizontal", source,
+                                          "--fooling-set", str(fh))
+            assert (code, out) == (2, "")
+            assert err == f"error: unknown symbol '{symbol}' (line 2)\n"
 
     def test_block_in_standalone_machine_exits_two(self, tmp_path, capsys):
         # the header and everything after it used to be dropped without a word

@@ -8,8 +8,8 @@ import pytest
 import uta.analysis
 from uta import (DFA, NFA, AlphabetMismatchError, MooreDFA, NTA_DFA, OverlapError,
                  TreeAutomaton, UnknownSymbolError, canonical_sdta, check_semantic_determinism,
-                 determinize, dtadfa_to_sdta, gen_lemma34, gen_thm41, intersection_witness,
-                 marked_union, minimize_dfa, minimize_moore, nta_to_sdta)
+                 determinize, dtadfa_to_sdta, gen_lemma34, gen_thm41, marked_union,
+                 minimize_dfa, minimize_moore, nta_to_sdta)
 from uta.strings import coarsest_partition, explore, first_overlap, shared_structures
 
 from oracles import delta_step, explore_by_step, marked_union_by_product, successor
@@ -204,27 +204,27 @@ class TestDisjointness:
         # oracle: no shared word up to length 8
         shared = language(d1, 8) & language(d2, 8)
         assert not shared
-        assert intersection_witness(d1, d2) is None
+        assert first_overlap([d1, d2]) is None
 
     def test_language_meets_itself(self):
         d = residue_dfa(2, 0)
-        assert intersection_witness(d, d) is not None
-        assert intersection_witness(d, d) == ()
+        assert first_overlap([d, d]) == (0, 1, ())
 
     def test_anything_vs_empty(self):
         d = residue_dfa(2, 0)
         empty = DFA(["z"], ["a"], "z", [], [])
-        assert intersection_witness(d, empty) is None
+        assert first_overlap([d, empty]) is None
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):
-            intersection_witness(residue_dfa(2, 0, "a"), residue_dfa(2, 0, "b"))
+            first_overlap([residue_dfa(2, 0, "a"), residue_dfa(2, 0, "b")])
 
 
 def _reference_witness(a, b):
-    """Test-only reference: ``intersection_witness`` as it was before the
-    search ran over live-state rows, a breadth-first search over pairs of
-    NFA states that sorts every successor set it visits."""
+    """Test-only reference: the shortest word in the languages of both
+    machines, as the overlap search found it before it ran over live-state
+    rows, a breadth-first search over pairs of NFA states that sorts every
+    successor set it visits."""
     if frozenset(a.alphabet) != frozenset(b.alphabet):
         raise AlphabetMismatchError(
             f"alphabets differ: {sorted(a.alphabet)} vs {sorted(b.alphabet)}")
@@ -302,11 +302,13 @@ class TestOverlapSearch:
         for a, b in self.pairs(23, "ab", 3):
             horizon = a.size * b.size  # the pair product has at most this many states
             shared = language(a, horizon) & language(b, horizon)
-            w = intersection_witness(a, b)
-            if w is None:
+            got = first_overlap([a, b])
+            if got is None:
                 assert not shared
                 disjoint += 1
             else:
+                i, j, w = got
+                assert (i, j) == (0, 1)
                 assert a.accepts(w) and b.accepts(w)
                 assert len(w) == min(map(len, shared))
                 found += 1
@@ -317,7 +319,7 @@ class TestOverlapSearch:
         kinds = collections.Counter()
         for pairs in (self.pairs(23, "ab", 3), self.pairs(37, "abc", 6)):
             for a, b in pairs:
-                assert intersection_witness(a, b) == _reference_witness(a, b)
+                assert first_overlap([a, b]) == _reference_first_overlap([a, b])
                 for m in (a, b):
                     kinds["nfa" if isinstance(m, NFA) else "dfa"] += 1
                     kinds["several initials"] += len(m.initials) > 1
@@ -735,8 +737,8 @@ class TestSharedStructureSearch:
         seen = collections.Counter()
         for _ in range(200):
             d = _random_machine(rng, rng.choice(["ab", "abc"]), 5)
-            want = _reference_witness(d, d)
-            assert intersection_witness(d, d) == want
-            assert intersection_witness(d, _copy(d, d.finals)) == want
+            want = _reference_first_overlap([d, d])
+            assert first_overlap([d, d]) == want
+            assert first_overlap([d, _copy(d, d.finals)]) == want
             seen["empty" if want is None else "meets"] += 1
         assert min(seen.values()) >= 50, seen

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uta import trees
-from uta import (Context, EnumerationBounds, EnumerationCapExceeded, Tree,
-                 TreeSyntaxError, UnknownSymbolError, enumerate_trees,
+from uta import (Context, EnumerationBounds, Tree, TreeSyntaxError, UnknownSymbolError,
                  iter_trees, leaf, nest, node, parse_context, parse_tree, render_tree,
                  substitute, word_node)
 
@@ -75,25 +74,23 @@ def test_substitute_examples():
     assert got == parse_tree("a(b,a(b),b)", ABCD)
 
 
+def enum(alphabet, depth, width, count):
+    return list(iter_trees(alphabet, EnumerationBounds(depth, width, count)))
+
+
 def test_enumeration_counts():
-    got = [render_tree(t) for t in enumerate_trees({"a"}, EnumerationBounds(2, 2, 100))]
-    assert got == ["a", "a(a)", "a(a,a)"]
-    assert [render_tree(t) for t in enumerate_trees({"a"}, EnumerationBounds(1, 5, 10))] == ["a"]
-    got = [render_tree(t) for t in enumerate_trees({"a", "b"}, EnumerationBounds(1, 5, 10))]
-    assert got == ["a", "b"]
+    assert [render_tree(t) for t in enum({"a"}, 2, 2, 100)] == ["a", "a(a)", "a(a,a)"]
+    assert [render_tree(t) for t in enum({"a"}, 1, 5, 10)] == ["a"]
+    assert [render_tree(t) for t in enum({"a", "b"}, 1, 5, 10)] == ["a", "b"]
 
 
 def test_enumeration_cap_signal_carries_partial():
-    with pytest.raises(EnumerationCapExceeded) as err:
-        enumerate_trees({"a", "b"}, EnumerationBounds(3, 3, 7))
-    assert len(err.value.trees) == 7
-    # emitted prefix agrees with the untruncated enumeration
-    full = enumerate_trees({"a", "b"}, EnumerationBounds(3, 3, 10**6))
-    assert err.value.trees == full[:7]
+    # the capped prefix agrees with the untruncated enumeration
+    assert enum({"a", "b"}, 3, 3, 7) == enum({"a", "b"}, 3, 3, 10**6)[:7]
 
 
-def test_enumeration_cap_draws_one_tree_past_the_cap(monkeypatch):
-    full = enumerate_trees({"a", "b"}, EnumerationBounds(3, 3, 10**6))
+def test_enumeration_cap_draws_exactly_the_cap(monkeypatch):
+    full = enum({"a", "b"}, 3, 3, 10**6)
     drawn = []
     stream = trees._in_render_order
 
@@ -106,13 +103,11 @@ def test_enumeration_cap_draws_one_tree_past_the_cap(monkeypatch):
     # 2, 6 and 22 trees of up to 1, 2 and 3 nodes; 86 of up to 4
     for cap in (22, 6, 23, 50):
         drawn.clear()
-        with pytest.raises(EnumerationCapExceeded) as err:
-            enumerate_trees({"a", "b"}, EnumerationBounds(3, 3, cap))
-        assert err.value.trees == full[:cap]
-        # one tree past the cap tells that the cap was exceeded
-        assert drawn == full[:cap + 1]
-    # a cap equal to the whole space is not exceeded
-    assert len(enumerate_trees({"a", "b"}, EnumerationBounds(3, 2, 422))) == 422
+        assert enum({"a", "b"}, 3, 3, cap) == full[:cap]
+        # the stream is not drawn past the cap
+        assert drawn == full[:cap]
+    # the whole space under a cap that does not cut it
+    assert len(enum({"a", "b"}, 3, 2, 10**6)) == 422
 
 
 def test_enumeration_rejects_symbols_outside_the_identifier_set():
@@ -122,7 +117,7 @@ def test_enumeration_rejects_symbols_outside_the_identifier_set():
 
 
 def test_enumeration_is_duplicate_free_and_ordered():
-    ts = enumerate_trees({"a", "b"}, EnumerationBounds(3, 2, 10**6))
+    ts = enum({"a", "b"}, 3, 2, 10**6)
     rendered = [render_tree(t) for t in ts]
     assert len(set(rendered)) == len(rendered)
     counts = [t.node_count() for t in ts]

@@ -7,15 +7,12 @@ from uta import (Context, SeparationError, SizePair, UtaError, accepts,
                  lemma34_vertical_fooling, nest, node, parse_tree, size,
                  word_node)
 from uta import FoolingSetHorizontal, FoolingSetVertical, LangPredicate
-from uta import EnumerationBounds, EnumerationCapExceeded, enumerate_trees
+from uta import EnumerationBounds, iter_trees
 from uta.docs import parse_fooling_set, render_fooling_horizontal
 
 
 def enum(alphabet, depth=4, width=4, count=600):
-    try:
-        return enumerate_trees(alphabet, EnumerationBounds(depth, width, count))
-    except EnumerationCapExceeded as e:
-        return e.trees
+    return list(iter_trees(alphabet, EnumerationBounds(depth, width, count)))
 
 
 class TestLemma34Generator:
