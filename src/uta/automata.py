@@ -7,9 +7,11 @@ horizontal acceptor for (q, sym).  This is computed exactly in polynomial
 time by stepping the acceptors of ``sym`` on whole child state sets, in
 place over their transition dicts, instead of enumerating the product of
 the children's state sets.  Each step, from a set of (acceptor, state)
-pairs on a child's state set, is computed once per automaton and then
-looked up: the runs fill in, on demand, the transition table of the subset
-machine that ``convert.nta_to_sdta`` builds (see ``_horizontal_run``).
+pairs or an SDTA's Moore state on a child's state set, is computed once per
+automaton and then looked up: the runs fill in, on demand, the transition
+table of the subset machine that ``convert.nta_to_sdta`` builds, and a node
+folds its children through that table in one loop (see ``_horizontal_run``).
+A run visits each node once, so it costs time linear in the tree.
 
 Leaf-state convention: an automaton may designate, per symbol, a dedicated
 state (named by the symbol itself) that leaves with that label receive.
@@ -143,6 +145,10 @@ class TreeAutomaton:
     def horizontal_run(self, sym):
         """The ``(start, step, finish)`` run that assigns states to a ``sym``
         node; built on first use (see ``_horizontal_run``)."""
+        return self._run(sym)[:3]
+
+    def _run(self, sym):
+        """``horizontal_run`` with the run's ``fold`` as a fourth member."""
         got = self._runs.get(sym)
         if got is None:
             got = self._runs[sym] = _horizontal_run(self, sym)
@@ -222,23 +228,24 @@ def _evaluate(a: TreeAutomaton, t: Tree, memo: dict, leaves=None,
     explicit stack, children left to right, so the first fault raised is
     the one a recursive postorder raises, in O(depth) frames.
 
-    A frame is a node with the state sets of its children so far, whose
-    length is the index of the next child; the lengths along the stack are
-    the address a KindError names when ``addressed``.  A leaf child's set
-    comes from ``leaves``, keyed by label (per call unless given); an
-    internal child not in ``memo`` gets a frame of its own when the index
-    reaches it.  ``memo`` maps id(subtree) -> (subtree, states) for internal
-    proper subtrees: it is read and extended but never given the root, so a
-    memo kept across many trees grows with their shared subtrees only.
-    Holding the subtree keeps its id from being reused while it lives.
+    A frame is a node, the state sets of its children so far, whose length
+    is the index of the next child, and an iterator over its children, so
+    each child is visited once however often the frame resumes; the lengths
+    along the stack are the address a KindError names when ``addressed``.
+    A leaf child's set comes from ``leaves``, keyed by label (per call
+    unless given); an internal child not in ``memo`` gets a frame of its own
+    when the iterator reaches it.  ``memo`` maps id(subtree) -> (subtree,
+    states) for internal proper subtrees: it is read and extended but never
+    given the root, so a memo kept across many trees grows with their shared
+    subtrees only.  Holding the subtree keeps its id from being reused while
+    it lives.
     """
     leaves = {} if leaves is None else leaves
-    stack = [(t, [])]
-    where = (lambda: tuple(len(sets) for _, sets in stack)) if addressed else None
+    stack = [(t, [], iter(t.children))]
+    where = (lambda: tuple(len(sets) for _, sets, _ in stack)) if addressed else None
     while True:
-        node, sets = stack[-1]
-        children = node.children
-        for c in children[len(sets):]:
+        node, sets, kids = stack[-1]
+        for c in kids:
             if not c.children:
                 states = leaves.get(c.label)
                 if states is None:
@@ -246,7 +253,7 @@ def _evaluate(a: TreeAutomaton, t: Tree, memo: dict, leaves=None,
             else:
                 got = memo.get(id(c))
                 if got is None:
-                    stack.append((c, []))
+                    stack.append((c, [], iter(c.children)))
                     break
                 states = got[1]
             sets.append(states)
@@ -264,99 +271,111 @@ def _node_states(a: TreeAutomaton, sym: str, child_sets: list, where=None) -> fr
     assigned ``child_sets``, with the alphabet and determinism checks."""
     if sym not in a.alphabet:
         raise UnknownSymbolError(sym)
-    states = _states_at(a, sym, child_sets)
+    start, _, finish, fold = a._run(sym)
+    states = finish(fold(start, child_sets), not child_sets)
     if len(states) > 1 and a.kind in DETERMINISTIC_KINDS:
         at = where() if where else f"a {sym!r} node"
         raise KindError(f"deterministic kind {a.kind} assigned {sorted(states)} at {at}")
     return states
 
 
-def _states_at(a: TreeAutomaton, sym: str, child_sets: list) -> frozenset:
-    """The states of a ``sym`` node whose children were assigned
-    ``child_sets``: its horizontal run folded over them."""
-    start, step, finish = a.horizontal_run(sym)
-    run = start
-    for s in child_sets:
-        if run is None:
-            break
-        run = step(run, s)
-    return finish(run, not child_sets)
-
-
 def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
     """The horizontal run that assigns states to a ``sym`` node, as
-    ``(start, step, finish)``.  ``step(run, S)`` reads the state set S of the
-    next child; the run is None once it is dead, and ``step`` is never given
-    a dead run.  ``finish(run, empty)`` is the node's state set, where
-    ``empty`` says the node has no children (the designated-leaf rule).
+    ``(start, step, finish, fold)``.  ``step(run, S)`` reads the state set S
+    of the next child; the run is None once it is dead, and ``step`` is
+    never given a dead run.  ``fold(run, sets)`` reads a whole node's child
+    sets in turn and may be given, or end in, a dead run.
+    ``finish(run, empty)`` is the node's state set, where ``empty`` says the
+    node has no children (the designated-leaf rule).
 
-    An SDTA's run is its Moore state.  For the other kinds the run is a
-    frozenset (which caches its hash) of (i, h) pairs, state h of acceptor i
-    of ``_by_symbol[sym]``, stepped in place over the acceptors' dicts; a
-    state is assigned iff the run holds a final state of its acceptor.
-    ``step`` computes each (subset, child set) step once and keeps it, a
-    dead step as None, in a table that lives as long as the run (in
-    ``TreeAutomaton._runs``, which pickling drops).  A key pairs a subset the
-    run reaches with a state set some node is assigned, so the table holds
-    at most one entry per cell of the transition table of the subset
-    machine ``convert._subset_moore`` builds, plus one per subset for the
-    empty set.  ``finish`` likewise keeps the states each subset assigns.
+    Each kind supplies ``finish`` and ``advance``, the step computed afresh.
+    An SDTA's run is its Moore state, and ``advance`` reads its delta.  For
+    the other kinds the run is a frozenset (which caches its hash) of (i, h)
+    pairs, state h of acceptor i of ``_by_symbol[sym]``, stepped in place
+    over the acceptors' dicts; a state is assigned iff the run holds a final
+    state of its acceptor.  ``_memo_steps`` builds ``step`` and ``fold`` on
+    one table of ``advance``'s results, which lives as long as the run (in
+    ``TreeAutomaton._runs``, which pickling drops).  ``finish`` likewise
+    keeps the states each subset assigns.
     """
     leaf = frozenset([sym]) if sym in a.leaf_symbols else None
     nothing = frozenset()
 
     if a.kind == SDTA:
         mach = a.moore.get(sym)
+        start, delta = (mach.initial, mach.delta) if mach else (None, {})
         outs = {s: frozenset([v]) for s, v in mach.outputs.items()} if mach else {}
 
-        def step(run, s):
+        def advance(run, s):
             if not s:
                 return None
             (member,) = s
-            return mach.delta.get((run, member))
+            return delta.get((run, member))
 
         def finish(run, empty):
             if empty and leaf:
                 return leaf
             return outs.get(run, nothing)
+    else:
+        pairs = a._by_symbol.get(sym, ())
+        gets = [(m.delta.get, isinstance(m, NFA)) for _, m in pairs]
+        start = frozenset([(i, h) for i, (_, m) in enumerate(pairs) for h in m.initials]) or None
+        assigned = {}
 
-        return (mach.initial if mach else None), step, finish
+        def advance(run, s):
+            out = set()
+            for i, h in run:
+                get, many = gets[i]
+                for c in s:
+                    t = get((h, c))
+                    if t is not None:
+                        out.update([(i, d) for d in t] if many else [(i, t)])
+            return frozenset(out) or None
 
-    pairs = a._by_symbol.get(sym, ())
-    gets = [(m.delta.get, isinstance(m, NFA)) for _, m in pairs]
-    table, assigned = {}, {}
+        def finish(run, empty):
+            if empty and leaf:
+                return leaf
+            if run is None:
+                return nothing
+            got = assigned.get(run)
+            if got is None:
+                got = assigned[run] = frozenset([pairs[i][0] for i, h in run
+                                                 if h in pairs[i][1].finals])
+            return got
 
-    def advance(run, s):
-        # kept out of ``step``, whose small frame makes the many table hits cheap
-        out = set()
-        for i, h in run:
-            get, many = gets[i]
-            for c in s:
-                t = get((h, c))
-                if t is not None:
-                    out.update([(i, d) for d in t] if many else [(i, t)])
-        return frozenset(out) or None
+    step, fold = _memo_steps(advance)
+    return start, step, finish, fold
+
+
+def _memo_steps(advance) -> tuple:
+    """``(step, fold)`` for a run whose uncached step is ``advance``.
+    Both ``step`` and ``fold`` read and fill one table ``table[S][run]``:
+    the run after ``run`` reads child set S, a dead one as None.  A key
+    pairs a run some node reaches with a state set some node is assigned, so
+    the table holds at most one entry per cell of the transition table of
+    the subset machine ``convert._subset_moore`` builds, plus one per run
+    for the empty set.  ``fold`` makes no call per child that the table
+    already answers."""
+    table = {}
 
     def step(run, s):
         try:
-            return table[run, s]
+            return table[s][run]
         except KeyError:
-            got = table[run, s] = advance(run, s)
+            got = table.setdefault(s, {})[run] = advance(run, s)
             return got
 
-    def finish(run, empty):
-        if empty and leaf:
-            return leaf
-        if run is None:
-            return nothing
-        got = assigned.get(run)
-        if got is None:
-            got = assigned[run] = frozenset([pairs[i][0] for i, h in run
-                                             if h in pairs[i][1].finals])
-        return got
+    def fold(run, sets):
+        for s in sets:
+            if run is None:
+                break
+            try:
+                run = table[s][run]
+            except KeyError:
+                run = step(run, s)
+        return run
 
-    start = frozenset([(i, h) for i, (_, m) in enumerate(pairs) for h in m.initials])
-    return start or None, step, finish
+    return step, fold
 
 
 def accepts(a: TreeAutomaton, t: Tree) -> bool:

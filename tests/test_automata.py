@@ -22,6 +22,7 @@ from randgen import (rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta, rand_tree,
                      rand_trees)
 import random
 import re
+import time
 
 
 def enum(alphabet, depth, width, count):
@@ -84,10 +85,14 @@ class TestRun:
         assert accepts(auto, t)
         trees = enum(auto.alphabet, 3, 3, 400)
         verdicts = [accepts(auto, u) for u in trees]
-        assert _step_table(auto, "a")
+        table = _step_table(auto, "a")
+        assert table
         again = pickle.loads(pickle.dumps(auto))
+        assert again._runs == {} and not _step_table(again, "a")
         assert again == auto and accepts(again, t)
         assert [accepts(again, u) for u in trees] == verdicts
+        # the same trees fill the same steps (the fixture's table holds more)
+        assert _step_table(again, "a").items() <= table.items()
 
     def test_nondeterministic_sets_can_grow(self):
         auto, _ = gen_thm41(2)
@@ -407,9 +412,7 @@ class TestMemoizedEvaluation:
             autos += [f(rng) for f in (rand_sdta, rand_dtadfa, rand_nta, rand_dta_nfa)]
         for a in autos:
             trees = list(iter_trees(a.alphabet, EnumerationBounds(3, 3, 200)))
-            fresh = TreeAutomaton(a.kind, a.alphabet, a.states, a.finals,
-                                  horizontal=a.horizontal, moore=a.moore,
-                                  leaf_symbols=a.leaf_symbols)
+            fresh = _fresh(a)
             cold = [_outcome(accepts, a, t) for t in trees]
             warm = [_outcome(accepts, a, t) for t in trees]
             # the copy fills its tables in the other order
@@ -465,6 +468,89 @@ class TestRunAgainstTheUnionNfa:
                 seen[a.kind] += 1
                 seen["leaf symbol"] += sym in a.leaf_symbols
         assert min(seen.values()) >= 5 and seen["assigns"] >= 100, seen
+
+
+def _moore_run(a, sym):
+    """An SDTA's ``(start, step, finish)`` run read off its Moore machine's
+    dicts, with nothing memoized: the oracle ``union_run`` is for the other
+    kinds."""
+    m = a.moore.get(sym)
+    leaf = frozenset([sym]) if sym in a.leaf_symbols else None
+
+    def step(run, s):
+        return m.delta.get((run, *s)) if s else None
+
+    def finish(run, empty):
+        if empty and leaf:
+            return leaf
+        return frozenset([m.outputs[run]]) if m and run in m.outputs else frozenset()
+
+    return (m.initial if m else None), step, finish
+
+
+def _fresh(a):
+    """An equal automaton whose runs and step tables start empty."""
+    return TreeAutomaton(a.kind, a.alphabet, a.states, a.finals, horizontal=a.horizontal,
+                         moore=a.moore, leaf_symbols=a.leaf_symbols)
+
+
+class TestFold:
+    def test_fold_equals_one_step_at_a_time_and_the_oracles(self):
+        rng = random.Random(21)
+        seen = collections.Counter()
+        lemma, thm = gen_lemma34((2, 3))[0], gen_thm41(2)[0]
+        named = [lemma, dtadfa_to_sdta(lemma)[0], thm, nta_to_dtadfa(thm)[0],
+                 nta_to_sdta(thm)[0]]
+        autos = named + [RANDOM_AUTOMATA[kind](rng) for _ in range(25) for kind in KINDS]
+        for a in autos:
+            letters = sorted(a.horizontal_alphabet)
+            # an SDTA is never given a child set of two states: the child
+            # raises KindError first
+            most = min(1 if a.kind == SDTA else 3, len(letters))
+            # conversions fill the tables of their input: start both cold
+            folder, stepper = _fresh(a), _fresh(a)
+            for sym in sorted(a.alphabet):
+                start, _, finish, fold = folder._run(sym)
+                _, step, _ = stepper.horizontal_run(sym)
+                o_start, o_step, o_finish = (_moore_run if a.kind == SDTA else union_run)(a, sym)
+                assert start == o_start and fold(None, [frozenset(letters[:1])]) is None
+                assert finish(fold(start, []), True) == o_finish(o_start, True)
+                for _ in range(8):
+                    sets = [frozenset(rng.sample(letters, rng.randint(0, most)))
+                            for _ in range(rng.randint(1, 6))]
+                    run, o_run = start, o_start
+                    for s in sets:
+                        if run is None:
+                            break
+                        run, o_run = step(run, s), o_step(o_run, s)
+                    got = fold(start, sets)
+                    assert got == run == o_run
+                    assert finish(got, False) == o_finish(o_run, False)
+                    seen["dead" if got is None else "alive"] += 1
+                    seen["assigns" if finish(got, False) else "assigns nothing"] += 1
+                    seen["empty set"] += frozenset() in sets
+                    seen["multi-state set"] += any(len(s) > 1 for s in sets)
+                    seen["designated leaf"] += any(s & a.leaf_symbols for s in sets)
+                seen[a.kind] += 1
+            # both routes stop at a dead run, so they filled the same table
+            for sym in sorted(a.alphabet):
+                assert _step_table(folder, sym) == _step_table(stepper, sym)
+        assert min(seen.values()) >= 20 and seen["assigns"] >= 200, seen
+
+    def test_fold_fills_the_table_step_reads(self):
+        a = gen_thm41(2)[0]
+        start, step, finish, fold = a._run("a")
+        b, q1 = frozenset({"b"}), frozenset({"q1"})
+        assert not _step_table(a, "a")
+        run = fold(start, [b] * 12)
+        table = _step_table(a, "a")
+        assert {s for _, s in table} == {b} and len(table) == 7
+        # past the entry state the 2- and 3-counters cycle: the table stops growing
+        assert fold(start, [b] * 60) == run and _step_table(a, "a") == table
+        assert finish(run, False) == frozenset({"q1", "q2"})
+        assert step(run, b) == table[run, b]
+        assert fold(run, [q1]) is None and table.keys() <= _step_table(a, "a").keys()
+        assert _step_table(a, "a")[run, q1] is None
 
 
 class TestAddressView:
@@ -541,10 +627,15 @@ def _outcome(evaluate, a, t):
 
 
 def _step_table(a, sym):
-    """The memo that the ``step`` of ``sym``'s horizontal run keeps."""
-    _, step, _ = a.horizontal_run(sym)
-    (table,) = [c.cell_contents for c in step.__closure__ if type(c.cell_contents) is dict]
-    return table
+    """The memo that the ``step`` and ``fold`` of ``sym``'s horizontal run
+    share, keyed by child set then by run, flattened to (run, child set) ->
+    next run."""
+    _, step, _, fold = a._run(sym)
+    tables = {id(c.cell_contents): c.cell_contents for f in (step, fold)
+              for c in f.__closure__ if type(c.cell_contents) is dict}
+    (table,) = tables.values()
+    assert all(type(s) is frozenset and type(row) is dict for s, row in table.items())
+    return {(run, s): got for s, row in table.items() for run, got in row.items()}
 
 
 def _two_leaf_states():
@@ -604,3 +695,64 @@ class TestDeepTrees:
         doc.write_text(render_automaton(auto))
         assert cli_main(["run", str(doc), "--tree", text]) == 0
         assert capsys.readouterr().out.startswith("accept {")
+
+
+WIDE = 100_000
+
+
+def _wide_automata():
+    lemma, lemma_pred = gen_lemma34((2, 3))
+    thm, thm_pred = gen_thm41(2)
+    return [((lemma, dtadfa_to_sdta(lemma)[0]), lemma_pred),
+            ((thm, nta_to_dtadfa(thm)[0], nta_to_sdta(thm)[0]), thm_pred)]
+
+
+class TestWideTrees:
+    """Nodes with 100 000 children, leaves or internal nodes: each child is
+    read once, so a run takes time linear in the tree."""
+
+    @pytest.mark.parametrize("text", [
+        "a(" + "b," * WIDE + "1)",          # lemma 3.4: in the language
+        "a(" + "b," * (WIDE + 1) + "1)",    # one b too many
+        "a(" + "b," * (WIDE - 1) + "b)",    # theorem 4.1: b^WIDE
+        "a(a(" + "b," * (WIDE - 2) + "b))",  # b^(WIDE - 1) one level down
+    ], ids=["lemma34-in", "lemma34-out", "thm41-in", "thm41-out"])
+    def test_leaf_children(self, text):
+        self._check_everywhere(text)
+
+    @pytest.mark.parametrize("text", [
+        "a(" + ",".join(["a(b,b,1)"] * WIDE) + ")",
+        "a(" + ",".join(["a(b,b)"] * WIDE) + ")",
+    ], ids=["lemma34", "thm41"])
+    def test_internal_children(self, text):
+        self._check_everywhere(text)
+
+    def _check_everywhere(self, text):
+        for autos, pred in _wide_automata():
+            if not set(text) - set("(),") <= pred.alphabet:
+                continue
+            t = parse_tree(text, pred.alphabet)
+            assert render_tree(t) == text
+            want = pred(t)
+            for a in autos:
+                began = time.perf_counter()
+                assert accepts(a, t) == want, a.kind
+                # about 45 s per call while each resumed frame copied the children left
+                assert time.perf_counter() - began < 10
+                view = run(a, t)
+                assert bool(view[()] & a.finals) == want
+                last = t.children[-1]
+                assert bool(view[(len(t.children) - 1,)] & a.finals) == (
+                    pred(last) if last.children else False)
+
+    def test_through_the_cli(self, tmp_path, capsys):
+        auto, pred = gen_thm41(2)
+        doc = tmp_path / "g2.uta"
+        doc.write_text(render_automaton(auto))
+        # b^(WIDE + 2) is a multiple of 2 and of 3, so both states are assigned
+        for text, out in (("a(" + "b," * (WIDE + 1) + "b)", "accept {q1,q2}"),
+                          ("a(" + ",".join(["a(b)"] * WIDE) + ")", "reject {}")):
+            want = pred(parse_tree(text, auto.alphabet))
+            assert want == out.startswith("accept")
+            assert cli_main(["run", str(doc), "--tree", text]) == 0
+            assert capsys.readouterr().out == out + "\n"
