@@ -23,7 +23,7 @@ from functools import cache
 
 from .automata import (DFA_KINDS, DTA_DFA, DTA_NFA, KINDS, SDTA, TreeAutomaton,
                        check_semantic_determinism)
-from .errors import DocumentError
+from .errors import DocumentError, TreeSyntaxError, UnknownSymbolError
 from .strings import DFA, NFA, MooreDFA
 from .trees import SYMBOL_RE, VARIABLE, parse_context, parse_tree, render_tree
 
@@ -249,7 +249,7 @@ def parse_automaton(text: str):
 
 def render_fooling_vertical(fs) -> str:
     lines = [f"{KIND}: fooling-vertical", *(f"{TREE}: {render_tree(t)}" for t in fs.trees)]
-    return _render_separators(lines, fs.separators, str)
+    return _render_separators(lines, fs.separators, str, len(fs.trees))
 
 
 def render_fooling_horizontal(fs) -> str:
@@ -257,12 +257,15 @@ def render_fooling_horizontal(fs) -> str:
     lines += [(f"{TUPLE}: " + " ".join(map(render_tree, tup))).rstrip() for tup in fs.tuples]
     return _render_separators(
         lines, fs.separators,
-        lambda sep: f"{sep[0]} | {' '.join(map(render_tree, sep[1]))}".rstrip())
+        lambda sep: f"{sep[0]} | {' '.join(map(render_tree, sep[1]))}".rstrip(), len(fs.tuples))
 
 
-def _render_separators(lines, separators, render) -> str:
+def _render_separators(lines, separators, render, n) -> str:
     """``lines`` and then one ``sep i j`` line per pair, in index order;
-    each separator object is rendered once, however many pairs share it."""
+    each separator object is rendered once, however many pairs share it.
+    A key the parser would reject, not 0 <= i < j < n, is an error."""
+    from .witnesses import _check_keys
+    _check_keys(separators, n)
     texts = {}
     for i, j in sorted(separators):
         sep = separators[i, j]
@@ -278,7 +281,7 @@ def parse_fooling_set(text: str, alphabet):
     is parsed once, and equal texts share one parsed object: a horizontal
     separator is one (context, padding) pair per distinct text, whose parts
     are shared with the other pairs as well."""
-    from .witnesses import FoolingSetHorizontal, FoolingSetVertical
+    from .witnesses import FoolingSetHorizontal, FoolingSetVertical, _check_keys
     records = _records(text)
     kind = _lead(records, KIND, ("fooling-vertical", "fooling-horizontal"))
     horizontal = kind == "fooling-horizontal"
@@ -293,13 +296,19 @@ def parse_fooling_set(text: str, alphabet):
         return (once(parse_context, " ".join(toks[:cut])),
                 once(trees, " ".join(toks[cut + 1:])))
 
+    def at(no, parse, toks):  # a malformed tree names its line
+        try:
+            return once(parse, " ".join(toks))
+        except (TreeSyntaxError, UnknownSymbolError) as e:
+            raise DocumentError(str(e), no) from None
+
     def member(toks, no):
-        return once(trees if horizontal else parse_tree, " ".join(toks))
+        return at(no, trees if horizontal else parse_tree, toks)
 
     def separator(toks, no):
         if horizontal and "|" not in toks:
             raise DocumentError("separator needs 'context | padding...'", no)
-        return once(parse_separator if horizontal else parse_context, " ".join(toks))
+        return at(no, parse_separator if horizontal else parse_context, toks)
 
     def symbol(toks, no):
         if _one(SYMBOL, toks, no) not in alphabet or toks[0] == VARIABLE:
@@ -312,10 +321,7 @@ def parse_fooling_set(text: str, alphabet):
         fields[SYMBOL] = (_REQUIRED, symbol)
     got, lines, _ = _read_fields(records, fields, f"{kind} document", blocks=False)
     members, seps = got.get(name, []), got.get(SEP, {})
-    for i, j in seps:
-        if not 0 <= i < j < len(members):
-            raise DocumentError(f"separator 'sep {i} {j}' needs indices "
-                                f"0 <= i < j < {len(members)}", lines[i, j])
+    _check_keys(seps, len(members), lines)
     if horizontal:
         return FoolingSetHorizontal(members, got[SYMBOL], seps)
     return FoolingSetVertical(members, seps)

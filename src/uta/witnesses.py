@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 
 from .automata import DTA_DFA, NTA_DFA, TreeAutomaton
-from .errors import SeparationError, TreeSyntaxError, UtaError
+from .errors import DocumentError, SeparationError, TreeSyntaxError, UtaError
 from .strings import DFA
 from .trees import (Context, EnumerationBounds, Tree, _Record, _render_chunks, iter_trees,
                     leaf, nest, substitute, word_node)
@@ -67,10 +67,6 @@ class FoolingSetHorizontal(_Record):
 
 
 LEMMA34_ALPHABET = frozenset({"a", "b", "0", "1"})
-
-
-def _binary(i: int) -> str:
-    return format(i, "b")
 
 
 def _chain_split(t: Tree):
@@ -114,7 +110,7 @@ def gen_lemma34(k) -> tuple[TreeAutomaton, LangPredicate]:
     ha = frozenset(states) | LEMMA34_ALPHABET
     horizontal = {}
     for idx, ki in enumerate(k, start=1):
-        y = _binary(idx)
+        y = format(idx, "b")
         sts = ["s0"] + [f"c{j}" for j in range(1, ki + 1)]
         trans = [("s0", "b", "c1")]
         trans += [(f"c{j}", "b", f"c{j + 1}") for j in range(1, ki)]
@@ -150,7 +146,7 @@ def gen_lemma34(k) -> tuple[TreeAutomaton, LangPredicate]:
         if not 1 <= i <= m:
             return False
         word = "".join(labels)
-        y = _binary(i)
+        y = format(i, "b")
         if not word.endswith(y):
             return False
         head = word[: len(word) - len(y)]
@@ -228,7 +224,7 @@ def lemma34_vertical_fooling(k) -> FoolingSetVertical:
     by wrapping in the chain context that completes the shorter level."""
     k = tuple(int(v) for v in k)
     m = len(k)
-    trees = [word_node("a", "b" * k[i - 1] + _binary(i)) for i in range(1, m + 1)]
+    trees = [word_node("a", "b" * k[i - 1] + format(i, "b")) for i in range(1, m + 1)]
     trees.append(Tree("a", (leaf("b"),)))
     # one context per level; the a(b) extra sits last, so the smaller index
     # of a pair always names a real level
@@ -240,24 +236,23 @@ def lemma34_vertical_fooling(k) -> FoolingSetVertical:
 def lemma34_horizontal_fooling(k) -> FoolingSetHorizontal:
     """S = tuples of r b-leaves for r below the product of the moduli; the
     pair (r, s) is separated by padding up to the next multiple of a modulus
-    that does not divide s - r, then the matching numeral and chain."""
+    that does not divide s - r, then the matching numeral and chain.  Built
+    in bulk: a table ``first[d]`` of the first modulus not dividing each gap
+    d, the sum of k_i separators (one per padding length and modulus, shared
+    by all its pairs), then one pass over the pairs, row r (pairs (r, s) for
+    s > r) read off ``first[1:total - r]``.  Cost: O(prod(k) * len(k)) plus
+    one step per pair."""
     k = tuple(int(v) for v in k)
     total = math.prod(k)
     b = leaf("b")
     tuples = [(b,) * r for r in range(total)]
-    # one context per modulus and one (context, padding) separator per
-    # (gap, modulus), shared by every pair that uses it
-    contexts = [Context(nest("a", i - 1, Tree("x"))) for i in range(1, len(k) + 1)]
-    shared = {}
-    seps = {}
-    for r, s in combinations(range(total), 2):
-        i = next(i for i, ki in enumerate(k, start=1) if (s - r) % ki)
-        gap = (-r) % k[i - 1]
-        sep = shared.get((gap, i))
-        if sep is None:
-            padding = (b,) * gap + tuple(leaf(bit) for bit in _binary(i))
-            sep = shared[gap, i] = (contexts[i - 1], padding)
-        seps[(r, s)] = sep
+    contexts = [Context(nest("a", i, Tree("x"))) for i in range(len(k))]
+    shared = [[(contexts[i], (b,) * gap + tuple(leaf(bit) for bit in format(i + 1, "b")))
+               for gap in range(ki)] for i, ki in enumerate(k)]
+    first = [next((i for i, ki in enumerate(k) if d % ki), None) for d in range(total)]
+    rows = (map([shared[i][-r % ki] for i, ki in enumerate(k)].__getitem__, first[1:total - r])
+            for r in range(total))
+    seps = dict(zip(combinations(range(total), 2), chain.from_iterable(rows)))
     return FoolingSetHorizontal(tuples, "a", seps)
 
 
@@ -304,6 +299,19 @@ def certify_horizontal_bound(pred: LangPredicate, fs: FoolingSetHorizontal) -> i
     return _certify(pred, fs.tuples, fs.separators, plug, candidates, "tuples")
 
 
+def _check_keys(separators, n: int, lines=None):
+    """Raise on the first key of ``separators`` that is not a pair of ints
+    0 <= i < j < n: no pair loop reads it and no document can hold it.  For
+    a parsed document, ``lines`` by key, a DocumentError naming its line."""
+    for key in separators:
+        if not (type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is int
+                and 0 <= key[0] < key[1] < n):
+            if lines is not None:
+                raise DocumentError(f"separator 'sep {key[0]} {key[1]}' needs indices "
+                                    f"0 <= i < j < {n}", lines[key])
+            raise UtaError(f"separator key {key!r} needs indices 0 <= i < j < {n}")
+
+
 def _certify(pred, members, separators, plug, candidates, noun) -> int:
     """The one pair loop of both certifiers: members i < j are separated by
     ``separators[(i, j)]`` when supplied, else by some separator of the
@@ -311,6 +319,7 @@ def _certify(pred, members, separators, plug, candidates, noun) -> int:
     two apart.  Supplied separators are shared by many pairs, so the side of
     each (member index, separator object) is decided once; searched
     candidates are not memoized.  Returns len(members) - 1."""
+    _check_keys(separators, len(members))
     sides = {}  # (k, id(sep)) -> (sep, side); holding sep keeps its id unique
 
     def side(k, sep):

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from uta import (DFA, DTA_DFA, NFA, MooreDFA, DocumentError, TreeAutomaton,
-                 dtadfa_to_sdta, gen_lemma34, gen_thm41, marked_union,
-                 nta_to_dtadfa, parse_context)
+from uta import (DFA, DTA_DFA, NFA, DocumentError, FoolingSetHorizontal,
+                 FoolingSetVertical, MooreDFA, TreeAutomaton, UtaError, dtadfa_to_sdta,
+                 gen_lemma34, gen_thm41, marked_union, nta_to_dtadfa, parse_context,
+                 parse_tree)
 from uta import automata
 from uta.cli import cli_main
 from uta.docs import (parse_automaton, parse_fooling_set, render_automaton,
@@ -171,6 +172,39 @@ class TestDocumentValidation:
                 assert f"'sep {key}'" in str(err.value)
                 assert err.value.line == head.count("\n") + 1
             assert (0, 2) in parse_fooling_set(f"{head}sep 0 2: {sep}\n", alpha).separators
+
+    @pytest.mark.parametrize("key", [(1, 0), (0, 2), (0, 0), (0, 1, 2), (0.0, 1.0)])
+    def test_renderers_refuse_keys_the_parser_rejects(self, key):
+        b, ab = parse_tree("b", "ab"), parse_tree("a(b)", "ab")
+        ctx = parse_context("a(x)", "ab")
+        for render, fs in (
+                (render_fooling_vertical, FoolingSetVertical([b, ab], {key: ctx})),
+                (render_fooling_horizontal,
+                 FoolingSetHorizontal([(b,), (b, b)], "a", {key: (ctx, (b,))}))):
+            with pytest.raises(UtaError) as err:
+                render(fs)
+            assert str(err.value) == f"separator key {key!r} needs indices 0 <= i < j < 2"
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("kind: fooling-vertical\ntree: a(b\ntree: b\n", 2, "expected ',' or ')' (at offset 3)"),
+        ("kind: fooling-vertical\ntree: b\ntree: a(y)\n", 3, "unknown symbol 'y' (at offset 2)"),
+        ("kind: fooling-horizontal\nsymbol: a\ntuple: b\ntuple: b a(\n",
+         4, "expected a symbol (at offset 2)"),
+        ("kind: fooling-vertical\ntree: b\ntree: a(b)\nsep 0 1: a(y)\n",
+         4, "unknown symbol 'y' (at offset 2)"),
+        ("kind: fooling-vertical\ntree: b\ntree: a(b)\nsep 0 1: a(x,x)\n",
+         4, "context must contain exactly one 'x' leaf, found 2 (at offset 0)"),
+        ("kind: fooling-horizontal\nsymbol: a\ntuple: b\ntuple: b b\nsep 0 1: a(x)) | b\n",
+         5, "trailing input after tree (at offset 4)"),
+        ("kind: fooling-horizontal\nsymbol: a\ntuple: b\ntuple: b b\nsep 0 1: x | b y\n",
+         5, "unknown symbol 'y' (at offset 0)"),
+    ], ids=["tree", "tree-symbol", "tuple", "vertical-separator", "vertical-separator-variables",
+            "horizontal-separator", "padding"])
+    def test_malformed_trees_name_their_line(self, text, line, message):
+        with pytest.raises(DocumentError) as err:
+            parse_fooling_set(text, frozenset("ab"))
+        assert str(err.value) == f"{message} (line {line})"
+        assert err.value.line == line
 
     @pytest.mark.parametrize("text, line, message", [
         ("kind: fooling-vertical\ntree: b\ntree: a(b)\nsep 0 1: x\nsep 0 1: a(x)\n",
@@ -373,6 +407,15 @@ class TestCli:
         assert (code, out) == (2, "")
         assert err == ("error: unexpected field '' in fooling-vertical document "
                        "(line 4)\n")
+
+    def test_malformed_tree_in_fooling_set_exits_two(self, tmp_path, capsys):
+        fv = tmp_path / "fv.txt"
+        for tree, message in (("a(b", "expected ',' or ')' (at offset 3)"),
+                              ("a(y)", "unknown symbol 'y' (at offset 2)")):
+            fv.write_text(f"kind: fooling-vertical\ntree: {tree}\ntree: b\n")
+            code, out, err = self.run_cli(capsys, "certify", "vertical", "lemma34:2,3",
+                                          "--fooling-set", str(fv))
+            assert (code, out, err) == (2, "", f"error: {message} (line 2)\n")
 
     @pytest.mark.parametrize("symbol", ["z", "x"])
     def test_fooling_symbol_outside_the_alphabet_exits_two(self, tmp_path, capsys, symbol):

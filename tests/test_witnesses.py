@@ -1,3 +1,7 @@
+import hashlib
+import math
+from itertools import combinations
+
 import pytest
 
 from uta import (Context, SeparationError, SizePair, UtaError, accepts,
@@ -7,7 +11,7 @@ from uta import (Context, SeparationError, SizePair, UtaError, accepts,
                  lemma34_vertical_fooling, nest, node, parse_tree, size,
                  word_node)
 from uta import FoolingSetHorizontal, FoolingSetVertical, LangPredicate
-from uta import EnumerationBounds, iter_trees
+from uta import EnumerationBounds, Tree, iter_trees
 from uta.docs import parse_fooling_set, render_fooling_horizontal
 
 
@@ -152,6 +156,88 @@ class TestCertifiers:
         h = certify_horizontal_bound(pred, lemma34_horizontal_fooling((2, 3)))
         assert v <= len(sdta.states)
         assert h <= sdta.moore["a"].size
+
+
+def _per_pair_horizontal_fooling(k):
+    """The per-pair reference for ``lemma34_horizontal_fooling``: each pair
+    looks up the first modulus that does not divide its gap, and a separator
+    is made the first time its (padding length, modulus) is met.  Also
+    returns that (padding length, modulus) for every pair."""
+    total = math.prod(k)
+    b = leaf("b")
+    contexts = [Context(nest("a", i - 1, Tree("x"))) for i in range(1, len(k) + 1)]
+    shared, seps, used = {}, {}, {}
+    for r, s in combinations(range(total), 2):
+        i = next(i for i, ki in enumerate(k, start=1) if (s - r) % ki)
+        gap = (-r) % k[i - 1]
+        if (gap, i) not in shared:
+            padding = (b,) * gap + tuple(leaf(bit) for bit in format(i, "b"))
+            shared[gap, i] = (contexts[i - 1], padding)
+        seps[(r, s)], used[(r, s)] = shared[gap, i], (gap, i)
+    return FoolingSetHorizontal([(b,) * r for r in range(total)], "a", seps), used
+
+
+def _sep_text(sep):
+    ctx, padding = sep
+    return f"{ctx} | {' '.join(map(str, padding))}"
+
+
+class TestHorizontalFoolingInBulk:
+    @pytest.mark.parametrize("k, distinct", [
+        ((2, 3), 5), ((2, 5), 7), ((3, 4), 7), ((2, 3, 5), 10), ((3, 4, 5), 12),
+        ((2, 3, 5, 7), 17), ((3, 4, 5, 7), 19)])
+    def test_agrees_with_the_per_pair_reference(self, k, distinct):
+        got = lemma34_horizontal_fooling(k)
+        want, used = _per_pair_horizontal_fooling(k)
+        assert got.tuples == want.tuples and got.symbol == want.symbol == "a"
+        assert list(got.separators) == list(want.separators)
+        texts = {}  # one rendering per separator object
+        for key, sep in got.separators.items():
+            text = texts.setdefault(id(sep), _sep_text(sep))
+            assert text == _sep_text(want.separators[key]), key
+        by_id = {id(sep) for sep in got.separators.values()}
+        assert len(by_id) == len({id(sep) for sep in want.separators.values()}) == distinct
+        # pairs with the same (padding length, modulus) share one object, and
+        # pairs with different ones do not
+        owner = {}
+        for key, sep in got.separators.items():
+            assert owner.setdefault(used[key], id(sep)) == id(sep), key
+        assert len(owner) == distinct
+
+    @pytest.mark.parametrize("k, digest", [
+        ((2, 3, 5, 7), "7fa952106cc0b42a7e187be38146c92a389458e003a2f58a90842ef320312a86"),
+        ((3, 4, 5, 7), "ef0f7dcb15836a6f9557901f5b45a923872daa2dd97f6a05d0443a16b3b26e89")])
+    def test_rendered_document_is_pinned(self, k, digest):
+        text = render_fooling_horizontal(lemma34_horizontal_fooling(k))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestMisplacedSeparatorKeys:
+    """A key that is not (i, j) with 0 <= i < j < n is read by no pair and
+    written as a line no parser takes: both certifiers refuse it."""
+
+    @pytest.mark.parametrize("key", [(1, 0), (0, 2), (0, 0), (-1, 1), (0, 1, 2), "01",
+                                     (0.0, 1.0), (False, True)])
+    def test_certifiers_refuse_it(self, key):
+        _, pred = gen_lemma34((2, 3))
+        ctx = Context(Tree("x"))
+        fv = FoolingSetVertical([leaf("b"), word_node("a", "b")], {key: ctx})
+        fh = FoolingSetHorizontal([(leaf("b"),), ()], "a", {key: (ctx, ())})
+        for certify, fs in ((certify_vertical_bound, fv), (certify_horizontal_bound, fh)):
+            with pytest.raises(UtaError) as err:
+                certify(pred, fs)
+            assert not isinstance(err.value, SeparationError)
+            assert f"separator key {key!r} needs indices 0 <= i < j < 2" in str(err.value)
+
+    def test_reversed_key_is_not_a_search_fallback(self):
+        # the bounded search used to stand in for the ignored key and certify 1
+        _, pred = gen_lemma34((2, 3))
+        fs = FoolingSetVertical([leaf("b"), word_node("a", "bb1")],
+                                {(1, 0): Context(Tree("x"))})
+        with pytest.raises(UtaError, match=r"separator key \(1, 0\)"):
+            certify_vertical_bound(pred, fs)
+        fs.separators = {(0, 1): fs.separators[1, 0]}
+        assert certify_vertical_bound(pred, fs) == 1
 
 
 def _counting(pred):
