@@ -9,9 +9,10 @@ place over their transition dicts, instead of enumerating the product of
 the children's state sets.  Each step, from a set of (acceptor, state)
 pairs or an SDTA's Moore state on a child's state set, is computed once per
 automaton and then looked up: the runs fill in, on demand, the transition
-table of the subset machine that ``convert.nta_to_sdta`` builds, and a node
-folds its children through that table in one loop (see ``_horizontal_run``).
-A run visits each node once, so it costs time linear in the tree.
+table of the subset machine that ``convert.nta_to_sdta`` builds (see
+``_horizontal_run``).  ``_evaluate`` steps a node's run on each child's set
+as the child is read, in one pass linear in the tree; each symbol's run and
+each label's leaf states are kept, but never a fault (see ``_evaluate``).
 
 Leaf-state convention: an automaton may designate, per symbol, a dedicated
 state (named by the symbol itself) that leaves with that label receive.
@@ -91,6 +92,7 @@ class TreeAutomaton:
         self._by_symbol = {sym: tuple(sorted(pairs, key=lambda qm: qm[0]))
                            for sym, pairs in by_symbol.items()}
         self._runs: dict = {}
+        self._leaves: dict = {}
 
     @property
     def horizontal_alphabet(self) -> frozenset:
@@ -148,15 +150,17 @@ class TreeAutomaton:
         return self._run(sym)[:3]
 
     def _run(self, sym):
-        """``horizontal_run`` with the run's ``fold`` as a fourth member."""
+        """The run, its step table a fourth member; kept for alphabet symbols."""
         got = self._runs.get(sym)
         if got is None:
-            got = self._runs[sym] = _horizontal_run(self, sym)
+            got = _horizontal_run(self, sym)
+            if sym in self.alphabet:
+                self._runs[sym] = got
         return got
 
     def __getstate__(self):
-        # the runs are closures, which do not pickle; they are rebuilt on use
-        return {**self.__dict__, "_runs": {}}
+        # runs hold closures, which do not pickle; runs and leaf states are rebuilt on use
+        return {**self.__dict__, "_runs": {}, "_leaves": {}}
 
     def machines_for(self, sym):
         """Sorted (state, machine) pairs for one symbol; non-SDTA kinds."""
@@ -183,8 +187,8 @@ def run(a: TreeAutomaton, t: Tree) -> Mapping:
     For deterministic kinds every assigned set has at most one element; a
     violation means the declared kind is wrong and raises KindError.
     """
-    memo, leaves = {}, {}
-    return _Assignment(t, _evaluate(a, t, memo, leaves, addressed=True), memo, leaves)
+    memo = {}
+    return _Assignment(t, _evaluate(a, t, memo, addressed=True), memo, a._leaves)
 
 
 class _Assignment(Mapping):
@@ -222,82 +226,106 @@ class _Assignment(Mapping):
         return self._tree.node_count()
 
 
-def _evaluate(a: TreeAutomaton, t: Tree, memo: dict, leaves=None,
-              addressed=False) -> frozenset:
-    """The states assigned to the root of ``t``, computed bottom-up with an
-    explicit stack, children left to right, so the first fault raised is
-    the one a recursive postorder raises, in O(depth) frames.
+def _evaluate(a: TreeAutomaton, t: Tree, memo: dict, addressed=False) -> frozenset:
+    """The states assigned to the root of ``t``, computed bottom-up in one
+    pass with an explicit stack, children left to right, so the first fault
+    raised is the one a recursive postorder raises, in O(depth) frames.
 
-    A frame is a node, the state sets of its children so far, whose length
-    is the index of the next child, and an iterator over its children, so
-    each child is visited once however often the frame resumes; the lengths
-    along the stack are the address a KindError names when ``addressed``.
-    A leaf child's set comes from ``leaves``, keyed by label (per call
-    unless given); an internal child not in ``memo`` gets a frame of its own
-    when the iterator reaches it.  ``memo`` maps id(subtree) -> (subtree,
-    states) for internal proper subtrees: it is read and extended but never
-    given the root, so a memo kept across many trees grows with their shared
-    subtrees only.  Holding the subtree keeps its id from being reused while
-    it lives.
+    A frame is a node, an iterator over its children (each read once) and
+    the node's run, ``step``, ``finish`` and step table.  Each child's state
+    set, from ``a._leaves``, ``memo`` or a frame of its own, is stepped into
+    the run as soon as it is read.  No fault is cached (``_leaf`` keeps only
+    checked states, ``TreeAutomaton._run`` no unknown symbol's run), so a
+    faulty tree raises on every call; a KindError's address (if
+    ``addressed``) is rebuilt from the stack on that error path only.
+    ``memo`` maps id(subtree) -> (subtree, states) for internal proper
+    subtrees: it is read and extended but never given the root, so a memo
+    kept across many trees grows with their shared subtrees only, and
+    holding the subtree keeps its id from being reused while it lives.
     """
-    leaves = {} if leaves is None else leaves
-    stack = [(t, [], iter(t.children))]
-    where = (lambda: tuple(len(sets) for _, sets, _ in stack)) if addressed else None
+    runs, leaves = a._runs, a._leaves
+    if not t.children:
+        return _leaf(a, t.label, addressed and ([], t))
+    det = a.kind in DETERMINISTIC_KINDS
+    stack, node, kids = [], t, iter(t.children)
+    run, step, finish, table = runs.get(t.label) or a._run(t.label)
     while True:
-        node, sets, kids = stack[-1]
         for c in kids:
-            if not c.children:
-                states = leaves.get(c.label)
-                if states is None:
-                    states = leaves[c.label] = _node_states(a, c.label, [], where)
-            else:
+            if c.children:
                 got = memo.get(id(c))
                 if got is None:
-                    stack.append((c, [], iter(c.children)))
+                    stack.append((node, kids, run, step, finish, table))
+                    node, kids = c, iter(c.children)
+                    run, step, finish, table = runs.get(c.label) or a._run(c.label)
                     break
-                states = got[1]
-            sets.append(states)
+                s = got[1]
+            else:
+                s = leaves.get(c.label)
+                if s is None:
+                    s = _leaf(a, c.label, addressed and (stack, node, c))
+            if run is not None:
+                try:
+                    run = table[s][run]
+                except KeyError:
+                    run = step(run, s)
         else:
-            stack.pop()
-            states = _node_states(a, node.label, sets, where)
+            states = finish(run, False)
+            if det and len(states) > 1:
+                raise _kind_error(a, states, node.label, addressed and (stack, node))
             if not stack:
                 return states
             memo[id(node)] = (node, states)
-            stack[-1][1].append(states)
+            node, kids, run, step, finish, table = stack.pop()
+            if run is not None:
+                run = step(run, states)
 
 
-def _node_states(a: TreeAutomaton, sym: str, child_sets: list, where=None) -> frozenset:
-    """One bottom-up step: the states of a ``sym`` node whose children were
-    assigned ``child_sets``, with the alphabet and determinism checks."""
-    if sym not in a.alphabet:
-        raise UnknownSymbolError(sym)
-    start, _, finish, fold = a._run(sym)
-    states = finish(fold(start, child_sets), not child_sets)
+def _leaf(a: TreeAutomaton, label: str, where) -> frozenset:
+    """The states of a ``label`` leaf, kept in ``a._leaves`` if no fault."""
+    start, _, finish, _ = a._run(label)
+    states = finish(start, True)
     if len(states) > 1 and a.kind in DETERMINISTIC_KINDS:
-        at = where() if where else f"a {sym!r} node"
-        raise KindError(f"deterministic kind {a.kind} assigned {sorted(states)} at {at}")
+        raise _kind_error(a, states, label, where)
+    a._leaves[label] = states
     return states
+
+
+def _kind_error(a: TreeAutomaton, states, sym: str, where) -> KindError:
+    """Names the node by label, or by the address of ``where``, a path
+    ``(frames, *nodes)`` down which each node is the first child that is it."""
+    path = where and [f[0] for f in where[0]] + [*where[1:]]
+    at = tuple(next(i for i, c in enumerate(p.children) if c is n)
+               for p, n in zip(path, path[1:])) if path else f"a {sym!r} node"
+    return KindError(f"deterministic kind {a.kind} assigned {sorted(states)} at {at}")
 
 
 def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
     """The horizontal run that assigns states to a ``sym`` node, as
-    ``(start, step, finish, fold)``.  ``step(run, S)`` reads the state set S
-    of the next child; the run is None once it is dead, and ``step`` is
-    never given a dead run.  ``fold(run, sets)`` reads a whole node's child
-    sets in turn and may be given, or end in, a dead run.
-    ``finish(run, empty)`` is the node's state set, where ``empty`` says the
-    node has no children (the designated-leaf rule).
+    ``(start, step, finish, table)``.  ``step(run, S)`` reads the state set
+    S of the next child; the run is None once it is dead, and ``step`` is
+    never given a dead run.  ``finish(run, empty)`` is the node's state set,
+    where ``empty`` says the node has no children (the designated-leaf
+    rule); for a symbol outside the alphabet the run is dead and ``finish``
+    raises UnknownSymbolError.
 
     Each kind supplies ``finish`` and ``advance``, the step computed afresh.
     An SDTA's run is its Moore state, and ``advance`` reads its delta.  For
     the other kinds the run is a frozenset (which caches its hash) of (i, h)
     pairs, state h of acceptor i of ``_by_symbol[sym]``, stepped in place
     over the acceptors' dicts; a state is assigned iff the run holds a final
-    state of its acceptor.  ``_memo_steps`` builds ``step`` and ``fold`` on
-    one table of ``advance``'s results, which lives as long as the run (in
-    ``TreeAutomaton._runs``, which pickling drops).  ``finish`` likewise
-    keeps the states each subset assigns.
+    state of its acceptor.  ``step`` fills and reads ``table[S][run]``, the
+    run after ``run`` reads child set S (a dead one as None), which
+    ``_evaluate`` also reads itself.  A key pairs a run some node reaches
+    with a state set some node is assigned, so the table holds at most one
+    entry per cell of the transition table of the subset machine
+    ``convert._subset_moore`` builds, plus one per run for the empty set.
+    It lives as long as the run (in ``TreeAutomaton._runs``, which pickling
+    drops).  ``finish`` likewise keeps the states each subset assigns.
     """
+    if sym not in a.alphabet:
+        def refuse(run, empty):
+            raise UnknownSymbolError(sym)
+        return None, None, refuse, None
     leaf = frozenset([sym]) if sym in a.leaf_symbols else None
     nothing = frozenset()
 
@@ -343,19 +371,6 @@ def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
                                                  if h in pairs[i][1].finals])
             return got
 
-    step, fold = _memo_steps(advance)
-    return start, step, finish, fold
-
-
-def _memo_steps(advance) -> tuple:
-    """``(step, fold)`` for a run whose uncached step is ``advance``.
-    Both ``step`` and ``fold`` read and fill one table ``table[S][run]``:
-    the run after ``run`` reads child set S, a dead one as None.  A key
-    pairs a run some node reaches with a state set some node is assigned, so
-    the table holds at most one entry per cell of the transition table of
-    the subset machine ``convert._subset_moore`` builds, plus one per run
-    for the empty set.  ``fold`` makes no call per child that the table
-    already answers."""
     table = {}
 
     def step(run, s):
@@ -365,17 +380,7 @@ def _memo_steps(advance) -> tuple:
             got = table.setdefault(s, {})[run] = advance(run, s)
             return got
 
-    def fold(run, sets):
-        for s in sets:
-            if run is None:
-                break
-            try:
-                run = table[s][run]
-            except KeyError:
-                run = step(run, s)
-        return run
-
-    return step, fold
+    return start, step, finish, table
 
 
 def accepts(a: TreeAutomaton, t: Tree) -> bool:

@@ -40,7 +40,7 @@ _ONCE, _REQUIRED, _REPEAT, _PAIR = "at most once", "required", "may repeat", "on
 
 
 def _check_token(tok: str, what: str):
-    if not tok or any(c.isspace() for c in tok) or "=" in tok:
+    if tok.split() != [tok] or "=" in tok:  # split() breaks at what isspace() flags
         raise DocumentError(f"{what} {tok!r} is not a valid token")
 
 

@@ -87,6 +87,19 @@ def _chain_split(t: Tree):
     return depth, labels
 
 
+def _moduli(k) -> tuple:
+    """The lemma 3.4 moduli as ints: strictly increasing, pairwise coprime, >= 2."""
+    k = tuple(int(v) for v in k)
+    if not k:
+        raise UtaError("need at least one modulus")
+    if any(v < 2 for v in k) or any(k[i] >= k[i + 1] for i in range(len(k) - 1)):
+        raise UtaError(f"moduli must be >= 2 and strictly increasing: {k}")
+    for i, j in combinations(k, 2):
+        if math.gcd(i, j) != 1:
+            raise UtaError(f"moduli {i} and {j} are not coprime")
+    return k
+
+
 def gen_lemma34(k) -> tuple[TreeAutomaton, LangPredicate]:
     """Weakly deterministic automaton for the union over i of chains of i
     a-nodes whose bottom children spell (b^{k_i})* followed by the binary
@@ -96,16 +109,8 @@ def gen_lemma34(k) -> tuple[TreeAutomaton, LangPredicate]:
     q_i accepts the bottom word for level i or the single successor state
     q_{i+1}; chains then resolve level by level up to the root.
     """
-    k = tuple(int(v) for v in k)
+    k = _moduli(k)
     m = len(k)
-    if m < 1:
-        raise UtaError("need at least one modulus")
-    if any(v < 2 for v in k) or any(k[i] >= k[i + 1] for i in range(m - 1)):
-        raise UtaError(f"moduli must be >= 2 and strictly increasing: {k}")
-    for i, j in combinations(range(m), 2):
-        if math.gcd(k[i], k[j]) != 1:
-            raise UtaError(f"moduli {k[i]} and {k[j]} are not coprime")
-
     states = [f"q{i}" for i in range(1, m + 1)]
     ha = frozenset(states) | LEMMA34_ALPHABET
     horizontal = {}
@@ -222,7 +227,7 @@ def gen_thm41(n: int) -> tuple[TreeAutomaton, LangPredicate]:
 def lemma34_vertical_fooling(k) -> FoolingSetVertical:
     """R = the m level-1 witnesses plus a(b); any two members are told apart
     by wrapping in the chain context that completes the shorter level."""
-    k = tuple(int(v) for v in k)
+    k = _moduli(k)
     m = len(k)
     trees = [word_node("a", "b" * k[i - 1] + format(i, "b")) for i in range(1, m + 1)]
     trees.append(Tree("a", (leaf("b"),)))
@@ -242,7 +247,7 @@ def lemma34_horizontal_fooling(k) -> FoolingSetHorizontal:
     by all its pairs), then one pass over the pairs, row r (pairs (r, s) for
     s > r) read off ``first[1:total - r]``.  Cost: O(prod(k) * len(k)) plus
     one step per pair."""
-    k = tuple(int(v) for v in k)
+    k = _moduli(k)
     total = math.prod(k)
     b = leaf("b")
     tuples = [(b,) * r for r in range(total)]

@@ -11,7 +11,7 @@ from uta import (DFA, DTA_DFA, DTA_NFA, KINDS, NTA_DFA, NTA_NFA, NFA, SDTA,
                  nta_to_dtadfa, nta_to_sdta, node, parse_tree, prune_reachable, render_tree,
                  run, sdta_isomorphic, sdta_to_dtadfa, size, word_node)
 from uta import EnumerationBounds, iter_trees
-from uta.automata import _evaluate, _node_states, bottom_up_reach, reach
+from uta.automata import DETERMINISTIC_KINDS, _evaluate, bottom_up_reach, reach
 from uta.cli import cli_main
 from uta.docs import render_automaton
 from uta import automata, strings
@@ -86,11 +86,12 @@ class TestRun:
         trees = enum(auto.alphabet, 3, 3, 400)
         verdicts = [accepts(auto, u) for u in trees]
         table = _step_table(auto, "a")
-        assert table
+        assert table and auto._leaves
         again = pickle.loads(pickle.dumps(auto))
-        assert again._runs == {} and not _step_table(again, "a")
+        assert again._runs == {} and again._leaves == {} and not _step_table(again, "a")
         assert again == auto and accepts(again, t)
         assert [accepts(again, u) for u in trees] == verdicts
+        assert [dict(run(again, u)) for u in trees] == [dict(run(auto, u)) for u in trees]
         # the same trees fill the same steps (the fixture's table holds more)
         assert _step_table(again, "a").items() <= table.items()
 
@@ -405,6 +406,20 @@ class TestMemoizedEvaluation:
                 with pytest.raises(error):
                     evaluate(wrong, t)
 
+    def test_faults_are_never_cached(self):
+        wrong = _two_leaf_states()
+        for text in ("a", "b(b,a)", "z", "b(b,z)", "z(b)", "b(z(a),b)"):
+            t = parse_tree(text, {"a", "b", "z"})
+            for evaluate in (run, accepts):
+                first = _outcome(evaluate, wrong, t)
+                assert first[0] is not bool
+                # the same fault again, from the same (warm) automaton
+                assert _outcome(evaluate, wrong, t) == first
+            assert "a" not in wrong._leaves and "z" not in wrong._leaves
+            assert "z" not in wrong._runs
+        # what passed its checks is kept
+        assert wrong._leaves == {"b": frozenset()} and set(wrong._runs) == {"a", "b"}
+
     def test_warm_step_tables_answer_as_cold_ones(self):
         rng = random.Random(10)
         autos = [gen_lemma34((2, 3))[0], gen_thm41(2)[0], _two_leaf_states()]
@@ -418,6 +433,11 @@ class TestMemoizedEvaluation:
             # the copy fills its tables in the other order
             other = [_outcome(accepts, fresh, t) for t in reversed(trees)][::-1]
             assert cold == warm == other
+            # the same for whole views, from cold runs and leaf states
+            fresh, other_fresh = _fresh(a), _fresh(a)
+            views = [_outcome(_view, fresh, t) for t in trees]
+            assert [_outcome(_view, fresh, t) for t in trees] == views
+            assert [_outcome(_view, other_fresh, t) for t in reversed(trees)][::-1] == views
             for t, got in zip(trees, cold):
                 want = _outcome(lambda b, u: bool(run(b, u)[()] & b.finals), a, t)
                 assert got[0] == want[0]
@@ -425,14 +445,34 @@ class TestMemoizedEvaluation:
                     assert got == want
 
 
-def _recursive_run(a, t):
+def _recursive_run(a, t, runs=TreeAutomaton.horizontal_run, seen=None):
     """The recursive evaluation that ``run`` once was: a dict filled in
-    postorder.  Kept as the oracle of the view ``run`` returns now."""
+    postorder, each node's children stepped one at a time, after all of
+    them are evaluated, through the ``(start, step, finish)`` triple that
+    ``runs(a, sym)`` gives (the public ``horizontal_run`` unless an oracle
+    is given).  Kept as the oracle of ``run`` and ``accepts``.  A given
+    ``seen`` counter tallies what the internal nodes read."""
     assignment = {}
 
     def go(n, addr):
         child_sets = [go(c, addr + (i,)) for i, c in enumerate(n.children)]
-        states = assignment[addr] = _node_states(a, n.label, child_sets, lambda: addr)
+        if n.label not in a.alphabet:
+            raise UnknownSymbolError(n.label)
+        start, step, finish = runs(a, n.label)
+        run = start
+        for s in child_sets:
+            if run is None:
+                break
+            run = step(run, s)
+        states = assignment[addr] = finish(run, not child_sets)
+        if len(states) > 1 and a.kind in DETERMINISTIC_KINDS:
+            raise KindError(f"deterministic kind {a.kind} assigned {sorted(states)} at {addr}")
+        if seen is not None and child_sets:
+            seen["dead" if run is None else "alive"] += 1
+            seen["assigns" if states else "assigns nothing"] += 1
+            seen["empty set"] += frozenset() in child_sets
+            seen["multi-state set"] += any(len(s) > 1 for s in child_sets)
+            seen["designated leaf"] += any(s & a.leaf_symbols for s in child_sets)
         return states
 
     go(t, ())
@@ -494,8 +534,12 @@ def _fresh(a):
                          moore=a.moore, leaf_symbols=a.leaf_symbols)
 
 
-class TestFold:
-    def test_fold_equals_one_step_at_a_time_and_the_oracles(self):
+class TestFusedPass:
+    """The evaluator steps each child's set into its parent's run as the
+    child is read; it must take the steps, and only the steps, that
+    stepping each node's children one at a time takes."""
+
+    def test_same_steps_as_one_step_at_a_time_and_the_oracles(self):
         rng = random.Random(21)
         seen = collections.Counter()
         lemma, thm = gen_lemma34((2, 3))[0], gen_thm41(2)[0]
@@ -503,58 +547,56 @@ class TestFold:
                  nta_to_sdta(thm)[0]]
         autos = named + [RANDOM_AUTOMATA[kind](rng) for _ in range(25) for kind in KINDS]
         for a in autos:
-            letters = sorted(a.horizontal_alphabet)
-            # an SDTA is never given a child set of two states: the child
-            # raises KindError first
-            most = min(1 if a.kind == SDTA else 3, len(letters))
+            oracle = _moore_run if a.kind == SDTA else union_run
+            trees = rand_trees(rng, a.alphabet, 10)
+            trees += _with_shared_subtrees(rng, trees)
             # conversions fill the tables of their input: start both cold
-            folder, stepper = _fresh(a), _fresh(a)
-            for sym in sorted(a.alphabet):
-                start, _, finish, fold = folder._run(sym)
-                _, step, _ = stepper.horizontal_run(sym)
-                o_start, o_step, o_finish = (_moore_run if a.kind == SDTA else union_run)(a, sym)
-                assert start == o_start and fold(None, [frozenset(letters[:1])]) is None
-                assert finish(fold(start, []), True) == o_finish(o_start, True)
-                for _ in range(8):
-                    sets = [frozenset(rng.sample(letters, rng.randint(0, most)))
-                            for _ in range(rng.randint(1, 6))]
-                    run, o_run = start, o_start
-                    for s in sets:
-                        if run is None:
-                            break
-                        run, o_run = step(run, s), o_step(o_run, s)
-                    got = fold(start, sets)
-                    assert got == run == o_run
-                    assert finish(got, False) == o_finish(o_run, False)
-                    seen["dead" if got is None else "alive"] += 1
-                    seen["assigns" if finish(got, False) else "assigns nothing"] += 1
-                    seen["empty set"] += frozenset() in sets
-                    seen["multi-state set"] += any(len(s) > 1 for s in sets)
-                    seen["designated leaf"] += any(s & a.leaf_symbols for s in sets)
+            fused, stepper = _fresh(a), _fresh(a)
+            for t in trees:
+                want = _outcome(lambda b, u: _recursive_run(b, u, oracle, seen), a, t)
+                assert _outcome(_view, fused, t) == want
+                assert _outcome(_recursive_run, stepper, t) == want
+                got = _outcome(accepts, fused, t)
+                assert got[0] == want[0]
+                if got[0] is bool:
+                    assert got[1] == bool(want[1][()] & a.finals)
                 seen[a.kind] += 1
-            # both routes stop at a dead run, so they filled the same table
+            # a fault can stop the two routes at different points; retrace the
+            # trees that raised none on cold copies, which must then fill the
+            # same tables
+            fused, stepper = _fresh(a), _fresh(a)
+            for t in trees:
+                if _outcome(accepts, a, t)[0] is bool:
+                    run(fused, t), _recursive_run(stepper, t)
             for sym in sorted(a.alphabet):
-                assert _step_table(folder, sym) == _step_table(stepper, sym)
+                assert _step_table(fused, sym) == _step_table(stepper, sym)
         assert min(seen.values()) >= 20 and seen["assigns"] >= 200, seen
 
-    def test_fold_fills_the_table_step_reads(self):
+    def test_a_pass_fills_the_table_step_reads(self):
         a = gen_thm41(2)[0]
-        start, step, finish, fold = a._run("a")
         b, q1 = frozenset({"b"}), frozenset({"q1"})
         assert not _step_table(a, "a")
-        run = fold(start, [b] * 12)
+        assert run(a, node("a", *[leaf("b")] * 12))[()] == frozenset({"q1", "q2"})
         table = _step_table(a, "a")
         assert {s for _, s in table} == {b} and len(table) == 7
         # past the entry state the 2- and 3-counters cycle: the table stops growing
-        assert fold(start, [b] * 60) == run and _step_table(a, "a") == table
-        assert finish(run, False) == frozenset({"q1", "q2"})
-        assert step(run, b) == table[run, b]
-        assert fold(run, [q1]) is None and table.keys() <= _step_table(a, "a").keys()
-        assert _step_table(a, "a")[run, q1] is None
+        assert accepts(a, node("a", *[leaf("b")] * 60)) and _step_table(a, "a") == table
+        start, step, finish = a.horizontal_run("a")
+        twelve = start
+        for _ in range(12):
+            twelve = step(twelve, b)
+        assert finish(twelve, False) == frozenset({"q1", "q2"})
+        assert step(twelve, b) == table[twelve, b] and _step_table(a, "a") == table
+        # a q1 child after twelve b leaves kills the run
+        t = node("a", *[leaf("b")] * 12, node("a", leaf("b"), leaf("b")))
+        assert run(a, t)[(12,)] == q1 and run(a, t)[()] == frozenset()
+        assert _step_table(a, "a")[twelve, q1] is None
+        assert table.items() <= _step_table(a, "a").items()
 
 
 class TestAddressView:
-    @pytest.mark.parametrize("family", [rand_sdta, rand_dtadfa, rand_nta, rand_dta_nfa])
+    @pytest.mark.parametrize("family", [rand_sdta, rand_dtadfa, rand_nta, rand_dta_nfa,
+                                        _rand_nta_dfa])
     def test_view_equals_the_recursive_run(self, family):
         rng = random.Random(family.__name__)
         for _ in range(15):
@@ -562,10 +604,15 @@ class TestAddressView:
             trees = rand_trees(rng, a.alphabet, 40)
             trees += [leaf(sym) for sym in sorted(a.alphabet)]
             trees += _with_shared_subtrees(rng, trees)
+            trees += list(iter_trees(a.alphabet, EnumerationBounds(3, 3, 100)))
             for t in trees:
-                got = _outcome(lambda b, u: dict(run(b, u)), a, t)
+                got = _outcome(_view, a, t)
                 want = _outcome(_recursive_run, a, t)
                 assert got == want
+                verdict = _outcome(accepts, a, t)
+                assert verdict[0] == want[0]
+                if got[0] is bool:
+                    assert verdict[1] == bool(want[1][()] & a.finals)
                 if got[0] is bool:
                     view = run(a, t)
                     # the same addresses, in the same (postorder) order
@@ -617,6 +664,25 @@ class TestAddressView:
             with pytest.raises(KindError, match="at a 'a' node$"):
                 accepts(wrong, t)
 
+    def test_kind_error_names_the_first_copy_of_a_shared_subtree(self):
+        # the address is rebuilt from identities: a frame's node is the first
+        # child that is it, as later copies are read from the memo
+        wrong = _two_leaf_states()
+        a, b = leaf("a"), leaf("b")
+        inner = node("b", b, b, a)
+        for t, addr in ((node("b", b, a, a), (1,)),
+                        (node("b", b, inner, inner), (1, 2)),
+                        (node("b", node("b", b), node("b", inner, b), inner), (1, 0, 2))):
+            with pytest.raises(KindError, match=rf"at {re.escape(str(addr))}$") as err:
+                run(wrong, t)
+            with pytest.raises(KindError) as oracle:
+                _recursive_run(wrong, t)
+            assert str(err.value) == str(oracle.value)
+
+
+def _view(a, t):
+    return dict(run(a, t))
+
 
 def _outcome(evaluate, a, t):
     """(bool, verdict), or (error type, message) when ``evaluate`` raises."""
@@ -627,13 +693,12 @@ def _outcome(evaluate, a, t):
 
 
 def _step_table(a, sym):
-    """The memo that the ``step`` and ``fold`` of ``sym``'s horizontal run
-    share, keyed by child set then by run, flattened to (run, child set) ->
-    next run."""
-    _, step, _, fold = a._run(sym)
-    tables = {id(c.cell_contents): c.cell_contents for f in (step, fold)
-              for c in f.__closure__ if type(c.cell_contents) is dict}
-    (table,) = tables.values()
+    """The table of steps of ``sym``'s horizontal run that ``step`` fills
+    and the evaluator reads, keyed by child set then by run, flattened to
+    (run, child set) -> next run."""
+    _, step, _, table = a._run(sym)
+    (cell,) = [c.cell_contents for c in step.__closure__ if type(c.cell_contents) is dict]
+    assert cell is table
     assert all(type(s) is frozenset and type(row) is dict for s, row in table.items())
     return {(run, s): got for s, row in table.items() for run, got in row.items()}
 

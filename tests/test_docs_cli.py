@@ -161,6 +161,32 @@ class TestDocumentValidation:
                 render_automaton(bad)
             assert str(err.value) == message
 
+    def test_token_check_flags_what_isspace_flags(self):
+        from uta.docs import _check_token
+
+        def refused(tok):
+            try:
+                _check_token(tok, "state name")
+            except DocumentError as e:
+                assert str(e) == f"state name {tok!r} is not a valid token"
+                return True
+            return False
+
+        def old(tok):  # the per-character predicate the check replaced
+            return not tok or any(c.isspace() for c in tok) or "=" in tok
+
+        mismatched, refused_chars = [], 0
+        for cp in range(0x110000):
+            c = chr(cp)
+            refused_chars += refused(c)
+            for tok in (c, f"q{c}q"):
+                if refused(tok) != old(tok):
+                    mismatched.append(hex(cp))
+        assert mismatched == []
+        assert refused_chars == 30  # the 29 code points isspace() flags, and "="
+        for tok in ("", "=", "a=", "=b", "a=b", "q0", "h12", "{q1,q2}"):
+            assert refused(tok) == old(tok)
+
     def test_separator_indices_checked(self):
         alpha = frozenset("ab01")
         vertical = "kind: fooling-vertical\ntree: b\ntree: a(b)\ntree: a(1)\n"

@@ -52,6 +52,24 @@ class TestLemma34Generator:
             gen_lemma34((2, 4))
         assert "2" in str(err.value) and "4" in str(err.value)
 
+    @pytest.mark.parametrize("build", [gen_lemma34, lemma34_vertical_fooling,
+                                       lemma34_horizontal_fooling])
+    @pytest.mark.parametrize("k, message", [
+        ((), "need at least one modulus"),
+        ((3, 2), "moduli must be >= 2 and strictly increasing: (3, 2)"),
+        ((2, 2), "moduli must be >= 2 and strictly increasing: (2, 2)"),
+        ((1, 3), "moduli must be >= 2 and strictly increasing: (1, 3)"),
+        ((0,), "moduli must be >= 2 and strictly increasing: (0,)"),
+        ((2, 4), "moduli 2 and 4 are not coprime"),
+        ((3, 5, 9), "moduli 3 and 9 are not coprime"),
+    ], ids=["empty", "unsorted", "repeated", "one", "zero", "non-coprime", "non-coprime-apart"])
+    def test_every_builder_checks_its_moduli(self, build, k, message):
+        # the fooling-set builders once skipped the check: (2, 4) raised a
+        # bare TypeError in one and gave a 3-tree set in the other
+        with pytest.raises(UtaError) as err:
+            build(k)
+        assert str(err.value) == message
+
     def test_not_increasing_rejected(self):
         with pytest.raises(UtaError):
             gen_lemma34((3, 2))
