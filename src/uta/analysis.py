@@ -88,7 +88,7 @@ def _agree_within_width(a: TreeAutomaton, b: TreeAutomaton, width: int) -> bool:
 
 def _pair_machine(run_a, run_b, width) -> tuple:
     """The two horizontal runs of one symbol side by side, as a
-    ``(starts, read, output)`` machine for ``bottom_up_reach``.  Its state is
+    ``(starts, read, outputs)`` machine for ``bottom_up_reach``.  Its state is
     (run of a, run of b, children read so far); it reads a child's pair of
     state sets, stops at ``width`` children or once both runs are dead, and
     outputs the pair of state sets the node is assigned.  Stopping at two
@@ -106,11 +106,10 @@ def _pair_machine(run_a, run_b, width) -> tuple:
                               None if now_b is None else step_b(now_b, c[1]), k + 1)
         return successors
 
-    def output(state):
-        now_a, now_b, k = state
-        return finish_a(now_a, k == 0), finish_b(now_b, k == 0)
+    def outputs(states):
+        return [(finish_a(now_a, k == 0), finish_b(now_b, k == 0)) for now_a, now_b, k in states]
 
-    return [(start_a, start_b, 0)], read, output
+    return [(start_a, start_b, 0)], read, outputs
 
 
 def canonical_sdta(a: TreeAutomaton) -> TreeAutomaton:
@@ -225,7 +224,8 @@ def _normal(a: TreeAutomaton) -> TreeAutomaton:
         raise KindError(f"vertical state {unreached[0]!r} is never reached; "
                         f"prune the SDTA before testing isomorphism")
     moore = {}
-    for (sym, m), (order, edges) in zip(sorted(a.moore.items()), walks.values()):
+    for sym, m in sorted(a.moore.items()):
+        order, edges = walks[sym]
         order = [*map(m.compiled().states.__getitem__, order)]
         names = [f"h{i}" for i in range(len(m.states))]
         finals = [i for i, s in enumerate(order) if s in m.finals]

@@ -416,17 +416,18 @@ def size(a: TreeAutomaton) -> SizePair:
 def bottom_up_reach(machines, items, walks=None):
     """Fixed point of bottom-up reachability over vertical items.
 
-    ``machines`` is a list of (starts, read, output) triples, where
+    ``machines`` is a list of (starts, read, outputs) triples, where
     ``read(letters)`` gives ``strings.explore`` the successors reading
-    ``letters`` in order; ``items`` are the letters every tree provides,
-    such as the leaf states.  Each round explores every machine in turn over
-    the items found so far and adds each new non-None ``output(state)`` of a
-    reached state, until a round finds nothing new.  Yields the items in the
-    order first found, the given ones first, each as soon as it is found.
-    Once exhausted, it leaves in a given dict ``walks`` each machine's
-    ``explore`` result of the last round, which read every item, by index.
-    It keeps the last walk of each ``read``, and a machine with that ``read``
-    and equal ``starts`` reuses it while no item was found since.
+    ``letters`` in order and ``outputs(states)`` gives the items that the
+    states of a walk output, in their order; ``items`` are the letters every
+    tree provides, such as the leaf states.  Each round explores every
+    machine in turn over the items found so far and adds each new item its
+    reached states output, until a round finds nothing new.  Yields the
+    items in the order first found, the given ones first, each as soon as it
+    is found.  Once exhausted, it leaves in a given dict ``walks`` each
+    machine's ``explore`` result of the last round, which read every item,
+    by index.  It keeps the last walk of each ``read``, and a machine with
+    that ``read`` and equal ``starts`` reuses it while no item was found since.
     """
     items = list(items)
     yield from items
@@ -435,15 +436,14 @@ def bottom_up_reach(machines, items, walks=None):
     grew = True
     while grew:
         grew = False
-        for k, (starts, read, output) in enumerate(machines):
+        for k, (starts, read, outputs) in enumerate(machines):
             if last.get(read, ())[:2] != (starts, len(items)):
                 last[read] = starts, len(items), explore(starts, read(items))
             order, edges = last[read][2]
             if walks is not None:
                 walks[k] = order, edges
-            for state in order:
-                out = output(state)
-                if out is not None and out not in found:
+            for out in outputs(order):
+                if out not in found:
                     found.add(out)
                     items.append(out)
                     grew = True
@@ -455,17 +455,36 @@ def reach(a: TreeAutomaton, walks=None):
     keys in sorted order, from its leaf states in sorted order: a Moore
     machine outputs its outputs, an acceptor for (q, sym) outputs q in its
     finals.  Yields the leaf states, then each vertical state that some tree
-    is assigned, in the order found.  Machines of one structure
-    (``strings.shared_structures``) share a compiled form, so a walk."""
+    is assigned, in the order found.  Once exhausted, it leaves in a given
+    dict ``walks`` each key's walk of the last round, as (positions in the
+    compiled form, edges).
+
+    Acceptors of one structure (``strings.shared_structures``), such as the
+    siblings ``convert.sdta_to_dtadfa`` splits off one Moore machine, are
+    walked as one machine whose states output every member final there, in
+    key order: each round walks each structure once, and the members share
+    that walk.  The states found are the same, in an order that can differ
+    from one walk per acceptor.  An SDTA's Moore machines are walked one by
+    one, in key order; those of one structure share a compiled form, so a
+    walk while no state is found between them."""
     keyed = sorted((a.moore if a.kind == SDTA else a.horizontal).items())
-    shared_structures([m for _, m in keyed])
+    groups = shared_structures([m for _, m in keyed])  # which also shares compiled forms
+    if a.kind == SDTA:  # one walk per Moore machine keeps the order found
+        groups = [[k] for k in range(len(keyed))]
     machines = []
-    for key, m in keyed:
-        form = m.compiled()
-        out = ([*map(m.outputs.get, form.states)] if a.kind == SDTA
-               else [key[0] if s in m.finals else None for s in form.states])
-        machines.append((form.initials, form.reading, out.__getitem__))
-    return bottom_up_reach(machines, sorted(a.leaf_symbols), walks)
+    for g in groups:
+        form = keyed[g[0]][1].compiled()
+        outs = [[] for _ in form.states]
+        for key, m in map(keyed.__getitem__, g):
+            for s in m.finals:
+                outs[form.index[s]].append(m.outputs[s] if a.kind == SDTA else key[0])
+        machines.append((form.initials, form.reading,
+                         lambda order, outs=outs: [q for i in order for q in outs[i]]))
+    shared = {}
+    yield from bottom_up_reach(machines, sorted(a.leaf_symbols), shared)
+    if walks is not None:
+        for x, g in enumerate(groups):
+            walks.update((keyed[k][0], shared[x]) for k in g)
 
 
 def prune_reachable(a: TreeAutomaton) -> TreeAutomaton:
@@ -475,15 +494,23 @@ def prune_reachable(a: TreeAutomaton) -> TreeAutomaton:
     The assignable states are those ``reach`` finds.  Each machine keeps
     what the last round of that search walked, reading the leaf and
     assignable states; a machine that walked to no final, or accepts for a
-    state that is not assignable, is dropped.
+    state that is not assignable, is dropped.  Siblings of one structure
+    share one walk (see ``reach``).  When every vertical state is
+    assignable, a machine whose walk reached all its states and a final is
+    kept as it is, the same object; when that holds for every machine,
+    ``a`` itself is returned, so a trim automaton is never rebuilt.
     """
     walks = {}
-    live = set(reach(a, walks))
-    keep = frozenset(live & a.states)
+    keep = frozenset(reach(a, walks)) & a.states
     allowed = keep | a.leaf_symbols
+    whole = trim = keep == a.states
     parts = {}
-    for (key, m), (order, edges) in zip(sorted((a.moore if a.kind == SDTA else a.horizontal)
-                                               .items()), walks.values()):
+    for key, m in sorted((a.moore if a.kind == SDTA else a.horizontal).items()):
+        order, edges = walks[key]
+        if trim and len(order) == len(m.states) and m.finals:
+            parts[key] = m  # every state reached, reading every letter
+            continue
+        whole = False
         names = [*map(m.compiled().states.__getitem__, order)]
         finals = m.finals.intersection(names)
         if not finals or (a.kind != SDTA and key[0] not in keep):
@@ -492,6 +519,8 @@ def prune_reachable(a: TreeAutomaton) -> TreeAutomaton:
                 [(names[i], c, names[j]) for i, c, j in edges])
         parts[key] = (MooreDFA(*args, {s: m.outputs[s] for s in finals})
                       if isinstance(m, MooreDFA) else type(m)(*args))
+    if whole:
+        return a
     return TreeAutomaton(a.kind, a.alphabet, keep, a.finals & allowed,
                          leaf_symbols=a.leaf_symbols,
                          **{"moore" if a.kind == SDTA else "horizontal": parts})

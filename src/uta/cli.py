@@ -223,74 +223,85 @@ def _cmd_canon(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_COMMANDS = ("run", "convert", "size", "equiv", "check-det", "prune", "witness", "certify",
+             "canon")
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The ``uta`` parser.  Given a known ``command``, only that command's
+    subparser is built; its ``{...}`` metavar keeps the full parser's usage
+    line, the only text of the top level that a known command can print
+    (after an unrecognized argument).  Help, a missing or an unknown command
+    need the full parser."""
     p = argparse.ArgumentParser(prog="uta", description="unranked tree automata toolkit")
-    sub = p.add_subparsers(dest="command", required=True)
+    only = command in _COMMANDS
+    sub = p.add_subparsers(dest="command", required=True,
+                           metavar="{" + ",".join(_COMMANDS) + "}" if only else None)
 
-    s = sub.add_parser("run", help="evaluate an automaton on a tree")
-    s.add_argument("file")
-    s.add_argument("--tree", required=True, help="tree in term syntax, e.g. a(b,b)")
-    s.set_defaults(fn=_cmd_run)
+    def add(name, text, fn):
+        if only and name != command:
+            return None
+        s = sub.add_parser(name, help=text)
+        s.set_defaults(fn=fn)
+        return s
 
-    s = sub.add_parser("convert", help="convert between automaton kinds")
-    s.add_argument("file")
-    s.add_argument("--to", choices=("sdta", "dtadfa"), required=True)
-    s.add_argument("--force-general", action="store_true",
-                   help="use the subset construction even for deterministic input")
-    s.add_argument("--out", help="write the document here instead of stdout")
-    s.set_defaults(fn=_cmd_convert)
+    if s := add("run", "evaluate an automaton on a tree", _cmd_run):
+        s.add_argument("file")
+        s.add_argument("--tree", required=True, help="tree in term syntax, e.g. a(b,b)")
 
-    s = sub.add_parser("size", help="print the [vertical; horizontal] size pair")
-    s.add_argument("file")
-    s.set_defaults(fn=_cmd_size)
+    if s := add("convert", "convert between automaton kinds", _cmd_convert):
+        s.add_argument("file")
+        s.add_argument("--to", choices=("sdta", "dtadfa"), required=True)
+        s.add_argument("--force-general", action="store_true",
+                       help="use the subset construction even for deterministic input")
+        s.add_argument("--out", help="write the document here instead of stdout")
 
-    s = sub.add_parser("equiv", help="compare two automata on enumerated trees")
-    s.add_argument("file1")
-    s.add_argument("file2")
-    s.add_argument("--depth", type=int)
-    s.add_argument("--width", type=int)
-    s.add_argument("--count", type=int)
-    s.set_defaults(fn=_cmd_equiv)
+    if s := add("size", "print the [vertical; horizontal] size pair", _cmd_size):
+        s.add_argument("file")
 
-    s = sub.add_parser("check-det", help="check semantic determinism")
-    s.add_argument("file")
-    s.set_defaults(fn=_cmd_check_det)
+    if s := add("equiv", "compare two automata on enumerated trees", _cmd_equiv):
+        s.add_argument("file1")
+        s.add_argument("file2")
+        s.add_argument("--depth", type=int)
+        s.add_argument("--width", type=int)
+        s.add_argument("--count", type=int)
 
-    s = sub.add_parser("prune", help="drop states no run can assign")
-    s.add_argument("file")
-    s.add_argument("--out")
-    s.set_defaults(fn=_cmd_prune)
+    if s := add("check-det", "check semantic determinism", _cmd_check_det):
+        s.add_argument("file")
 
-    s = sub.add_parser("witness", help="generate a lower-bound witness family")
-    fam = s.add_subparsers(dest="family", required=True)
-    f = fam.add_parser("lemma34", help="coprime-moduli chain family (weakly deterministic)")
-    f.add_argument("--k", required=True, help="comma-separated coprime moduli, e.g. 2,3")
-    f.add_argument("--out")
-    f.add_argument("--fooling-vertical", help="also write the packaged vertical fooling set")
-    f.add_argument("--fooling-horizontal", help="also write the packaged horizontal fooling set")
-    f = fam.add_parser("thm41", help="prime-divisibility chain family (nondeterministic)")
-    f.add_argument("--n", type=int, required=True)
-    f.add_argument("--out")
-    f = fam.add_parser("marked-union", help="unary residue marked union (string machine)")
-    f.add_argument("--m", type=int, required=True)
-    f.add_argument("--out")
-    s.set_defaults(fn=_cmd_witness)
+    if s := add("prune", "drop states no run can assign", _cmd_prune):
+        s.add_argument("file")
+        s.add_argument("--out")
 
-    s = sub.add_parser("certify", help="verify a fooling set and print its bound")
-    s.add_argument("direction", choices=("vertical", "horizontal"))
-    s.add_argument("source", help="automaton document, or lemma34:K1,K2 / thm41:N")
-    s.add_argument("--fooling-set", required=True)
-    s.set_defaults(fn=_cmd_certify)
+    if s := add("witness", "generate a lower-bound witness family", _cmd_witness):
+        fam = s.add_subparsers(dest="family", required=True)
+        f = fam.add_parser("lemma34", help="coprime-moduli chain family (weakly deterministic)")
+        f.add_argument("--k", required=True, help="comma-separated coprime moduli, e.g. 2,3")
+        f.add_argument("--out")
+        f.add_argument("--fooling-vertical", help="also write the packaged vertical fooling set")
+        f.add_argument("--fooling-horizontal",
+                       help="also write the packaged horizontal fooling set")
+        f = fam.add_parser("thm41", help="prime-divisibility chain family (nondeterministic)")
+        f.add_argument("--n", type=int, required=True)
+        f.add_argument("--out")
+        f = fam.add_parser("marked-union", help="unary residue marked union (string machine)")
+        f.add_argument("--m", type=int, required=True)
+        f.add_argument("--out")
 
-    s = sub.add_parser("canon", help="canonicalize a strongly deterministic automaton")
-    s.add_argument("file")
-    s.add_argument("--out")
-    s.set_defaults(fn=_cmd_canon)
+    if s := add("certify", "verify a fooling set and print its bound", _cmd_certify):
+        s.add_argument("direction", choices=("vertical", "horizontal"))
+        s.add_argument("source", help="automaton document, or lemma34:K1,K2 / thm41:N")
+        s.add_argument("--fooling-set", required=True)
+
+    if s := add("canon", "canonicalize a strongly deterministic automaton", _cmd_canon):
+        s.add_argument("file")
+        s.add_argument("--out")
     return p
 
 
 def cli_main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -40,19 +40,21 @@ class ConversionReport(_Record):
 
 def sdta_to_dtadfa(a: TreeAutomaton):
     """Split each per-symbol machine into one DFA per output value: the copy
-    for state q keeps exactly the finals that output q.  Vertical states are
-    untouched; the result is weakly deterministic by construction."""
+    for state q keeps exactly the finals that output q.  The copies are
+    siblings (``DFA.with_finals``): one symbol's copies share the Moore
+    machine's states, ``delta`` and compiled form, which are neither checked
+    nor compiled again, and so one walk in ``reach`` and ``prune_reachable``.
+    Vertical states are untouched; the result is weakly deterministic by
+    construction."""
     if a.kind != SDTA:
         raise KindError(f"expected an SDTA, got {a.kind}")
     horizontal = {}
     for sym, mach in sorted(a.moore.items()):
-        trans = list(mach.transitions())
-        for q in sorted(a.states):
-            finals = {s for s, out in mach.outputs.items() if out == q}
-            if not finals:
-                continue
-            horizontal[(q, sym)] = DFA(mach.states, mach.alphabet, mach.initial,
-                                       finals, trans)
+        finals: dict = {}
+        for s, q in mach.outputs.items():
+            finals.setdefault(q, []).append(s)
+        for q in sorted(finals):
+            horizontal[(q, sym)] = mach.with_finals(finals[q])
     out = TreeAutomaton(DTA_DFA, a.alphabet, a.states, a.finals,
                         horizontal=horizontal, leaf_symbols=a.leaf_symbols)
     insize = size(a)
@@ -126,9 +128,12 @@ def _assignable_subsets(a: TreeAutomaton):
     assign to a node, as frozensets of original vertical states."""
     leaf_items = [frozenset([s]) for s in sorted(a.leaf_symbols)]
     runs = [a.horizontal_run(sym) for sym in _symbols_with_machines(a)]
-    found = list(bottom_up_reach(
-        [([start], stepwise(step), lambda run, finish=finish: finish(run, False) or None)
-         for start, step, finish in runs], leaf_items))
+
+    def outputs(finish):  # a run outputs the state set it assigns, if not empty
+        return lambda runs: [s for run in runs if (s := finish(run, False))]
+
+    found = list(bottom_up_reach([([start], stepwise(step), outputs(finish))
+                                  for start, step, finish in runs], leaf_items))
     return sorted(found[len(leaf_items):], key=sorted)
 
 
@@ -203,7 +208,8 @@ def nta_to_dtadfa(a: TreeAutomaton, force_general: bool = False):
     General case: the general SDTA construction of ``nta_to_sdta``, split by
     ``sdta_to_dtadfa``.  The vertical states are the assignable state sets,
     and the horizontal DFA for (P, sym) is the subset-simulation machine of
-    ``sym`` with finals restricted to the states whose output is exactly P.
+    ``sym`` with finals restricted to the states whose output is exactly P;
+    the DFAs of one symbol are siblings that share that machine's structure.
 
     For a semantically deterministic input (unless forced off), the vertical
     states are preserved and each horizontal acceptor is determinized

@@ -262,16 +262,18 @@ def render_fooling_horizontal(fs) -> str:
 
 def _render_separators(lines, separators, render, n) -> str:
     """``lines`` and then one ``sep i j`` line per pair, in index order;
-    each separator object is rendered once, however many pairs share it.
-    A key the parser would reject, not 0 <= i < j < n, is an error."""
+    each separator object is rendered once, however many pairs share it,
+    and each index once, so a line is three strings joined.  A key the
+    parser would reject, not 0 <= i < j < n, is an error."""
     from .witnesses import _check_keys
     _check_keys(separators, n)
-    texts = {}
-    for i, j in sorted(separators):
-        sep = separators[i, j]
-        if id(sep) not in texts:
-            texts[id(sep)] = render(sep)
-        lines.append(f"{SEP} {i} {j}: {texts[id(sep)]}")
+    tails = {}  # id(separator) -> ": " and its text
+    for sep in separators.values():
+        if id(sep) not in tails:
+            tails[id(sep)] = ": " + render(sep)
+    nums = [*map(str, range(n))]
+    heads = [f"{SEP} {i} " for i in nums]
+    lines += [heads[i] + nums[j] + tails[id(separators[i, j])] for i, j in sorted(separators)]
     return "\n".join(lines) + "\n"
 
 

@@ -16,6 +16,8 @@ transition structure, such as the copies of a Moore machine that split its
 finals, are compiled once (``shared_structures``): the overlap search
 prepares each structure once, as rows of live successors, and walks each
 pair of structures once, over pairs of live states, for all member pairs.
+Such copies are best made as siblings (``DFA.with_finals``), which share
+one ``delta`` and one compiled form from the start.
 
 Every minimizer runs one partition refinement, ``coarsest_partition``: the
 DFA and Moore minimizers here, and the SDTA canonicalizer of ``analysis``.
@@ -188,6 +190,19 @@ class DFA(_Machine):
     @property
     def initials(self) -> frozenset:
         return frozenset([self.initial])
+
+    def with_finals(self, finals) -> "DFA":
+        """A DFA sibling of this machine (a Moore machine's, too) that
+        differs only in its ``finals``, which must be declared states: it
+        shares the states, alphabet, initial state, ``delta`` and compiled
+        form, so no transition is checked or compiled again."""
+        finals = frozenset(finals)
+        if not finals <= self.states:
+            raise ValueError("finals must be declared states")
+        twin = DFA.__new__(DFA)
+        twin.__dict__.update(states=self.states, alphabet=self.alphabet, initial=self.initial,
+                             finals=finals, delta=self.delta, _form=self.compiled())
+        return twin
 
     def to_nfa(self) -> NFA:
         return NFA(self.states, self.alphabet, {self.initial}, self.finals,
@@ -373,11 +388,13 @@ def minimize_moore(m: MooreDFA) -> MooreDFA:
 
 def shared_structures(machines) -> list:
     """``machines`` grouped by equal alphabet, states, initials and delta, as
-    lists of indexes; each group's members get its first member's compiled form."""
+    lists of indexes; each group's members get its first member's compiled form.
+    Siblings (``DFA.with_finals``) share one ``delta``, so they match at sight."""
     groups, shapes = [], {}
     for i, m in enumerate(machines):
         alike = shapes.setdefault((m.alphabet, m.states, m.initials, len(m.delta)), [])
-        g = next((g for g in alike if machines[g[0]].delta == m.delta), None)
+        g = next((g for g in alike if (d := machines[g[0]].delta) is m.delta or d == m.delta),
+                 None)
         if g is None:
             alike.append(g := [])
             groups.append(g)

@@ -121,23 +121,29 @@ def _restrict_by_step_any(mach, allowed):
     return NFA(reach, allowed, mach.initials & reach, mach.finals & reach, trans)
 
 
-def prune_by_step_any(a: TreeAutomaton) -> TreeAutomaton:
-    """``prune_reachable`` over frozenset steps: an SDTA keeps what its
-    fixed point reaches; another kind adds a state once one of its
-    acceptors reaches a final reading live letters only, until nothing
-    changes.  Each kept machine is restricted to the live letters and to
-    the states they reach."""
+def live_by_step_any(a: TreeAutomaton) -> set:
+    """The leaf states and assignable states of ``a`` over frozenset steps:
+    an SDTA's are what its fixed point reaches; another kind adds a state
+    once one of its acceptors, each walked on its own, reaches a final
+    reading live letters only, until nothing changes."""
     if a.kind == SDTA:
-        live = set(sdta_reach_by_step(a))
-    else:
-        live = set(a.leaf_symbols)
-        changed = True
-        while changed:
-            changed = False
-            for (q, _), mach in a.horizontal.items():
-                if q not in live and _reachable_by_step_any(mach, live) & mach.finals:
-                    live.add(q)
-                    changed = True
+        return set(sdta_reach_by_step(a))
+    live = set(a.leaf_symbols)
+    changed = True
+    while changed:
+        changed = False
+        for (q, _), mach in a.horizontal.items():
+            if q not in live and _reachable_by_step_any(mach, live) & mach.finals:
+                live.add(q)
+                changed = True
+    return live
+
+
+def prune_by_step_any(a: TreeAutomaton) -> TreeAutomaton:
+    """``prune_reachable`` over frozenset steps: the states of
+    ``live_by_step_any`` are kept, and each kept machine is restricted to
+    the live letters and to the states they reach."""
+    live = live_by_step_any(a)
     keep = frozenset(live & a.states)
     allowed = keep | a.leaf_symbols
     machines = a.moore if a.kind == SDTA else a.horizontal

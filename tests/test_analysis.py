@@ -419,11 +419,11 @@ def _pair_fixed_point_equal(a, b):
             return (None if now_a is None else step_a(now_a, letter[0]),
                     None if now_b is None else step_b(now_b, letter[1]), True)
 
-        def output(state):
-            now_a, now_b, read = state
-            return finish_a(now_a, not read), finish_b(now_b, not read)
+        def outputs(states):
+            return [(finish_a(now_a, not read), finish_b(now_b, not read))
+                    for now_a, now_b, read in states]
 
-        return [(start_a, start_b, False)], stepwise(step), output
+        return [(start_a, start_b, False)], stepwise(step), outputs
 
     reached = bottom_up_reach([machine(sym) for sym in sorted(a.alphabet)], ())
     return all(bool(s_a & a.finals) == bool(s_b & b.finals) for s_a, s_b in reached)

@@ -17,7 +17,7 @@ from uta.docs import render_automaton
 from uta import automata, strings
 from uta.strings import explore, shared_structures, stepwise
 
-from oracles import prune_by_step_any, sdta_reach_by_step, union_run
+from oracles import live_by_step_any, prune_by_step_any, sdta_reach_by_step, union_run
 from randgen import (rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta, rand_tree,
                      rand_trees)
 import random
@@ -200,6 +200,52 @@ class TestPruneAgainstFrozensetSteps:
                                          < len(auto.horizontal) + len(auto.moore))
         assert set(seen) >= set(KINDS) and min(seen.values()) >= 20, seen
 
+    def test_siblings_equal_to_the_step_any_reference(self):
+        """Split automata hold sibling acceptors of one structure, which
+        prune walks as one; random SDTAs often hold unassignable states."""
+        rng = random.Random(97)
+        seen = collections.Counter()
+        for _ in range(120):
+            general = nta_to_dtadfa(rand_nta(rng), force_general=True)[0]
+            for auto in (sdta_to_dtadfa(rand_sdta(rng))[0], general):
+                pruned = prune_reachable(auto)
+                assert pruned == prune_by_step_any(auto)
+                assert (pruned is auto) == (pruned == auto)
+                machines = list(auto.horizontal.values())
+                seen["siblings"] += len(shared_structures(machines)) < len(machines)
+                seen["states dropped"] += pruned.states != auto.states
+                seen["kept whole"] += pruned is auto
+        assert min(seen.values()) >= 20, seen
+
+    def test_trim_automata_come_back_as_they_are(self):
+        rng = random.Random(101)
+        seen = collections.Counter()
+        thm = gen_thm41(2)[0]
+        named = [thm, nta_to_dtadfa(thm)[0], canonical_sdta(nta_to_sdta(thm)[0]),
+                 sdta_to_dtadfa(canonical_sdta(dtadfa_to_sdta(gen_lemma34((2, 3))[0])[0]))[0]]
+        for auto in named:
+            assert prune_reachable(auto) is auto
+        for auto in [a for _ in range(60) for a in _all_kinds(rng)]:
+            pruned = prune_reachable(auto)
+            assert (pruned is auto) == (pruned == auto)
+            assert prune_reachable(pruned) is pruned
+            seen[auto.kind] += 1
+            seen["rebuilt"] += pruned is not auto
+        assert set(seen) >= set(KINDS) and seen["rebuilt"] >= 100, seen
+
+    def test_acceptor_reach_finds_the_per_machine_fixed_point(self):
+        """Acceptors of one structure are walked as one machine; the states
+        found must be those of one walk per acceptor."""
+        rng = random.Random(103)
+        seen = collections.Counter()
+        for _ in range(100):
+            for auto in _all_kinds(rng)[:4] + [sdta_to_dtadfa(rand_sdta(rng))[0]]:
+                assert set(reach(auto)) == live_by_step_any(auto)
+                machines = list(auto.horizontal.values())
+                seen[auto.kind] += 1
+                seen["siblings"] += len(shared_structures(machines)) < len(machines)
+        assert seen["siblings"] >= 50 and min(seen.values()) >= 50, seen
+
     def test_sdta_reach_order_as_the_step_reference(self):
         rng = random.Random(61)
         for _ in range(150):
@@ -214,11 +260,13 @@ class TestBottomUpReach:
         def step(state, letter):
             raise AssertionError("explored past the first item")
 
-        found = bottom_up_reach([([0], stepwise(step), lambda state: ("leaf", state))], ())
+        leaf = ([0], stepwise(step), lambda states: [("leaf", s) for s in states])
+        found = bottom_up_reach([leaf], ())
         assert next(found) == ("leaf", 0)
 
     def test_items_in_order_found_given_first(self):
-        counter = ([0], stepwise(lambda n, c: n + 1 if n < 3 else None), lambda n: f"s{n}")
+        counter = ([0], stepwise(lambda n, c: n + 1 if n < 3 else None),
+                   lambda states: [f"s{n}" for n in states])
         assert list(bottom_up_reach([counter], ["x"])) == ["x", "s0", "s1", "s2", "s3"]
 
 
@@ -286,7 +334,10 @@ class TestSharedStructures:
         monkeypatch.setattr(automata, "explore", counting)
         pruned = prune_reachable(thm41_split)
         monkeypatch.undo()
-        assert len(calls) <= 16
+        # the 15 siblings are walked as one machine: the first round finds
+        # every state, the second finds nothing new
+        assert len(calls) == 2
+        assert pruned is thm41_split
         assert pruned == prune_by_step_any(thm41_split)
 
     def test_equal_moore_machines_keep_the_reach_order(self):

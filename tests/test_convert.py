@@ -1,6 +1,7 @@
 """Conversion constructions: language preservation against the enumeration
 oracle, bound conformance, and the deterministic refinements."""
 
+import pickle
 import random
 
 import pytest
@@ -49,6 +50,31 @@ class TestSdtaToDtadfa:
     def test_kind_mismatch(self):
         with pytest.raises(KindError):
             sdta_to_dtadfa(gen_lemma34((2, 3))[0])
+
+    def test_siblings_share_one_structure(self):
+        """Each copy equals the DFA the constructor builds from the Moore
+        machine and its finals for q, and shares the machine's delta and
+        compiled form; pickling keeps the copies equal."""
+        rng = random.Random(13)
+        autos = [nta_to_sdta(gen_thm41(3)[0], force_general=True)[0]]
+        autos += [rand_sdta(rng) for _ in range(60)]
+        copies = 0
+        for a in autos:
+            out, _ = sdta_to_dtadfa(a)
+            copies += len(out.horizontal)
+            for (q, sym), m in out.horizontal.items():
+                mach = a.moore[sym]
+                finals = {s for s, v in mach.outputs.items() if v == q}
+                assert type(m) is DFA and m == DFA(mach.states, mach.alphabet, mach.initial,
+                                                   finals, list(mach.transitions()))
+                assert m.delta is mach.delta and m.compiled() is mach.compiled()
+            back = pickle.loads(pickle.dumps(out))
+            assert back == out and back.horizontal.keys() == out.horizontal.keys()
+            for key, m in back.horizontal.items():
+                assert m.compiled().columns == out.horizontal[key].compiled().columns
+            trees = rand_trees(rng, a.alphabet, 20)
+            assert [accepts(back, t) for t in trees] == [accepts(a, t) for t in trees]
+        assert copies >= 100, copies
 
 
 class TestDtadfaToSdta:

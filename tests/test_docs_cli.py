@@ -7,7 +7,7 @@ from uta import (DFA, DTA_DFA, NFA, DocumentError, FoolingSetHorizontal,
                  gen_lemma34, gen_thm41, marked_union, nta_to_dtadfa, parse_context,
                  parse_tree)
 from uta import automata
-from uta.cli import cli_main
+from uta.cli import _build_parser, cli_main
 from uta.docs import (parse_automaton, parse_fooling_set, render_automaton,
                       render_fooling_horizontal, render_fooling_vertical)
 from uta.strings import first_overlap
@@ -507,3 +507,41 @@ class TestCli:
             0, "equal (bounded-enumeration)\n")
         assert self.run_cli(capsys, "equiv", *paths, "--width", "1")[:2] == (
             1, "not equal: counterexample a(a)\n")
+
+
+# argv lists for every command: help, a missing or an unknown argument, a bad
+# value and an extra positional, which the top-level parser reports
+_PARSER_ARGV = [
+    ["run"], ["run", "-h"], ["run", "f.uta"], ["run", "f.uta", "--tree", "a(b)", "extra"],
+    ["convert", "f.uta"], ["convert", "f.uta", "--to", "nfa"], ["convert", "--help"],
+    ["convert", "f.uta", "--to", "sdta", "--fo", "--bogus"],
+    ["size"], ["size", "a.uta", "b.uta"], ["size", "--", "-h"], ["size", "a.uta", "-h"],
+    ["equiv", "a.uta"], ["equiv", "a.uta", "b.uta", "--depth", "two"], ["equiv", "-h"],
+    ["check-det"], ["check-det", "a.uta", "--out", "x"], ["prune", "a.uta", "--out"],
+    ["prune", "-h"], ["witness"], ["witness", "-h"], ["witness", "lemma34"],
+    ["witness", "lemma34", "-h"], ["witness", "thm41", "--n", "x"], ["witness", "nope"],
+    ["witness", "marked-union", "--m", "2", "extra"], ["certify"], ["certify", "-h"],
+    ["certify", "sideways", "x", "--fooling-set", "y"], ["certify", "vertical", "x"],
+    ["canon"], ["canon", "a.uta", "b.uta"], ["canon", "-h"],
+]
+
+
+@pytest.mark.parametrize("columns", ["80", "40"])
+def test_the_chosen_command_parser_prints_what_the_full_parser_prints(monkeypatch, capsys,
+                                                                    columns):
+    """``cli_main`` builds only the subparser of a known first argument; its
+    outcome, exit code and every text must be the full parser's, also when
+    the usage line wraps."""
+    monkeypatch.setenv("COLUMNS", columns)
+    texts = ""
+    for argv in _PARSER_ARGV:
+        outcomes = []
+        for parser in (_build_parser(argv[0]), _build_parser()):
+            try:
+                outcome = vars(parser.parse_args(argv))
+            except SystemExit as e:
+                outcome = e.code
+            outcomes.append((outcome, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1], argv
+        texts += outcomes[0][1] + outcomes[0][2]
+    assert "uta: error: unrecognized arguments" in texts and "usage: uta witness" in texts

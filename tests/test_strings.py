@@ -599,6 +599,20 @@ class TestCompiledForm:
         assert [repr(m) for m in (d.to_nfa(), d, moore)] == [
             "<NFA 2 states, 1 edges>", "<DFA 2 states, 1 edges>", "<MooreDFA 2 states, 1 edges>"]
 
+    def test_siblings_differ_only_in_their_finals(self):
+        trans = [("s", "a", "t"), ("t", "b", "s")]
+        moore = MooreDFA(["s", "t"], "ab", "s", ["t"], trans, {"t": 1})
+        for m in (moore, DFA(["s", "t"], "ab", "s", ["t"], trans)):
+            twin = m.with_finals(["s"])
+            assert type(twin) is DFA and twin == DFA(["s", "t"], "ab", "s", ["s"], trans)
+            assert twin.delta is m.delta and twin.compiled() is m.compiled()
+            assert twin.accepts("ab") and not twin.accepts("a") and m.accepts("a")
+            assert shared_structures([m, twin, m.with_finals([])]) == [[0, 1, 2]]
+            again = pickle.loads(pickle.dumps(twin))
+            assert again == twin and "_form" not in vars(again)
+            with pytest.raises(ValueError, match="finals must be declared states"):
+                m.with_finals(["s", "u"])
+
 
 def _disjoint_parts(rng):
     """Copies of one master DFA over one alphabet, its finals split among
