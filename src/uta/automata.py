@@ -4,15 +4,11 @@ An automaton assigns sets of vertical states to tree nodes bottom-up.  For a
 node labeled ``sym`` whose children were assigned S_1..S_m, a state ``q`` is
 assigned iff some choice (q_1..q_m) from S_1 x..x S_m is accepted by the
 horizontal acceptor for (q, sym).  This is computed exactly in polynomial
-time by stepping the acceptors of ``sym`` on whole child state sets, in
-place over their transition dicts, instead of enumerating the product of
-the children's state sets.  Each step, from a set of (acceptor, state)
-pairs or an SDTA's Moore state on a child's state set, is computed once per
-automaton and then looked up: the runs fill in, on demand, the transition
-table of the subset machine that ``convert.nta_to_sdta`` builds (see
-``_horizontal_run``).  ``_evaluate`` steps a node's run on each child's set
-as the child is read, in one pass linear in the tree; each symbol's run and
-each label's leaf states are kept, but never a fault (see ``_evaluate``).
+time by one subset simulation of the acceptors of ``sym`` on whole child
+state sets (``_horizontal_run``), instead of enumerating the product of the
+children's state sets; each step is computed once per automaton and then
+looked up.  ``_evaluate`` steps a node's run on each child's set as the
+child is read, in one pass linear in the tree.
 
 Leaf-state convention: an automaton may designate, per symbol, a dedicated
 state (named by the symbol itself) that leaves with that label receive.
@@ -25,7 +21,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from .errors import KindError, UnknownSymbolError
-from .strings import DFA, MooreDFA, NFA, explore, first_overlap, shared_structures
+from .strings import (DFA, MooreDFA, NFA, SubsetMachine, explore, first_overlap,
+                      shared_structures)
 from .trees import Tree, _Record
 
 NTA_NFA = "nta-nfa"
@@ -86,11 +83,9 @@ class TreeAutomaton:
         self.horizontal = dict(horizontal or {})
         self.moore = dict(moore or {})
         self._validate()
-        by_symbol: dict = {}
-        for (q, sym), mach in self.horizontal.items():
-            by_symbol.setdefault(sym, []).append((q, mach))
-        self._by_symbol = {sym: tuple(sorted(pairs, key=lambda qm: qm[0]))
-                           for sym, pairs in by_symbol.items()}
+        self._by_symbol: dict = {}  # sym -> its (q, machine) pairs, sorted by q
+        for (q, sym), mach in sorted(self.horizontal.items()):
+            self._by_symbol.setdefault(sym, []).append((q, mach))
         self._runs: dict = {}
         self._leaves: dict = {}
 
@@ -308,79 +303,46 @@ def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
     rule); for a symbol outside the alphabet the run is dead and ``finish``
     raises UnknownSymbolError.
 
-    Each kind supplies ``finish`` and ``advance``, the step computed afresh.
-    An SDTA's run is its Moore state, and ``advance`` reads its delta.  For
-    the other kinds the run is a frozenset (which caches its hash) of (i, h)
-    pairs, state h of acceptor i of ``_by_symbol[sym]``, stepped in place
-    over the acceptors' dicts; a state is assigned iff the run holds a final
-    state of its acceptor.  ``step`` fills and reads ``table[S][run]``, the
-    run after ``run`` reads child set S (a dead one as None), which
-    ``_evaluate`` also reads itself.  A key pairs a run some node reaches
-    with a state set some node is assigned, so the table holds at most one
-    entry per cell of the transition table of the subset machine
-    ``convert._subset_moore`` builds, plus one per run for the empty set.
-    It lives as long as the run (in ``TreeAutomaton._runs``, which pickling
-    drops).  ``finish`` likewise keeps the states each subset assigns.
+    Every kind runs a ``strings.SubsetMachine``, its positions labelled by
+    the states they assign: an SDTA's over its one Moore machine, by its
+    outputs, the other kinds' over the acceptors of ``sym``, by their state
+    q.  A run is a frozenset of positions.  ``step`` fills and reads
+    ``table[S][run]``, the run after ``run`` reads child set S (a dead one
+    as None), which ``_evaluate`` also reads itself: at most one entry per
+    cell of the transition table of the machine ``convert._subset_moore``
+    builds, plus one per run for the empty set.  It lives as long as the
+    run (in ``TreeAutomaton._runs``, which pickling drops), as do the states
+    ``finish`` keeps per run.
     """
     if sym not in a.alphabet:
         def refuse(run, empty):
             raise UnknownSymbolError(sym)
         return None, None, refuse, None
     leaf = frozenset([sym]) if sym in a.leaf_symbols else None
-    nothing = frozenset()
-
     if a.kind == SDTA:
         mach = a.moore.get(sym)
-        start, delta = (mach.initial, mach.delta) if mach else (None, {})
-        outs = {s: frozenset([v]) for s, v in mach.outputs.items()} if mach else {}
-
-        def advance(run, s):
-            if not s:
-                return None
-            (member,) = s
-            return delta.get((run, member))
-
-        def finish(run, empty):
-            if empty and leaf:
-                return leaf
-            return outs.get(run, nothing)
+        sub = SubsetMachine([mach] if mach else [], lambda _, s: mach.outputs[s])
     else:
         pairs = a._by_symbol.get(sym, ())
-        gets = [(m.delta.get, isinstance(m, NFA)) for _, m in pairs]
-        start = frozenset([(i, h) for i, (_, m) in enumerate(pairs) for h in m.initials]) or None
-        assigned = {}
-
-        def advance(run, s):
-            out = set()
-            for i, h in run:
-                get, many = gets[i]
-                for c in s:
-                    t = get((h, c))
-                    if t is not None:
-                        out.update([(i, d) for d in t] if many else [(i, t)])
-            return frozenset(out) or None
-
-        def finish(run, empty):
-            if empty and leaf:
-                return leaf
-            if run is None:
-                return nothing
-            got = assigned.get(run)
-            if got is None:
-                got = assigned[run] = frozenset([pairs[i][0] for i, h in run
-                                                 if h in pairs[i][1].finals])
-            return got
-
-    table = {}
+        sub = SubsetMachine([m for _, m in pairs], lambda k, _: pairs[k][0])
+    marks, assigned, table = sub.marks, {None: frozenset()}, {}
 
     def step(run, s):
         try:
             return table[s][run]
         except KeyError:
-            got = table.setdefault(s, {})[run] = advance(run, s)
+            got = table.setdefault(s, {})[run] = sub.step(run, s) or None
             return got
 
-    return start, step, finish, table
+    def finish(run, empty):
+        if empty and leaf:
+            return leaf
+        got = assigned.get(run)
+        if got is None:
+            got = assigned[run] = frozenset().union(*map(marks.__getitem__, run))
+        return got
+
+    return sub.start or None, step, finish, table
 
 
 def accepts(a: TreeAutomaton, t: Tree) -> bool:
@@ -452,34 +414,33 @@ def bottom_up_reach(machines, items, walks=None):
 
 def reach(a: TreeAutomaton, walks=None):
     """``bottom_up_reach`` over the compiled horizontal machines of ``a``,
-    keys in sorted order, from its leaf states in sorted order: a Moore
-    machine outputs its outputs, an acceptor for (q, sym) outputs q in its
-    finals.  Yields the leaf states, then each vertical state that some tree
-    is assigned, in the order found.  Once exhausted, it leaves in a given
-    dict ``walks`` each key's walk of the last round, as (positions in the
-    compiled form, edges).
+    keys in sorted order, from its leaf states in sorted order.  Yields the
+    leaf states, then each vertical state that some tree is assigned, in the
+    order found; once exhausted, it leaves in a given dict ``walks`` each
+    key's walk of the last round, as (positions in the compiled form, edges).
 
-    Acceptors of one structure (``strings.shared_structures``), such as the
-    siblings ``convert.sdta_to_dtadfa`` splits off one Moore machine, are
-    walked as one machine whose states output every member final there, in
-    key order: each round walks each structure once, and the members share
-    that walk.  The states found are the same, in an order that can differ
-    from one walk per acceptor.  An SDTA's Moore machines are walked one by
-    one, in key order; those of one structure share a compiled form, so a
+    A walk outputs the labels (``marks``) of its states in a
+    ``strings.SubsetMachine`` of the machines: a Moore machine's outputs,
+    and q where an acceptor for (q, sym) is final.  Acceptors of one
+    structure (``strings.shared_structures``), such as the siblings
+    ``convert.sdta_to_dtadfa`` splits off one Moore machine, are walked as
+    one, so each round walks each structure once; the states found are the
+    same as with one walk per acceptor, in an order that can differ.  An
+    SDTA's Moore machines are walked one by one, in key order, which keeps
+    the order found; those of one structure share a compiled form, so a
     walk while no state is found between them."""
     keyed = sorted((a.moore if a.kind == SDTA else a.horizontal).items())
-    groups = shared_structures([m for _, m in keyed])  # which also shares compiled forms
+    ms = [m for _, m in keyed]
+    groups = shared_structures(ms)  # which also shares compiled forms
     if a.kind == SDTA:  # one walk per Moore machine keeps the order found
         groups = [[k] for k in range(len(keyed))]
-    machines = []
+    sub = SubsetMachine(ms, lambda k, s: ms[k].outputs[s] if a.kind == SDTA else keyed[k][0][0],
+                        groups)
+    machines, marks = [], sub.marks
     for g in groups:
-        form = keyed[g[0]][1].compiled()
-        outs = [[] for _ in form.states]
-        for key, m in map(keyed.__getitem__, g):
-            for s in m.finals:
-                outs[form.index[s]].append(m.outputs[s] if a.kind == SDTA else key[0])
+        form, base = ms[g[0]].compiled(), sub.bases[g[0]]
         machines.append((form.initials, form.reading,
-                         lambda order, outs=outs: [q for i in order for q in outs[i]]))
+                         lambda order, base=base: [q for i in order for q in marks[base + i]]))
     shared = {}
     yield from bottom_up_reach(machines, sorted(a.leaf_symbols), shared)
     if walks is not None:

@@ -3,26 +3,18 @@
 The same machinery serves plain alphabets, vertical states, and sets of
 vertical states: symbols and states are opaque string tokens.  DFAs may be
 partial; a missing transition rejects.  Reported sizes count the declared
-states only, so the implicit reject sink is never included.  NFAs and DFAs
-share one subset step, ``step(subset, letters)``, over their transition
-dicts, and one ``accepts``; walks over one machine read its ``compiled``
-form, integer columns of the transitions that exist, so they cost
-O(edges), not O(states x letters).
+states only, so the implicit reject sink is never included.  Walks read a
+machine's ``compiled`` form, integer columns of the transitions that exist,
+so they cost O(edges), not O(states x letters).
 
-Every construction that builds reachable states only runs one breadth-first
-explorer, ``explore``; only the overlap search of ``first_overlap`` keeps
-its own queue, for parent pointers and an early exit.  Machines of one
-transition structure, such as the copies of a Moore machine that split its
-finals, are compiled once (``shared_structures``): the overlap search
-prepares each structure once, as rows of live successors, and walks each
-pair of structures once, over pairs of live states, for all member pairs.
-Such copies are best made as siblings (``DFA.with_finals``), which share
-one ``delta`` and one compiled form from the start.
-
-Every minimizer runs one partition refinement, ``coarsest_partition``: the
-DFA and Moore minimizers here, and the SDTA canonicalizer of ``analysis``.
-It is a worklist over integer-indexed rows of successors, and costs
-O(m log n) for m successor references in rows of bounded length.
+Sets of states are stepped by one ``SubsetMachine``: ``determinize`` walks
+it, and NFA acceptance and every tree automaton's horizontal run step it.
+``marked_union`` keeps a product of tuples, since a subset walk of DFAs
+holds one state per part, which a tuple steps faster than a set.  Every
+construction that builds reachable states runs one breadth-first explorer,
+``explore``; only ``first_overlap`` keeps its own queue, for parent
+pointers and an early exit.  Every minimizer, here and in ``analysis``,
+runs one partition refinement, ``coarsest_partition``.
 """
 
 from __future__ import annotations
@@ -44,7 +36,7 @@ class _Compiled:
     NFA's successors of one state come in sorted order.  Positions sort like
     the names, so every tie-break and witness is the one the names give."""
 
-    __slots__ = ("states", "index", "columns", "initials")
+    __slots__ = ("states", "index", "columns", "initials", "rows")
 
     def __init__(self, m):
         self.states = sorted(m.states)
@@ -56,6 +48,17 @@ class _Compiled:
                 columns[c] += [(index[s], j) for j in sorted(map(index.__getitem__, d))]
             else:
                 columns[c].append((index[s], index[d]))
+        self.rows = {}
+
+    def successors(self, c):
+        """Per position, its sorted successor positions on letter ``c``, or
+        None if ``c`` is no letter; kept with the form, built on first use."""
+        row = self.rows.get(c)
+        if row is None and c in self.columns:
+            row = self.rows[c] = [()] * len(self.states)
+            for i, j in self.columns[c]:
+                row[i] += (j,)
+        return row
 
     def reading(self, letters):
         """``explore``'s successors over positions, reading only ``letters``
@@ -76,11 +79,11 @@ class _Compiled:
 
 
 class _Machine:
-    """What NFAs and DFAs share: the size, the subset step, acceptance,
-    equality, hash and repr, and the ``compiled`` form, built on first use,
-    cached on the machine, and left out of pickling and of equality.
-    ``delta`` maps (state, letter) to a frozenset of states in an NFA
-    (``_many``) and to one state in a DFA."""
+    """What NFAs and DFAs share: the size, acceptance, equality, hash and
+    repr, and the ``compiled`` form, built on first use, cached on the
+    machine, and left out of pickling and of equality.  ``delta`` maps
+    (state, letter) to a frozenset of states in an NFA (``_many``) and to
+    one state in a DFA."""
 
     _form = None
 
@@ -88,26 +91,16 @@ class _Machine:
     def size(self) -> int:
         return len(self.states)
 
-    def step(self, subset, letters) -> frozenset:
-        """The states some member of ``subset`` reaches on some letter of
-        ``letters``."""
-        out, get, many = set(), self.delta.get, self._many
-        for c in letters:
-            for s in subset:
-                t = get((s, c))
-                if t is not None:
-                    out |= t if many else {t}
-        return frozenset(out)
-
     def _ends(self, word):
-        """The states the runs on ``word`` end in (a DFA's run is one state,
-        or None); every letter is checked, also after the runs have died."""
-        cur = self.initials if self._many else self.initial
+        """The states the runs on ``word`` end in, through an NFA's
+        ``SubsetMachine`` or a DFA's ``delta``; every letter is checked."""
+        sub = SubsetMachine([self]) if self._many else None
+        cur = sub.start if sub else self.initial
         for c in word:
             if c not in self.alphabet:
                 raise UnknownSymbolError(c)
-            cur = self.step(cur, (c,)) if self._many else self.delta.get((cur, c))
-        return cur if self._many else () if cur is None else (cur,)
+            cur = sub.step(cur, (c,)) if sub else self.delta.get((cur, c))
+        return map(sub.names.__getitem__, cur) if sub else () if cur is None else (cur,)
 
     def accepts(self, word) -> bool:
         return not self.finals.isdisjoint(self._ends(word))
@@ -261,18 +254,61 @@ def stepwise(step):
     return read
 
 
-def determinize(m) -> DFA:
-    """Subset construction over reachable subsets only, for an NFA or a DFA.
+class SubsetMachine:
+    """One subset machine over ``machines``; a state is a frozenset of
+    integer positions.  Each ``shared_structures`` group (or given group) is
+    placed once, from ``bases[k]`` for each member k, so siblings share
+    positions.  ``names[p]`` is the state at position p, ``start`` the
+    initial positions, ``marks[p]`` the labels ``label(k, s)`` of the
+    members k final at p, in member order.  A letter's row of successor
+    positions is built on first use from those its compiled forms keep."""
 
-    Subset states are named canonically by their sorted member list, so the
-    result is reproducible.
-    """
-    letters = [(c, (c,)) for c in sorted(m.alphabet)]
-    order, edges = explore([frozenset(m.initials)],
-                           lambda s: [(c, m.step(s, one) or None) for c, one in letters])
-    names = [subset_name(s) for s in order]
-    return DFA(names, m.alphabet, names[0],
-               {n for n, s in zip(names, order) if s & m.finals},
+    def __init__(self, machines, label=lambda k, s: k, groups=None):
+        self.machines = machines = list(machines)
+        self.groups = shared_structures(machines) if groups is None else groups
+        self.bases, self.names, self.marks = [0] * len(machines), [], []
+        self.rows, self._forms = {}, []
+        for g in self.groups:
+            form, base = machines[g[0]].compiled(), len(self.names)
+            self._forms.append((base, form))
+            self.names += form.states
+            self.marks += [[] for _ in form.states]
+            for k in g:
+                self.bases[k] = base
+                for s in machines[k].finals:
+                    self.marks[base + form.index[s]].append(label(k, s))
+        self.start = frozenset([base + i for base, form in self._forms for i in form.initials])
+
+    def _row(self, c) -> list:
+        parts = [(b, form.successors(c) or [()] * len(form.states)) for b, form in self._forms]
+        row = self.rows[c] = parts[0][1] if len(parts) == 1 else [
+            tuple(j + base for j in js) for base, part in parts for js in part]
+        return row
+
+    def step(self, subset, letters) -> frozenset:
+        """The positions some member of ``subset`` reaches on some letter."""
+        out, rows = set(), self.rows
+        for c in letters:
+            row = rows.get(c) or self._row(c)
+            for i in subset:
+                out.update(row[i])
+        return frozenset(out)
+
+    def walk(self):
+        """``explore`` from ``start`` by single letters in sorted order; empty is dead."""
+        letters = [(c, (c,)) for c in sorted(set().union(*(m.alphabet for m in self.machines)))]
+        return explore([self.start],
+                       lambda s: [(c, self.step(s, one) or None) for c, one in letters])
+
+
+def determinize(m) -> DFA:
+    """Subset construction over reachable subsets only, for an NFA or a DFA:
+    a walk of its ``SubsetMachine``, each subset named canonically by its
+    sorted members, so the result is reproducible."""
+    order, edges = (sub := SubsetMachine([m])).walk()
+    names = [subset_name(map(sub.names.__getitem__, s)) for s in order]
+    finals = {p for p, mark in enumerate(sub.marks) if mark}
+    return DFA(names, m.alphabet, names[0], {n for n, s in zip(names, order) if s & finals},
                [(names[i], c, names[j]) for i, c, j in edges])
 
 
@@ -389,12 +425,13 @@ def minimize_moore(m: MooreDFA) -> MooreDFA:
 def shared_structures(machines) -> list:
     """``machines`` grouped by equal alphabet, states, initials and delta, as
     lists of indexes; each group's members get its first member's compiled form.
-    Siblings (``DFA.with_finals``) share one ``delta``, so they match at sight."""
+    Siblings (``DFA.with_finals``) share one ``delta``, and members of a group
+    found before share one compiled form, so they match at sight."""
     groups, shapes = [], {}
     for i, m in enumerate(machines):
         alike = shapes.setdefault((m.alphabet, m.states, m.initials, len(m.delta)), [])
-        g = next((g for g in alike if (d := machines[g[0]].delta) is m.delta or d == m.delta),
-                 None)
+        g = next((g for g in alike if (o := machines[g[0]]).delta is m.delta
+                  or o._form is m._form is not None or o.delta == m.delta), None)
         if g is None:
             alike.append(g := [])
             groups.append(g)
@@ -404,14 +441,15 @@ def shared_structures(machines) -> list:
     return groups
 
 
-def _live_rows(machines, group):
-    """Prepare a ``shared_structures`` group for the pair search: per
-    compiled position a ``{letter: live successors}`` row in sorted order,
-    the live initials, and per position the members it is final in.  Live
-    states reach a final of some member; live pairs are reached only through
-    live pairs, so dropping the dead states keeps the search order of the rest."""
-    form = machines[group[0]].compiled()
-    final = [tuple(i for i in group if s in machines[i].finals) for s in form.states]
+def _live_rows(sub, group):
+    """Prepare a group of the ``SubsetMachine`` ``sub`` for the pair search:
+    per compiled position a ``{letter: live successors}`` row in sorted
+    order, the live initials, and per position the members final there
+    (``sub.marks``).  Live states reach a final of some member; live pairs
+    are reached only through live pairs, so dropping the dead states keeps
+    the search order of the rest."""
+    form, base = sub.machines[group[0]].compiled(), sub.bases[group[0]]
+    final = sub.marks[base:base + len(form.states)]
     succ = form.reading(sorted(form.columns))
     preds = [[] for _ in form.states]
     for i in range(len(preds)):
@@ -468,8 +506,8 @@ def first_overlap(machines):
     (``shared_structures``) is prepared once, live for all its members, and
     each ordered pair of them is searched once, least possible pair first."""
     mismatch = next((j for j, m in enumerate(machines) if m.alphabet != machines[0].alphabet), 0)
-    groups = shared_structures(machines)
-    prepared = [_live_rows(machines, g) for g in groups]
+    groups = (sub := SubsetMachine(machines)).groups
+    prepared = [_live_rows(sub, g) for g in groups]
     # (0, mismatch) is the first pair of alphabets that differ, if any
     best = (0, mismatch, None) if mismatch else (len(machines), 0, None)
     for x, g in enumerate(groups):

@@ -1,7 +1,7 @@
 """Test-only oracles: the dict-stepping code that compiled walks replaced.
 
 Each function is the library code as it was before machines were compiled
-into integer rows, or before tree runs stepped their acceptors in place: it
+into integer rows, or before tree runs stepped a compiled subset machine: it
 steps one ``(state, letter)`` lookup at a time, reading the transition dicts
 itself, and tries every letter in every state.  The differential tests check
 that the library gives exactly the same results.

@@ -15,7 +15,7 @@ from uta.automata import DETERMINISTIC_KINDS, _evaluate, bottom_up_reach, reach
 from uta.cli import cli_main
 from uta.docs import render_automaton
 from uta import automata, strings
-from uta.strings import explore, shared_structures, stepwise
+from uta.strings import SubsetMachine, explore, shared_structures, stepwise
 
 from oracles import live_by_step_any, prune_by_step_any, sdta_reach_by_step, union_run
 from randgen import (rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta, rand_tree,
@@ -542,7 +542,8 @@ class TestRunAgainstTheUnionNfa:
             for sym in sorted(a.alphabet):
                 start, step, finish = a.horizontal_run(sym)
                 u_start, u_step, u_finish = union_run(a, sym)
-                assert start == u_start
+                tagged = _tagged(_subset_machine(a, sym))
+                assert tagged(start) == u_start
                 assert finish(start, True) == u_finish(u_start, True)
                 for _ in range(6):
                     # child sets as nodes are assigned them, empty ones included
@@ -552,13 +553,51 @@ class TestRunAgainstTheUnionNfa:
                             break
                         s = frozenset(rng.sample(letters, rng.randint(0, min(2, len(letters)))))
                         run, u_run = step(run, s), u_step(u_run, s)
-                        assert run == u_run
+                        assert tagged(run) == u_run
                     assert finish(run, False) == u_finish(u_run, False)
                     seen["dead" if run is None else "alive"] += 1
                     seen["assigns" if finish(run, False) else "assigns nothing"] += 1
                 seen[a.kind] += 1
                 seen["leaf symbol"] += sym in a.leaf_symbols
         assert min(seen.values()) >= 5 and seen["assigns"] >= 100, seen
+
+
+def _subset_machine(a, sym):
+    """The ``SubsetMachine`` that the horizontal run of ``sym`` steps."""
+    _, step, _, _ = a._run(sym)
+    (sub,) = [c.cell_contents for c in step.__closure__
+              if type(c.cell_contents) is SubsetMachine]
+    return sub
+
+
+def _tagged(sub):
+    """Maps a run of ``sub``'s positions (None once dead) to the run of the
+    tagged union (``union_run``): a position stands for its state in every
+    acceptor of its group, as an (acceptor index, state) pair."""
+    owners = {}
+    for g in sub.groups:
+        base = sub.bases[g[0]]
+        owners.update(dict.fromkeys(range(base, base + sub.machines[g[0]].size), g))
+    return lambda run: None if run is None else frozenset(
+        (k, sub.names[p]) for p in run for k in owners[p])
+
+
+class TestSharedPositions:
+    def test_a_cold_run_builds_one_structure_for_fifteen_siblings(self):
+        g4 = gen_thm41(4)[0]
+        d4 = nta_to_dtadfa(g4)[0]
+        machines = d4.machines_for("a")
+        assert len(machines) == 15 and {m.size for _, m in machines} == {226}
+        t = parse_tree("a(a(a(b,b,b,b)))", d4.alphabet)
+        assert run(d4, t)[()] and bool(accepts(d4, t)) == accepts(g4, t)
+        sub = _subset_machine(d4, "a")
+        # 226 positions, not 15 x 226, and rows only for the letters read
+        assert len(sub.names) == len(sub.marks) == 226 and sub.groups == [list(range(15))]
+        assert set(sub.rows) == {"b", *run(d4, t)[(0,)], *run(d4, t)[(0, 0)]}
+        assert all(sub.rows[c] is machines[0][1].compiled().successors(c) for c in sub.rows)
+        # the siblings split one Moore machine's finals: one label a final position
+        assert {len(mark) for mark in sub.marks} == {0, 1}
+        assert {q for mark in sub.marks for q in mark} == {q for q, _ in machines}
 
 
 def _moore_run(a, sym):

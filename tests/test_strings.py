@@ -10,7 +10,8 @@ from uta import (DFA, NFA, AlphabetMismatchError, MooreDFA, NTA_DFA, OverlapErro
                  TreeAutomaton, UnknownSymbolError, canonical_sdta, check_semantic_determinism,
                  determinize, dtadfa_to_sdta, gen_lemma34, gen_thm41, marked_union,
                  minimize_dfa, minimize_moore, nta_to_sdta)
-from uta.strings import coarsest_partition, explore, first_overlap, shared_structures
+from uta.strings import (SubsetMachine, coarsest_partition, explore, first_overlap,
+                         shared_structures)
 
 from oracles import delta_step, explore_by_step, marked_union_by_product, successor
 from randgen import canonical_form, rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta
@@ -110,10 +111,22 @@ class TestSteppingInterface:
                 for _ in range(5):
                     sub = frozenset(rng.sample(states, rng.randint(0, len(states))))
                     some = rng.sample(syms, rng.randint(0, len(syms)))
-                    assert d.step(sub, some) == n.step(sub, some) == delta_step(d, sub, some)
+                    want = delta_step(d, sub, some)
+                    assert _stepped(d, sub, some) == _stepped(n, sub, some) == want
                     for c in syms:
-                        assert d.step(sub, (c,)) == n.step(sub, (c,)) == delta_step(n, sub, (c,))
+                        want = delta_step(n, sub, (c,))
+                        assert _stepped(d, sub, (c,)) == _stepped(n, sub, (c,)) == want
                 assert determinize(d) == determinize(n)
+
+
+def _stepped(m, subset, letters) -> frozenset:
+    """``SubsetMachine([m]).step`` on a set of state names, through the map
+    between positions and names; its start is ``m``'s initial states."""
+    sub = SubsetMachine([m])
+    assert {sub.names[p] for p in sub.start} == m.initials
+    at = {s: p for p, s in enumerate(sub.names)}
+    stepped = sub.step(frozenset(map(at.__getitem__, subset)), letters)
+    return frozenset(map(sub.names.__getitem__, stepped))
 
 
 class TestMinimizeDfa:
