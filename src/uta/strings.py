@@ -10,7 +10,8 @@ so they cost O(edges), not O(states x letters).
 Sets of states are stepped by one ``SubsetMachine``: ``determinize`` walks
 it, and NFA acceptance and every tree automaton's horizontal run step it.
 ``marked_union`` keeps a product of tuples, since a subset walk of DFAs
-holds one state per part, which a tuple steps faster than a set.  Every
+holds one state per part, which a tuple steps faster than a set; its walk
+decides disjointness, and ``first_overlap`` names a witness.  Every
 construction that builds reachable states runs one breadth-first explorer,
 ``explore``; only ``first_overlap`` keeps its own queue, for parent
 pointers and an early exit.  Every minimizer, here and in ``analysis``,
@@ -441,35 +442,23 @@ def shared_structures(machines) -> list:
     return groups
 
 
-def _live_rows(sub, group):
+def _pair_rows(sub, group):
     """Prepare a group of the ``SubsetMachine`` ``sub`` for the pair search:
-    per compiled position a ``{letter: live successors}`` row in sorted
-    order, the live initials, and per position the members final there
-    (``sub.marks``).  Live states reach a final of some member; live pairs
-    are reached only through live pairs, so dropping the dead states keeps
-    the search order of the rest."""
+    per compiled position a ``{letter: successors}`` row in sorted order, the
+    initials, and per position the members final there (``sub.marks``)."""
     form, base = sub.machines[group[0]].compiled(), sub.bases[group[0]]
-    final = sub.marks[base:base + len(form.states)]
-    succ = form.reading(sorted(form.columns))
-    preds = [[] for _ in form.states]
-    for i in range(len(preds)):
-        for _, j in succ(i):
-            preds[j].append((None, i))  # explore's (letter, state) pairs
-    live = set(explore([i for i, f in enumerate(final) if f], preds.__getitem__)[0])
-    rows = [{} for _ in preds]
-    for i in live:
-        for c, j in succ(i):
-            if j in live:
-                rows[i].setdefault(c, []).append(j)
-    return rows, [i for i in form.initials if i in live], final
+    rows = [{} for _ in form.states]
+    for c in sorted(form.columns):
+        for i, j in form.columns[c]:
+            rows[i].setdefault(c, []).append(j)
+    return rows, form.initials, sub.marks[base:base + len(form.states)]
 
 
 def _pair_search(a, b, first, best):
-    """Breadth-first search over pairs of live states of two ``_live_rows``
+    """Breadth-first search over pairs of states of two ``_pair_rows``
     structures.  The least member pair i < j final at a pair it meets, if it
     comes before ``best``, becomes the ``best`` (i, j, word); the search ends
-    at ``first``, the least pair it can meet.  Pairs live for (i, j) have only
-    such predecessors, so they are met as a search of i and j alone meets them."""
+    at ``first``, the least pair it can meet."""
     rows_a, initials_a, final_a = a
     rows_b, initials_b, final_b = b
     order = [(p, q) for p in initials_a for q in initials_b]
@@ -503,11 +492,11 @@ def first_overlap(machines):
     """The first pair i < j of ``machines`` whose languages meet, in
     lexicographic order, as ``(i, j, shortest shared word)``, None if none
     do; an earlier pair of alphabets that differ raises.  Each structure
-    (``shared_structures``) is prepared once, live for all its members, and
-    each ordered pair of them is searched once, least possible pair first."""
+    (``shared_structures``) is prepared once for all its members, and each
+    ordered pair of them is searched once, least possible pair first."""
     mismatch = next((j for j, m in enumerate(machines) if m.alphabet != machines[0].alphabet), 0)
     groups = (sub := SubsetMachine(machines)).groups
-    prepared = [_live_rows(sub, g) for g in groups]
+    prepared = [_pair_rows(sub, g) for g in groups]
     # (0, mismatch) is the first pair of alphabets that differ, if any
     best = (0, mismatch, None) if mismatch else (len(machines), 0, None)
     for x, g in enumerate(groups):
@@ -528,21 +517,20 @@ def marked_union(parts) -> MooreDFA:
     disjoint DFA languages and outputs the 1-based index of the part each
     accepted word belongs to.
 
-    Built as the full product of the parts, pruned to reachable states; a
-    reachable product state accepting in two components would contradict
-    disjointness and is asserted against.
+    Built as the full product of the parts, pruned to reachable states.  The
+    parts overlap iff a reachable product state accepts in two of them; only
+    then does ``first_overlap`` run, to name the first such pair and its
+    shortest shared word in the ``OverlapError``.
     """
     parts = list(parts)
     if not parts:
         raise ValueError("marked_union needs at least one part")
     alphabet = parts[0].alphabet
-    for i, p in enumerate(parts[1:], start=2):
+    for i, p in enumerate(parts, start=1):
+        if not isinstance(p, DFA):
+            raise ValueError(f"part {i} is not a DFA")
         if p.alphabet != alphabet:
             raise AlphabetMismatchError(f"part {i} has a different alphabet")
-    overlap = first_overlap(parts)
-    if overlap is not None:
-        i, j, w = overlap
-        raise OverlapError(i + 1, j + 1, w)
 
     # a product state is a tuple of positions, a part's dead position past
     # its states; each letter has one column of successors per part
@@ -559,7 +547,9 @@ def marked_union(parts) -> MooreDFA:
     outputs = {}
     for n, tup in zip(names, order):
         accepting = [i for i, final in enumerate(map(at, finals, tup)) if final]
-        assert len(accepting) <= 1, "disjoint parts accepted the same word"
+        if len(accepting) > 1:
+            i, j, w = first_overlap(parts)
+            raise OverlapError(i + 1, j + 1, w)
         if accepting:
             outputs[n] = accepting[0] + 1
     return MooreDFA(names, alphabet, names[0], set(outputs),

@@ -317,10 +317,10 @@ class TestSharedStructures:
 
         def counting(machines, group):
             calls.append(len(group))
-            return live_rows(machines, group)
+            return pair_rows(machines, group)
 
-        live_rows = strings._live_rows
-        monkeypatch.setattr(strings, "_live_rows", counting)
+        pair_rows = strings._pair_rows
+        monkeypatch.setattr(strings, "_pair_rows", counting)
         assert check_semantic_determinism(thm41_split).ok
         assert calls == [len(thm41_split.horizontal)] == [15]
 

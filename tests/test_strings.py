@@ -6,10 +6,11 @@ import random
 import pytest
 
 import uta.analysis
+import uta.strings
 from uta import (DFA, NFA, AlphabetMismatchError, MooreDFA, NTA_DFA, OverlapError,
                  TreeAutomaton, UnknownSymbolError, canonical_sdta, check_semantic_determinism,
                  determinize, dtadfa_to_sdta, gen_lemma34, gen_thm41, marked_union,
-                 minimize_dfa, minimize_moore, nta_to_sdta)
+                 minimize_dfa, minimize_moore, nta_to_dtadfa, nta_to_sdta)
 from uta.strings import (SubsetMachine, coarsest_partition, explore, first_overlap,
                          shared_structures)
 
@@ -291,8 +292,9 @@ def _random_machine(rng, alphabet="ab", most=3):
                finals, trans)
 
 
-def _has_dead_state(m):
-    """Whether some state of ``m`` cannot reach a final state."""
+def _dead_states(m):
+    """The states of ``m`` that cannot reach a final state."""
+    dead = set()
     for start in m.states:
         seen, todo = {start}, [start]
         while todo:
@@ -300,8 +302,8 @@ def _has_dead_state(m):
                 seen.add(t)
                 todo.append(t)
         if not seen & m.finals:
-            return True
-    return False
+            dead.add(start)
+    return dead
 
 
 class TestOverlapSearch:
@@ -336,7 +338,10 @@ class TestOverlapSearch:
                 for m in (a, b):
                     kinds["nfa" if isinstance(m, NFA) else "dfa"] += 1
                     kinds["several initials"] += len(m.initials) > 1
-                    kinds["dead state"] += _has_dead_state(m)
+                    dead = _dead_states(m)
+                    kinds["dead state"] += bool(dead)
+                    # dead initial pairs enter the search, and must change nothing
+                    kinds["dead initial"] += bool(dead & m.initials)
             machines = [m for pair in pairs for m in pair]
             for _ in range(200):
                 group = rng.sample(machines, rng.randint(2, 6))
@@ -431,8 +436,74 @@ class TestMarkedUnion:
 
     def test_no_reachable_state_accepts_twice(self):
         parts = [residue_dfa(5, i) for i in (0, 2, 4)]
-        mu = marked_union(parts)  # the internal assertion guards this
+        mu = marked_union(parts)  # the product walk's overlap check guards this
         assert mu.size >= 5
+
+    def test_a_part_that_is_no_dfa_is_named(self):
+        nfa = residue_dfa(3, 1).to_nfa()
+        with pytest.raises(ValueError, match="^part 2 is not a DFA$"):
+            marked_union([residue_dfa(3, 0), nfa])
+        with pytest.raises(ValueError, match="^part 1 is not a DFA$"):
+            marked_union([nfa, residue_dfa(3, 0)])
+
+
+def _disjoint_families():
+    """Disjoint parts: residues, each symbol's acceptors of lemma 3.4
+    (2,3,5,7), and the 15 siblings of one structure that theorem 4.1 (4)
+    gives as a dta-dfa."""
+    yield [residue_dfa(3, i) for i in (1, 2, 0)]
+    lemma = gen_lemma34((2, 3, 5, 7))[0]
+    for sym in sorted(lemma.alphabet):
+        if lemma.machines_for(sym):
+            yield [m for _, m in lemma.machines_for(sym)]
+    yield [m for _, m in nta_to_dtadfa(gen_thm41(4)[0])[0].machines_for("a")]
+
+
+def _overlapping_families():
+    """The disjoint families with one part's language put into another's,
+    by a copy or, for siblings, by a final shared, and overlapping residues."""
+    yield [residue_dfa(2, 0), residue_dfa(4, 0)]
+    yield [residue_dfa(3, 1), residue_dfa(5, 0), residue_dfa(6, 4)]
+    for parts in _disjoint_families():
+        last = len(parts) - 1
+        yield parts[:last] + [parts[0]]
+        if len(shared_structures(parts)) == 1:
+            yield parts[:1] + [parts[1].with_finals(parts[1].finals | parts[last].finals)] \
+                + parts[2:]
+
+
+class TestMarkedUnionDecidesDisjointness:
+    """The product walk decides disjointness; ``first_overlap`` runs only to
+    name the witness of an overlap."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+
+        def counting(machines):
+            calls.append(len(machines))
+            return first_overlap(machines)
+
+        monkeypatch.setattr(uta.strings, "first_overlap", counting)
+        return calls
+
+    def test_disjoint_parts_are_not_searched(self, searches):
+        families = list(_disjoint_families())
+        for parts in families:
+            mu = marked_union(parts)
+            assert set(mu.outputs.values()) <= set(range(1, len(parts) + 1))
+        assert searches == [] and len(families) == 3
+
+    def test_overlapping_parts_are_searched_once(self, searches):
+        families = list(_overlapping_families())
+        for parts in families:
+            i, j, w = first_overlap(parts)
+            searches.clear()
+            with pytest.raises(OverlapError) as err:
+                marked_union(parts)
+            assert searches == [len(parts)]
+            assert (err.value.indices, err.value.witness) == ((i + 1, j + 1), w)
+        assert len(families) == 7
 
 
 def round_partition(keys, successors) -> dict:
