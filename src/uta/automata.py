@@ -437,8 +437,7 @@ def reach(a: TreeAutomaton, walks=None):
     sub = SubsetMachine(ms, lambda k, s: ms[k].outputs[s] if a.kind == SDTA else keyed[k][0][0],
                         groups)
     machines, marks = [], sub.marks
-    for g in groups:
-        form, base = ms[g[0]].compiled(), sub.bases[g[0]]
+    for base, form in sub.forms.values():
         machines.append((form.initials, form.reading,
                          lambda order, base=base: [q for i in order for q in marks[base + i]]))
     shared = {}

@@ -12,7 +12,8 @@ from __future__ import annotations
 from .automata import (DTA_DFA, SDTA, SizePair, TreeAutomaton, bottom_up_reach,
                        check_semantic_determinism, size)
 from .errors import DeterminismError, KindError, OverlapError
-from .strings import DFA, MooreDFA, determinize, explore, marked_union, stepwise, subset_name
+from .strings import (DFA, MooreDFA, determinize, explore, marked_union, stepwise, subset_name,
+                      unique_names)
 from .trees import _Record
 
 
@@ -116,13 +117,6 @@ def _subset_moore(a: TreeAutomaton, sym, items, name, alphabet) -> MooreDFA:
     return MooreDFA(hname, alphabet, hname[0], set(outputs), trans, outputs)
 
 
-def _vname(item, leaf_symbols) -> str:
-    members = sorted(item)
-    if len(members) == 1 and members[0] in leaf_symbols:
-        return members[0]
-    return subset_name(members)
-
-
 def _assignable_subsets(a: TreeAutomaton):
     """Fixed point of child-set reachability: every state set some run can
     assign to a node, as frozensets of original vertical states."""
@@ -176,14 +170,13 @@ def nta_to_sdta(a: TreeAutomaton, force_general: bool = False):
 
 
 def _nta_to_sdta_general(a: TreeAutomaton) -> TreeAutomaton:
-    real = _assignable_subsets(a)
-    leaf_items = [frozenset([s]) for s in sorted(a.leaf_symbols)]
-    new_states = {_vname(p, a.leaf_symbols) for p in real}
+    real, leaves = _assignable_subsets(a), sorted(a.leaf_symbols)
+    items = [frozenset([s]) for s in leaves] + real  # a leaf item is named by its leaf
+    name = dict(zip(items, unique_names(leaves + [*map(subset_name, real)]))).__getitem__
+    new_states = {name(p) for p in real}
     ha = frozenset(new_states) | a.leaf_symbols
-    moore = {sym: _subset_moore(a, sym, leaf_items + real,
-                                lambda p: _vname(p, a.leaf_symbols), ha)
-             for sym in _symbols_with_machines(a)}
-    finals = {_vname(p, a.leaf_symbols) for p in real if p & a.finals}
+    moore = {sym: _subset_moore(a, sym, items, name, ha) for sym in _symbols_with_machines(a)}
+    finals = {name(p) for p in real if p & a.finals}
     finals |= {s for s in a.leaf_symbols if s in a.finals}
     return TreeAutomaton(SDTA, a.alphabet, new_states, finals,
                          moore=moore, leaf_symbols=a.leaf_symbols)

@@ -7,27 +7,35 @@ states only, so the implicit reject sink is never included.  Walks read a
 machine's ``compiled`` form, integer columns of the transitions that exist,
 so they cost O(edges), not O(states x letters).
 
-Sets of states are stepped by one ``SubsetMachine``: ``determinize`` walks
-it, and NFA acceptance and every tree automaton's horizontal run step it.
-``marked_union`` keeps a product of tuples, since a subset walk of DFAs
-holds one state per part, which a tuple steps faster than a set; its walk
-decides disjointness, and ``first_overlap`` names a witness.  Every
-construction that builds reachable states runs one breadth-first explorer,
-``explore``; only ``first_overlap`` keeps its own queue, for parent
-pointers and an early exit.  Every minimizer, here and in ``analysis``,
-runs one partition refinement, ``coarsest_partition``.
+Sets of states are stepped by one ``SubsetMachine``: ``determinize`` and
+``marked_union`` walk it, and NFA acceptance and every tree automaton's
+horizontal run step it.  ``marked_union``'s walk decides disjointness, and
+``first_overlap`` names a witness.  Every construction that builds
+reachable states runs one breadth-first explorer, ``explore``; only
+``first_overlap`` keeps its own queue, for parent pointers and an early
+exit.  Every minimizer, here and in ``analysis``, runs one partition
+refinement, ``coarsest_partition``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 
-from .errors import AlphabetMismatchError, OverlapError, UnknownSymbolError
+from .errors import AlphabetMismatchError, OverlapError, UnknownSymbolError, UtaError
 
 
 def subset_name(members) -> str:
     """Canonical name for a set of states: sorted members in braces."""
     return "{" + ",".join(sorted(members)) + "}"
+
+
+def unique_names(names) -> list:
+    """``names``, generated state names, if no two are equal."""
+    if len(set(names)) < len(names):
+        s = sorted(names)
+        clash = next(x for x, y in zip(s, s[1:]) if x == y)
+        raise UtaError(f"two different states would both be named {clash!r}")
+    return names
 
 
 class _Compiled:
@@ -69,14 +77,6 @@ class _Compiled:
             for i, j in self.columns.get(c, ()):
                 rows[i].append((c, j))
         return rows.__getitem__
-
-    def column(self, c, dead) -> list:
-        """The successor on ``c`` of each position and of ``dead``, a
-        position past the states that stands for no successor."""
-        out = [dead] * (len(self.states) + 1)
-        for i, j in self.columns[c]:
-            out[i] = j
-        return out
 
 
 class _Machine:
@@ -256,35 +256,42 @@ def stepwise(step):
 
 
 class SubsetMachine:
-    """One subset machine over ``machines``; a state is a frozenset of
-    integer positions.  Each ``shared_structures`` group (or given group) is
-    placed once, from ``bases[k]`` for each member k, so siblings share
-    positions.  ``names[p]`` is the state at position p, ``start`` the
-    initial positions, ``marks[p]`` the labels ``label(k, s)`` of the
-    members k final at p, in member order.  A letter's row of successor
-    positions is built on first use from those its compiled forms keep."""
+    """One subset machine over ``machines``; ``step`` steps a frozenset of
+    integer positions.  Each ``shared_structures`` group g (or given group)
+    is placed once, at ``forms[g[0]] = (base, compiled form)``, so siblings
+    share positions.  ``names[p]`` is the state at position p, ``start`` the
+    initial positions, ``marks[p]`` the labels ``label(k, s)`` of the members
+    k final at p, in member order.  A letter's row of successor positions is
+    built on first use from those its compiled forms keep."""
 
     def __init__(self, machines, label=lambda k, s: k, groups=None):
         self.machines = machines = list(machines)
         self.groups = shared_structures(machines) if groups is None else groups
-        self.bases, self.names, self.marks = [0] * len(machines), [], []
-        self.rows, self._forms = {}, []
+        self.forms, self.names, self.marks, self.rows = {}, [], [], {}
         for g in self.groups:
             form, base = machines[g[0]].compiled(), len(self.names)
-            self._forms.append((base, form))
+            self.forms[g[0]] = base, form
             self.names += form.states
             self.marks += [[] for _ in form.states]
             for k in g:
-                self.bases[k] = base
                 for s in machines[k].finals:
                     self.marks[base + form.index[s]].append(label(k, s))
-        self.start = frozenset([base + i for base, form in self._forms for i in form.initials])
+        self.start = frozenset([b + i for b, f in self.forms.values() for i in f.initials])
 
     def _row(self, c) -> list:
-        parts = [(b, form.successors(c) or [()] * len(form.states)) for b, form in self._forms]
+        parts = [(b, f.successors(c) or [()] * len(f.states)) for b, f in self.forms.values()]
         row = self.rows[c] = parts[0][1] if len(parts) == 1 else [
             tuple(j + base for j in js) for base, part in parts for js in part]
         return row
+
+    def column(self, c) -> list:
+        """Over DFAs, the successor on ``c`` of each position and of the
+        dead position ``len(names)``, which stands for no successor."""
+        out = [len(self.names)] * (len(self.names) + 1)
+        for base, form in self.forms.values():
+            for i, j in form.columns.get(c, ()):
+                out[base + i] = base + j
+        return out
 
     def step(self, subset, letters) -> frozenset:
         """The positions some member of ``subset`` reaches on some letter."""
@@ -296,10 +303,18 @@ class SubsetMachine:
         return frozenset(out)
 
     def walk(self):
-        """``explore`` from ``start`` by single letters in sorted order; empty is dead."""
-        letters = [(c, (c,)) for c in sorted(set().union(*(m.alphabet for m in self.machines)))]
-        return explore([self.start],
-                       lambda s: [(c, self.step(s, one) or None) for c, one in letters])
+        """``explore`` from the start by single letters in sorted order; dead
+        is left out.  Over DFAs a state is a tuple of one position per
+        structure (``len(names)`` if dead); else a frozenset of positions."""
+        letters = sorted(set().union(*(m.alphabet for m in self.machines)))
+        if any(m._many for m in self.machines):
+            return explore([self.start],
+                           lambda s: [(c, self.step(s, (c,)) or None) for c in letters])
+        dead = (len(self.names),) * len(self.forms)
+        columns = [(c, self.column(c).__getitem__) for c in letters]
+        # one initial position per structure, and bases grow in group order
+        return explore([tuple(sorted(self.start))], lambda cur: [
+            (c, nxt) for c, at in columns if (nxt := tuple(map(at, cur))) != dead])
 
 
 def determinize(m) -> DFA:
@@ -307,9 +322,9 @@ def determinize(m) -> DFA:
     a walk of its ``SubsetMachine``, each subset named canonically by its
     sorted members, so the result is reproducible."""
     order, edges = (sub := SubsetMachine([m])).walk()
-    names = [subset_name(map(sub.names.__getitem__, s)) for s in order]
-    finals = {p for p, mark in enumerate(sub.marks) if mark}
-    return DFA(names, m.alphabet, names[0], {n for n, s in zip(names, order) if s & finals},
+    names = unique_names([subset_name(map(sub.names.__getitem__, s)) for s in order])
+    rejecting = {p for p, mark in enumerate(sub.marks) if mark}.isdisjoint
+    return DFA(names, m.alphabet, names[0], {n for n, s in zip(names, order) if not rejecting(s)},
                [(names[i], c, names[j]) for i, c, j in edges])
 
 
@@ -380,7 +395,7 @@ def _minimize(machine, block_key, make):
     form = machine.compiled()
     syms = sorted(machine.alphabet)
     sink = len(form.states)
-    rows = [*zip(*(form.column(c, sink) for c in syms))] or [()] * (sink + 1)
+    rows = [*zip(*map(SubsetMachine([machine]).column, syms))] or [()] * (sink + 1)
     block = coarsest_partition([*map(block_key, form.states), block_key(None)], rows)
     start, dead = block[form.index[machine.initial]], block[sink]
     if start == dead:
@@ -446,7 +461,7 @@ def _pair_rows(sub, group):
     """Prepare a group of the ``SubsetMachine`` ``sub`` for the pair search:
     per compiled position a ``{letter: successors}`` row in sorted order, the
     initials, and per position the members final there (``sub.marks``)."""
-    form, base = sub.machines[group[0]].compiled(), sub.bases[group[0]]
+    base, form = sub.forms[group[0]]
     rows = [{} for _ in form.states]
     for c in sorted(form.columns):
         for i, j in form.columns[c]:
@@ -517,10 +532,11 @@ def marked_union(parts) -> MooreDFA:
     disjoint DFA languages and outputs the 1-based index of the part each
     accepted word belongs to.
 
-    Built as the full product of the parts, pruned to reachable states.  The
-    parts overlap iff a reachable product state accepts in two of them; only
-    then does ``first_overlap`` run, to name the first such pair and its
-    shortest shared word in the ``OverlapError``.
+    A walk of the parts' ``SubsetMachine``, a state named ``(s1|s2|...)``
+    by each part's state, ``-`` where that part is dead.  The parts overlap
+    iff a reachable state accepts in two of them; only then does
+    ``first_overlap`` run, to name the first such pair and its shortest
+    shared word in the ``OverlapError``.
     """
     parts = list(parts)
     if not parts:
@@ -532,25 +548,17 @@ def marked_union(parts) -> MooreDFA:
         if p.alphabet != alphabet:
             raise AlphabetMismatchError(f"part {i} has a different alphabet")
 
-    # a product state is a tuple of positions, a part's dead position past
-    # its states; each letter has one column of successors per part
-    forms = [p.compiled() for p in parts]
-    dead = tuple(len(f.states) for f in forms)
-    columns = [(c, [f.column(c, n) for f, n in zip(forms, dead)]) for c in sorted(alphabet)]
-    at = list.__getitem__
-    start = tuple(f.index[p.initial] for p, f in zip(parts, forms))
-    order, edges = explore([start], lambda cur: [(c, nxt) for c, column in columns
-                                                 if (nxt := tuple(map(at, column, cur))) != dead])
-    labels = [[*f.states, "-"] for f in forms]
-    finals = [[s in p.finals for s in f.states] + [False] for p, f in zip(parts, forms)]
-    names = ["(" + "|".join(map(at, labels, tup)) + ")" for tup in order]
-    outputs = {}
-    for n, tup in zip(names, order):
-        accepting = [i for i, final in enumerate(map(at, finals, tup)) if final]
-        if len(accepting) > 1:
-            i, j, w = first_overlap(parts)
-            raise OverlapError(i + 1, j + 1, w)
-        if accepting:
-            outputs[n] = accepting[0] + 1
+    order, edges = (sub := SubsetMachine(parts)).walk()
+    marks = [*sub.marks, ()]  # and none at the dead position
+    accepting = [[k + 1 for p in tup for k in marks[p]] for tup in order]
+    if max(map(len, accepting)) > 1:
+        i, j, w = first_overlap(parts)
+        raise OverlapError(i + 1, j + 1, w)
+    # a part's state is at the coordinate of its structure
+    coordinate = [x for _, x in sorted((k, x) for x, g in enumerate(sub.groups) for k in g)]
+    label = [*sub.names, "-"].__getitem__
+    names = unique_names(["(" + "|".join(map(label, map(tup.__getitem__, coordinate))) + ")"
+                          for tup in order])
+    outputs = {n: ks[0] for n, ks in zip(names, accepting) if ks}
     return MooreDFA(names, alphabet, names[0], set(outputs),
                     [(names[i], c, names[j]) for i, c, j in edges], outputs)

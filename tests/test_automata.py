@@ -576,8 +576,8 @@ def _tagged(sub):
     acceptor of its group, as an (acceptor index, state) pair."""
     owners = {}
     for g in sub.groups:
-        base = sub.bases[g[0]]
-        owners.update(dict.fromkeys(range(base, base + sub.machines[g[0]].size), g))
+        base, form = sub.forms[g[0]]
+        owners.update(dict.fromkeys(range(base, base + len(form.states)), g))
     return lambda run: None if run is None else frozenset(
         (k, sub.names[p]) for p in run for k in owners[p])
 

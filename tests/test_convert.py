@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from uta import (DFA, DTA_DFA, SDTA, DeterminismError, KindError, MooreDFA,
-                 SizePair, TreeAutomaton, accepts, check_semantic_determinism,
+from uta import (DFA, DTA_DFA, NFA, NTA_NFA, SDTA, DeterminismError, KindError, MooreDFA,
+                 SizePair, TreeAutomaton, UtaError, accepts, check_semantic_determinism,
                  dtadfa_to_sdta, gen_lemma34, gen_thm41, nta_to_dtadfa,
                  nta_to_sdta, prune_reachable, sdta_to_dtadfa, size)
 from uta import EnumerationBounds, iter_trees
@@ -170,6 +170,20 @@ class TestNtaToSdta:
         assert auto.states == base.states  # refinement keeps the states
         assert all(name.startswith("{") for name in forced.states)
         assert_equivalent(forced, auto, enum(base.alphabet, 4, 4, 600))
+
+    def test_state_sets_of_one_name_are_refused(self):
+        # f(u) is assigned {p, r} and g(u) {"p,r"}: both would be named {p,r}
+        ha = {"p", "r", "p,r", "u"}
+        m = NFA(["h0", "h1"], ha, ["h0"], ["h1"], [("h0", "u", "h1")])
+        a = TreeAutomaton(NTA_NFA, ["f", "g", "u"], ["p", "r", "p,r"], ["p,r"], leaf_symbols=["u"],
+                          horizontal={("p", "f"): m, ("r", "f"): m, ("p,r", "g"): m})
+        for convert in (nta_to_sdta, nta_to_dtadfa):
+            with pytest.raises(UtaError, match=r"^two different states would both be named "
+                                               r"'\{p,r\}'$"):
+                convert(a)
+        apart = TreeAutomaton(NTA_NFA, ["f", "u"], ["p", "r", "p,r"], ["p,r"], leaf_symbols=["u"],
+                              horizontal={("p", "f"): m, ("p,r", "f"): m})
+        assert nta_to_sdta(apart)[0].states == {"{p,p,r}"}
 
 
 class TestNtaToDtadfa:

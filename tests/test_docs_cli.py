@@ -256,6 +256,46 @@ class TestDocumentValidation:
         assert err.value.line == line
 
 
+# documents whose generated state names clash: the subsets {a, b} and {"a,b"},
+# the vertical state sets {p, r} and {"p,r"}, and the product states
+# ("a|b", "c") and ("a", "b|c")
+CLASH_SUBSETS = """kind: nta-nfa
+alphabet: f u v
+states: q
+finals: q
+leafstates: u v
+horizontal q f:
+  states: s a b a,b
+  initial: s
+  finals: a,b
+  trans: s u a
+  trans: s u b
+  trans: s v a,b
+"""
+CLASH_VERTICAL = "".join(["kind: nta-nfa\nalphabet: f g u\nstates: p r p,r\nfinals: p,r\n"
+                          "leafstates: u\n"] + [
+    f"horizontal {q}:\n  states: h0 h1\n  initial: h0\n  finals: h1\n  trans: h0 u h1\n"
+    for q in ("p f", "r f", "p,r g")])
+CLASH_UNION = """kind: dta-dfa
+alphabet: f u v
+states: q1 q2
+finals: q1
+leafstates: u v
+horizontal q1 f:
+  states: i a|b a
+  initial: i
+  finals: a|b
+  trans: i u a|b
+  trans: i v a
+horizontal q2 f:
+  states: i c b|c
+  initial: i
+  finals: b|c
+  trans: i u c
+  trans: i v b|c
+"""
+
+
 class TestCli:
     def run_cli(self, capsys, *argv):
         code = cli_main(list(argv))
@@ -373,6 +413,20 @@ class TestCli:
         assert self.run_cli(capsys, "prune", str(doc), "--out", str(pruned))[0] == 0
         code, out, _ = self.run_cli(capsys, "size", str(pruned))
         assert out.strip() == "[2; 11]"
+
+    @pytest.mark.parametrize("doc, to, name", [
+        (CLASH_SUBSETS, "dtadfa", "{a,b}"),
+        (CLASH_SUBSETS + "  trans: a u a\n  trans: a,b u s\n", "dtadfa", "{a,b}"),
+        (CLASH_VERTICAL, "sdta", "{p,r}"),
+        (CLASH_UNION, "sdta", "(a|b|c)")], ids=["subsets", "subsets-loop", "vertical", "union"])
+    def test_generated_names_that_clash_exit_two(self, tmp_path, capsys, doc, to, name):
+        src, out = tmp_path / "clash.uta", tmp_path / "out.uta"
+        src.write_text(doc)
+        code, stdout, err = self.run_cli(capsys, "convert", str(src), "--to", to,
+                                         "--out", str(out))
+        assert (code, stdout, err) == (2, "", f"error: two different states would both be named "
+                                              f"{name!r}\n")
+        assert not out.exists()
 
     def test_marked_union_witness(self, capsys):
         code, out, _ = self.run_cli(capsys, "witness", "marked-union", "--m", "3")

@@ -8,7 +8,8 @@ import pytest
 import uta.analysis
 import uta.strings
 from uta import (DFA, NFA, AlphabetMismatchError, MooreDFA, NTA_DFA, OverlapError,
-                 TreeAutomaton, UnknownSymbolError, canonical_sdta, check_semantic_determinism,
+                 TreeAutomaton, UnknownSymbolError, UtaError, canonical_sdta,
+                 check_semantic_determinism,
                  determinize, dtadfa_to_sdta, gen_lemma34, gen_thm41, marked_union,
                  minimize_dfa, minimize_moore, nta_to_dtadfa, nta_to_sdta)
 from uta.strings import (SubsetMachine, coarsest_partition, explore, first_overlap,
@@ -741,6 +742,104 @@ class TestMarkedUnionAgainstTheNameProduct:
             assert got == _reference_first_overlap(parts)
             found["overlap" if got else "disjoint"] += 1
         assert min(found.values()) >= 50, found
+
+
+def _residues(m):
+    """The parts ``uta witness marked-union --m m`` builds: the unary residue
+    DFAs, each built on its own, so they have equal ``delta`` but are not
+    siblings."""
+    states = [f"r{j}" for j in range(m)]
+    trans = [(f"r{j}", "a", f"r{(j + 1) % m}") for j in range(m)]
+    return [DFA(states, ["a"], "r0", {f"r{i % m}"}, trans) for i in range(1, m + 1)]
+
+
+def _two_sibling_groups_and_one_part(rng):
+    """Disjoint parts of three structures, shuffled: the finals of two
+    ``_disjoint_parts`` copies split among ``with_finals`` siblings, and a
+    third copy as it is; None if the draw has fewer than three copies."""
+    parts = _disjoint_parts(rng)
+    if len(parts) < 3:
+        return None
+    mixed = [parts[2]]
+    for p in parts[:2]:
+        finals = sorted(p.finals)
+        cut = rng.randint(0, len(finals))
+        mixed += [p.with_finals(finals[:cut]), p.with_finals(finals[cut:])]
+    rng.shuffle(mixed)
+    return mixed
+
+
+class TestWalkOverStructures:
+    """A walk of DFAs steps a tuple of one position per structure; a walk
+    with an NFA steps sets, as ``determinize`` of the touchstone does."""
+
+    def test_dfa_walks_hold_one_coordinate_per_structure(self):
+        siblings = [m for _, m in nta_to_dtadfa(gen_thm41(4)[0])[0].machines_for("a")]
+        parts = [m for _, m in gen_lemma34((2, 3, 5, 7))[0].machines_for("a")]
+        assert len(siblings) == 15 and len(parts) == 4
+        for machines, width in ((siblings, 1), (parts, 4), (_residues(5), 1)):
+            sub = SubsetMachine(machines)
+            order, _ = sub.walk()
+            assert len(sub.groups) == width
+            assert all(type(s) is tuple and len(s) == width for s in order)
+            assert all(min(s) < len(sub.names) for s in order)  # the dead state is left out
+
+    def test_an_nfa_walk_steps_sets(self):
+        for machines in ([nfa_b_then_one(2)], [residue_dfa(3, 0).to_nfa(), residue_dfa(3, 1)]):
+            order, _ = SubsetMachine(machines).walk()
+            assert all(type(s) is frozenset and s for s in order)
+
+    def test_tuples_walk_as_sets_do(self):
+        rng = random.Random(79)
+        seen = collections.Counter()
+        for _ in range(300):
+            parts = _two_sibling_groups_and_one_part(rng) or _disjoint_parts(rng)
+            sub = SubsetMachine(parts)
+            order, edges = sub.walk()
+            as_sets = SubsetMachine([p.to_nfa() for p in parts]).walk()
+            dead = len(sub.names)
+            assert ([frozenset(p for p in s if p != dead) for s in order], edges) == as_sets
+            seen[f"{len(sub.groups)} structures"] += 1
+            seen["siblings"] += len(sub.groups) < len(parts)
+        assert min(seen[k] for k in ("1 structures", "3 structures", "siblings")) >= 30, seen
+
+    def test_marked_union_is_the_name_product_on_shared_structures(self):
+        rng = random.Random(83)
+        thm41 = nta_to_dtadfa(gen_thm41(3)[0])[0]
+        families = [[m for _, m in thm41.machines_for("a")]]
+        families += [_residues(m) for m in range(1, 8)]
+        families += [mixed for _ in range(200) if (mixed := _two_sibling_groups_and_one_part(rng))]
+        for parts in families:
+            assert marked_union(parts) == marked_union_by_product(parts)
+        assert len(families[0]) == 7 and len(SubsetMachine(families[0]).groups) == 1
+        assert all(len(SubsetMachine(p).groups) == 1 for p in families[1:8])
+        assert len(families) >= 58
+        assert all(len(SubsetMachine(p).groups) == 3 for p in families[8:])
+
+
+class TestGeneratedNamesDoNotClash:
+    """A state name that holds a separator could make two generated names
+    equal; the construction refuses such input instead of merging states."""
+
+    def test_determinize(self):
+        trans = [("s", "u", "a"), ("s", "u", "b"), ("s", "v", "a,b")]
+        nfa = NFA(["s", "a", "b", "a,b"], "uv", ["s"], ["a,b"], trans)
+        loops = NFA(nfa.states, "uv", ["s"], ["a,b"], trans + [("a", "u", "a"), ("a,b", "u", "s")])
+        for m in (nfa, loops):
+            with pytest.raises(UtaError, match=r"^two different states would both be named "
+                                               r"'\{a,b\}'$"):
+                determinize(m)
+        # a separator is no fault while the names stay apart
+        apart = NFA(["s", "a,b"], "u", ["s"], ["a,b"], [("s", "u", "a,b")])
+        assert determinize(apart).states == {"{s}", "{a,b}"}
+
+    def test_marked_union(self):
+        one = DFA(["i", "a|b", "a"], "uv", "i", ["a|b"], [("i", "u", "a|b"), ("i", "v", "a")])
+        two = DFA(["i", "c", "b|c"], "uv", "i", ["b|c"], [("i", "u", "c"), ("i", "v", "b|c")])
+        with pytest.raises(UtaError, match=r"^two different states would both be named "
+                                           r"'\(a\|b\|c\)'$"):
+            marked_union([one, two])
+        assert marked_union([one, one.with_finals([])]).output_of("u") == 1
 
 
 def _copy(m, finals, extra=()):
