@@ -9,6 +9,8 @@ conversion outputs are byte-for-byte reproducible.
 
 from __future__ import annotations
 
+from math import prod
+
 from .automata import (DTA_DFA, SDTA, SizePair, TreeAutomaton, bottom_up_reach,
                        check_semantic_determinism, size)
 from .errors import DeterminismError, KindError, OverlapError
@@ -83,10 +85,7 @@ def dtadfa_to_sdta(a: TreeAutomaton):
         machines = a.machines_for(sym)
         if not machines:
             continue
-        prod = 1
-        for _, m in machines:
-            prod *= m.size
-        bound_horizontal += prod
+        bound_horizontal += prod(m.size for _, m in machines)
         try:
             union = marked_union(m for _, m in machines)
         except OverlapError as e:
@@ -102,33 +101,48 @@ def dtadfa_to_sdta(a: TreeAutomaton):
     return out, ConversionReport("dtadfa-to-sdta", insize, size(out), bound)
 
 
-def _subset_moore(a: TreeAutomaton, sym, items, name, alphabet) -> MooreDFA:
-    """The horizontal run of ``sym`` (``TreeAutomaton.horizontal_run``),
-    the joint subset simulation of its acceptors, explored over ``items`` as
-    a Moore machine over ``alphabet``: states h0, h1, ... in BFS order, each
-    item read as the symbol ``name(item)``, and every nonempty set of
-    accepting states given as the output ``name(set)``."""
-    start, step, finish = a.horizontal_run(sym)
-    order, edges = explore([start], stepwise(step)(items))
-    hname = [f"h{i}" for i in range(len(order))]
-    trans = [(hname[i], name(item), hname[j]) for i, item, j in edges]
-    outs = {h: finish(run, False) for h, run in zip(hname, order)}
+def _subset_moore(a: TreeAutomaton, sym, walk, items, name, alphabet) -> MooreDFA:
+    """The horizontal run of ``sym`` (``TreeAutomaton.horizontal_run``), the
+    joint subset simulation of its acceptors, as a Moore machine over
+    ``alphabet``, read off ``walk``, its ``explore`` over ``items`` in any
+    order, with no step taken again: states h0, h1, ... in the BFS order of
+    reading ``items`` in order, each item read as the symbol ``name(item)``,
+    and every nonempty set of accepting states output as ``name(set)``."""
+    runs, edges = walk
+    rank = dict(zip(items, range(len(items))))
+    rows = [[] for _ in runs]
+    for i, item, j in sorted(edges, key=lambda e: rank[e[1]]):
+        rows[i].append((item, j))
+    order, number = [0], {0: 0}  # the walk's states in BFS order, and their numbers
+    for i in order:
+        for _, j in rows[i]:
+            if j not in number:
+                number[j] = len(order)
+                order.append(j)
+    hname = [f"h{number[i]}" for i in range(len(runs))]
+    trans = [(hname[i], name(item), hname[j]) for i in order for item, j in rows[i]]
+    finish = a.horizontal_run(sym)[2]
+    outs = {hname[i]: finish(runs[i], False) for i in order}
     outputs = {h: name(out) for h, out in outs.items() if out}
-    return MooreDFA(hname, alphabet, hname[0], set(outputs), trans, outputs)
+    return MooreDFA(hname, alphabet, "h0", set(outputs), trans, outputs)
 
 
 def _assignable_subsets(a: TreeAutomaton):
     """Fixed point of child-set reachability: every state set some run can
-    assign to a node, as frozensets of original vertical states."""
+    assign to a node, as sorted frozensets of original vertical states, and
+    by symbol the walk of its run in the last round, which read every item
+    (``automata.bottom_up_reach``)."""
     leaf_items = [frozenset([s]) for s in sorted(a.leaf_symbols)]
-    runs = [a.horizontal_run(sym) for sym in _symbols_with_machines(a)]
+    syms = _symbols_with_machines(a)
+    runs = [a.horizontal_run(sym) for sym in syms]
 
     def outputs(finish):  # a run outputs the state set it assigns, if not empty
         return lambda runs: [s for run in runs if (s := finish(run, False))]
 
+    walks = {}
     found = list(bottom_up_reach([([start], stepwise(step), outputs(finish))
-                                  for start, step, finish in runs], leaf_items))
-    return sorted(found[len(leaf_items):], key=sorted)
+                                  for start, step, finish in runs], leaf_items, walks))
+    return sorted(found[len(leaf_items):], key=sorted), dict(zip(syms, walks.values()))
 
 
 def _symbols_with_machines(a: TreeAutomaton) -> list:
@@ -136,11 +150,7 @@ def _symbols_with_machines(a: TreeAutomaton) -> list:
 
 
 def _eq4_horizontal(a: TreeAutomaton) -> int:
-    total = 0
-    for sym in sorted(a.alphabet):
-        exponent = sum(m.size for _, m in a.machines_for(sym))
-        total += 2**exponent
-    return total
+    return sum(2 ** sum(m.size for _, m in a.machines_for(sym)) for sym in a.alphabet)
 
 
 def nta_to_sdta(a: TreeAutomaton, force_general: bool = False):
@@ -170,12 +180,12 @@ def nta_to_sdta(a: TreeAutomaton, force_general: bool = False):
 
 
 def _nta_to_sdta_general(a: TreeAutomaton) -> TreeAutomaton:
-    real, leaves = _assignable_subsets(a), sorted(a.leaf_symbols)
+    (real, walks), leaves = _assignable_subsets(a), sorted(a.leaf_symbols)
     items = [frozenset([s]) for s in leaves] + real  # a leaf item is named by its leaf
     name = dict(zip(items, unique_names(leaves + [*map(subset_name, real)]))).__getitem__
     new_states = {name(p) for p in real}
     ha = frozenset(new_states) | a.leaf_symbols
-    moore = {sym: _subset_moore(a, sym, items, name, ha) for sym in _symbols_with_machines(a)}
+    moore = {sym: _subset_moore(a, sym, walk, items, name, ha) for sym, walk in walks.items()}
     finals = {name(p) for p in real if p & a.finals}
     finals |= {s for s in a.leaf_symbols if s in a.finals}
     return TreeAutomaton(SDTA, a.alphabet, new_states, finals,
@@ -190,7 +200,9 @@ def _sole(states):
 def _nta_to_sdta_refined(a: TreeAutomaton) -> TreeAutomaton:
     ha = a.horizontal_alphabet
     items = [frozenset([s]) for s in sorted(ha)]
-    moore = {sym: _subset_moore(a, sym, items, _sole, ha) for sym in _symbols_with_machines(a)}
+    runs = {sym: a.horizontal_run(sym) for sym in _symbols_with_machines(a)}
+    moore = {sym: _subset_moore(a, sym, explore([start], stepwise(step)(items)), items, _sole, ha)
+             for sym, (start, step, _) in runs.items()}
     return TreeAutomaton(SDTA, a.alphabet, a.states, a.finals,
                          moore=moore, leaf_symbols=a.leaf_symbols)
 
@@ -213,11 +225,8 @@ def nta_to_dtadfa(a: TreeAutomaton, force_general: bool = False):
     insize = size(a)
     refine = not force_general and check_semantic_determinism(a).ok
     if refine:
-        horizontal = {}
-        bound_h = 0
-        for (q, sym), mach in sorted(a.horizontal.items()):
-            bound_h += 2**mach.size
-            horizontal[(q, sym)] = determinize(mach)
+        horizontal = {key: determinize(m) for key, m in sorted(a.horizontal.items())}
+        bound_h = sum(2**m.size for m in a.horizontal.values())
         out = TreeAutomaton(DTA_DFA, a.alphabet, a.states, a.finals,
                             horizontal=horizontal, leaf_symbols=a.leaf_symbols)
         bound = SizePair(insize.vertical, bound_h)

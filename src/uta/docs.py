@@ -24,7 +24,7 @@ from functools import cache
 from .automata import (DFA_KINDS, DTA_DFA, DTA_NFA, KINDS, SDTA, TreeAutomaton,
                        check_semantic_determinism)
 from .errors import DocumentError, TreeSyntaxError, UnknownSymbolError
-from .strings import DFA, NFA, MooreDFA
+from .strings import DFA, NFA, MooreDFA, shared_structures
 from .trees import SYMBOL_RE, VARIABLE, parse_context, parse_tree, render_tree
 
 MACHINES = {"nfa": NFA, "dfa": DFA, "moore-dfa": MooreDFA}
@@ -50,24 +50,28 @@ def _check_tree_alphabet(symbols, line=None):  # the parser's and renderer's rul
             raise DocumentError(f"alphabet symbol {sym!r} is not a valid tree symbol", line)
 
 
-def render_machine_lines(mach, indent="") -> list:
-    for s in mach.states:
+def render_machine_lines(mach, indent="", like=None) -> list:
+    """A machine's lines; given ``like``, the lines of a machine of its class
+    and structure, the ``states`` and ``trans`` lines are copied from those."""
+    for s in () if like else mach.states:
         _check_token(s, "state name")
-    lines = [(f"{indent}{STATES}: " + " ".join(sorted(mach.states))).rstrip()]
-    lines.append(f"{indent}{INITIAL}: " + " ".join(sorted(mach.initials)))
-    lines.append((f"{indent}{FINALS}: " + " ".join(sorted(mach.finals))).rstrip())
+    lines = [like[0] if like else (f"{indent}{STATES}: " + " ".join(sorted(mach.states))).rstrip(),
+             f"{indent}{INITIAL}: " + " ".join(sorted(mach.initials)),
+             (f"{indent}{FINALS}: " + " ".join(sorted(mach.finals))).rstrip()]
     if isinstance(mach, MooreDFA):
         for v in mach.outputs.values():
             _check_token(str(v), "output value")
         outs = " ".join(f"{s}={mach.outputs[s]}" for s in sorted(mach.outputs))
         lines.append(f"{indent}{OUTPUTS}: {outs}".rstrip())
-    for src, sym, dst in mach.transitions():
-        lines.append(f"{indent}{TRANS}: {src} {sym} {dst}")
-    return lines
+    if like:
+        return lines + like[len(lines):]
+    return lines + [f"{indent}{TRANS}: {src} {sym} {dst}" for src, sym, dst in mach.transitions()]
 
 
 def render_automaton(a, header_comments=()) -> str:
-    """Canonical document text for a TreeAutomaton or a standalone machine."""
+    """Canonical document text for a TreeAutomaton or a standalone machine.
+    Blocks of one class and structure (``strings.shared_structures``) render
+    their ``states`` and ``trans`` lines once, at the first of them."""
     lines = [f"# {c}" for c in header_comments]
     tree = isinstance(a, TreeAutomaton)
     kind = a.kind if tree else {c: k for k, c in MACHINES.items()}[type(a)]
@@ -81,10 +85,13 @@ def render_automaton(a, header_comments=()) -> str:
         lines.append((f"{FINALS}: " + " ".join(sorted(a.finals))).rstrip())
         if a.leaf_symbols:
             lines.append(f"{LEAFSTATES}: " + " ".join(sorted(a.leaf_symbols)))
-        blocks = {**a.horizontal, **{(sym,): m for sym, m in a.moore.items()}}
-        for key in sorted(blocks):  # (state, symbol), or (symbol,) for an sdta
-            lines.append(f"{HORIZONTAL} {' '.join(key)}:")
-            lines.extend(render_machine_lines(blocks[key], "  "))
+        blocks = sorted({**a.horizontal, **{(sym,): m for sym, m in a.moore.items()}}.items())
+        lead = {k: g[0] for g in shared_structures([m for _, m in blocks]) for k in g}
+        done = []  # each block's lines
+        for k, (key, m) in enumerate(blocks):  # (state, symbol), or (symbol,) for an sdta
+            like = done[lead[k]] if lead[k] < k and type(blocks[lead[k]][1]) is type(m) else None
+            done.append(render_machine_lines(m, "  ", like))
+            lines += [f"{HORIZONTAL} {' '.join(key)}:", *done[k]]
     else:
         for sym in a.alphabet:
             _check_token(sym, "alphabet symbol")

@@ -445,14 +445,16 @@ def shared_structures(machines) -> list:
     found before share one compiled form, so they match at sight."""
     groups, shapes = [], {}
     for i, m in enumerate(machines):
-        alike = shapes.setdefault((m.alphabet, m.states, m.initials, len(m.delta)), [])
-        g = next((g for g in alike if (o := machines[g[0]]).delta is m.delta
-                  or o._form is m._form is not None or o.delta == m.delta), None)
-        if g is None:
+        alike = shapes.setdefault((m.states, len(m.delta)), [])
+        for g in alike:
+            o = machines[g[0]]
+            if o.alphabet == m.alphabet and o.initials == m.initials and (
+                    o.delta is m.delta or o._form is m._form is not None or o.delta == m.delta):
+                m._form = o.compiled()
+                break
+        else:
             alike.append(g := [])
             groups.append(g)
-        else:
-            m._form = machines[g[0]].compiled()
         g.append(i)
     return groups
 

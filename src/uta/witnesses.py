@@ -309,12 +309,14 @@ def _check_keys(separators, n: int, lines=None):
     0 <= i < j < n: no pair loop reads it and no document can hold it.  For
     a parsed document, ``lines`` by key, a DocumentError naming its line."""
     for key in separators:
-        if not (type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is int
-                and 0 <= key[0] < key[1] < n):
-            if lines is not None:
-                raise DocumentError(f"separator 'sep {key[0]} {key[1]}' needs indices "
-                                    f"0 <= i < j < {n}", lines[key])
-            raise UtaError(f"separator key {key!r} needs indices 0 <= i < j < {n}")
+        if type(key) is tuple and len(key) == 2:
+            i, j = key
+            if type(i) is int and type(j) is int and 0 <= i < j < n:
+                continue
+        if lines is not None:
+            raise DocumentError(f"separator 'sep {key[0]} {key[1]}' needs indices "
+                                f"0 <= i < j < {n}", lines[key])
+        raise UtaError(f"separator key {key!r} needs indices 0 <= i < j < {n}")
 
 
 def _certify(pred, members, separators, plug, candidates, noun) -> int:

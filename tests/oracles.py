@@ -5,11 +5,20 @@ into integer rows, or before tree runs stepped a compiled subset machine: it
 steps one ``(state, letter)`` lookup at a time, reading the transition dicts
 itself, and tries every letter in every state.  The differential tests check
 that the library gives exactly the same results.
+
+The last three are the library code as it was before it stopped redoing
+work: a second walk of each subset machine in the general conversion, every
+document block rendered on its own, and the separator-key check.
 """
 
 from __future__ import annotations
 
-from uta import DFA, NFA, SDTA, MooreDFA, TreeAutomaton
+from uta import DFA, NFA, SDTA, MooreDFA, TreeAutomaton, UtaError
+from uta.convert import _assignable_subsets, _symbols_with_machines
+from uta.docs import (ALPHABET, FINALS, HORIZONTAL, INITIAL, KIND, LEAFSTATES, MACHINES, OUTPUTS,
+                      STATES, TRANS, _check_token, _check_tree_alphabet)
+from uta.errors import DocumentError
+from uta.strings import explore, stepwise, subset_name, unique_names
 
 
 def explore_by_step(start, step, letters):
@@ -177,3 +186,84 @@ def marked_union_by_product(parts) -> MooreDFA:
             outputs[n] = accepting[0] + 1
     return MooreDFA(names, alphabet, names[0], set(outputs),
                     [(names[i], c, names[j]) for i, c, j in edges], outputs)
+
+
+def subset_moore_by_walk(a: TreeAutomaton, sym, items, name, alphabet) -> MooreDFA:
+    """The horizontal run of ``sym`` walked again over ``items`` in order,
+    as a Moore machine: states h0, h1, ... in the order found."""
+    start, step, finish = a.horizontal_run(sym)
+    order, edges = explore([start], stepwise(step)(items))
+    hname = [f"h{i}" for i in range(len(order))]
+    trans = [(hname[i], name(item), hname[j]) for i, item, j in edges]
+    outs = {h: finish(run, False) for h, run in zip(hname, order)}
+    outputs = {h: name(out) for h, out in outs.items() if out}
+    return MooreDFA(hname, alphabet, hname[0], set(outputs), trans, outputs)
+
+
+def nta_to_sdta_general_by_walk(a: TreeAutomaton) -> TreeAutomaton:
+    """The general NTA -> SDTA conversion with each symbol's subset machine
+    walked a second time, after the fixed point found the state sets."""
+    real, leaves = _assignable_subsets(a)[0], sorted(a.leaf_symbols)
+    items = [frozenset([s]) for s in leaves] + real
+    name = dict(zip(items, unique_names(leaves + [*map(subset_name, real)]))).__getitem__
+    new_states = {name(p) for p in real}
+    ha = frozenset(new_states) | a.leaf_symbols
+    moore = {sym: subset_moore_by_walk(a, sym, items, name, ha)
+             for sym in _symbols_with_machines(a)}
+    finals = {name(p) for p in real if p & a.finals}
+    finals |= {s for s in a.leaf_symbols if s in a.finals}
+    return TreeAutomaton(SDTA, a.alphabet, new_states, finals,
+                         moore=moore, leaf_symbols=a.leaf_symbols)
+
+
+def _machine_lines_by_block(mach, indent="") -> list:
+    for s in mach.states:
+        _check_token(s, "state name")
+    lines = [(f"{indent}{STATES}: " + " ".join(sorted(mach.states))).rstrip()]
+    lines.append(f"{indent}{INITIAL}: " + " ".join(sorted(mach.initials)))
+    lines.append((f"{indent}{FINALS}: " + " ".join(sorted(mach.finals))).rstrip())
+    if isinstance(mach, MooreDFA):
+        for v in mach.outputs.values():
+            _check_token(str(v), "output value")
+        outs = " ".join(f"{s}={mach.outputs[s]}" for s in sorted(mach.outputs))
+        lines.append(f"{indent}{OUTPUTS}: {outs}".rstrip())
+    for src, sym, dst in mach.transitions():
+        lines.append(f"{indent}{TRANS}: {src} {sym} {dst}")
+    return lines
+
+
+def render_automaton_by_block(a, header_comments=()) -> str:
+    """``docs.render_automaton`` with every block rendered on its own."""
+    lines = [f"# {c}" for c in header_comments]
+    tree = isinstance(a, TreeAutomaton)
+    kind = a.kind if tree else {c: k for k, c in MACHINES.items()}[type(a)]
+    lines.append(f"{KIND}: {kind}")
+    lines.append(f"{ALPHABET}: " + " ".join(sorted(a.alphabet)))
+    if tree:
+        _check_tree_alphabet(sorted(a.alphabet))
+        for q in a.states:
+            _check_token(q, "state name")
+        lines.append((f"{STATES}: " + " ".join(sorted(a.states))).rstrip())
+        lines.append((f"{FINALS}: " + " ".join(sorted(a.finals))).rstrip())
+        if a.leaf_symbols:
+            lines.append(f"{LEAFSTATES}: " + " ".join(sorted(a.leaf_symbols)))
+        blocks = {**a.horizontal, **{(sym,): m for sym, m in a.moore.items()}}
+        for key in sorted(blocks):
+            lines.append(f"{HORIZONTAL} {' '.join(key)}:")
+            lines.extend(_machine_lines_by_block(blocks[key], "  "))
+    else:
+        for sym in a.alphabet:
+            _check_token(sym, "alphabet symbol")
+        lines.extend(_machine_lines_by_block(a))
+    return "\n".join(lines) + "\n"
+
+
+def check_keys_by_loop(separators, n: int, lines=None):
+    """``witnesses._check_keys`` as one test per key, indexing the key."""
+    for key in separators:
+        if not (type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is int
+                and 0 <= key[0] < key[1] < n):
+            if lines is not None:
+                raise DocumentError(f"separator 'sep {key[0]} {key[1]}' needs indices "
+                                    f"0 <= i < j < {n}", lines[key])
+            raise UtaError(f"separator key {key!r} needs indices 0 <= i < j < {n}")

@@ -12,6 +12,8 @@ from uta import (DFA, DTA_DFA, NFA, NTA_NFA, SDTA, DeterminismError, KindError, 
                  nta_to_sdta, prune_reachable, sdta_to_dtadfa, size)
 from uta import EnumerationBounds, iter_trees
 
+from uta import automata, convert
+from oracles import nta_to_sdta_general_by_walk, subset_moore_by_walk
 from randgen import rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta, rand_trees
 
 
@@ -232,3 +234,71 @@ class TestRandomizedInvariants:
             assert check_semantic_determinism(d).ok
             s, _ = nta_to_sdta(a, force_general=True)
             assert s.kind == SDTA
+
+
+def assert_same_sdta(got, want):
+    """Equal automata whose Moore machines also list their transitions and
+    outputs in the same order, which compiled forms and walks follow."""
+    assert got == want
+    for sym, m in want.moore.items():
+        assert list(got.moore[sym].delta.items()) == list(m.delta.items())
+        assert list(got.moore[sym].outputs.items()) == list(m.outputs.items())
+
+
+class TestOneWalkPerSubsetMachine:
+    """The general conversion reads each symbol's Moore machine off the
+    fixed point's last walk, renumbered to the order a second walk over the
+    sorted items would find; the refined one renumbers its own walk."""
+
+    def test_general_conversion_matches_a_second_walk(self):
+        rng = random.Random(28)
+        autos = [gen_thm41(n)[0] for n in (2, 3, 4)] + [gen_lemma34((2, 3))[0]]
+        autos += [make(rng) for _ in range(40) for make in (rand_nta, rand_dta_nfa, rand_dtadfa)]
+        walked = 0
+        for a in autos:
+            want = nta_to_sdta_general_by_walk(a)
+            assert_same_sdta(convert._nta_to_sdta_general(a), want)
+            walked += len(want.moore)
+        assert walked >= 150, walked
+
+    def test_refined_conversion_matches_a_second_walk(self):
+        rng = random.Random(29)
+        autos = [gen_lemma34((2, 3))[0], gen_lemma34((2, 3, 5))[0]]
+        autos += [make(rng) for _ in range(40) for make in (rand_dta_nfa, rand_dtadfa)]
+        for a in autos:
+            assert check_semantic_determinism(a).ok
+            ha = a.horizontal_alphabet
+            items = [frozenset([s]) for s in sorted(ha)]
+            moore = {sym: subset_moore_by_walk(a, sym, items, convert._sole, ha)
+                     for sym in convert._symbols_with_machines(a)}
+            want = TreeAutomaton(SDTA, a.alphabet, a.states, a.finals, moore=moore,
+                                 leaf_symbols=a.leaf_symbols)
+            assert_same_sdta(convert._nta_to_sdta_refined(a), want)
+
+    @pytest.mark.parametrize("n, steps", [(4, 3827), (5, 77255)])
+    def test_theorem_41_walks_each_machine_once(self, monkeypatch, n, steps):
+        """The fixed point's two rounds are the only walks: before, the
+        Moore machine walked the same items again (3 616 more steps for
+        n = 4, 74 944 for n = 5)."""
+        seen = {"explore": 0, "steps": 0}
+
+        def counting_explore(real):
+            def explore(starts, successors):
+                seen["explore"] += 1
+                return real(starts, successors)
+            return explore
+
+        def counting_stepwise(real):
+            def stepwise(step):
+                def counted(run, item):
+                    seen["steps"] += 1
+                    return step(run, item)
+                return real(counted)
+            return stepwise
+
+        monkeypatch.setattr(automata, "explore", counting_explore(automata.explore))
+        monkeypatch.setattr(convert, "explore", counting_explore(convert.explore))
+        monkeypatch.setattr(convert, "stepwise", counting_stepwise(convert.stepwise))
+        out, _ = nta_to_sdta(gen_thm41(n)[0])
+        assert seen == {"explore": 2, "steps": steps}
+        assert size(out).vertical == 2**n - 1

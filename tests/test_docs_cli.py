@@ -2,17 +2,18 @@ import random
 
 import pytest
 
-from uta import (DFA, DTA_DFA, NFA, DocumentError, FoolingSetHorizontal,
+from uta import (DFA, DTA_DFA, NFA, SDTA, DocumentError, FoolingSetHorizontal,
                  FoolingSetVertical, MooreDFA, TreeAutomaton, UtaError, dtadfa_to_sdta,
-                 gen_lemma34, gen_thm41, marked_union, nta_to_dtadfa, parse_context,
-                 parse_tree)
+                 gen_lemma34, gen_thm41, marked_union, nta_to_dtadfa, nta_to_sdta, parse_context,
+                 parse_tree, sdta_to_dtadfa)
 from uta import automata
 from uta.cli import _build_parser, cli_main
 from uta.docs import (parse_automaton, parse_fooling_set, render_automaton,
                       render_fooling_horizontal, render_fooling_vertical)
-from uta.strings import first_overlap
+from uta.strings import first_overlap, shared_structures
 from uta.witnesses import lemma34_horizontal_fooling, lemma34_vertical_fooling
 
+from oracles import render_automaton_by_block
 from randgen import rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta
 
 
@@ -80,6 +81,82 @@ class TestDocumentRoundTrip:
         assert len({id(sep) for sep in got.separators.values()}) == 17
         assert got.tuples == fh.tuples and got.separators == fh.separators
         assert render_fooling_horizontal(got) == text
+
+
+class TestSharedStructureRendering:
+    """Blocks of one structure render their states and trans lines once;
+    the text is the one every block rendered on its own gives."""
+
+    def test_split_theorem_41_output(self):
+        d = nta_to_dtadfa(gen_thm41(4)[0])[0]
+        blocks = [m for _, m in sorted(d.horizontal.items())]
+        assert [len(g) for g in shared_structures(blocks)] == [15]
+        assert render_automaton(d) == render_automaton_by_block(d)
+
+    def test_parsed_blocks_are_equal_but_apart(self):
+        text = render_automaton(nta_to_dtadfa(gen_thm41(4)[0])[0])
+        p = parse_automaton(text)
+        deltas = [m.delta for (_, sym), m in p.horizontal.items() if sym == "a"]
+        assert len(deltas) == 15 and len({id(x) for x in deltas}) == 15
+        assert all(x == deltas[0] for x in deltas)
+        assert render_automaton(p) == render_automaton_by_block(p) == text
+
+    def test_sibling_groups_among_lone_machines(self):
+        """Siblings of one structure with lone machines between them in key
+        order, a parsed-apart equal copy, and a Moore machine whose DFA
+        sibling shares its delta but renders no outputs line."""
+        ha = frozenset({"p", "q", "r", "s"})
+        m = MooreDFA(["h0", "h1", "h2"], ha, "h0", ["h1", "h2"],
+                     [("h0", "p", "h1"), ("h1", "q", "h2"), ("h2", "p", "h2")],
+                     {"h1": "p", "h2": "r"})
+        lone = DFA(["h0", "h1"], ha, "h0", ["h1"], [("h0", "s", "h1")])
+        copy = DFA(m.states, ha, "h0", ["h2"], list(m.transitions()))
+        horizontal = {("p", "a"): m.with_finals(["h1"]), ("q", "a"): lone,
+                      ("r", "a"): m.with_finals(["h2"]), ("s", "a"): m, ("p", "b"): copy,
+                      ("q", "b"): lone, ("r", "b"): m.with_finals([])}
+        a = TreeAutomaton(DTA_DFA, ["a", "b"], ["p", "q", "r", "s"], ["p"],
+                          horizontal=horizontal)
+        ms = [mach for _, mach in sorted(a.horizontal.items())]
+        assert [len(g) for g in shared_structures(ms)] == [5, 2]
+        assert render_automaton(a) == render_automaton_by_block(a)
+        rng = random.Random(31)
+        for _ in range(60):
+            split = sdta_to_dtadfa(rand_sdta(rng))[0]
+            assert render_automaton(split) == render_automaton_by_block(split)
+
+    @pytest.mark.parametrize("make", [rand_sdta, rand_dtadfa, rand_nta, rand_dta_nfa])
+    def test_random_automata(self, make):
+        rng = random.Random(32)
+        for _ in range(60):
+            a = make(rng)
+            outs = [a, nta_to_sdta(a)[0], nta_to_dtadfa(a)[0]] if a.kind != SDTA else [a]
+            for x in outs:
+                assert render_automaton(x) == render_automaton_by_block(x)
+                assert render_automaton(x, ["a comment"]) == \
+                    render_automaton_by_block(x, ["a comment"])
+
+    def test_the_same_first_error(self):
+        """A bad state name fails at its structure's first block, and a bad
+        output value (set after construction, which checks outputs) at the
+        block that holds it, as block by block."""
+        ha = frozenset({"q", "r"})
+        good = MooreDFA(["h0", "h1"], ha, "h0", ["h1"], [("h0", "q", "h1")], {"h1": "q"})
+        bad = MooreDFA(["h0", "h 1"], ha, "h0", ["h 1"], [("h0", "q", "h 1")], {"h 1": "q"})
+        worse = MooreDFA(["h 0", "h1"], ha, "h 0", ["h1"], [("h 0", "r", "h1")], {"h1": "r"})
+        bad_state, bad_output = "state name 'h 1'", "output value 'q q'"
+        cases = [({"a": good, "b": bad, "c": worse, "d": bad}, None, bad_state),
+                 ({"a": good, "b": good.map_outputs(str), "c": worse}, "b", bad_output),
+                 ({"a": bad, "b": good, "c": bad.map_outputs(str)}, "b", bad_state)]
+        for moore, spoil, what in cases:
+            a = TreeAutomaton(SDTA, sorted(moore), ["q", "r"], ["q"], moore=moore)
+            if spoil:
+                a.moore[spoil].outputs["h1"] = "q q"
+            errors = []
+            for render in (render_automaton, render_automaton_by_block):
+                with pytest.raises(DocumentError) as err:
+                    render(a)
+                errors.append(str(err.value))
+            assert errors == [f"{what} is not a valid token"] * 2
 
 
 class TestDocumentValidation:

@@ -10,9 +10,12 @@ from uta import (Context, SeparationError, SizePair, UtaError, accepts,
                  gen_thm41, leaf, lemma34_horizontal_fooling,
                  lemma34_vertical_fooling, nest, node, parse_tree, size,
                  word_node)
-from uta import FoolingSetHorizontal, FoolingSetVertical, LangPredicate
+from uta import DocumentError, FoolingSetHorizontal, FoolingSetVertical, LangPredicate
 from uta import EnumerationBounds, Tree, iter_trees
 from uta.docs import parse_fooling_set, render_fooling_horizontal
+from uta.witnesses import _check_keys
+
+from oracles import check_keys_by_loop
 
 
 def enum(alphabet, depth=4, width=4, count=600):
@@ -251,6 +254,35 @@ class TestMisplacedSeparatorKeys:
                 certify(pred, fs)
             assert not isinstance(err.value, SeparationError)
             assert f"separator key {key!r} needs indices 0 <= i < j < 2" in str(err.value)
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("non-tuple", "01"), ("non-tuple", 7), ("non-tuple", frozenset({0, 1})),
+    ("wrong length", (0, 1, 2)), ("wrong length", (1,)), ("wrong length", ()),
+    ("bool", (False, 1)), ("bool", (0, True)), ("negative", (-1, 1)), ("negative", (-2, -1)),
+    ("i >= j", (1, 0)), ("i >= j", (2, 2)), ("j >= n", (0, 5)), ("j >= n", (5, 6)),
+    ("non-int", (0.0, 1)), ("non-int", (0, "1")), ("non-int", (None, 1))])
+def test_check_keys_raises_what_the_loop_raises(kind, key):
+    """Each bad key among valid ones, first, in the middle or last: the
+    check raises the error the one-key-at-a-time loop raises, for a caller's
+    dict (UtaError) and a parsed document's (with its line; a parsed key is
+    always a pair of ints, so the loop's own IndexError or TypeError on
+    other keys is kept too)."""
+    valid = [(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != key]
+    for at in (0, len(valid) // 2, len(valid)):
+        keys = valid[:at] + [key] + valid[at:]
+        seps = dict.fromkeys(keys, "sep")
+        for lines in (None, {k: no for no, k in enumerate(keys, start=3)}):
+            got = []
+            for check in (_check_keys, check_keys_by_loop):
+                with pytest.raises(Exception) as err:
+                    check(seps, 5, lines)
+                got.append((type(err.value), str(err.value)))
+            assert got[0] == got[1]
+            if lines is None or kind in ("negative", "i >= j", "j >= n"):
+                assert got[0][0] is (UtaError if lines is None else DocumentError)
+    for seps in ({}, dict.fromkeys(valid)):
+        assert _check_keys(seps, 5) is check_keys_by_loop(seps, 5) is None
 
 
 def _counting(pred):
