@@ -225,7 +225,7 @@ def _normal(a: TreeAutomaton) -> TreeAutomaton:
                         f"prune the SDTA before testing isomorphism")
     moore = {}
     for sym, m in sorted(a.moore.items()):
-        order, edges = walks[sym]
+        order, edges = walks[sym,]
         order = [*map(m.compiled().states.__getitem__, order)]
         names = [f"h{i}" for i in range(len(m.states))]
         finals = [i for i, s in enumerate(order) if s in m.finals]

@@ -19,6 +19,7 @@ but are excluded from the vertical state count.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import partial
 
 from .errors import KindError, UnknownSymbolError
 from .strings import (DFA, MooreDFA, NFA, SubsetMachine, explore, first_overlap,
@@ -68,7 +69,8 @@ class TreeAutomaton:
     carry ``horizontal``: a sparse map (state, symbol) -> NFA/DFA over the
     horizontal alphabet (missing entry = empty language).  SDTAs carry
     ``moore``: a sparse map symbol -> MooreDFA whose outputs are vertical
-    states.
+    states.  Every machine is a block of ``_blocks``, in key order with its
+    key: ``(q, sym)``, or an SDTA's ``(sym,)``, as documents write it.
     """
 
     def __init__(self, kind, alphabet, states, finals, horizontal=None,
@@ -82,10 +84,10 @@ class TreeAutomaton:
         self.finals = frozenset(finals)
         self.horizontal = dict(horizontal or {})
         self.moore = dict(moore or {})
-        self._validate()
-        self._by_symbol: dict = {}  # sym -> its (q, machine) pairs, sorted by q
-        for (q, sym), mach in sorted(self.horizontal.items()):
-            self._by_symbol.setdefault(sym, []).append((q, mach))
+        self._blocks = self._validate()
+        self._by_symbol: dict = {}  # sym -> its blocks, in key order
+        for key, mach in self._blocks:
+            self._by_symbol.setdefault(key[-1], []).append((key, mach))
         self._runs: dict = {}
         self._leaves: dict = {}
 
@@ -94,50 +96,44 @@ class TreeAutomaton:
         """Symbols readable by horizontal acceptors: vertical plus leaf states."""
         return self.states | self.leaf_symbols
 
-    def _validate(self):
+    def _validate(self) -> list:
+        """Checks the declarations, then each block as given; returns the blocks in key order."""
         if not self.leaf_symbols <= self.alphabet:
             raise KindError("leaf convention declared for symbols outside the alphabet")
         if self.states & self.leaf_symbols:
             raise KindError("designated leaf states must not collide with state names")
         if not self.finals <= (self.states | self.leaf_symbols):
             raise KindError("finals must be declared states")
-        ha = self.horizontal_alphabet
-
-        if self.kind == SDTA:
-            if self.horizontal:
-                raise KindError("an SDTA defines one machine per symbol, not per (state, symbol)")
-            for sym, mach in self.moore.items():
-                if sym not in self.alphabet:
-                    raise KindError(f"machine for undeclared symbol {sym!r}")
-                if not isinstance(mach, MooreDFA):
-                    raise KindError(f"machine for {sym!r} must be a MooreDFA")
-                if mach.alphabet != ha:
-                    raise KindError(f"machine for {sym!r} must read the horizontal alphabet")
-                if not set(mach.outputs.values()) <= self.states:
-                    raise KindError(f"outputs of machine for {sym!r} must be vertical states")
-                if sym in self.leaf_symbols and mach.initial in mach.finals:
-                    raise KindError(
-                        f"machine for {sym!r} accepts the empty string, clashing "
-                        f"with the designated leaf state")
-            return
-
-        if self.moore:
+        sdta = self.kind == SDTA
+        if sdta and self.horizontal:
+            raise KindError("an SDTA defines one machine per symbol, not per (state, symbol)")
+        if self.moore and not sdta:
             raise KindError(f"kind {self.kind} does not take per-symbol Moore machines")
-        for (q, sym), mach in self.horizontal.items():
-            if q not in self.states:
+        # how messages name a block's machine, and the class it must have
+        named = "machine for {!r}" if sdta else "machine for ({!r},{!r})"
+        cls, wrong = ((MooreDFA, "{} must be a MooreDFA") if sdta
+                      else (DFA, f"kind {self.kind} requires DFA horizontal acceptors")
+                      if self.kind in DFA_KINDS else ((NFA, DFA), "{} must be an NFA or DFA"))
+        ha, blocks = self.horizontal_alphabet, []
+        for key, mach in (self.moore if sdta else self.horizontal).items():
+            q, sym = (None, key) if sdta else key
+            key = (sym,) if sdta else (q, sym)
+            if not sdta and q not in self.states:
                 raise KindError(f"machine keyed by undeclared state {q!r}")
             if sym not in self.alphabet:
-                raise KindError(f"machine keyed by undeclared symbol {sym!r}")
-            if self.kind in DFA_KINDS and not isinstance(mach, DFA):
-                raise KindError(f"kind {self.kind} requires DFA horizontal acceptors")
-            if not isinstance(mach, (NFA, DFA)):
-                raise KindError(f"machine for ({q!r},{sym!r}) must be an NFA or DFA")
+                raise KindError(f"machine {'for' if sdta else 'keyed by'} undeclared "
+                                f"symbol {sym!r}")
+            if not isinstance(mach, cls):
+                raise KindError(wrong.format(named.format(*key)))
             if mach.alphabet != ha:
-                raise KindError(f"machine for ({q!r},{sym!r}) must read the horizontal alphabet")
+                raise KindError(f"{named.format(*key)} must read the horizontal alphabet")
+            if sdta and not set(mach.outputs.values()) <= self.states:
+                raise KindError(f"outputs of {named.format(*key)} must be vertical states")
             if sym in self.leaf_symbols and mach.initials & mach.finals:
-                raise KindError(
-                    f"machine for ({q!r},{sym!r}) accepts the empty string, clashing "
-                    f"with the designated leaf state")
+                raise KindError(f"{named.format(*key)} accepts the empty string, clashing "
+                                f"with the designated leaf state")
+            blocks.append((key, mach))
+        return sorted(blocks)
 
     def horizontal_run(self, sym):
         """The ``(start, step, finish)`` run that assigns states to a ``sym``
@@ -158,8 +154,8 @@ class TreeAutomaton:
         return {**self.__dict__, "_runs": {}, "_leaves": {}}
 
     def machines_for(self, sym):
-        """Sorted (state, machine) pairs for one symbol; non-SDTA kinds."""
-        return list(self._by_symbol.get(sym, ()))
+        """Sorted (state, machine) pairs for one symbol; none in an SDTA."""
+        return [(key[0], m) for key, m in self._by_symbol.get(sym, ()) if len(key) == 2]
 
     def __eq__(self, other):
         return (isinstance(other, TreeAutomaton) and self.kind == other.kind
@@ -173,6 +169,20 @@ class TreeAutomaton:
 
     def __repr__(self):
         return f"<TreeAutomaton {self.kind} {size(self)}>"
+
+
+def _from_blocks(kind, alphabet, states, finals, leaf_symbols, blocks: dict) -> TreeAutomaton:
+    """The automaton whose machines are ``blocks``, by block key."""
+    if kind == SDTA:
+        return TreeAutomaton(kind, alphabet, states, finals, leaf_symbols=leaf_symbols,
+                             moore={sym: m for (sym,), m in blocks.items()})
+    return TreeAutomaton(kind, alphabet, states, finals, blocks, leaf_symbols=leaf_symbols)
+
+
+def _label(blocks, k, s):
+    """What the machine of ``blocks[k]`` assigns at its final s: its output, or q of (q, sym)."""
+    key, mach = blocks[k]
+    return mach.outputs[s] if len(key) == 1 else key[0]
 
 
 def run(a: TreeAutomaton, t: Tree) -> Mapping:
@@ -303,10 +313,9 @@ def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
     rule); for a symbol outside the alphabet the run is dead and ``finish``
     raises UnknownSymbolError.
 
-    Every kind runs a ``strings.SubsetMachine``, its positions labelled by
-    the states they assign: an SDTA's over its one Moore machine, by its
-    outputs, the other kinds' over the acceptors of ``sym``, by their state
-    q.  A run is a frozenset of positions.  ``step`` fills and reads
+    Every kind runs one ``strings.SubsetMachine`` over the blocks of
+    ``sym``, its positions labelled by the states they assign (``_label``).
+    A run is a frozenset of positions.  ``step`` fills and reads
     ``table[S][run]``, the run after ``run`` reads child set S (a dead one
     as None), which ``_evaluate`` also reads itself: at most one entry per
     cell of the transition table of the machine ``convert._subset_moore``
@@ -319,12 +328,8 @@ def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
             raise UnknownSymbolError(sym)
         return None, None, refuse, None
     leaf = frozenset([sym]) if sym in a.leaf_symbols else None
-    if a.kind == SDTA:
-        mach = a.moore.get(sym)
-        sub = SubsetMachine([mach] if mach else [], lambda _, s: mach.outputs[s])
-    else:
-        pairs = a._by_symbol.get(sym, ())
-        sub = SubsetMachine([m for _, m in pairs], lambda k, _: pairs[k][0])
+    blocks = a._by_symbol.get(sym, ())
+    sub = SubsetMachine([m for _, m in blocks], partial(_label, blocks))
     marks, assigned, table = sub.marks, {None: frozenset()}, {}
 
     def step(run, s):
@@ -351,11 +356,9 @@ def accepts(a: TreeAutomaton, t: Tree) -> bool:
 
 def check_semantic_determinism(a: TreeAutomaton) -> DeterminismReport:
     """Horizontal languages for distinct states under the same symbol must be
-    pairwise disjoint.  Returns the violating (symbol, state pair) and a
-    shortest witness string when they are not."""
-    if a.kind == SDTA:
-        # output-function form makes the preimages disjoint by definition
-        return DeterminismReport(True)
+    pairwise disjoint (an SDTA's output function makes them so by definition).
+    Returns the violating (symbol, state pair) and a shortest witness string
+    when they are not."""
     for sym in sorted(a.alphabet):
         machines = a.machines_for(sym)
         overlap = first_overlap([m for _, m in machines])
@@ -367,12 +370,8 @@ def check_semantic_determinism(a: TreeAutomaton) -> DeterminismReport:
 
 def size(a: TreeAutomaton) -> SizePair:
     """Two-component size: counted vertical states (designated leaf states
-    excluded) and the sum of the horizontal acceptor sizes."""
-    if a.kind == SDTA:
-        horiz = sum(m.size for m in a.moore.values())
-    else:
-        horiz = sum(m.size for m in a.horizontal.values())
-    return SizePair(len(a.states), horiz)
+    excluded) and the sum of the sizes of the blocks' horizontal machines."""
+    return SizePair(len(a.states), sum(m.size for _, m in a._blocks))
 
 
 def bottom_up_reach(machines, items, walks=None):
@@ -413,29 +412,25 @@ def bottom_up_reach(machines, items, walks=None):
 
 
 def reach(a: TreeAutomaton, walks=None):
-    """``bottom_up_reach`` over the compiled horizontal machines of ``a``,
-    keys in sorted order, from its leaf states in sorted order.  Yields the
-    leaf states, then each vertical state that some tree is assigned, in the
+    """``bottom_up_reach`` over the compiled machines of the blocks of ``a``,
+    in key order, from its leaf states in sorted order.  Yields the leaf
+    states, then each vertical state that some tree is assigned, in the
     order found; once exhausted, it leaves in a given dict ``walks`` each
-    key's walk of the last round, as (positions in the compiled form, edges).
+    block's walk of the last round, by key, as (compiled positions, edges).
 
-    A walk outputs the labels (``marks``) of its states in a
-    ``strings.SubsetMachine`` of the machines: a Moore machine's outputs,
-    and q where an acceptor for (q, sym) is final.  Acceptors of one
+    A walk outputs what its final states assign (``_label``) in a
+    ``strings.SubsetMachine`` of the machines.  Acceptors of one
     structure (``strings.shared_structures``), such as the siblings
     ``convert.sdta_to_dtadfa`` splits off one Moore machine, are walked as
     one, so each round walks each structure once; the states found are the
     same as with one walk per acceptor, in an order that can differ.  An
     SDTA's Moore machines are walked one by one, in key order, which keeps
-    the order found; those of one structure share a compiled form, so a
-    walk while no state is found between them."""
-    keyed = sorted((a.moore if a.kind == SDTA else a.horizontal).items())
-    ms = [m for _, m in keyed]
+    the order found that ``analysis._normal`` names states by."""
+    ms = [m for _, m in a._blocks]
     groups = shared_structures(ms)  # which also shares compiled forms
     if a.kind == SDTA:  # one walk per Moore machine keeps the order found
-        groups = [[k] for k in range(len(keyed))]
-    sub = SubsetMachine(ms, lambda k, s: ms[k].outputs[s] if a.kind == SDTA else keyed[k][0][0],
-                        groups)
+        groups = [[k] for k in range(len(ms))]
+    sub = SubsetMachine(ms, partial(_label, a._blocks), groups)
     machines, marks = [], sub.marks
     for base, form in sub.forms.values():
         machines.append((form.initials, form.reading,
@@ -444,7 +439,7 @@ def reach(a: TreeAutomaton, walks=None):
     yield from bottom_up_reach(machines, sorted(a.leaf_symbols), shared)
     if walks is not None:
         for x, g in enumerate(groups):
-            walks.update((keyed[k][0], shared[x]) for k in g)
+            walks.update((a._blocks[k][0], shared[x]) for k in g)
 
 
 def prune_reachable(a: TreeAutomaton) -> TreeAutomaton:
@@ -453,19 +448,19 @@ def prune_reachable(a: TreeAutomaton) -> TreeAutomaton:
 
     The assignable states are those ``reach`` finds.  Each machine keeps
     what the last round of that search walked, reading the leaf and
-    assignable states; a machine that walked to no final, or accepts for a
-    state that is not assignable, is dropped.  Siblings of one structure
-    share one walk (see ``reach``).  When every vertical state is
-    assignable, a machine whose walk reached all its states and a final is
-    kept as it is, the same object; when that holds for every machine,
-    ``a`` itself is returned, so a trim automaton is never rebuilt.
+    assignable states; a machine that walked to no final, or to one that
+    assigns (``_label``) a state not assignable, is dropped.  Siblings of
+    one structure share one walk (see ``reach``).  When every vertical
+    state is assignable, a machine whose walk reached all its states and a
+    final is kept as it is, the same object; when that holds for every
+    machine, ``a`` itself is returned, so a trim automaton is never rebuilt.
     """
     walks = {}
     keep = frozenset(reach(a, walks)) & a.states
     allowed = keep | a.leaf_symbols
     whole = trim = keep == a.states
     parts = {}
-    for key, m in sorted((a.moore if a.kind == SDTA else a.horizontal).items()):
+    for k, (key, m) in enumerate(a._blocks):
         order, edges = walks[key]
         if trim and len(order) == len(m.states) and m.finals:
             parts[key] = m  # every state reached, reading every letter
@@ -473,7 +468,7 @@ def prune_reachable(a: TreeAutomaton) -> TreeAutomaton:
         whole = False
         names = [*map(m.compiled().states.__getitem__, order)]
         finals = m.finals.intersection(names)
-        if not finals or (a.kind != SDTA and key[0] not in keep):
+        if not finals or not keep.issuperset(_label(a._blocks, k, s) for s in finals):
             continue
         args = (names, allowed, m.initials if isinstance(m, NFA) else m.initial, finals,
                 [(names[i], c, names[j]) for i, c, j in edges])
@@ -481,6 +476,4 @@ def prune_reachable(a: TreeAutomaton) -> TreeAutomaton:
                       if isinstance(m, MooreDFA) else type(m)(*args))
     if whole:
         return a
-    return TreeAutomaton(a.kind, a.alphabet, keep, a.finals & allowed,
-                         leaf_symbols=a.leaf_symbols,
-                         **{"moore" if a.kind == SDTA else "horizontal": parts})
+    return _from_blocks(a.kind, a.alphabet, keep, a.finals & allowed, a.leaf_symbols, parts)

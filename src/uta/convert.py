@@ -108,21 +108,16 @@ def _subset_moore(a: TreeAutomaton, sym, walk, items, name, alphabet) -> MooreDF
     order, with no step taken again: states h0, h1, ... in the BFS order of
     reading ``items`` in order, each item read as the symbol ``name(item)``,
     and every nonempty set of accepting states output as ``name(set)``."""
-    runs, edges = walk
+    runs, walked = walk
     rank = dict(zip(items, range(len(items))))
     rows = [[] for _ in runs]
-    for i, item, j in sorted(edges, key=lambda e: rank[e[1]]):
+    for i, item, j in sorted(walked, key=lambda e: rank[e[1]]):
         rows[i].append((item, j))
-    order, number = [0], {0: 0}  # the walk's states in BFS order, and their numbers
-    for i in order:
-        for _, j in rows[i]:
-            if j not in number:
-                number[j] = len(order)
-                order.append(j)
-    hname = [f"h{number[i]}" for i in range(len(runs))]
-    trans = [(hname[i], name(item), hname[j]) for i in order for item, j in rows[i]]
+    order, edges = explore([0], rows.__getitem__)  # the walk renumbered in BFS order
+    hname = [f"h{n}" for n in range(len(order))]
+    trans = [(hname[i], name(item), hname[j]) for i, item, j in edges]
     finish = a.horizontal_run(sym)[2]
-    outs = {hname[i]: finish(runs[i], False) for i in order}
+    outs = {hname[n]: finish(runs[i], False) for n, i in enumerate(order)}
     outputs = {h: name(out) for h, out in outs.items() if out}
     return MooreDFA(hname, alphabet, "h0", set(outputs), trans, outputs)
 

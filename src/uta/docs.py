@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .automata import (DFA_KINDS, DTA_DFA, DTA_NFA, KINDS, SDTA, TreeAutomaton,
+from .automata import (DFA_KINDS, DTA_DFA, DTA_NFA, KINDS, SDTA, TreeAutomaton, _from_blocks,
                        check_semantic_determinism)
 from .errors import DocumentError, TreeSyntaxError, UnknownSymbolError
 from .strings import DFA, NFA, MooreDFA, shared_structures
@@ -85,10 +85,10 @@ def render_automaton(a, header_comments=()) -> str:
         lines.append((f"{FINALS}: " + " ".join(sorted(a.finals))).rstrip())
         if a.leaf_symbols:
             lines.append(f"{LEAFSTATES}: " + " ".join(sorted(a.leaf_symbols)))
-        blocks = sorted({**a.horizontal, **{(sym,): m for sym, m in a.moore.items()}}.items())
+        blocks = a._blocks  # by (state, symbol), or (symbol,) for an sdta
         lead = {k: g[0] for g in shared_structures([m for _, m in blocks]) for k in g}
         done = []  # each block's lines
-        for k, (key, m) in enumerate(blocks):  # (state, symbol), or (symbol,) for an sdta
+        for k, (key, m) in enumerate(blocks):
             like = done[lead[k]] if lead[k] < k and type(blocks[lead[k]][1]) is type(m) else None
             done.append(render_machine_lines(m, "  ", like))
             lines += [f"{HORIZONTAL} {' '.join(key)}:", *done[k]]
@@ -238,10 +238,8 @@ def parse_automaton(text: str):
             raise DocumentError(f"duplicate block {head!r}", no)
         blocks[tuple(keys)] = mach
 
-    moore = {sym: m for (sym,), m in blocks.items()} if kind == SDTA else {}
     try:
-        auto = TreeAutomaton(kind, alphabet, states, got[FINALS], leaf_symbols=leaf,
-                             horizontal={} if kind == SDTA else blocks, moore=moore)
+        auto = _from_blocks(kind, alphabet, states, got[FINALS], leaf, blocks)
     except Exception as e:
         raise DocumentError(str(e)) from None
     if kind in (DTA_NFA, DTA_DFA):

@@ -6,14 +6,18 @@ steps one ``(state, letter)`` lookup at a time, reading the transition dicts
 itself, and tries every letter in every state.  The differential tests check
 that the library gives exactly the same results.
 
-The last three are the library code as it was before it stopped redoing
+The next three are the library code as it was before it stopped redoing
 work: a second walk of each subset machine in the general conversion, every
-document block rendered on its own, and the separator-key check.
+document block rendered on its own, and the separator-key check.  The last
+is ``TreeAutomaton``'s validation as it was before every machine became one
+keyed block: one branch for an SDTA's Moore machines, one for the other
+kinds' acceptors.
 """
 
 from __future__ import annotations
 
-from uta import DFA, NFA, SDTA, MooreDFA, TreeAutomaton, UtaError
+from uta import DFA, KINDS, NFA, SDTA, KindError, MooreDFA, TreeAutomaton, UtaError
+from uta.automata import DFA_KINDS
 from uta.convert import _assignable_subsets, _symbols_with_machines
 from uta.docs import (ALPHABET, FINALS, HORIZONTAL, INITIAL, KIND, LEAFSTATES, MACHINES, OUTPUTS,
                       STATES, TRANS, _check_token, _check_tree_alphabet)
@@ -267,3 +271,57 @@ def check_keys_by_loop(separators, n: int, lines=None):
                 raise DocumentError(f"separator 'sep {key[0]} {key[1]}' needs indices "
                                     f"0 <= i < j < {n}", lines[key])
             raise UtaError(f"separator key {key!r} needs indices 0 <= i < j < {n}")
+
+
+def validate_by_kind(kind, alphabet, states, finals, horizontal=None, moore=None,
+                     leaf_symbols=()):
+    """What ``TreeAutomaton(...)`` raised for these arguments when its
+    validation had one branch per form; None where it accepted them."""
+    if kind not in KINDS:
+        raise KindError(f"unknown kind {kind!r}")
+    alphabet, states = frozenset(alphabet), frozenset(states)
+    leaf_symbols, finals = frozenset(leaf_symbols), frozenset(finals)
+    horizontal, moore = dict(horizontal or {}), dict(moore or {})
+    if not leaf_symbols <= alphabet:
+        raise KindError("leaf convention declared for symbols outside the alphabet")
+    if states & leaf_symbols:
+        raise KindError("designated leaf states must not collide with state names")
+    if not finals <= (states | leaf_symbols):
+        raise KindError("finals must be declared states")
+    ha = states | leaf_symbols
+
+    if kind == SDTA:
+        if horizontal:
+            raise KindError("an SDTA defines one machine per symbol, not per (state, symbol)")
+        for sym, mach in moore.items():
+            if sym not in alphabet:
+                raise KindError(f"machine for undeclared symbol {sym!r}")
+            if not isinstance(mach, MooreDFA):
+                raise KindError(f"machine for {sym!r} must be a MooreDFA")
+            if mach.alphabet != ha:
+                raise KindError(f"machine for {sym!r} must read the horizontal alphabet")
+            if not set(mach.outputs.values()) <= states:
+                raise KindError(f"outputs of machine for {sym!r} must be vertical states")
+            if sym in leaf_symbols and mach.initial in mach.finals:
+                raise KindError(
+                    f"machine for {sym!r} accepts the empty string, clashing "
+                    f"with the designated leaf state")
+        return
+
+    if moore:
+        raise KindError(f"kind {kind} does not take per-symbol Moore machines")
+    for (q, sym), mach in horizontal.items():
+        if q not in states:
+            raise KindError(f"machine keyed by undeclared state {q!r}")
+        if sym not in alphabet:
+            raise KindError(f"machine keyed by undeclared symbol {sym!r}")
+        if kind in DFA_KINDS and not isinstance(mach, DFA):
+            raise KindError(f"kind {kind} requires DFA horizontal acceptors")
+        if not isinstance(mach, (NFA, DFA)):
+            raise KindError(f"machine for ({q!r},{sym!r}) must be an NFA or DFA")
+        if mach.alphabet != ha:
+            raise KindError(f"machine for ({q!r},{sym!r}) must read the horizontal alphabet")
+        if sym in leaf_symbols and mach.initials & mach.finals:
+            raise KindError(
+                f"machine for ({q!r},{sym!r}) accepts the empty string, clashing "
+                f"with the designated leaf state")
