@@ -7,8 +7,8 @@ horizontal acceptor for (q, sym).  This is computed exactly in polynomial
 time by one subset simulation of the acceptors of ``sym`` on whole child
 state sets (``_horizontal_run``), instead of enumerating the product of the
 children's state sets; each step is computed once per automaton and then
-looked up.  ``_evaluate`` steps a node's run on each child's set as the
-child is read, in one pass linear in the tree.
+looked up, one table cell per child (keyed by child set or leaf label; dead
+runs are cells), by ``_evaluate`` in one pass linear in the tree.
 
 Leaf-state convention: an automaton may designate, per symbol, a dedicated
 state (named by the symbol itself) that leaves with that label receive.
@@ -116,6 +116,8 @@ class TreeAutomaton:
                       if self.kind in DFA_KINDS else ((NFA, DFA), "{} must be an NFA or DFA"))
         ha, blocks = self.horizontal_alphabet, []
         for key, mach in (self.moore if sdta else self.horizontal).items():
+            if not (sdta or isinstance(key, tuple) and len(key) == 2):
+                raise KindError(f"machine keyed by {key!r}, not by a (state, symbol) pair")
             q, sym = (None, key) if sdta else key
             key = (sym,) if sdta else (q, sym)
             if not sdta and q not in self.states:
@@ -141,7 +143,7 @@ class TreeAutomaton:
         return self._run(sym)[:3]
 
     def _run(self, sym):
-        """The run, its step table a fourth member; kept for alphabet symbols."""
+        """The run, with its step table and assigned states; kept for alphabet symbols."""
         got = self._runs.get(sym)
         if got is None:
             got = _horizontal_run(self, sym)
@@ -237,10 +239,12 @@ def _evaluate(a: TreeAutomaton, t: Tree, memo: dict, addressed=False) -> frozens
     raised is the one a recursive postorder raises, in O(depth) frames.
 
     A frame is a node, an iterator over its children (each read once) and
-    the node's run, ``step``, ``finish`` and step table.  Each child's state
-    set, from ``a._leaves``, ``memo`` or a frame of its own, is stepped into
-    the run as soon as it is read.  No fault is cached (``_leaf`` keeps only
-    checked states, ``TreeAutomaton._run`` no unknown symbol's run), so a
+    the node's run, step table and assigned states.  Each child moves the
+    run by one cell, ``table[key][run]``, keyed by child set or leaf label:
+    its state set, from ``memo`` or a frame of its own, or its label.  Dead
+    runs are cells, and ``_cell`` fills a missing one.  No fault is cached
+    (``_cell`` keys a label's row only once ``_leaf`` has checked its
+    states, ``TreeAutomaton._run`` keeps no unknown symbol's run), so a
     faulty tree raises on every call; a KindError's address (if
     ``addressed``) is rebuilt from the stack on that error path only.
     ``memo`` maps id(subtree) -> (subtree, states) for internal proper
@@ -248,46 +252,53 @@ def _evaluate(a: TreeAutomaton, t: Tree, memo: dict, addressed=False) -> frozens
     kept across many trees grows with their shared subtrees only, and
     holding the subtree keeps its id from being reused while it lives.
     """
-    runs, leaves = a._runs, a._leaves
+    runs = a._runs
     if not t.children:
         return _leaf(a, t.label, addressed and ([], t))
     det = a.kind in DETERMINISTIC_KINDS
     stack, node, kids = [], t, iter(t.children)
-    run, step, finish, table = runs.get(t.label) or a._run(t.label)
+    run, _, _, table, assigned = runs.get(t.label) or a._run(t.label)
     while True:
         for c in kids:
             if c.children:
                 got = memo.get(id(c))
                 if got is None:
-                    stack.append((node, kids, run, step, finish, table))
+                    stack.append((node, kids, run, table, assigned))
                     node, kids = c, iter(c.children)
-                    run, step, finish, table = runs.get(c.label) or a._run(c.label)
+                    run, _, _, table, assigned = runs.get(c.label) or a._run(c.label)
                     break
-                s = got[1]
+                key = got[1]
             else:
-                s = leaves.get(c.label)
-                if s is None:
-                    s = _leaf(a, c.label, addressed and (stack, node, c))
-            if run is not None:
-                try:
-                    run = table[s][run]
-                except KeyError:
-                    run = step(run, s)
+                key = c.label
+            try:
+                run = table[key][run]
+            except KeyError:
+                run = _cell(a, node.label, table, key, run, addressed and (stack, node, c))
         else:
-            states = finish(run, False)
+            states = assigned[run] if run in assigned else a._run(node.label)[2](run, False)
             if det and len(states) > 1:
                 raise _kind_error(a, states, node.label, addressed and (stack, node))
             if not stack:
                 return states
             memo[id(node)] = (node, states)
-            node, kids, run, step, finish, table = stack.pop()
-            if run is not None:
-                run = step(run, states)
+            node, kids, run, table, assigned = stack.pop()
+            try:
+                run = table[states][run]
+            except KeyError:
+                run = _cell(a, node.label, table, states, run, None)
+
+
+def _cell(a: TreeAutomaton, sym: str, table: dict, key, run, where):
+    """``table[key][run]`` of the ``sym`` run, filled first; a leaf label's
+    row is its states' row, keyed only once ``_leaf`` has checked them."""
+    s = key if type(key) is frozenset else a._leaves.get(key) or _leaf(a, key, where)
+    row = table[key] = table.setdefault(s, {None: None})
+    return row[run] if run in row else a._run(sym)[1](run, s)
 
 
 def _leaf(a: TreeAutomaton, label: str, where) -> frozenset:
     """The states of a ``label`` leaf, kept in ``a._leaves`` if no fault."""
-    start, _, finish, _ = a._run(label)
+    start, _, finish = a._run(label)[:3]
     states = finish(start, True)
     if len(states) > 1 and a.kind in DETERMINISTIC_KINDS:
         raise _kind_error(a, states, label, where)
@@ -306,27 +317,29 @@ def _kind_error(a: TreeAutomaton, states, sym: str, where) -> KindError:
 
 def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
     """The horizontal run that assigns states to a ``sym`` node, as
-    ``(start, step, finish, table)``.  ``step(run, S)`` reads the state set
-    S of the next child; the run is None once it is dead, and ``step`` is
-    never given a dead run.  ``finish(run, empty)`` is the node's state set,
-    where ``empty`` says the node has no children (the designated-leaf
-    rule); for a symbol outside the alphabet the run is dead and ``finish``
-    raises UnknownSymbolError.
+    ``(start, step, finish, table, assigned)``.  ``step(run, S)`` reads the
+    state set S of the next child; the run is None once it is dead, and
+    ``step`` is never given a dead run.  ``finish(run, empty)`` is the
+    node's state set, where ``empty`` says the node has no children (the
+    designated-leaf rule); for a symbol outside the alphabet the run is dead,
+    the table empty and ``finish`` raises UnknownSymbolError.
 
     Every kind runs one ``strings.SubsetMachine`` over the blocks of
     ``sym``, its positions labelled by the states they assign (``_label``).
-    A run is a frozenset of positions.  ``step`` fills and reads
-    ``table[S][run]``, the run after ``run`` reads child set S (a dead one
-    as None), which ``_evaluate`` also reads itself: at most one entry per
+    A run is a frozenset of positions.  ``table`` keeps the steps taken,
+    keyed by child set or leaf label, then by run: ``step`` fills
+    ``table[S][run]``, the run after ``run`` reads child set S, and
+    ``_evaluate`` reads the cells itself (see ``_cell``).  Dead runs are
+    cells: every row maps None to None.  There is at most one live cell per
     cell of the transition table of the machine ``convert._subset_moore``
-    builds, plus one per run for the empty set.  It lives as long as the
-    run (in ``TreeAutomaton._runs``, which pickling drops), as do the states
-    ``finish`` keeps per run.
+    builds, plus one per run for the empty set.  ``assigned`` keeps what
+    ``finish`` gives each run of a node with children.  Both live as long
+    as the run (in ``TreeAutomaton._runs``, which pickling drops).
     """
     if sym not in a.alphabet:
         def refuse(run, empty):
             raise UnknownSymbolError(sym)
-        return None, None, refuse, None
+        return None, None, refuse, {}, {}
     leaf = frozenset([sym]) if sym in a.leaf_symbols else None
     blocks = a._by_symbol.get(sym, ())
     sub = SubsetMachine([m for _, m in blocks], partial(_label, blocks))
@@ -336,7 +349,8 @@ def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
         try:
             return table[s][run]
         except KeyError:
-            got = table.setdefault(s, {})[run] = sub.step(run, s) or None
+            row = table.get(s) or table.setdefault(s, {None: None})
+            row[run] = got = sub.step(run, s) or None
             return got
 
     def finish(run, empty):
@@ -347,7 +361,7 @@ def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
             got = assigned[run] = frozenset().union(*map(marks.__getitem__, run))
         return got
 
-    return sub.start or None, step, finish, table
+    return sub.start or None, step, finish, table, assigned
 
 
 def accepts(a: TreeAutomaton, t: Tree) -> bool:

@@ -4,7 +4,10 @@ Each function is the library code as it was before machines were compiled
 into integer rows, or before tree runs stepped a compiled subset machine: it
 steps one ``(state, letter)`` lookup at a time, reading the transition dicts
 itself, and tries every letter in every state.  The differential tests check
-that the library gives exactly the same results.
+that the library gives exactly the same results.  ``recursive_run`` is tree
+evaluation as it was before one pass read each child's set through a step
+table: recursive, in postorder, each node's children stepped one at a time
+through a ``(start, step, finish)`` run, such as ``union_run`` or ``moore_run``.
 
 The next three are the library code as it was before it stopped redoing
 work: a second walk of each subset machine in the general conversion, every
@@ -16,8 +19,9 @@ kinds' acceptors.
 
 from __future__ import annotations
 
-from uta import DFA, KINDS, NFA, SDTA, KindError, MooreDFA, TreeAutomaton, UtaError
-from uta.automata import DFA_KINDS
+from uta import (DFA, KINDS, NFA, SDTA, KindError, MooreDFA, TreeAutomaton, UnknownSymbolError,
+                 UtaError)
+from uta.automata import DETERMINISTIC_KINDS, DFA_KINDS
 from uta.convert import _assignable_subsets, _symbols_with_machines
 from uta.docs import (ALPHABET, FINALS, HORIZONTAL, INITIAL, KIND, LEAFSTATES, MACHINES, OUTPUTS,
                       STATES, TRANS, _check_token, _check_tree_alphabet)
@@ -108,6 +112,58 @@ def union_run(a: TreeAutomaton, sym):
         return frozenset([pairs[i][0] for i, _ in run & union.finals])
 
     return (union.initials if union else None), step, finish
+
+
+def recursive_run(a, t, runs=TreeAutomaton.horizontal_run, seen=None):
+    """The recursive evaluation that ``run`` once was: a dict filled in
+    postorder, each node's children stepped one at a time, after all of
+    them are evaluated, through the ``(start, step, finish)`` triple that
+    ``runs(a, sym)`` gives (the public ``horizontal_run`` unless an oracle
+    is given).  Kept as the oracle of ``run`` and ``accepts``.  A given
+    ``seen`` counter tallies what the internal nodes read."""
+    assignment = {}
+
+    def go(n, addr):
+        child_sets = [go(c, addr + (i,)) for i, c in enumerate(n.children)]
+        if n.label not in a.alphabet:
+            raise UnknownSymbolError(n.label)
+        start, step, finish = runs(a, n.label)
+        run = start
+        for s in child_sets:
+            if run is None:
+                break
+            run = step(run, s)
+        states = assignment[addr] = finish(run, not child_sets)
+        if len(states) > 1 and a.kind in DETERMINISTIC_KINDS:
+            raise KindError(f"deterministic kind {a.kind} assigned {sorted(states)} at {addr}")
+        if seen is not None and child_sets:
+            seen["dead" if run is None else "alive"] += 1
+            seen["assigns" if states else "assigns nothing"] += 1
+            seen["empty set"] += frozenset() in child_sets
+            seen["multi-state set"] += any(len(s) > 1 for s in child_sets)
+            seen["designated leaf"] += any(s & a.leaf_symbols for s in child_sets)
+        return states
+
+    go(t, ())
+    return assignment
+
+
+def moore_run(a, sym):
+    """An SDTA's ``(start, step, finish)`` run read off its Moore machine's
+    dicts, with nothing memoized: the oracle ``union_run`` is for the other
+    kinds."""
+    m = a.moore.get(sym)
+    leaf = frozenset([sym]) if sym in a.leaf_symbols else None
+
+    def step(run, s):
+        return m.delta.get((run, *s)) if s else None
+
+    def finish(run, empty):
+        if empty and leaf:
+            return leaf
+        return frozenset([m.outputs[run]]) if m and run in m.outputs else frozenset()
+
+    return (m.initial if m else None), step, finish
 
 
 def _reachable_by_step_any(mach, allowed) -> set:
@@ -310,7 +366,10 @@ def validate_by_kind(kind, alphabet, states, finals, horizontal=None, moore=None
 
     if moore:
         raise KindError(f"kind {kind} does not take per-symbol Moore machines")
-    for (q, sym), mach in horizontal.items():
+    for key, mach in horizontal.items():
+        if not (isinstance(key, tuple) and len(key) == 2):
+            raise KindError(f"machine keyed by {key!r}, not by a (state, symbol) pair")
+        q, sym = key
         if q not in states:
             raise KindError(f"machine keyed by undeclared state {q!r}")
         if sym not in alphabet:

@@ -1,3 +1,4 @@
+import ast
 import collections
 import itertools
 import pickle
@@ -11,13 +12,14 @@ from uta import (DFA, DTA_DFA, DTA_NFA, KINDS, NTA_DFA, NTA_NFA, NFA, SDTA,
                  nta_to_dtadfa, nta_to_sdta, node, parse_tree, prune_reachable, render_tree,
                  run, sdta_isomorphic, sdta_to_dtadfa, size, word_node)
 from uta import EnumerationBounds, iter_trees
-from uta.automata import DETERMINISTIC_KINDS, _evaluate, bottom_up_reach, reach
+from uta.automata import _evaluate, bottom_up_reach, reach
 from uta.cli import cli_main
 from uta.docs import render_automaton
 from uta import automata, strings
 from uta.strings import SubsetMachine, explore, shared_structures, stepwise
 
-from oracles import live_by_step_any, prune_by_step_any, sdta_reach_by_step, union_run
+from oracles import (live_by_step_any, moore_run, prune_by_step_any, recursive_run,
+                     sdta_reach_by_step, union_run)
 from randgen import (rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta, rand_tree,
                      rand_trees)
 import random
@@ -85,15 +87,18 @@ class TestRun:
         assert accepts(auto, t)
         trees = enum(auto.alphabet, 3, 3, 400)
         verdicts = [accepts(auto, u) for u in trees]
-        table = _step_table(auto, "a")
-        assert table and auto._leaves
+        table, labels = _step_table(auto, "a"), _label_rows(auto, "a")
+        assert table and auto._leaves and labels
         again = pickle.loads(pickle.dumps(auto))
-        assert again._runs == {} and again._leaves == {} and not _step_table(again, "a")
+        assert again._runs == {} and again._leaves == {}
+        assert not _step_table(again, "a") and not _label_rows(again, "a")
         assert again == auto and accepts(again, t)
         assert [accepts(again, u) for u in trees] == verdicts
         assert [dict(run(again, u)) for u in trees] == [dict(run(auto, u)) for u in trees]
-        # the same trees fill the same steps (the fixture's table holds more)
+        # the same trees fill the same steps and label rows (the fixture's
+        # table holds more)
         assert _step_table(again, "a").items() <= table.items()
+        assert _label_rows(again, "a").items() <= labels.items()
 
     def test_nondeterministic_sets_can_grow(self):
         auto, _ = gen_thm41(2)
@@ -496,40 +501,6 @@ class TestMemoizedEvaluation:
                     assert got == want
 
 
-def _recursive_run(a, t, runs=TreeAutomaton.horizontal_run, seen=None):
-    """The recursive evaluation that ``run`` once was: a dict filled in
-    postorder, each node's children stepped one at a time, after all of
-    them are evaluated, through the ``(start, step, finish)`` triple that
-    ``runs(a, sym)`` gives (the public ``horizontal_run`` unless an oracle
-    is given).  Kept as the oracle of ``run`` and ``accepts``.  A given
-    ``seen`` counter tallies what the internal nodes read."""
-    assignment = {}
-
-    def go(n, addr):
-        child_sets = [go(c, addr + (i,)) for i, c in enumerate(n.children)]
-        if n.label not in a.alphabet:
-            raise UnknownSymbolError(n.label)
-        start, step, finish = runs(a, n.label)
-        run = start
-        for s in child_sets:
-            if run is None:
-                break
-            run = step(run, s)
-        states = assignment[addr] = finish(run, not child_sets)
-        if len(states) > 1 and a.kind in DETERMINISTIC_KINDS:
-            raise KindError(f"deterministic kind {a.kind} assigned {sorted(states)} at {addr}")
-        if seen is not None and child_sets:
-            seen["dead" if run is None else "alive"] += 1
-            seen["assigns" if states else "assigns nothing"] += 1
-            seen["empty set"] += frozenset() in child_sets
-            seen["multi-state set"] += any(len(s) > 1 for s in child_sets)
-            seen["designated leaf"] += any(s & a.leaf_symbols for s in child_sets)
-        return states
-
-    go(t, ())
-    return assignment
-
-
 class TestRunAgainstTheUnionNfa:
     def test_same_runs_as_the_tagged_union(self):
         rng = random.Random(67)
@@ -564,7 +535,7 @@ class TestRunAgainstTheUnionNfa:
 
 def _subset_machine(a, sym):
     """The ``SubsetMachine`` that the horizontal run of ``sym`` steps."""
-    _, step, _, _ = a._run(sym)
+    step = a._run(sym)[1]
     (sub,) = [c.cell_contents for c in step.__closure__
               if type(c.cell_contents) is SubsetMachine]
     return sub
@@ -600,24 +571,6 @@ class TestSharedPositions:
         assert {q for mark in sub.marks for q in mark} == {q for q, _ in machines}
 
 
-def _moore_run(a, sym):
-    """An SDTA's ``(start, step, finish)`` run read off its Moore machine's
-    dicts, with nothing memoized: the oracle ``union_run`` is for the other
-    kinds."""
-    m = a.moore.get(sym)
-    leaf = frozenset([sym]) if sym in a.leaf_symbols else None
-
-    def step(run, s):
-        return m.delta.get((run, *s)) if s else None
-
-    def finish(run, empty):
-        if empty and leaf:
-            return leaf
-        return frozenset([m.outputs[run]]) if m and run in m.outputs else frozenset()
-
-    return (m.initial if m else None), step, finish
-
-
 def _fresh(a):
     """An equal automaton whose runs and step tables start empty."""
     return TreeAutomaton(a.kind, a.alphabet, a.states, a.finals, horizontal=a.horizontal,
@@ -637,15 +590,15 @@ class TestFusedPass:
                  nta_to_sdta(thm)[0]]
         autos = named + [RANDOM_AUTOMATA[kind](rng) for _ in range(25) for kind in KINDS]
         for a in autos:
-            oracle = _moore_run if a.kind == SDTA else union_run
+            oracle = moore_run if a.kind == SDTA else union_run
             trees = rand_trees(rng, a.alphabet, 10)
             trees += _with_shared_subtrees(rng, trees)
             # conversions fill the tables of their input: start both cold
             fused, stepper = _fresh(a), _fresh(a)
             for t in trees:
-                want = _outcome(lambda b, u: _recursive_run(b, u, oracle, seen), a, t)
+                want = _outcome(lambda b, u: recursive_run(b, u, oracle, seen), a, t)
                 assert _outcome(_view, fused, t) == want
-                assert _outcome(_recursive_run, stepper, t) == want
+                assert _outcome(recursive_run, stepper, t) == want
                 got = _outcome(accepts, fused, t)
                 assert got[0] == want[0]
                 if got[0] is bool:
@@ -655,11 +608,16 @@ class TestFusedPass:
             # trees that raised none on cold copies, which must then fill the
             # same tables
             fused, stepper = _fresh(a), _fresh(a)
-            for t in trees:
-                if _outcome(accepts, a, t)[0] is bool:
-                    run(fused, t), _recursive_run(stepper, t)
+            clean = [t for t in trees if _outcome(accepts, a, t)[0] is bool]
+            for t in clean:
+                run(fused, t), recursive_run(stepper, t)
             for sym in sorted(a.alphabet):
                 assert _step_table(fused, sym) == _step_table(stepper, sym)
+                # the pass keys a row by each label it read as a leaf under sym
+                assert set(_label_rows(fused, sym)) == {
+                    c.label for t in clean for n in _nodes(t) if n.label == sym
+                    for c in n.children if not c.children}
+                assert not _label_rows(stepper, sym)
         assert min(seen.values()) >= 20 and seen["assigns"] >= 200, seen
 
     def test_a_pass_fills_the_table_step_reads(self):
@@ -669,6 +627,7 @@ class TestFusedPass:
         assert run(a, node("a", *[leaf("b")] * 12))[()] == frozenset({"q1", "q2"})
         table = _step_table(a, "a")
         assert {s for _, s in table} == {b} and len(table) == 7
+        assert _label_rows(a, "a") == {"b": b}
         # past the entry state the 2- and 3-counters cycle: the table stops growing
         assert accepts(a, node("a", *[leaf("b")] * 60)) and _step_table(a, "a") == table
         start, step, finish = a.horizontal_run("a")
@@ -684,6 +643,106 @@ class TestFusedPass:
         assert table.items() <= _step_table(a, "a").items()
 
 
+class TestOneCellPerChild:
+    """Each child moves its parent's run by one cell of the step table,
+    keyed by child set or leaf label; dead runs are cells, and ``step`` and
+    ``finish`` are called only on a miss."""
+
+    def test_a_warm_wide_node_makes_no_step_call(self):
+        g2, lemma = gen_thm41(2)[0], gen_lemma34((2, 3))[0]
+        for a in (g2, nta_to_sdta(g2)[0], nta_to_dtadfa(g2)[0], lemma):
+            for n in (1, 12, 601):
+                t, cold = node("a", *[leaf("b")] * n), _fresh(a)
+                calls = _count_calls(cold, "a")
+                want = run(cold, t)[()]
+                assert calls["step"] and calls["finish"]
+                calls.clear()  # now warm
+                assert run(cold, t)[()] == want and accepts(cold, t) == bool(want & a.finals)
+                assert not calls
+
+    def test_a_faulty_leaf_after_a_dead_run_raises_on_every_call(self):
+        wrong = _dies_then_faulty_leaf()
+        q1 = frozenset({"q1"})
+        # the b run dies on its first child, a b leaf (state q1); warm it
+        assert run(wrong, parse_tree("b(b,b)", wrong.alphabet))[()] == frozenset()
+        start = wrong.horizontal_run("b")[0]
+        assert _step_table(wrong, "b") == {(start, q1): None}
+        for text, addr in (("b(b,a)", (1,)), ("b(b,b,a)", (2,)), ("b(b,b(b,a))", (1, 1))):
+            t = parse_tree(text, wrong.alphabet)
+            with pytest.raises(KindError) as oracle:
+                recursive_run(_fresh(wrong), t, union_run)
+            message = f"deterministic kind dta-nfa assigned ['q1', 'q2'] at {addr}"
+            assert str(oracle.value) == message
+            for _ in range(3):
+                assert _outcome(_view, wrong, t) == (KindError, message)
+                assert _outcome(accepts, wrong, t) == (KindError, _by_label(t, message))
+            assert "a" not in wrong._leaves and "a" not in _label_rows(wrong, "b")
+        assert _label_rows(wrong, "b") == {"b": q1}
+
+    @pytest.mark.parametrize("family", [rand_sdta, rand_dtadfa, rand_nta, rand_dta_nfa])
+    def test_first_fault_is_the_recursive_postorders(self, family):
+        rng = random.Random(f"first fault {family.__name__}")
+        seen = collections.Counter()
+        for _ in range(15):
+            a = family(rng)
+            if a.kind == NTA_NFA:
+                # declared deterministic, it assigns two states where its languages overlap
+                a = TreeAutomaton(DTA_NFA, a.alphabet, a.states, a.finals,
+                                  horizontal=a.horizontal, leaf_symbols=a.leaf_symbols)
+            oracle = moore_run if a.kind == SDTA else union_run
+            # "z" is outside every alphabet
+            trees = rand_trees(rng, sorted(a.alphabet) * 4 + ["z"], 40)
+            trees += _with_shared_subtrees(rng, trees)
+            warm = _fresh(a)
+            for t in trees + trees:  # the second time round, every table is warm
+                want = _outcome(lambda b, u: recursive_run(b, u, oracle), a, t)
+                assert _outcome(_view, warm, t) == want
+                got = _outcome(accepts, warm, t)
+                if want[0] is bool:
+                    assert got == (bool, bool(want[1][()] & a.finals))
+                else:
+                    assert got == (want[0], _by_label(t, want[1]) if want[0] is KindError
+                                   else want[1])
+                seen[want[0].__name__] += 1
+        assert seen["bool"] >= 100 and seen["UnknownSymbolError"] >= 100, seen
+        assert seen["KindError"] >= (100 if family is rand_nta else 0), seen
+
+
+def _count_calls(a, sym):
+    """Swaps the kept run of ``sym`` for one whose ``step`` and ``finish``
+    tally their calls in the counter returned; the table stays the same."""
+    calls = collections.Counter()
+    start, step, finish, table, assigned = a._run(sym)
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    a._runs[sym] = start, counted("step", step), counted("finish", finish), table, assigned
+    return calls
+
+
+def _dies_then_faulty_leaf():
+    """A dta-nfa whose b leaves get q1, whose b-node run dies on a q1 child,
+    and whose a leaves wrongly get both its states."""
+    empty = NFA(["h"], {"q1", "q2"}, ["h"], ["h"], [])
+    return TreeAutomaton(DTA_NFA, ["a", "b"], ["q1", "q2"], ["q1"],
+                         horizontal={("q1", "a"): empty, ("q2", "a"): empty,
+                                     ("q1", "b"): empty})
+
+
+def _by_label(t, message):
+    """The message ``accepts`` gives for ``run``'s KindError ``message``:
+    the node named by its label, not by its address in ``t``."""
+    head, at = message.rsplit(" at ", 1)
+    n = t
+    for i in ast.literal_eval(at):
+        n = n.children[i]
+    return f"{head} at a {n.label!r} node"
+
+
 class TestAddressView:
     @pytest.mark.parametrize("family", [rand_sdta, rand_dtadfa, rand_nta, rand_dta_nfa,
                                         _rand_nta_dfa])
@@ -697,7 +756,7 @@ class TestAddressView:
             trees += list(iter_trees(a.alphabet, EnumerationBounds(3, 3, 100)))
             for t in trees:
                 got = _outcome(_view, a, t)
-                want = _outcome(_recursive_run, a, t)
+                want = _outcome(recursive_run, a, t)
                 assert got == want
                 verdict = _outcome(accepts, a, t)
                 assert verdict[0] == want[0]
@@ -715,7 +774,7 @@ class TestAddressView:
         inner = parse_tree("a(b,b,b,1,0)", auto.alphabet)
         t = node("a", node("a", inner, inner), inner)
         view = run(auto, t)
-        assert dict(view) == _recursive_run(auto, t)
+        assert dict(view) == recursive_run(auto, t)
         assert view[(0, 0)] == view[(0, 1)] == view[(1,)] == frozenset({"q2"})
         assert view[(0, 1, 4)] == frozenset({"0"})
 
@@ -731,7 +790,7 @@ class TestAddressView:
             assert addr not in view
         assert () in view and (0, 4) in view
         assert sorted(view) == [()] + [(0,)] + [(0, i) for i in range(5)]
-        assert view == _recursive_run(auto, t)
+        assert view == recursive_run(auto, t)
 
     def test_leaf_root(self, lemma34_pair):
         auto, _ = lemma34_pair
@@ -748,7 +807,7 @@ class TestAddressView:
             with pytest.raises(KindError, match=rf"at {re.escape(str(addr))}$") as err:
                 run(wrong, t)
             with pytest.raises(KindError) as oracle:
-                _recursive_run(wrong, t)
+                recursive_run(wrong, t)
             assert str(err.value) == str(oracle.value)
             # accepts names the label, not the address
             with pytest.raises(KindError, match="at a 'a' node$"):
@@ -766,7 +825,7 @@ class TestAddressView:
             with pytest.raises(KindError, match=rf"at {re.escape(str(addr))}$") as err:
                 run(wrong, t)
             with pytest.raises(KindError) as oracle:
-                _recursive_run(wrong, t)
+                recursive_run(wrong, t)
             assert str(err.value) == str(oracle.value)
 
 
@@ -783,14 +842,28 @@ def _outcome(evaluate, a, t):
 
 
 def _step_table(a, sym):
-    """The table of steps of ``sym``'s horizontal run that ``step`` fills
-    and the evaluator reads, keyed by child set then by run, flattened to
-    (run, child set) -> next run."""
-    _, step, _, table = a._run(sym)
+    """The steps of ``sym``'s horizontal run that ``step`` fills and the
+    evaluator reads, from the rows keyed by child set, flattened to
+    (run, child set) -> next run; the dead run's cells are left out.  The
+    rows keyed by leaf label are read apart (``_label_rows``); every row
+    must map the dead run to itself."""
+    _, step, _, table, _ = a._run(sym)
     (cell,) = [c.cell_contents for c in step.__closure__ if type(c.cell_contents) is dict]
     assert cell is table
-    assert all(type(s) is frozenset and type(row) is dict for s, row in table.items())
-    return {(run, s): got for s, row in table.items() for run, got in row.items()}
+    assert all(type(row) is dict and row[None] is None for row in table.values())
+    sets = {s: row for s, row in table.items() if type(s) is frozenset}
+    assert len(sets) + len(_label_rows(a, sym)) == len(table)
+    return {(run, s): got for s, row in sets.items() for run, got in row.items()
+            if run is not None}
+
+
+def _label_rows(a, sym):
+    """The leaf labels that key a row of ``sym``'s step table, each with
+    its leaf's states: that row must be the row of those states."""
+    table = a._run(sym)[3]
+    labels = {k: a._leaves[k] for k in table if type(k) is str}
+    assert all(table[k] is table[s] for k, s in labels.items())
+    return labels
 
 
 def _two_leaf_states():

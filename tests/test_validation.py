@@ -3,10 +3,13 @@ kinds, against ``oracles.validate_by_kind``, the validation with one branch
 per form: every invalid variant must raise the same exception type with the
 same message, and the first bad block in the order given decides."""
 
+import re
+
 import pytest
 
-from uta import DFA, KINDS, NFA, NTA_NFA, SDTA, MooreDFA, TreeAutomaton
+from uta import DFA, KINDS, NFA, NTA_NFA, SDTA, KindError, MooreDFA, TreeAutomaton
 from uta.automata import DFA_KINDS
+from uta.docs import parse_automaton, render_automaton
 
 from oracles import validate_by_kind
 
@@ -70,6 +73,9 @@ def _variants(kind):
         out["key of one member"] = _base(kind, {("a",): _machine(kind)})
         out["bad block, then bad key"] = _base(kind, {a: None, ("z",): _machine(kind)})
         out["bad key, then bad block"] = _base(kind, {("q", "a", "b"): _machine(kind), a: None})
+        # a string is no key, whether or not it unpacks into two
+        out["key of two characters"] = _base(kind, {"qa": _machine(kind)})
+        out["key of three characters"] = _base(kind, {"qab": _machine(kind)})
         # dict order puts r's bad block first; key order would put q's first
         out["bad blocks out of key order"] = _base(kind, {("r", "a"): _machine(kind, HA - {"r"}),
                                                           a: None})
@@ -106,7 +112,10 @@ def test_messages_name_the_block():
     got = {(kind, name): _outcome(TreeAutomaton, _variants(kind)[name])[1]
            for kind, name in [(SDTA, "output not a state"), (SDTA, "wrong class"),
                               ("nta-nfa", "undeclared symbol"), ("dta-dfa", "wrong class"),
-                              ("dta-nfa", "wrong alphabet"), ("nta-dfa", "several bad blocks")]}
+                              ("dta-nfa", "wrong alphabet"), ("nta-dfa", "several bad blocks"),
+                              ("nta-nfa", "key of two characters"),
+                              ("dta-dfa", "key of three characters"),
+                              ("nta-dfa", "key of one member")]}
     assert got == {
         (SDTA, "output not a state"): "outputs of machine for 'a' must be vertical states",
         (SDTA, "wrong class"): "machine for 'a' must be a MooreDFA",
@@ -115,6 +124,11 @@ def test_messages_name_the_block():
         ("dta-nfa", "wrong alphabet"):
             "machine for ('q','a') must read the horizontal alphabet",
         ("nta-dfa", "several bad blocks"): "machine keyed by undeclared symbol 'c'",
+        ("nta-nfa", "key of two characters"):
+            "machine keyed by 'qa', not by a (state, symbol) pair",
+        ("dta-dfa", "key of three characters"):
+            "machine keyed by 'qab', not by a (state, symbol) pair",
+        ("nta-dfa", "key of one member"): "machine keyed by ('a',), not by a (state, symbol) pair",
     }
 
 
@@ -127,3 +141,14 @@ def test_blocks_are_keyed_in_key_order():
         keys = [key for key, _ in TreeAutomaton(**_base(kind, **extra))._blocks]
         assert keys == ([("a",), ("b",)] if kind == SDTA else
                         [("q", "a"), ("q", "b"), ("r", "a"), ("r", "b")])
+
+
+def test_a_string_key_is_refused_not_misread():
+    """``{"qa": m}`` once validated as state q under symbol a, and its
+    document parsed back to a different automaton; ``{"qab": m}`` raised a
+    bare ValueError.  Both are refused by name; a pair key round-trips."""
+    for key in ("qa", "qab"):
+        with pytest.raises(KindError, match=re.escape(f"machine keyed by {key!r}")):
+            TreeAutomaton(**_base(NTA_NFA, {key: _machine(NTA_NFA)}))
+    a = TreeAutomaton(**_base(NTA_NFA, {("q", "a"): _machine(NTA_NFA)}))
+    assert parse_automaton(render_automaton(a)) == a
