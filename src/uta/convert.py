@@ -14,8 +14,7 @@ from math import prod
 from .automata import (DTA_DFA, SDTA, SizePair, TreeAutomaton, bottom_up_reach,
                        check_semantic_determinism, size)
 from .errors import DeterminismError, KindError, OverlapError
-from .strings import (DFA, MooreDFA, determinize, explore, marked_union, stepwise, subset_name,
-                      unique_names)
+from .strings import DFA, MooreDFA, determinize, explore, marked_union, subset_name, unique_names
 from .trees import _Record
 
 
@@ -125,18 +124,18 @@ def _subset_moore(a: TreeAutomaton, sym, walk, items, name, alphabet) -> MooreDF
 def _assignable_subsets(a: TreeAutomaton):
     """Fixed point of child-set reachability: every state set some run can
     assign to a node, as sorted frozensets of original vertical states, and
-    by symbol the walk of its run in the last round, which read every item
-    (``automata.bottom_up_reach``)."""
+    by symbol the walk of its run's sparse ``read`` in the last round, over
+    every item (``automata.bottom_up_reach``)."""
     leaf_items = [frozenset([s]) for s in sorted(a.leaf_symbols)]
     syms = _symbols_with_machines(a)
-    runs = [a.horizontal_run(sym) for sym in syms]
 
     def outputs(finish):  # a run outputs the state set it assigns, if not empty
         return lambda runs: [s for run in runs if (s := finish(run, False))]
 
     walks = {}
-    found = list(bottom_up_reach([([start], stepwise(step), outputs(finish))
-                                  for start, step, finish in runs], leaf_items, walks))
+    found = list(bottom_up_reach([([start], read, outputs(finish))
+                                  for start, _, finish, read, *_ in map(a._run, syms)],
+                                 leaf_items, walks))
     return sorted(found[len(leaf_items):], key=sorted), dict(zip(syms, walks.values()))
 
 
@@ -195,9 +194,9 @@ def _sole(states):
 def _nta_to_sdta_refined(a: TreeAutomaton) -> TreeAutomaton:
     ha = a.horizontal_alphabet
     items = [frozenset([s]) for s in sorted(ha)]
-    runs = {sym: a.horizontal_run(sym) for sym in _symbols_with_machines(a)}
-    moore = {sym: _subset_moore(a, sym, explore([start], stepwise(step)(items)), items, _sole, ha)
-             for sym, (start, step, _) in runs.items()}
+    runs = {sym: a._run(sym) for sym in _symbols_with_machines(a)}
+    moore = {sym: _subset_moore(a, sym, explore([start], read(items)), items, _sole, ha)
+             for sym, (start, _, _, read, *_) in runs.items()}
     return TreeAutomaton(SDTA, a.alphabet, a.states, a.finals,
                          moore=moore, leaf_symbols=a.leaf_symbols)
 

@@ -4,22 +4,26 @@ The same machinery serves plain alphabets, vertical states, and sets of
 vertical states: symbols and states are opaque string tokens.  DFAs may be
 partial; a missing transition rejects.  Reported sizes count the declared
 states only, so the implicit reject sink is never included.  Walks read a
-machine's ``compiled`` form, integer columns of the transitions that exist,
-so they cost O(edges), not O(states x letters).
+machine's ``compiled`` form, which holds the transitions that exist, as
+integer columns per letter and as ``out``, a ``{letter: successors}`` map
+per position, so they cost O(edges), not O(states x letters).
 
-Sets of states are stepped by one ``SubsetMachine``: ``determinize`` and
-``marked_union`` walk it, and NFA acceptance and every tree automaton's
-horizontal run step it.  ``marked_union``'s walk decides disjointness, and
-``first_overlap`` names a witness.  Every construction that builds
-reachable states runs one breadth-first explorer, ``explore``; only
-``first_overlap`` keeps its own queue, for parent pointers and an early
-exit.  Every minimizer, here and in ``analysis``, runs one partition
-refinement, ``coarsest_partition``.
+Sets of states are stepped by one ``SubsetMachine``, through ``out``:
+``determinize`` walks it, and NFA acceptance and every tree automaton's
+horizontal run step it, a run only on the items it has a transition on
+(``automata._horizontal_run``).  ``marked_union`` walks DFAs, one position
+per structure, by column; its walk decides disjointness, and
+``first_overlap``'s pair search, over ``out``, names a witness.  Every
+construction that builds reachable states runs one breadth-first explorer,
+``explore``; only ``first_overlap`` keeps its own queue, for parent
+pointers and an early exit.  Every minimizer, here and in ``analysis``,
+runs one partition refinement, ``coarsest_partition``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
+from functools import cached_property
 
 from .errors import AlphabetMismatchError, OverlapError, UnknownSymbolError, UtaError
 
@@ -45,7 +49,7 @@ class _Compiled:
     NFA's successors of one state come in sorted order.  Positions sort like
     the names, so every tie-break and witness is the one the names give."""
 
-    __slots__ = ("states", "index", "columns", "initials", "rows")
+    __slots__ = ("states", "index", "columns", "initials", "_out")
 
     def __init__(self, m):
         self.states = sorted(m.states)
@@ -57,17 +61,18 @@ class _Compiled:
                 columns[c] += [(index[s], j) for j in sorted(map(index.__getitem__, d))]
             else:
                 columns[c].append((index[s], index[d]))
-        self.rows = {}
+        self._out = None
 
-    def successors(self, c):
-        """Per position, its sorted successor positions on letter ``c``, or
-        None if ``c`` is no letter; kept with the form, built on first use."""
-        row = self.rows.get(c)
-        if row is None and c in self.columns:
-            row = self.rows[c] = [()] * len(self.states)
-            for i, j in self.columns[c]:
-                row[i] += (j,)
-        return row
+    @property
+    def out(self) -> list:
+        """Per position, its ``{letter: successor positions}`` map in sorted
+        letter order; kept with the form, so siblings share it."""
+        if self._out is None:
+            self._out = [{} for _ in self.states]
+            for c in sorted(self.columns):
+                for i, j in self.columns[c]:
+                    self._out[i].setdefault(c, []).append(j)
+        return self._out
 
     def reading(self, letters):
         """``explore``'s successors over positions, reading only ``letters``
@@ -244,30 +249,20 @@ def explore(starts, successors):
     return order, edges
 
 
-def stepwise(step):
-    """``read(letters)``, the ``explore`` successors reading ``letters`` in
-    order, of a machine whose ``step(state, letter)`` is a state or None."""
-    def read(letters):
-        def successors(s):
-            for c in letters:
-                yield c, step(s, c)
-        return successors
-    return read
-
-
 class SubsetMachine:
     """One subset machine over ``machines``; ``step`` steps a frozenset of
     integer positions.  Each ``shared_structures`` group g (or given group)
     is placed once, at ``forms[g[0]] = (base, compiled form)``, so siblings
     share positions.  ``names[p]`` is the state at position p, ``start`` the
     initial positions, ``marks[p]`` the labels ``label(k, s)`` of the members
-    k final at p, in member order.  A letter's row of successor positions is
-    built on first use from those its compiled forms keep."""
+    k final at p, in member order, and ``out[p]`` its ``{letter: successor
+    positions}`` map: a lone structure's is its compiled form's ``out``,
+    and several structures' are shifted by their bases on first use."""
 
     def __init__(self, machines, label=lambda k, s: k, groups=None):
         self.machines = machines = list(machines)
         self.groups = shared_structures(machines) if groups is None else groups
-        self.forms, self.names, self.marks, self.rows = {}, [], [], {}
+        self.forms, self.names, self.marks = {}, [], []
         for g in self.groups:
             form, base = machines[g[0]].compiled(), len(self.names)
             self.forms[g[0]] = base, form
@@ -278,11 +273,12 @@ class SubsetMachine:
                     self.marks[base + form.index[s]].append(label(k, s))
         self.start = frozenset([b + i for b, f in self.forms.values() for i in f.initials])
 
-    def _row(self, c) -> list:
-        parts = [(b, f.successors(c) or [()] * len(f.states)) for b, f in self.forms.values()]
-        row = self.rows[c] = parts[0][1] if len(parts) == 1 else [
-            tuple(j + base for j in js) for base, part in parts for js in part]
-        return row
+    @cached_property
+    def out(self) -> list:
+        parts = [*self.forms.values()]
+        return parts[0][1].out if len(parts) == 1 else [
+            {c: [base + j for j in js] for c, js in row.items()}
+            for base, form in parts for row in form.out]
 
     def column(self, c) -> list:
         """Over DFAs, the successor on ``c`` of each position and of the
@@ -295,12 +291,11 @@ class SubsetMachine:
 
     def step(self, subset, letters) -> frozenset:
         """The positions some member of ``subset`` reaches on some letter."""
-        out, rows = set(), self.rows
+        got, out = set(), self.out
         for c in letters:
-            row = rows.get(c) or self._row(c)
             for i in subset:
-                out.update(row[i])
-        return frozenset(out)
+                got.update(out[i].get(c, ()))
+        return frozenset(got)
 
     def walk(self):
         """``explore`` from the start by single letters in sorted order; dead
@@ -459,25 +454,15 @@ def shared_structures(machines) -> list:
     return groups
 
 
-def _pair_rows(sub, group):
-    """Prepare a group of the ``SubsetMachine`` ``sub`` for the pair search:
-    per compiled position a ``{letter: successors}`` row in sorted order, the
-    initials, and per position the members final there (``sub.marks``)."""
-    base, form = sub.forms[group[0]]
-    rows = [{} for _ in form.states]
-    for c in sorted(form.columns):
-        for i, j in form.columns[c]:
-            rows[i].setdefault(c, []).append(j)
-    return rows, form.initials, sub.marks[base:base + len(form.states)]
-
-
 def _pair_search(a, b, first, best):
-    """Breadth-first search over pairs of states of two ``_pair_rows``
-    structures.  The least member pair i < j final at a pair it meets, if it
-    comes before ``best``, becomes the ``best`` (i, j, word); the search ends
-    at ``first``, the least pair it can meet."""
-    rows_a, initials_a, final_a = a
-    rows_b, initials_b, final_b = b
+    """Breadth-first search over pairs of states of two structures, each
+    given as its compiled ``out``, its initials and per position the members
+    final there (``SubsetMachine.marks``).  The least member pair i < j
+    final at a pair it meets, if it comes before ``best``, becomes the
+    ``best`` (i, j, word); the search ends at ``first``, the least pair it
+    can meet."""
+    out_a, initials_a, final_a = a
+    out_b, initials_b, final_b = b
     order = [(p, q) for p in initials_a for q in initials_b]
     parent = dict.fromkeys(order)
     for pq in order:
@@ -492,11 +477,9 @@ def _pair_search(a, b, first, best):
                 best = (*ij, tuple(reversed(word)))
                 if ij == first:
                     return best
-        row_b = rows_b[q]
-        for c, ps in rows_a[p].items():
-            qs = row_b.get(c)
-            if qs is None:
-                continue
+        row_b = out_b[q]
+        for c, ps in out_a[p].items():
+            qs = row_b.get(c, ())
             for p2 in ps:
                 for q2 in qs:
                     if (p2, q2) not in parent:
@@ -509,11 +492,12 @@ def first_overlap(machines):
     """The first pair i < j of ``machines`` whose languages meet, in
     lexicographic order, as ``(i, j, shortest shared word)``, None if none
     do; an earlier pair of alphabets that differ raises.  Each structure
-    (``shared_structures``) is prepared once for all its members, and each
+    (``shared_structures``) reads one ``out`` for all its members, and each
     ordered pair of them is searched once, least possible pair first."""
     mismatch = next((j for j, m in enumerate(machines) if m.alphabet != machines[0].alphabet), 0)
     groups = (sub := SubsetMachine(machines)).groups
-    prepared = [_pair_rows(sub, g) for g in groups]
+    prepared = [(form.out, form.initials, sub.marks[base:base + len(form.states)])
+                for base, form in sub.forms.values()]
     # (0, mismatch) is the first pair of alphabets that differ, if any
     best = (0, mismatch, None) if mismatch else (len(machines), 0, None)
     for x, g in enumerate(groups):

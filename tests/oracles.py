@@ -8,6 +8,8 @@ that the library gives exactly the same results.  ``recursive_run`` is tree
 evaluation as it was before one pass read each child's set through a step
 table: recursive, in postorder, each node's children stepped one at a time
 through a ``(start, step, finish)`` run, such as ``union_run`` or ``moore_run``.
+``stepwise`` reads every letter in every state, where a horizontal run's
+``read`` skips the items it has no transition on.
 
 The next three are the library code as it was before it stopped redoing
 work: a second walk of each subset machine in the general conversion, every
@@ -26,7 +28,7 @@ from uta.convert import _assignable_subsets, _symbols_with_machines
 from uta.docs import (ALPHABET, FINALS, HORIZONTAL, INITIAL, KIND, LEAFSTATES, MACHINES, OUTPUTS,
                       STATES, TRANS, _check_token, _check_tree_alphabet)
 from uta.errors import DocumentError
-from uta.strings import explore, stepwise, subset_name, unique_names
+from uta.strings import explore, subset_name, unique_names
 
 
 def explore_by_step(start, step, letters):
@@ -47,6 +49,19 @@ def explore_by_step(start, step, letters):
                 order.append(t)
             edges.append((i, c, j))
     return order, edges
+
+
+def stepwise(step):
+    """``read(letters)``, the ``explore`` successors reading every letter of
+    ``letters`` in order, of a machine whose ``step(state, letter)`` is a
+    state or None: the dense reader the conversions used before each
+    horizontal run read only the items it has a transition on."""
+    def read(letters):
+        def successors(s):
+            for c in letters:
+                yield c, step(s, c)
+        return successors
+    return read
 
 
 def successor(m):

@@ -13,7 +13,9 @@ from __future__ import annotations
 import random
 
 from uta import DFA, NFA, DTA_DFA, DTA_NFA, NTA_NFA, SDTA, MooreDFA, Tree, TreeAutomaton
-from uta.strings import explore, stepwise
+from uta.strings import explore
+
+from oracles import stepwise
 
 ALPHABET_POOL = ("a", "b", "c")
 

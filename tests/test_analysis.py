@@ -14,9 +14,9 @@ from uta import EnumerationBounds, EquivalenceVerdict, iter_trees
 from uta.automata import _evaluate, bottom_up_reach
 from uta.cli import cli_main
 from uta.docs import render_automaton
-from uta.strings import stepwise
 from uta.trees import DEFAULT_BOUNDS
 
+from oracles import stepwise
 from randgen import (canonical_form, inflate_sdta, rand_dta_nfa, rand_dtadfa, rand_nta,
                      rand_sdta, rename_sdta)
 

@@ -16,10 +16,10 @@ from uta.automata import _evaluate, bottom_up_reach, reach
 from uta.cli import cli_main
 from uta.docs import render_automaton
 from uta import automata, strings
-from uta.strings import SubsetMachine, explore, shared_structures, stepwise
+from uta.strings import SubsetMachine, explore, shared_structures
 
 from oracles import (live_by_step_any, moore_run, prune_by_step_any, recursive_run,
-                     sdta_reach_by_step, union_run)
+                     sdta_reach_by_step, stepwise, union_run)
 from randgen import (rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta, rand_tree,
                      rand_trees)
 import random
@@ -318,16 +318,17 @@ class TestSharedStructures:
     def test_determinism_check_prepares_one_structure(self, thm41_split, monkeypatch):
         machines = list(thm41_split.horizontal.values())
         assert all(m.delta == machines[0].delta for m in machines)
-        calls = []
+        reads = []
 
-        def counting(machines, group):
-            calls.append(len(group))
-            return pair_rows(machines, group)
+        def counting(form):
+            reads.append(form)
+            return out.fget(form)
 
-        pair_rows = strings._pair_rows
-        monkeypatch.setattr(strings, "_pair_rows", counting)
+        out = strings._Compiled.out
+        monkeypatch.setattr(strings._Compiled, "out", property(counting))
         assert check_semantic_determinism(thm41_split).ok
-        assert calls == [len(thm41_split.horizontal)] == [15]
+        # the pair search reads the out of the one structure the 15 share
+        assert len(machines) == 15 and reads == [machines[0].compiled()]
 
     def test_prune_walks_each_structure_once_a_round(self, thm41_split, monkeypatch):
         calls = []
@@ -562,10 +563,9 @@ class TestSharedPositions:
         t = parse_tree("a(a(a(b,b,b,b)))", d4.alphabet)
         assert run(d4, t)[()] and bool(accepts(d4, t)) == accepts(g4, t)
         sub = _subset_machine(d4, "a")
-        # 226 positions, not 15 x 226, and rows only for the letters read
-        assert len(sub.names) == len(sub.marks) == 226 and sub.groups == [list(range(15))]
-        assert set(sub.rows) == {"b", *run(d4, t)[(0,)], *run(d4, t)[(0, 0)]}
-        assert all(sub.rows[c] is machines[0][1].compiled().successors(c) for c in sub.rows)
+        # 226 positions, not 15 x 226, read through the one out the siblings share
+        assert len(sub.names) == len(sub.marks) == len(sub.out) == 226
+        assert sub.groups == [list(range(15))] and sub.out is machines[0][1].compiled().out
         # the siblings split one Moore machine's finals: one label a final position
         assert {len(mark) for mark in sub.marks} == {0, 1}
         assert {q for mark in sub.marks for q in mark} == {q for q, _ in machines}
@@ -710,9 +710,10 @@ class TestOneCellPerChild:
 
 def _count_calls(a, sym):
     """Swaps the kept run of ``sym`` for one whose ``step`` and ``finish``
-    tally their calls in the counter returned; the table stays the same."""
+    tally their calls in the counter returned; its ``read`` and table stay
+    the same."""
     calls = collections.Counter()
-    start, step, finish, table, assigned = a._run(sym)
+    start, step, finish, read, table, assigned = a._run(sym)
 
     def counted(name, f):
         def call(*args):
@@ -720,7 +721,7 @@ def _count_calls(a, sym):
             return f(*args)
         return call
 
-    a._runs[sym] = start, counted("step", step), counted("finish", finish), table, assigned
+    a._runs[sym] = start, counted("step", step), counted("finish", finish), read, table, assigned
     return calls
 
 
@@ -847,7 +848,7 @@ def _step_table(a, sym):
     (run, child set) -> next run; the dead run's cells are left out.  The
     rows keyed by leaf label are read apart (``_label_rows``); every row
     must map the dead run to itself."""
-    _, step, _, table, _ = a._run(sym)
+    _, step, _, _, table, _ = a._run(sym)
     (cell,) = [c.cell_contents for c in step.__closure__ if type(c.cell_contents) is dict]
     assert cell is table
     assert all(type(row) is dict and row[None] is None for row in table.values())
@@ -860,7 +861,7 @@ def _step_table(a, sym):
 def _label_rows(a, sym):
     """The leaf labels that key a row of ``sym``'s step table, each with
     its leaf's states: that row must be the row of those states."""
-    table = a._run(sym)[3]
+    table = a._run(sym)[4]
     labels = {k: a._leaves[k] for k in table if type(k) is str}
     assert all(table[k] is table[s] for k, s in labels.items())
     return labels

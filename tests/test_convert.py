@@ -12,8 +12,8 @@ from uta import (DFA, DTA_DFA, NFA, NTA_NFA, SDTA, DeterminismError, KindError, 
                  nta_to_sdta, prune_reachable, sdta_to_dtadfa, size)
 from uta import EnumerationBounds, iter_trees
 
-from uta import automata, convert
-from oracles import nta_to_sdta_general_by_walk, subset_moore_by_walk
+from uta import Tree, automata, canonical_sdta, convert
+from oracles import nta_to_sdta_general_by_walk, recursive_run, subset_moore_by_walk
 from randgen import rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta, rand_trees
 
 
@@ -236,6 +236,40 @@ class TestRandomizedInvariants:
             assert s.kind == SDTA
 
 
+def _final_leaf_nta(b_final):
+    """A non-trim nta-nfa whose b leaves get their designated state, final
+    if ``b_final``.  An a node over one or more b leaves gets q, and u,
+    whose a node needs a u child, is assigned to no node, so pruning
+    rebuilds the automaton."""
+    ha = ["b", "q", "u"]
+    horizontal = {("q", "a"): NFA("if", ha, "i", "f", [("i", "b", "f"), ("f", "b", "f")]),
+                  ("u", "a"): NFA("if", ha, "i", "f", [("i", "u", "f")])}
+    return TreeAutomaton(NTA_NFA, "ab", ["q", "u"], ["q", "u", "b"] if b_final else ["q", "u"],
+                         horizontal=horizontal, leaf_symbols="b")
+
+
+class TestDesignatedFinalLeaf:
+    @pytest.mark.parametrize("b_final", [True, False])
+    def test_every_output_accepts_the_bare_leaf_iff_the_input_does(self, b_final):
+        a = _final_leaf_nta(b_final)
+        leaf = Tree("b")
+        want = bool(recursive_run(a, leaf)[()] & a.finals)
+        assert accepts(a, leaf) == want == b_final
+        sdta, general = nta_to_sdta(a)[0], nta_to_sdta(a, force_general=True)[0]
+        dtadfa, general_dtadfa = nta_to_dtadfa(a)[0], nta_to_dtadfa(a, force_general=True)[0]
+        assert sdta.states == a.states and general.states != a.states  # refined and general
+        pruned = prune_reachable(a)
+        assert pruned.states == {"q"}
+        outputs = [sdta, general, dtadfa, general_dtadfa, sdta_to_dtadfa(general)[0],
+                   dtadfa_to_sdta(dtadfa)[0], pruned, canonical_sdta(sdta),
+                   canonical_sdta(general)]
+        trees = enum(a.alphabet, count=60)
+        assert leaf in trees
+        for out in outputs:
+            assert accepts(out, leaf) == bool(recursive_run(out, leaf)[()] & out.finals) == want
+            assert_equivalent(out, a, trees)
+
+
 def assert_same_sdta(got, want):
     """Equal automata whose Moore machines also list their transitions and
     outputs in the same order, which compiled forms and walks follow."""
@@ -243,6 +277,22 @@ def assert_same_sdta(got, want):
     for sym, m in want.moore.items():
         assert list(got.moore[sym].delta.items()) == list(m.delta.items())
         assert list(got.moore[sym].outputs.items()) == list(m.outputs.items())
+
+
+def _count_steps(a, seen):
+    """Makes every kept run of ``a`` tally in ``seen["steps"]`` its ``step``
+    calls, those its ``read`` takes included; the tables start empty."""
+    for sym in convert._symbols_with_machines(a):
+        start, step, finish, read, table, assigned = a._run(sym)
+
+        def counted(run, s, step=step):
+            seen["steps"] += 1
+            return step(run, s)
+
+        (cell,) = [c for name, c in zip(read.__code__.co_freevars, read.__closure__)
+                   if name == "step"]
+        cell.cell_contents = counted
+        a._runs[sym] = start, counted, finish, read, table, assigned
 
 
 class TestOneWalkPerSubsetMachine:
@@ -275,12 +325,14 @@ class TestOneWalkPerSubsetMachine:
                                  leaf_symbols=a.leaf_symbols)
             assert_same_sdta(convert._nta_to_sdta_refined(a), want)
 
-    @pytest.mark.parametrize("n, steps", [(4, 3827), (5, 77255)])
+    @pytest.mark.parametrize("n, steps", [(4, 437), (5, 4653)])
     def test_theorem_41_walks_each_machine_once(self, monkeypatch, n, steps):
-        """The fixed point's two rounds are the only walks that step: before,
-        the Moore machine walked the same items again (3 616 more steps for
-        n = 4, 74 944 for n = 5).  The third ``explore`` renumbers the last
-        walk over its recorded edges and steps nothing."""
+        """The fixed point's two rounds are the only walks that step, and
+        each steps a run only on the items it has a transition on: reading
+        every item took 3 827 steps for n = 4 and 77 255 for n = 5, and
+        before that the Moore machine walked the same items again (3 616
+        and 74 944 more).  The third ``explore`` renumbers the last walk
+        over its recorded edges and steps nothing."""
         seen = {"explore": 0, "steps": 0}
 
         def counting_explore(real):
@@ -289,17 +341,28 @@ class TestOneWalkPerSubsetMachine:
                 return real(starts, successors)
             return explore
 
-        def counting_stepwise(real):
-            def stepwise(step):
-                def counted(run, item):
-                    seen["steps"] += 1
-                    return step(run, item)
-                return real(counted)
-            return stepwise
-
         monkeypatch.setattr(automata, "explore", counting_explore(automata.explore))
         monkeypatch.setattr(convert, "explore", counting_explore(convert.explore))
-        monkeypatch.setattr(convert, "stepwise", counting_stepwise(convert.stepwise))
-        out, _ = nta_to_sdta(gen_thm41(n)[0])
+        a = gen_thm41(n)[0]
+        _count_steps(a, seen)
+        out, _ = nta_to_sdta(a)
         assert seen == {"explore": 3, "steps": steps}
         assert size(out).vertical == 2**n - 1
+
+    def test_theorem_41_takes_no_dead_step(self, monkeypatch):
+        """Every step of the general conversion is an edge of one of the
+        fixed point's two walks: no step gives a dead run."""
+        seen, edges, real = {"steps": 0}, [], automata.explore
+
+        def recording(starts, successors):
+            walk = real(starts, successors)
+            edges.append(len(walk[1]))
+            return walk
+
+        monkeypatch.setattr(automata, "explore", recording)
+        a = gen_thm41(4)[0]
+        _count_steps(a, seen)
+        out, _ = nta_to_sdta(a)
+        # the Moore machine's transitions are the last walk's edges
+        assert len(edges) == 2 and seen["steps"] == sum(edges) == 437
+        assert edges[1] == len(out.moore["a"].delta) == 226
