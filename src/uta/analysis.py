@@ -9,11 +9,11 @@ only when that product finds a pair the automata disagree on, to report the
 first counterexample in enumeration order.
 
 Canonical equivalence compares two canonical forms with ``==``.  The
-canonicalizer quotients a pruned SDTA by one coarsest stable partition of
-its vertical and horizontal states and a vertical sink, which trims the
-states in no accepted tree and gives the unique minimal SDTA, and names the
-states by structure alone, so its output is a normal form: language-equal
-inputs give equal automata and byte-identical documents.
+canonicalizer trims a pruned SDTA to the states in some accepted tree, then
+quotients it by the coarsest stable partition of its vertical and
+horizontal states, refined over the transitions that exist: the unique
+minimal SDTA, named by structure alone, so language-equal inputs give
+equal automata and byte-identical documents.
 
 Isomorphism is decided in polynomial time by comparing the same structural
 renaming of both automata, which needs every vertical state reachable
@@ -115,69 +115,69 @@ def _pair_machine(run_a, run_b, width) -> tuple:
 def canonical_sdta(a: TreeAutomaton) -> TreeAutomaton:
     """The minimal SDTA for the language of ``a``, in normal form.
 
-    After ``prune_reachable``, one ``coarsest_partition`` runs over integer
-    elements: the vertical states, a vertical sink, and per machine its
-    compiled positions and a dead sink.  A vertical state is keyed by its
-    finality (the sink as non-final); its row holds the state each
-    horizontal state moves to on reading it.  A horizontal state is keyed by
-    its symbol; its row holds its output (the sink when not final) and its
-    transitions.  Rows start at the sinks, and each compiled transition
-    fills two entries.  The worklist reads a row again only after a successor
-    changed block, which each element does at most log2 n times.  Block
-    mates are interchangeable in every run, and the useless states (in no
-    accepted tree) join the sink's block, since every pruned horizontal
-    state is reachable.  The quotient drops that block, the finals that
-    output it and the machines whose initial state joins their own sink.
-    It is the unique minimal trimmed SDTA of the language (Martens &
-    Niehren, JCSS 2007), and ``_normal`` names its states, so language-equal
-    inputs give equal results.  Designated leaf states are letters, not
-    elements, so they never merge.
+    After ``prune_reachable`` every state is reachable, so a backward pass
+    from the final vertical states over outputs and transitions finds the
+    useful elements (vertical states and compiled positions in some
+    accepted tree).  One ``coarsest_partition`` refines sparse rows: a
+    horizontal state's output, then its successors by letter; a vertical
+    state's successors on the transitions reading it, by source.  Rows
+    hold only entries into useful elements, and keys their labels, so no
+    entry stands for a sink; the useless elements form one dead block per
+    kind, which the quotient drops.  It is the unique minimal trimmed SDTA
+    (Martens & Niehren, JCSS 2007), named by ``_normal``, so language-equal
+    inputs give equal results.  Leaf states are letters, so never merged.
     """
     if a.kind != SDTA:
         raise KindError(f"expected an SDTA, got {a.kind}")
     a = prune_reachable(a)
     vertical = sorted(a.states)
     vindex = {q: v for v, q in enumerate(vertical)}
-    keys = [q in a.finals for q in vertical] + [False]  # then the vertical sink
-    first_h = len(keys)  # the first horizontal element
-    letters = {c: x for x, c in enumerate(sorted(a.leaf_symbols) + vertical, 1)}
-    machines, sinks = [], []
+    machines, back = [], [[] for _ in vertical]  # per element, the elements it makes useful
     for sym, m in sorted(a.moore.items()):
-        form = m.compiled()
-        base, n = first_h + len(sinks), len(form.states)  # its states, then its dead sink
+        form, base = m.compiled(), len(back)
         machines.append((sym, m, form, base))
-        keys += [sym] * (n + 1)
-        sinks += [base + n] * (n + 1)
-    # a vertical row: where each horizontal state goes on reading it; a
-    # horizontal row: the output, then where each letter leads
-    rows = [sinks.copy() for _ in range(first_h)]
-    rows += [[first_h - 1] + [sink] * len(letters) for sink in sinks]
-    for sym, m, form, base in machines:
+        back += [[] for _ in form.states]
         for s, q in m.outputs.items():
-            rows[base + form.index[s]][0] = vindex[q]
+            back[vindex[q]].append(base + form.index[s])
         for c, column in form.columns.items():
-            x, v = letters[c], vindex.get(c)
-            for i, j in column:
-                rows[base + i][x] = base + j
-                if v is not None:
-                    rows[v][base + i - first_h] = base + j
+            for i, j in column:  # a leaf letter is no element: the source stands in
+                back[base + j] += (base + i, vindex.get(c, base + i))
+    useful, todo = [False] * len(back), [vindex[q] for q in a.finals & a.states]
+    while todo:
+        x = todo.pop()
+        if not useful[x]:
+            useful[x] = True
+            todo += back[x]
+    keys, rows = [[q in a.finals] for q in vertical], [[] for _ in vertical]
+    for sym, m, form, base in machines:
+        for i, (s, out) in enumerate(zip(form.states, form.out), base):
+            q = vindex.get(m.outputs.get(s))
+            label, row = ([sym, None], [q]) if q is not None and useful[q] else ([sym], [])
+            for c, (j,) in out.items():
+                if useful[base + j]:
+                    label.append(c)
+                    row.append(base + j)
+                    if (v := vindex.get(c)) is not None:
+                        keys[v].append(i)
+                        rows[v].append(base + j)
+            keys.append(tuple(label))
+            rows.append(row)
+    keys[:len(vertical)] = map(tuple, keys[:len(vertical)])
     block = coarsest_partition(keys, rows)
 
     first: dict = {}
     rep = [first.setdefault(b, x) for x, b in enumerate(block)]  # x -> its block's first
-    name = [*vertical, None, *(s for _, _, form, _ in machines for s in [*form.states, None])]
-    states = {name[rep[v]] for v in range(len(vertical))} - {name[rep[len(vertical)]]}
-    ha = states | a.leaf_symbols
-    moore = {}
+    name = [*vertical, *(s for _, _, form, _ in machines for s in form.states)]
+    states = {name[rep[v]] for v in range(len(vertical)) if useful[v]}
+    ha, moore = states | a.leaf_symbols, {}
     for sym, m, form, base in machines:
-        sink = base + len(form.states)
-        live = {rep[i] for i in range(base, sink)} - {rep[sink]}
         initial = rep[base + form.index[m.initial]]
-        if initial not in live:
+        if not useful[initial]:
             continue
-        trans = [(name[base + i], c, name[rep[base + j]]) for c in ha
-                 for i, j in form.columns.get(c, ()) if base + i in live and rep[base + j] in live]
-        outputs = {name[i]: q for i in live if (q := name[rep[rows[i][0]]]) in states}
+        live = {rep[i] for i in range(base, base + len(form.states)) if useful[i]}
+        trans = [(name[i], c, name[rep[j]]) for i in live
+                 for c, j in zip(keys[i][1:], rows[i]) if c in ha]
+        outputs = {name[i]: name[rep[rows[i][0]]] for i in live if keys[i][1] is None}
         moore[sym] = MooreDFA([name[i] for i in live], ha, name[initial], set(outputs), trans,
                               outputs)
     return _normal(TreeAutomaton(SDTA, a.alphabet, states,

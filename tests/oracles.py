@@ -16,19 +16,22 @@ work: a second walk of each subset machine in the general conversion, every
 document block rendered on its own, and the separator-key check.  The last
 is ``TreeAutomaton``'s validation as it was before every machine became one
 keyed block: one branch for an SDTA's Moore machines, one for the other
-kinds' acceptors.
+kinds' acceptors.  ``canonical_sdta_dense`` is the canonicalizer as it was
+before it trimmed useless states first: every row dense, a missing
+transition read as a sink element.
 """
 
 from __future__ import annotations
 
 from uta import (DFA, KINDS, NFA, SDTA, KindError, MooreDFA, TreeAutomaton, UnknownSymbolError,
                  UtaError)
-from uta.automata import DETERMINISTIC_KINDS, DFA_KINDS
+from uta.analysis import _normal
+from uta.automata import DETERMINISTIC_KINDS, DFA_KINDS, prune_reachable
 from uta.convert import _assignable_subsets, _symbols_with_machines
 from uta.docs import (ALPHABET, FINALS, HORIZONTAL, INITIAL, KIND, LEAFSTATES, MACHINES, OUTPUTS,
                       STATES, TRANS, _check_token, _check_tree_alphabet)
 from uta.errors import DocumentError
-from uta.strings import explore, subset_name, unique_names
+from uta.strings import coarsest_partition, explore, subset_name, unique_names
 
 
 def explore_by_step(start, step, letters):
@@ -399,3 +402,77 @@ def validate_by_kind(kind, alphabet, states, finals, horizontal=None, moore=None
             raise KindError(
                 f"machine for ({q!r},{sym!r}) accepts the empty string, clashing "
                 f"with the designated leaf state")
+
+
+def canonical_sdta_dense(a: TreeAutomaton) -> TreeAutomaton:
+    """``analysis.canonical_sdta`` as it was before it trimmed first and
+    refined sparse rows: dense rows over sink elements.
+
+    After ``prune_reachable``, one ``coarsest_partition`` runs over integer
+    elements: the vertical states, a vertical sink, and per machine its
+    compiled positions and a dead sink.  A vertical state is keyed by its
+    finality (the sink as non-final); its row holds the state each
+    horizontal state moves to on reading it.  A horizontal state is keyed by
+    its symbol; its row holds its output (the sink when not final) and its
+    transitions.  Rows start at the sinks, and each compiled transition
+    fills two entries.  The worklist reads a row again only after a successor
+    changed block, which each element does at most log2 n times.  Block
+    mates are interchangeable in every run, and the useless states (in no
+    accepted tree) join the sink's block, since every pruned horizontal
+    state is reachable.  The quotient drops that block, the finals that
+    output it and the machines whose initial state joins their own sink.
+    It is the unique minimal trimmed SDTA of the language (Martens &
+    Niehren, JCSS 2007), and ``_normal`` names its states, so language-equal
+    inputs give equal results.  Designated leaf states are letters, not
+    elements, so they never merge.
+    """
+    if a.kind != SDTA:
+        raise KindError(f"expected an SDTA, got {a.kind}")
+    a = prune_reachable(a)
+    vertical = sorted(a.states)
+    vindex = {q: v for v, q in enumerate(vertical)}
+    keys = [q in a.finals for q in vertical] + [False]  # then the vertical sink
+    first_h = len(keys)  # the first horizontal element
+    letters = {c: x for x, c in enumerate(sorted(a.leaf_symbols) + vertical, 1)}
+    machines, sinks = [], []
+    for sym, m in sorted(a.moore.items()):
+        form = m.compiled()
+        base, n = first_h + len(sinks), len(form.states)  # its states, then its dead sink
+        machines.append((sym, m, form, base))
+        keys += [sym] * (n + 1)
+        sinks += [base + n] * (n + 1)
+    # a vertical row: where each horizontal state goes on reading it; a
+    # horizontal row: the output, then where each letter leads
+    rows = [sinks.copy() for _ in range(first_h)]
+    rows += [[first_h - 1] + [sink] * len(letters) for sink in sinks]
+    for sym, m, form, base in machines:
+        for s, q in m.outputs.items():
+            rows[base + form.index[s]][0] = vindex[q]
+        for c, column in form.columns.items():
+            x, v = letters[c], vindex.get(c)
+            for i, j in column:
+                rows[base + i][x] = base + j
+                if v is not None:
+                    rows[v][base + i - first_h] = base + j
+    block = coarsest_partition(keys, rows)
+
+    first: dict = {}
+    rep = [first.setdefault(b, x) for x, b in enumerate(block)]  # x -> its block's first
+    name = [*vertical, None, *(s for _, _, form, _ in machines for s in [*form.states, None])]
+    states = {name[rep[v]] for v in range(len(vertical))} - {name[rep[len(vertical)]]}
+    ha = states | a.leaf_symbols
+    moore = {}
+    for sym, m, form, base in machines:
+        sink = base + len(form.states)
+        live = {rep[i] for i in range(base, sink)} - {rep[sink]}
+        initial = rep[base + form.index[m.initial]]
+        if initial not in live:
+            continue
+        trans = [(name[base + i], c, name[rep[base + j]]) for c in ha
+                 for i, j in form.columns.get(c, ()) if base + i in live and rep[base + j] in live]
+        outputs = {name[i]: q for i in live if (q := name[rep[rows[i][0]]]) in states}
+        moore[sym] = MooreDFA([name[i] for i in live], ha, name[initial], set(outputs), trans,
+                              outputs)
+    return _normal(TreeAutomaton(SDTA, a.alphabet, states,
+                                 {name[rep[vindex[q]]] if q in vindex else q for q in a.finals},
+                                 moore=moore, leaf_symbols=a.leaf_symbols))

@@ -59,6 +59,32 @@ def rand_sdta(rng: random.Random, max_vertical=4, max_horizontal=6,
     return TreeAutomaton(SDTA, alphabet, states, finals, moore=moore)
 
 
+def rand_sdta_leaves(rng: random.Random, max_vertical=4, max_horizontal=6,
+                     max_alphabet=3) -> TreeAutomaton:
+    """An SDTA with designated leaf states: at least one symbol uses the
+    leaf convention, so a bare leaf of it is assigned the symbol itself,
+    which the machines read as a letter and which is final about half the
+    time.  Some symbols have no machine.  It is opt-in: no other generator
+    calls it, so their seeded draws stay as they are."""
+    alphabet = ALPHABET_POOL[: rng.randint(1, max_alphabet)]
+    leaves = [s for s in alphabet if rng.random() < 0.5] or [rng.choice(alphabet)]
+    states = [f"q{i}" for i in range(rng.randint(1, max_vertical))]
+    ha = frozenset(states) | frozenset(leaves)
+    moore = {}
+    for sym in alphabet:
+        if rng.random() < 0.15:
+            continue
+        m = _rand_moore(rng, ha, max_horizontal, states)
+        if sym in leaves and m.initial in m.finals:
+            # the empty word would clash with the leaf state
+            finals = m.finals - {m.initial}
+            m = MooreDFA(m.states, ha, m.initial, finals, m.transitions(),
+                         {s: m.outputs[s] for s in finals})
+        moore[sym] = m
+    finals = [x for x in states + leaves if rng.random() < 0.5] or [rng.choice(leaves)]
+    return TreeAutomaton(SDTA, alphabet, states, finals, moore=moore, leaf_symbols=leaves)
+
+
 def _rand_complete_dfa(rng, ha, max_states):
     n = rng.randint(1, max_states)
     states = [f"g{i}" for i in range(n)]

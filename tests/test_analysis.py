@@ -1,3 +1,4 @@
+import collections
 import random
 import time
 from itertools import permutations
@@ -16,9 +17,9 @@ from uta.cli import cli_main
 from uta.docs import render_automaton
 from uta.trees import DEFAULT_BOUNDS
 
-from oracles import stepwise
+from oracles import canonical_sdta_dense, stepwise
 from randgen import (canonical_form, inflate_sdta, rand_dta_nfa, rand_dtadfa, rand_nta,
-                     rand_sdta, rename_sdta)
+                     rand_sdta, rand_sdta_leaves, rename_sdta)
 
 BOUNDS = EnumerationBounds(3, 3, 400)
 
@@ -384,6 +385,56 @@ class TestCanonicalAgainstNestedReference:
             assert sdta_isomorphic(got, want)
             merged += size(got) != size(prune_reachable(x))
         assert merged >= 100
+
+
+class TestCanonicalAgainstDenseOracle:
+    """``canonical_sdta`` trims the useless states first and then refines
+    sparse rows; ``oracles.canonical_sdta_dense`` refines dense rows over
+    sink elements.  Both must render byte for byte the same."""
+
+    def test_seeded_draws(self):
+        seen = collections.Counter()
+        for seed in range(300):
+            rng = random.Random(seed)
+            x, y = rand_sdta(rng), rand_sdta_leaves(rng)
+            draws = [x, inflate_sdta(rng, x), dtadfa_to_sdta(rand_dtadfa(rng))[0],
+                     nta_to_sdta(rand_nta(rng))[0], nta_to_sdta(rand_dta_nfa(rng))[0],
+                     y, inflate_sdta(rng, y), nta_to_sdta(sdta_to_dtadfa(y)[0])[0]]
+            for k, a in enumerate(draws):
+                c = canonical_sdta(a)
+                assert render_automaton(c) == render_automaton(canonical_sdta_dense(a)), (seed, k)
+                pruned = prune_reachable(a)
+                trimmed = size(_useful_trim(pruned))
+                seen["draws"] += 1
+                seen["trimmed"] += trimmed != size(pruned)
+                seen["merged"] += size(c) != trimmed
+                for leaf in sorted(a.leaf_symbols):
+                    accepted = accepts(a, parse_tree(leaf, a.alphabet))
+                    assert accepts(c, parse_tree(leaf, a.alphabet)) == accepted, (seed, k, leaf)
+                    seen["final leaf"] += accepted
+                    seen["nonfinal leaf"] += not accepted
+        assert seen["draws"] >= 2000 and min(seen.values()) >= 200, seen
+
+    @pytest.mark.parametrize("make", [
+        lambda: dtadfa_to_sdta(gen_lemma34((2, 3, 5, 7))[0])[0],
+        lambda: dtadfa_to_sdta(gen_lemma34((3, 4, 5, 7))[0])[0],
+        lambda: nta_to_sdta(gen_thm41(3)[0])[0],
+        lambda: nta_to_sdta(gen_thm41(4)[0])[0],
+        lambda: nta_to_sdta(gen_thm41(5)[0])[0],
+    ], ids=["lemma34(2,3,5,7)", "lemma34(3,4,5,7)", "thm41(3)", "thm41(4)", "thm41(5)"])
+    def test_witnesses(self, make):
+        a = make()
+        assert render_automaton(canonical_sdta(a)) == render_automaton(canonical_sdta_dense(a))
+
+    def test_useless_output_is_no_output(self):
+        # b(a) is assigned u, which no tree reads and which is not final, so
+        # g1 (outputs u) and g2 (outputs nothing) behave alike and merge
+        m = MooreDFA(["g0", "g1", "g2", "gF"], ["a", "q", "u"], "g0", ["g1", "gF"],
+                     [("g0", "a", "g1"), ("g1", "a", "gF"), ("g2", "a", "gF"),
+                      ("g1", "q", "g2"), ("g2", "q", "g1")], {"g1": "u", "gF": "q"})
+        a = TreeAutomaton(SDTA, "ab", ["q", "u"], ["q"], moore={"b": m}, leaf_symbols="a")
+        c = canonical_sdta(a)
+        assert str(size(c)) == "[1; 3]" and c == canonical_sdta_dense(a)
 
 
 def _seeded_pair(seed):

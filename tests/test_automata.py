@@ -284,8 +284,10 @@ def thm41_canonical():
 def thm41_split(thm41_canonical):
     """The canonical SDTA of theorem 4.1 (4) split into a dta-dfa: one
     symbol, one Moore machine copied once per output value.  Each test gets
-    fresh machines, so none finds forms compiled by another."""
-    return sdta_to_dtadfa(thm41_canonical)[0]
+    fresh machines, so none finds forms compiled by another: the split's
+    siblings share their source's compiled form, so the source is a pickled
+    copy, which carries no compiled form."""
+    return sdta_to_dtadfa(pickle.loads(pickle.dumps(thm41_canonical)))[0]
 
 
 def _equal_machine_sdtas(rng):
@@ -329,6 +331,13 @@ class TestSharedStructures:
         assert check_semantic_determinism(thm41_split).ok
         # the pair search reads the out of the one structure the 15 share
         assert len(machines) == 15 and reads == [machines[0].compiled()]
+
+    def test_each_split_compiles_its_own_form(self, thm41_split, thm41_canonical):
+        (form,) = {m.compiled() for m in thm41_split.horizontal.values()}
+        assert form._out is None
+        assert all(m.compiled() is not form for m in thm41_canonical.moore.values())
+        again = sdta_to_dtadfa(pickle.loads(pickle.dumps(thm41_canonical)))[0]
+        assert all(m.compiled() is not form for m in again.horizontal.values())
 
     def test_prune_walks_each_structure_once_a_round(self, thm41_split, monkeypatch):
         calls = []

@@ -11,7 +11,7 @@ from uta import (DFA, NFA, AlphabetMismatchError, MooreDFA, NTA_DFA, OverlapErro
                  TreeAutomaton, UnknownSymbolError, UtaError, canonical_sdta,
                  check_semantic_determinism,
                  determinize, dtadfa_to_sdta, gen_lemma34, gen_thm41, marked_union,
-                 minimize_dfa, minimize_moore, nta_to_dtadfa, nta_to_sdta)
+                 minimize_dfa, minimize_moore, nta_to_dtadfa, nta_to_sdta, prune_reachable)
 from uta.strings import (SubsetMachine, coarsest_partition, explore, first_overlap,
                          shared_structures)
 
@@ -587,6 +587,22 @@ class TestCoarsestPartition:
         (keys, rows), = inputs
         assert len(keys) > 40
         agrees_with_rounds(keys, rows)
+
+    def test_canonical_sdta_rows_hold_only_transitions_that_exist(self, monkeypatch):
+        inputs = []
+
+        def recording(keys, rows):
+            inputs.append(rows)
+            return coarsest_partition(keys, rows)
+
+        monkeypatch.setattr(uta.analysis, "coarsest_partition", recording)
+        a = prune_reachable(nta_to_sdta(gen_thm41(5)[0])[0])
+        canonical_sdta(a)
+        (rows,) = inputs
+        transitions = sum(len(m.delta) for m in a.moore.values())
+        outputs = sum(len(m.outputs) for m in a.moore.values())
+        # dense rows, one entry per horizontal state or letter, held 152 295
+        assert transitions == 2342 and sum(map(len, rows)) <= 2 * transitions + outputs
 
 
 def _string_machines(rng):
