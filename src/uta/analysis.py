@@ -9,11 +9,11 @@ only when that product finds a pair the automata disagree on, to report the
 first counterexample in enumeration order.
 
 Canonical equivalence compares two canonical forms with ``==``.  The
-canonicalizer trims a pruned SDTA to the states in some accepted tree, then
-quotients it by the coarsest stable partition of its vertical and
-horizontal states, refined over the transitions that exist: the unique
-minimal SDTA, named by structure alone, so language-equal inputs give
-equal automata and byte-identical documents.
+canonicalizer finds the states in some accepted tree by one forward and one
+backward pass, quotients by the coarsest stable partition of its vertical
+and horizontal states, refined over the transitions that exist, and names
+the blocks in one walk: the unique minimal SDTA, named by structure alone,
+so language-equal inputs give equal automata and byte-identical documents.
 
 Isomorphism is decided in polynomial time by comparing the same structural
 renaming of both automata, which needs every vertical state reachable
@@ -22,10 +22,12 @@ renaming of both automata, which needs every vertical state reachable
 
 from __future__ import annotations
 
-from .automata import (DETERMINISTIC_KINDS, SDTA, TreeAutomaton, _evaluate, bottom_up_reach,
-                       prune_reachable, reach)
+from functools import partial
+
+from .automata import (DETERMINISTIC_KINDS, SDTA, TreeAutomaton, _evaluate, _label,
+                       bottom_up_reach, forward)
 from .errors import AlphabetMismatchError, KindError
-from .strings import MooreDFA, coarsest_partition
+from .strings import MooreDFA, SubsetMachine, coarsest_partition, reading
 from .trees import DEFAULT_BOUNDS, EnumerationBounds, Tree, _Record, iter_trees
 
 
@@ -115,74 +117,74 @@ def _pair_machine(run_a, run_b, width) -> tuple:
 def canonical_sdta(a: TreeAutomaton) -> TreeAutomaton:
     """The minimal SDTA for the language of ``a``, in normal form.
 
-    After ``prune_reachable`` every state is reachable, so a backward pass
-    from the final vertical states over outputs and transitions finds the
-    useful elements (vertical states and compiled positions in some
-    accepted tree).  One ``coarsest_partition`` refines sparse rows: a
-    horizontal state's output, then its successors by letter; a vertical
-    state's successors on the transitions reading it, by source.  Rows
-    hold only entries into useful elements, and keys their labels, so no
-    entry stands for a sink; the useless elements form one dead block per
-    kind, which the quotient drops.  It is the unique minimal trimmed SDTA
-    (Martens & Niehren, JCSS 2007), named by ``_normal``, so language-equal
-    inputs give equal results.  Leaf states are letters, so never merged.
-    """
+    Each step runs once, over integer elements: the positions of one
+    ``strings.SubsetMachine`` (a group per Moore machine), then the vertical
+    states.  ``forward`` finds the reached positions and assignable letters;
+    a backward pass from the assignable finals over live edges (from a
+    reached position, on an assignable letter) finds the useful elements,
+    those in some accepted tree.  One ``coarsest_partition`` refines sparse
+    rows: a useful position's output and successors by letter; a useful
+    vertical state's successors on the transitions reading it, by source.
+    Rows hold entries into useful elements on useful letters only, keys
+    their labels; useless elements, with empty rows and keyed non-final,
+    form one dead block per kind, which the quotient drops.  ``_named``
+    names its blocks: the unique minimal trimmed SDTA (Martens & Niehren,
+    JCSS 2007), so language-equal inputs give equal results."""
     if a.kind != SDTA:
         raise KindError(f"expected an SDTA, got {a.kind}")
-    a = prune_reachable(a)
-    vertical = sorted(a.states)
-    vindex = {q: v for v, q in enumerate(vertical)}
-    machines, back = [], [[] for _ in vertical]  # per element, the elements it makes useful
-    for sym, m in sorted(a.moore.items()):
-        form, base = m.compiled(), len(back)
-        machines.append((sym, m, form, base))
-        back += [[] for _ in form.states]
-        for s, q in m.outputs.items():
-            back[vindex[q]].append(base + form.index[s])
-        for c, column in form.columns.items():
-            for i, j in column:  # a leaf letter is no element: the source stands in
-                back[base + j] += (base + i, vindex.get(c, base + i))
-    useful, todo = [False] * len(back), [vindex[q] for q in a.finals & a.states]
+    blocks = a._blocks
+    sub = SubsetMachine([m for _, m in blocks], partial(_label, blocks),
+                        [[k] for k in range(len(blocks))])
+    reached, letters = forward(sub, a.leaf_symbols)
+    out, marks, n = sub.out, sub.marks, len(sub.names)
+    vindex = {q: v for v, q in enumerate(sorted(a.states), n)}  # a vertical state's element
+    back = [[] for _ in range(n + len(vindex))]  # per element, the elements it makes useful
+    for p in reached:
+        for q in marks[p]:
+            back[vindex[q]].append(p)
+        for c, (j,) in out[p].items():
+            if c in letters:  # a leaf letter is no element: the source stands in
+                back[j] += (p, vindex.get(c, p))
+    useful, todo = [False] * len(back), [vindex[q] for q in a.finals & letters if q in vindex]
     while todo:
         x = todo.pop()
         if not useful[x]:
             useful[x] = True
             todo += back[x]
-    keys, rows = [[q in a.finals] for q in vertical], [[] for _ in vertical]
-    for sym, m, form, base in machines:
-        for i, (s, out) in enumerate(zip(form.states, form.out), base):
-            q = vindex.get(m.outputs.get(s))
-            label, row = ([sym, None], [q]) if q is not None and useful[q] else ([sym], [])
-            for c, (j,) in out.items():
-                if useful[base + j]:
-                    label.append(c)
-                    row.append(base + j)
-                    if (v := vindex.get(c)) is not None:
-                        keys[v].append(i)
-                        rows[v].append(base + j)
-            keys.append(tuple(label))
-            rows.append(row)
-    keys[:len(vertical)] = map(tuple, keys[:len(vertical)])
-    block = coarsest_partition(keys, rows)
+    keys = [[sym] for (sym,), m in blocks for _ in m.states]
+    keys += [[useful[x] and q in a.finals] for q, x in vindex.items()]
+    rows = [[] for _ in keys]
+    for p in filter(useful.__getitem__, range(n)):
+        if marks[p] and useful[q := vindex[marks[p][0]]]:
+            keys[p].append(None)
+            rows[p].append(q)
+        for c, (j,) in out[p].items():
+            if useful[j] and useful[x := vindex.get(c, p)]:
+                keys[p].append(c)
+                rows[p].append(j)
+                if x != p:
+                    keys[x].append(p)
+                    rows[x].append(j)
+    block = coarsest_partition([*map(tuple, keys)], rows)
 
     first: dict = {}
     rep = [first.setdefault(b, x) for x, b in enumerate(block)]  # x -> its block's first
-    name = [*vertical, *(s for _, _, form, _ in machines for s in form.states)]
-    states = {name[rep[v]] for v in range(len(vertical)) if useful[v]}
-    ha, moore = states | a.leaf_symbols, {}
-    for sym, m, form, base in machines:
-        initial = rep[base + form.index[m.initial]]
-        if not useful[initial]:
-            continue
-        live = {rep[i] for i in range(base, base + len(form.states)) if useful[i]}
-        trans = [(name[i], c, name[rep[j]]) for i in live
-                 for c, j in zip(keys[i][1:], rows[i]) if c in ha]
-        outputs = {name[i]: name[rep[rows[i][0]]] for i in live if keys[i][1] is None}
-        moore[sym] = MooreDFA([name[i] for i in live], ha, name[initial], set(outputs), trans,
-                              outputs)
-    return _normal(TreeAutomaton(SDTA, a.alphabet, states,
-                                 {name[rep[vindex[q]]] if q in vindex else q for q in a.finals},
-                                 moore=moore, leaf_symbols=a.leaf_symbols))
+    name = {x: q for q, x in vindex.items()}  # a vertical element's state
+    states = [q for q, x in vindex.items() if useful[x] and rep[x] == x]
+    ha, machines = a.leaf_symbols.union(states), []
+    for ((sym,), _), (base, form) in zip(blocks, sub.forms.values()):
+        if useful[start := rep[base + form.initials[0]]]:
+            live = {rep[p] for p in range(base, base + len(form.states)) if useful[p]}
+            columns, outputs = {}, {}
+            for i in live:
+                for c, j in zip(keys[i][1:], rows[i]):
+                    if c is None:
+                        outputs[i] = name[rep[j]]
+                    elif c in ha:
+                        columns.setdefault(c, []).append((i, rep[j]))
+            machines.append((sym, len(live), start, columns, outputs))
+    return _named(a, machines, states, [q if x is None else name[rep[x]] for q in a.finals
+                                        if (x := vindex.get(q)) is None or useful[x]])
 
 
 def sdta_isomorphic(a: TreeAutomaton, b: TreeAutomaton) -> bool:
@@ -202,39 +204,41 @@ def sdta_isomorphic(a: TreeAutomaton, b: TreeAutomaton) -> bool:
 
 
 def _normal(a: TreeAutomaton) -> TreeAutomaton:
-    """``a`` renamed by its structure alone, never by its state names.
+    """``a`` renamed by structure alone: ``_named`` over its compiled forms."""
+    return _named(a, [(sym, len(form.states), form.initials[0], form.columns,
+                       {form.index[s]: q for s, q in m.outputs.items()})
+                      for (sym,), m in a._blocks for form in [m.compiled()]], a.states, a.finals)
 
-    ``reach`` finds the letters in structural order: it explores every
-    symbol's machine, symbols in sorted order, reading the leaf symbols by
-    name and then the states found so far in the order found.  Each leaf
-    symbol keeps its name, and the vertical states are named ``v.0``,
-    ``v.1``, ... in that order (no tree symbol contains a dot).  Each
-    machine's states are named ``h0, h1, ...`` in the order of the search's
-    last round, which read every letter; states it does not reach keep only
-    their number and follow as bare states, with no transitions and no
-    output.  Raises KindError naming a vertical state the search never
-    finds."""
-    walks = {}
-    found = list(reach(a, walks))
-    leaves = len(a.leaf_symbols)
-    label = {c: c for c in found[:leaves]}
-    label.update((q, f"v.{n}") for n, q in enumerate(found[leaves:]))
-    unreached = sorted(a.states.difference(label))
-    if unreached:
+
+def _named(a: TreeAutomaton, machines, states, finals) -> TreeAutomaton:
+    """The SDTA with the alphabet and leaf states of ``a``, vertical
+    ``states`` and ``finals``, and per symbol in sorted order the machine
+    ``(sym, size, start, columns, outputs)`` over positions, with columns
+    ``{letter: [(position, successor)]}`` and outputs ``{position: state}``,
+    named by structure alone.  ``bottom_up_reach`` walks each machine,
+    reading the sorted leaf states, then the states found so far in the
+    order found, through rows built per walk (``strings.reading``).  The
+    vertical states are ``v.0``, ``v.1``, ... in the order found (no tree
+    symbol contains a dot), a machine's states ``h0, h1, ...`` in the order
+    of its last walk, which read every letter, and those of its ``size`` not
+    reached follow, bare.  A vertical state never found raises KindError."""
+    leaves, walks = sorted(a.leaf_symbols), {}
+    found = list(bottom_up_reach([([start], partial(reading, columns),
+                                   lambda order, out=outputs: [out[i] for i in order if i in out])
+                                  for _, _, start, columns, outputs in machines], leaves, walks))
+    label = dict(zip(leaves, leaves)) | {q: f"v.{n}" for n, q in enumerate(found[len(leaves):])}
+    if unreached := sorted(set(states).difference(label)):
         raise KindError(f"vertical state {unreached[0]!r} is never reached; "
                         f"prune the SDTA before testing isomorphism")
     moore = {}
-    for sym, m in sorted(a.moore.items()):
-        order, edges = walks[sym,]
-        order = [*map(m.compiled().states.__getitem__, order)]
-        names = [f"h{i}" for i in range(len(m.states))]
-        finals = [i for i, s in enumerate(order) if s in m.finals]
-        moore[sym] = MooreDFA(names, label.values(), names[0], [names[i] for i in finals],
+    for (sym, size, _, _, outputs), (order, edges) in zip(machines, walks.values()):
+        names = [f"h{i}" for i in range(size)]
+        ends = [i for i, p in enumerate(order) if p in outputs]
+        moore[sym] = MooreDFA(names, label.values(), names[0], [names[i] for i in ends],
                               [(names[i], label[c], names[j]) for i, c, j in edges],
-                              {names[i]: label[m.outputs[order[i]]] for i in finals})
-    return TreeAutomaton(SDTA, a.alphabet, [label[q] for q in a.states],
-                         [label[q] for q in a.finals], moore=moore,
-                         leaf_symbols=a.leaf_symbols)
+                              {names[i]: label[outputs[order[i]]] for i in ends})
+    return TreeAutomaton(SDTA, a.alphabet, [label[q] for q in states],
+                         [label[q] for q in finals], moore=moore, leaf_symbols=a.leaf_symbols)
 
 
 def equiv_canonical(a: TreeAutomaton, b: TreeAutomaton,

@@ -22,8 +22,7 @@ from collections.abc import Mapping
 from functools import partial
 
 from .errors import KindError, UnknownSymbolError
-from .strings import (DFA, MooreDFA, NFA, SubsetMachine, explore, first_overlap,
-                      shared_structures)
+from .strings import DFA, MooreDFA, NFA, SubsetMachine, explore, first_overlap
 from .trees import Tree, _Record
 
 NTA_NFA = "nta-nfa"
@@ -440,69 +439,62 @@ def bottom_up_reach(machines, items, walks=None):
                     yield out
 
 
-def reach(a: TreeAutomaton, walks=None):
-    """``bottom_up_reach`` over the compiled machines of the blocks of ``a``,
-    in key order, from its leaf states in sorted order.  Yields the leaf
-    states, then each vertical state that some tree is assigned, in the
-    order found; once exhausted, it leaves in a given dict ``walks`` each
-    block's walk of the last round, by key, as (compiled positions, edges).
-
-    A walk outputs what its final states assign (``_label``) in a
-    ``strings.SubsetMachine`` of the machines.  Acceptors of one
-    structure (``strings.shared_structures``), such as the siblings
-    ``convert.sdta_to_dtadfa`` splits off one Moore machine, are walked as
-    one, so each round walks each structure once; the states found are the
-    same as with one walk per acceptor, in an order that can differ.  An
-    SDTA's Moore machines are walked one by one, in key order, which keeps
-    the order found that ``analysis._normal`` names states by."""
-    ms = [m for _, m in a._blocks]
-    groups = shared_structures(ms)  # which also shares compiled forms
-    if a.kind == SDTA:  # one walk per Moore machine keeps the order found
-        groups = [[k] for k in range(len(ms))]
-    sub = SubsetMachine(ms, partial(_label, a._blocks), groups)
-    machines, marks = [], sub.marks
-    for base, form in sub.forms.values():
-        machines.append((form.initials, form.reading,
-                         lambda order, base=base: [q for i in order for q in marks[base + i]]))
-    shared = {}
-    yield from bottom_up_reach(machines, sorted(a.leaf_symbols), shared)
-    if walks is not None:
-        for x, g in enumerate(groups):
-            walks.update((a._blocks[k][0], shared[x]) for k in g)
+def forward(sub: SubsetMachine, letters) -> tuple:
+    """Horn reachability over ``sub`` in one worklist pass, linear in the
+    edges (Dowling & Gallier, 1984): a popped position makes its marks
+    assignable, pushes its successors on assignable letters and parks the
+    others under their letter until it is assignable.  ``letters`` are
+    assignable at the start (the leaf states), and each position's ``out``
+    is read once.  Returns the reached positions and the assignable letters."""
+    reached, letters, parked = set(), set(letters), {}
+    todo, out, marks = [*sub.start], sub.out, sub.marks
+    while todo:
+        p = todo.pop()
+        if p in reached:
+            continue
+        reached.add(p)
+        for q in marks[p]:
+            if q not in letters:
+                letters.add(q)
+                todo += parked.pop(q, ())
+        for c, js in out[p].items():
+            if c in letters:
+                todo += js
+            else:
+                parked.setdefault(c, []).extend(js)
+    return reached, letters
 
 
 def prune_reachable(a: TreeAutomaton) -> TreeAutomaton:
     """Drop vertical states no run can assign, then drop horizontal states
     that became unreachable.  The language is unchanged.
 
-    The assignable states are those ``reach`` finds.  Each machine keeps
-    what the last round of that search walked, reading the leaf and
-    assignable states; a machine that walked to no final, or to one that
-    assigns (``_label``) a state not assignable, is dropped.  Siblings of
-    one structure share one walk (see ``reach``).  When every vertical
-    state is assignable, a machine whose walk reached all its states and a
-    final is kept as it is, the same object; when that holds for every
-    machine, ``a`` itself is returned, so a trim automaton is never rebuilt.
+    One ``forward`` pass over the ``strings.SubsetMachine`` of the blocks,
+    where acceptors of one structure (such as ``convert.sdta_to_dtadfa``'s
+    siblings) share positions.  Each machine keeps its reached states and
+    their transitions on assignable letters, or is dropped if it reaches no
+    final.  If every state is assignable, a machine that reaches all its
+    states and a final is kept as it is; if every machine is, so is ``a``.
     """
-    walks = {}
-    keep = frozenset(reach(a, walks)) & a.states
-    allowed = keep | a.leaf_symbols
+    sub = SubsetMachine([m for _, m in a._blocks], partial(_label, a._blocks))
+    reached, allowed = forward(sub, a.leaf_symbols)
+    keep, at, parts = a.states & allowed, {}, {}
+    for g in sub.groups:  # block -> (base, compiled form, reached states)
+        base, form = sub.forms[g[0]]
+        at.update(dict.fromkeys(g, (base, form, [s for i, s in enumerate(form.states, base)
+                                                 if i in reached])))
     whole = trim = keep == a.states
-    parts = {}
     for k, (key, m) in enumerate(a._blocks):
-        order, edges = walks[key]
-        if trim and len(order) == len(m.states) and m.finals:
+        base, form, names = at[k]
+        if trim and len(names) == len(form.states) and m.finals:
             parts[key] = m  # every state reached, reading every letter
             continue
-        whole = False
-        names = [*map(m.compiled().states.__getitem__, order)]
-        finals = m.finals.intersection(names)
-        if not finals or not keep.issuperset(_label(a._blocks, k, s) for s in finals):
-            continue
-        args = (names, allowed, m.initials if isinstance(m, NFA) else m.initial, finals,
-                [(names[i], c, names[j]) for i, c, j in edges])
-        parts[key] = (MooreDFA(*args, {s: m.outputs[s] for s in finals})
-                      if isinstance(m, MooreDFA) else type(m)(*args))
-    if whole:
-        return a
-    return _from_blocks(a.kind, a.alphabet, keep, a.finals & allowed, a.leaf_symbols, parts)
+        whole, states = False, form.states
+        if finals := m.finals.intersection(names):
+            args = (names, allowed, m.initials if isinstance(m, NFA) else m.initial, finals,
+                    [(states[i], c, states[j]) for c, column in form.columns.items()
+                     if c in allowed for i, j in column if base + i in reached])
+            parts[key] = (MooreDFA(*args, {s: m.outputs[s] for s in finals})
+                          if isinstance(m, MooreDFA) else type(m)(*args))
+    return a if whole else _from_blocks(a.kind, a.alphabet, keep, a.finals & allowed,
+                                        a.leaf_symbols, parts)

@@ -43,11 +43,10 @@ class ConversionReport(_Record):
 def sdta_to_dtadfa(a: TreeAutomaton):
     """Split each per-symbol machine into one DFA per output value: the copy
     for state q keeps exactly the finals that output q.  The copies are
-    siblings (``DFA.with_finals``): one symbol's copies share the Moore
-    machine's states, ``delta`` and compiled form, which are neither checked
-    nor compiled again, and so one walk in ``reach`` and ``prune_reachable``.
-    Vertical states are untouched; the result is weakly deterministic by
-    construction."""
+    siblings (``DFA.with_finals``) that share the Moore machine's states,
+    ``delta`` and compiled form, neither checked nor compiled again, and so
+    their positions in ``prune_reachable``.  Vertical states are untouched;
+    the result is weakly deterministic by construction."""
     if a.kind != SDTA:
         raise KindError(f"expected an SDTA, got {a.kind}")
     horizontal = {}

@@ -15,15 +15,17 @@ horizontal run step it, a run only on the items it has a transition on
 per structure, by column; its walk decides disjointness, and
 ``first_overlap``'s pair search, over ``out``, names a witness.  Every
 construction that builds reachable states runs one breadth-first explorer,
-``explore``; only ``first_overlap`` keeps its own queue, for parent
-pointers and an early exit.  Every minimizer, here and in ``analysis``,
-runs one partition refinement, ``coarsest_partition``.
+``explore``, but ``first_overlap`` (parent pointers, an early exit) and
+``automata.forward`` (Horn reachability) keep their own worklists.  Every
+minimizer, here and in ``analysis``, runs one ``coarsest_partition``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
+from collections import defaultdict
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import AlphabetMismatchError, OverlapError, UnknownSymbolError, UtaError
 
@@ -73,15 +75,6 @@ class _Compiled:
                 for i, j in self.columns[c]:
                     self._out[i].setdefault(c, []).append(j)
         return self._out
-
-    def reading(self, letters):
-        """``explore``'s successors over positions, reading only ``letters``
-        in their order, in O(states + the transitions on ``letters``)."""
-        rows = [[] for _ in self.states]
-        for c in letters:
-            for i, j in self.columns.get(c, ()):
-                rows[i].append((c, j))
-        return rows.__getitem__
 
 
 class _Machine:
@@ -228,6 +221,16 @@ class MooreDFA(DFA):
                         {s: f(v) for s, v in self.outputs.items()})
 
 
+def reading(columns, letters):
+    """``explore``'s successors reading only ``letters``, in their order,
+    over ``columns``, a ``{letter: [(position, successor)]}`` map."""
+    rows = defaultdict(list)
+    for c in letters:
+        for i, j in columns.get(c, ()):
+            rows[i].append((c, j))
+    return rows.__getitem__
+
+
 def explore(starts, successors):
     """Breadth-first search from ``starts``; ``successors(state)`` yields
     (letter, next state or None) pairs in reading order.  Returns the states
@@ -330,10 +333,12 @@ def coarsest_partition(keys, rows) -> list:
     Returns each element's block number, in the order of first members.
 
     A worklist after Hopcroft (1971): a pass splits blocks by their members'
-    tuples of successor block ids, but re-signs only the predecessors of
-    elements that changed block in the pass before (at first, all).  The
-    largest part keeps the block id, so an element changes block at most
-    log2 n times, and rows of bounded length cost O(m log n) in all.
+    signatures, the successor block ids one precomputed ``itemgetter`` reads
+    (a scalar for one entry, None for none; rows of different lengths never
+    sign alike), but re-signs only the predecessors of elements that changed
+    block in the pass before (at first, all).  The largest part keeps the
+    block id, so an element changes block at most log2 n times, and rows of
+    bounded length cost O(m log n) in all.
     """
     ids: dict = {}
     block = [ids.setdefault(k, len(ids)) for k in keys]
@@ -344,7 +349,7 @@ def coarsest_partition(keys, rows) -> list:
     for i, row in enumerate(rows):
         for j in set(row):
             preds[j].append(i)
-    at = block.__getitem__
+    sign = [itemgetter(*row) if row else None for row in rows]
     hit = range(len(block))
     while hit:
         touched = {}
@@ -357,7 +362,7 @@ def coarsest_partition(keys, rows) -> list:
                 continue
             parts = {}
             for i in resign:
-                parts.setdefault(tuple(map(at, rows[i])), []).append(i)
+                parts.setdefault(get(block) if (get := sign[i]) else None, []).append(i)
             parts = [*map(set, parts.values())]
             if len(resign) < len(rest):
                 # the untouched keep the signature they shared, and no

@@ -18,20 +18,25 @@ is ``TreeAutomaton``'s validation as it was before every machine became one
 keyed block: one branch for an SDTA's Moore machines, one for the other
 kinds' acceptors.  ``canonical_sdta_dense`` is the canonicalizer as it was
 before it trimmed useless states first: every row dense, a missing
-transition read as a sink element.
+transition read as a sink element.  It prunes by ``prune_by_step_any`` and
+names by ``normal_by_reach``, the structural renaming as it was when a
+round-based ``reach_by_rounds`` found the letters, so it shares no code
+with the canonicalizer's forward pass and namer.
 """
 
 from __future__ import annotations
 
 from uta import (DFA, KINDS, NFA, SDTA, KindError, MooreDFA, TreeAutomaton, UnknownSymbolError,
                  UtaError)
-from uta.analysis import _normal
-from uta.automata import DETERMINISTIC_KINDS, DFA_KINDS, prune_reachable
+from functools import partial
+
+from uta.automata import DETERMINISTIC_KINDS, DFA_KINDS, _label, bottom_up_reach
 from uta.convert import _assignable_subsets, _symbols_with_machines
 from uta.docs import (ALPHABET, FINALS, HORIZONTAL, INITIAL, KIND, LEAFSTATES, MACHINES, OUTPUTS,
                       STATES, TRANS, _check_token, _check_tree_alphabet)
 from uta.errors import DocumentError
-from uta.strings import coarsest_partition, explore, subset_name, unique_names
+from uta.strings import (SubsetMachine, coarsest_partition, explore, shared_structures,
+                         subset_name, unique_names)
 
 
 def explore_by_step(start, step, letters):
@@ -408,7 +413,7 @@ def canonical_sdta_dense(a: TreeAutomaton) -> TreeAutomaton:
     """``analysis.canonical_sdta`` as it was before it trimmed first and
     refined sparse rows: dense rows over sink elements.
 
-    After ``prune_reachable``, one ``coarsest_partition`` runs over integer
+    After ``prune_by_step_any``, one ``coarsest_partition`` runs over integer
     elements: the vertical states, a vertical sink, and per machine its
     compiled positions and a dead sink.  A vertical state is keyed by its
     finality (the sink as non-final); its row holds the state each
@@ -422,13 +427,13 @@ def canonical_sdta_dense(a: TreeAutomaton) -> TreeAutomaton:
     state is reachable.  The quotient drops that block, the finals that
     output it and the machines whose initial state joins their own sink.
     It is the unique minimal trimmed SDTA of the language (Martens &
-    Niehren, JCSS 2007), and ``_normal`` names its states, so language-equal
+    Niehren, JCSS 2007), and ``normal_by_reach`` names its states, so language-equal
     inputs give equal results.  Designated leaf states are letters, not
     elements, so they never merge.
     """
     if a.kind != SDTA:
         raise KindError(f"expected an SDTA, got {a.kind}")
-    a = prune_reachable(a)
+    a = prune_by_step_any(a)
     vertical = sorted(a.states)
     vindex = {q: v for v, q in enumerate(vertical)}
     keys = [q in a.finals for q in vertical] + [False]  # then the vertical sink
@@ -473,6 +478,73 @@ def canonical_sdta_dense(a: TreeAutomaton) -> TreeAutomaton:
         outputs = {name[i]: q for i in live if (q := name[rep[rows[i][0]]]) in states}
         moore[sym] = MooreDFA([name[i] for i in live], ha, name[initial], set(outputs), trans,
                               outputs)
-    return _normal(TreeAutomaton(SDTA, a.alphabet, states,
-                                 {name[rep[vindex[q]]] if q in vindex else q for q in a.finals},
-                                 moore=moore, leaf_symbols=a.leaf_symbols))
+    finals = {name[rep[vindex[q]]] if q in vindex else q for q in a.finals}
+    return normal_by_reach(TreeAutomaton(SDTA, a.alphabet, states, finals, moore=moore,
+                                         leaf_symbols=a.leaf_symbols))
+
+
+def _reading(form):
+    """``read(letters)``, the ``explore`` successors over the positions of a
+    compiled form reading only ``letters`` in their order, with one row list
+    per walk: the compiled form's ``reading`` method as it was."""
+    def read(letters):
+        rows = [[] for _ in form.states]
+        for c in letters:
+            for i, j in form.columns.get(c, ()):
+                rows[i].append((c, j))
+        return rows.__getitem__
+    return read
+
+
+def reach_by_rounds(a: TreeAutomaton, walks=None):
+    """``bottom_up_reach`` over the compiled machines of the blocks of ``a``,
+    in key order, from its leaf states in sorted order: the library's
+    ``reach`` as it was before one forward pass replaced its rounds.  Yields
+    the leaf states, then each vertical state that some tree is assigned,
+    in the order found; once exhausted, it leaves in a given dict ``walks``
+    each block's walk of the last round, by key, as (compiled positions,
+    edges).  Acceptors of one structure are walked as one; an SDTA's Moore
+    machines are walked one by one, in key order."""
+    ms = [m for _, m in a._blocks]
+    groups = shared_structures(ms)  # which also shares compiled forms
+    if a.kind == SDTA:  # one walk per Moore machine keeps the order found
+        groups = [[k] for k in range(len(ms))]
+    sub = SubsetMachine(ms, partial(_label, a._blocks), groups)
+    machines, marks = [], sub.marks
+    for base, form in sub.forms.values():
+        machines.append((form.initials, _reading(form),
+                         lambda order, base=base: [q for i in order for q in marks[base + i]]))
+    shared = {}
+    yield from bottom_up_reach(machines, sorted(a.leaf_symbols), shared)
+    if walks is not None:
+        for x, g in enumerate(groups):
+            walks.update((a._blocks[k][0], shared[x]) for k in g)
+
+
+def normal_by_reach(a: TreeAutomaton) -> TreeAutomaton:
+    """``analysis._normal`` as it was, over ``reach_by_rounds``: the vertical
+    states named ``v.0``, ``v.1``, ... in the order found, each machine's
+    states ``h0, h1, ...`` in the order of the last round's walk, unreached
+    states last and bare.  Raises KindError naming a vertical state the
+    search never finds."""
+    walks = {}
+    found = list(reach_by_rounds(a, walks))
+    leaves = len(a.leaf_symbols)
+    label = {c: c for c in found[:leaves]}
+    label.update((q, f"v.{n}") for n, q in enumerate(found[leaves:]))
+    unreached = sorted(a.states.difference(label))
+    if unreached:
+        raise KindError(f"vertical state {unreached[0]!r} is never reached; "
+                        f"prune the SDTA before testing isomorphism")
+    moore = {}
+    for sym, m in sorted(a.moore.items()):
+        order, edges = walks[sym,]
+        order = [*map(m.compiled().states.__getitem__, order)]
+        names = [f"h{i}" for i in range(len(m.states))]
+        finals = [i for i, s in enumerate(order) if s in m.finals]
+        moore[sym] = MooreDFA(names, label.values(), names[0], [names[i] for i in finals],
+                              [(names[i], label[c], names[j]) for i, c, j in edges],
+                              {names[i]: label[m.outputs[order[i]]] for i in finals})
+    return TreeAutomaton(SDTA, a.alphabet, [label[q] for q in a.states],
+                         [label[q] for q in a.finals], moore=moore,
+                         leaf_symbols=a.leaf_symbols)

@@ -2,6 +2,7 @@ import ast
 import collections
 import itertools
 import pickle
+from functools import partial
 
 import pytest
 
@@ -12,16 +13,17 @@ from uta import (DFA, DTA_DFA, DTA_NFA, KINDS, NTA_DFA, NTA_NFA, NFA, SDTA,
                  nta_to_dtadfa, nta_to_sdta, node, parse_tree, prune_reachable, render_tree,
                  run, sdta_isomorphic, sdta_to_dtadfa, size, word_node)
 from uta import EnumerationBounds, iter_trees
-from uta.automata import _evaluate, bottom_up_reach, reach
+from uta.analysis import _normal
+from uta.automata import _evaluate, _label, bottom_up_reach, forward
 from uta.cli import cli_main
 from uta.docs import render_automaton
-from uta import automata, strings
-from uta.strings import SubsetMachine, explore, shared_structures
+from uta import analysis, strings
+from uta.strings import SubsetMachine, shared_structures
 
-from oracles import (live_by_step_any, moore_run, prune_by_step_any, recursive_run,
-                     sdta_reach_by_step, stepwise, union_run)
-from randgen import (rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta, rand_tree,
-                     rand_trees)
+from oracles import (live_by_step_any, moore_run, normal_by_reach, prune_by_step_any,
+                     recursive_run, sdta_reach_by_step, stepwise, union_run)
+from randgen import (rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta, rand_sdta_leaves,
+                     rand_tree, rand_trees)
 import random
 import re
 import time
@@ -190,6 +192,39 @@ def _all_kinds(rng):
             rand_dta_nfa(rng), rand_dtadfa(rng), rand_sdta(rng)]
 
 
+def _assignable(a) -> set:
+    """The letters ``forward`` finds assignable over the blocks of ``a``, as
+    ``prune_reachable`` runs it: the leaf states and the assignable states."""
+    sub = SubsetMachine([m for _, m in a._blocks], partial(_label, a._blocks))
+    return forward(sub, a.leaf_symbols)[1]
+
+
+def _found_by_namer(a) -> list:
+    """The letters ``analysis._named`` finds, in the order found, when
+    ``_normal`` renames ``a``: the leaf states, then the vertical states."""
+    found = []
+
+    def recording(machines, items, walks):
+        for x in bottom_up_reach(machines, items, walks):
+            found.append(x)
+            yield x
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "bottom_up_reach", recording)
+        try:
+            _normal(a)
+        except KindError:  # a vertical state no tree reaches
+            pass
+    return found
+
+
+def _normal_or_error(normal, a):
+    try:
+        return normal(a)
+    except KindError as e:
+        return str(e)
+
+
 class TestPruneAgainstFrozensetSteps:
     def test_equal_to_the_step_any_reference(self):
         rng = random.Random(59)
@@ -245,7 +280,7 @@ class TestPruneAgainstFrozensetSteps:
         seen = collections.Counter()
         for _ in range(100):
             for auto in _all_kinds(rng)[:4] + [sdta_to_dtadfa(rand_sdta(rng))[0]]:
-                assert set(reach(auto)) == live_by_step_any(auto)
+                assert _assignable(auto) == live_by_step_any(auto)
                 machines = list(auto.horizontal.values())
                 seen[auto.kind] += 1
                 seen["siblings"] += len(shared_structures(machines)) < len(machines)
@@ -255,9 +290,47 @@ class TestPruneAgainstFrozensetSteps:
         rng = random.Random(61)
         for _ in range(150):
             auto = rand_sdta(rng)
-            assert list(reach(auto)) == sdta_reach_by_step(auto)
+            assert _found_by_namer(auto) == sdta_reach_by_step(auto)
         auto = dtadfa_to_sdta(gen_lemma34((2, 3, 5))[0])[0]
-        assert list(reach(auto)) == sdta_reach_by_step(auto)
+        assert _found_by_namer(auto) == sdta_reach_by_step(auto)
+
+    def test_leaf_state_draws_and_their_round_trips(self):
+        """SDTAs with designated leaf states, their dta-dfa splits and the
+        splits merged back: prune against the frozenset-step reference, the
+        structural renaming against the round-based one, and a bare leaf
+        accepted iff the input accepts it."""
+        rng = random.Random(137)
+        seen = collections.Counter()
+        for _ in range(150):
+            a = rand_sdta_leaves(rng)
+            split = sdta_to_dtadfa(a)[0]
+            back = dtadfa_to_sdta(split)[0]
+            for auto in (a, split, back):
+                pruned = prune_reachable(auto)
+                assert pruned == prune_by_step_any(auto)
+                seen["states dropped"] += pruned.states != auto.states
+                for sym in sorted(auto.leaf_symbols):
+                    t = parse_tree(sym, auto.alphabet)
+                    want = accepts(auto, t)
+                    assert accepts(pruned, t) == want
+                    for x in (auto, pruned):
+                        assert bool(recursive_run(x, t)[()] & x.finals) == want
+                    seen["final leaf" if want else "nonfinal leaf"] += 1
+            for auto in (a, back, prune_reachable(a), prune_reachable(back)):
+                got = _normal_or_error(_normal, auto)
+                assert got == _normal_or_error(normal_by_reach, auto)
+                if isinstance(got, str):
+                    seen["unreached"] += 1
+                    continue
+                seen["renamed"] += 1
+                for sym in sorted(auto.leaf_symbols):
+                    t = parse_tree(sym, auto.alphabet)
+                    assert accepts(got, t) == accepts(auto, t)
+            pruned = prune_reachable(a)
+            merged = prune_reachable(dtadfa_to_sdta(sdta_to_dtadfa(pruned)[0])[0])
+            assert sdta_isomorphic(pruned, merged) and sdta_isomorphic(merged, pruned)
+            assert _normal(pruned) == normal_by_reach(merged)
+        assert min(seen.values()) >= 30, seen
 
 
 class TestBottomUpReach:
@@ -339,19 +412,22 @@ class TestSharedStructures:
         again = sdta_to_dtadfa(pickle.loads(pickle.dumps(thm41_canonical)))[0]
         assert all(m.compiled() is not form for m in again.horizontal.values())
 
-    def test_prune_walks_each_structure_once_a_round(self, thm41_split, monkeypatch):
-        calls = []
+    def test_prune_reads_each_shared_position_once(self, thm41_split, monkeypatch):
+        reads = collections.Counter()
 
-        def counting(starts, successors):
-            calls.append(starts)
-            return explore(starts, successors)
+        class Counting(list):
+            def __getitem__(self, p):
+                reads[p] += 1
+                return super().__getitem__(p)
 
-        monkeypatch.setattr(automata, "explore", counting)
+        out = strings._Compiled.out
+        monkeypatch.setattr(strings._Compiled, "out",
+                            property(lambda form: Counting(out.fget(form))))
         pruned = prune_reachable(thm41_split)
         monkeypatch.undo()
-        # the 15 siblings are walked as one machine: the first round finds
-        # every state, the second finds nothing new
-        assert len(calls) == 2
+        # the 15 siblings share one structure, whose positions the forward
+        # pass reads once each
+        assert len(reads) == 226 and set(reads.values()) == {1}
         assert pruned is thm41_split
         assert pruned == prune_by_step_any(thm41_split)
 
@@ -359,7 +435,7 @@ class TestSharedStructures:
         rng = random.Random(89)
         seen = collections.Counter()
         for a in itertools.islice(_equal_machine_sdtas(rng), 250):
-            assert list(reach(a)) == sdta_reach_by_step(a)
+            assert _found_by_namer(a) == sdta_reach_by_step(a)
             b = _renamed_per_symbol(a)
             assert sdta_isomorphic(a, b) and sdta_isomorphic(b, a)
             forms = {len(shared_structures(list(x.moore.values()))) for x in (a, b)}

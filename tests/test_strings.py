@@ -12,7 +12,7 @@ from uta import (DFA, NFA, AlphabetMismatchError, MooreDFA, NTA_DFA, OverlapErro
                  check_semantic_determinism,
                  determinize, dtadfa_to_sdta, gen_lemma34, gen_thm41, marked_union,
                  minimize_dfa, minimize_moore, nta_to_dtadfa, nta_to_sdta, prune_reachable)
-from uta.strings import (SubsetMachine, coarsest_partition, explore, first_overlap,
+from uta.strings import (SubsetMachine, coarsest_partition, explore, first_overlap, reading,
                          shared_structures)
 
 from oracles import delta_step, explore_by_step, marked_union_by_product, successor
@@ -549,6 +549,17 @@ def random_graph(rng):
     return keys, rows
 
 
+def mixed_width_graph(rng):
+    """Keys and rows over up to 30 elements whose rows hold 0, 1 or 3
+    successors: per key one of those lengths or a mix of all three, so the
+    lengths differ within keys and across them.  A row is signed by ``None``,
+    one block id or a tuple of three."""
+    n = rng.randint(1, 30)
+    keys = [rng.choice("abc") for _ in range(n)]
+    widths = {k: rng.choice([(0,), (1,), (3,), (0, 1, 3)]) for k in "abc"}
+    return keys, [[rng.randrange(n) for _ in range(rng.choice(widths[k]))] for k in keys]
+
+
 class TestCoarsestPartition:
     def test_worklist_agrees_with_rounds_on_random_graphs(self):
         rng = random.Random(15)
@@ -560,6 +571,20 @@ class TestCoarsestPartition:
             seen["self-loop"] += any(i in r for i, r in enumerate(rows))
             seen["empty row"] += any(not r for r in rows)
             seen["singleton"] += any(n == 1 for n in collections.Counter(block).values())
+            seen["split"] += len(set(block)) > len(set(keys))
+        assert min(seen.values()) >= 100, seen
+
+    def test_rows_of_zero_one_and_three_entries(self):
+        rng = random.Random(23)
+        seen = collections.Counter()
+        for _ in range(400):
+            keys, rows = mixed_width_graph(rng)
+            block = agrees_with_rounds(keys, rows)
+            lengths = {}
+            for k, row in zip(keys, rows):
+                lengths.setdefault(k, set()).add(len(row))
+            seen["mixed within a key"] += any(len(w) > 1 for w in lengths.values())
+            seen["differ across keys"] += len({frozenset(w) for w in lengths.values()}) > 1
             seen["split"] += len(set(block)) > len(set(keys))
         assert min(seen.values()) >= 100, seen
 
@@ -626,7 +651,7 @@ def _compiled_walk(m, letters):
     """``explore`` over the compiled form from the initial states, with the
     positions turned back into state names."""
     form = m.compiled()
-    order, edges = explore(form.initials, form.reading(letters))
+    order, edges = explore(form.initials, reading(form.columns, letters))
     return [form.states[i] for i in order], edges
 
 
