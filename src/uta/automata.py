@@ -413,22 +413,17 @@ def bottom_up_reach(machines, items, walks=None):
     machine in turn over the items found so far and adds each new item its
     reached states output, until a round finds nothing new.  Yields the
     items in the order first found, the given ones first, each as soon as it
-    is found.  Once exhausted, it leaves in a given dict ``walks`` each
-    machine's ``explore`` result of the last round, which read every item,
-    by index.  It keeps the last walk of each ``read``, and a machine with
-    that ``read`` and equal ``starts`` reuses it while no item was found since.
-    """
+    is found.  Once exhausted, it leaves in a given dict ``walks``, by
+    index, each machine's ``explore`` result of the last round, which read
+    every item."""
     items = list(items)
     yield from items
     found = set(items)
-    last = {}  # read -> (starts, items read, walk)
     grew = True
     while grew:
         grew = False
         for k, (starts, read, outputs) in enumerate(machines):
-            if last.get(read, ())[:2] != (starts, len(items)):
-                last[read] = starts, len(items), explore(starts, read(items))
-            order, edges = last[read][2]
+            order, edges = explore(starts, read(items))
             if walks is not None:
                 walks[k] = order, edges
             for out in outputs(order):

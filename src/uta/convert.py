@@ -14,7 +14,8 @@ from math import prod
 from .automata import (DTA_DFA, SDTA, SizePair, TreeAutomaton, bottom_up_reach,
                        check_semantic_determinism, size)
 from .errors import DeterminismError, KindError, OverlapError
-from .strings import DFA, MooreDFA, determinize, explore, marked_union, subset_name, unique_names
+from .strings import (DFA, MooreDFA, determinize, explore, marked_union, reading, subset_name,
+                      unique_names)
 from .trees import _Record
 
 
@@ -107,11 +108,12 @@ def _subset_moore(a: TreeAutomaton, sym, walk, items, name, alphabet) -> MooreDF
     reading ``items`` in order, each item read as the symbol ``name(item)``,
     and every nonempty set of accepting states output as ``name(set)``."""
     runs, walked = walk
-    rank = dict(zip(items, range(len(items))))
-    rows = [[] for _ in runs]
-    for i, item, j in sorted(walked, key=lambda e: rank[e[1]]):
-        rows[i].append((item, j))
-    order, edges = explore([0], rows.__getitem__)  # the walk renumbered in BFS order
+    by_item = {}
+    for e in walked:
+        by_item.setdefault(e[1], []).append(e)
+    # each (run, successor) pair is made as it is read, so none is kept
+    columns = {item: ((i, j) for i, _, j in es) for item, es in by_item.items()}
+    order, edges = explore([0], reading(columns, items))  # the walk renumbered in BFS order
     hname = [f"h{n}" for n in range(len(order))]
     trans = [(hname[i], name(item), hname[j]) for i, item, j in edges]
     finish = a.horizontal_run(sym)[2]

@@ -13,16 +13,15 @@ Sets of states are stepped by one ``SubsetMachine``, through ``out``:
 horizontal run step it, a run only on the items it has a transition on
 (``automata._horizontal_run``).  ``marked_union`` walks DFAs, one position
 per structure, by column; its walk decides disjointness, and
-``first_overlap``'s pair search, over ``out``, names a witness.  Every
-construction that builds reachable states runs one breadth-first explorer,
-``explore``, but ``first_overlap`` (parent pointers, an early exit) and
-``automata.forward`` (Horn reachability) keep their own worklists.  Every
+``first_overlap`` names a witness by one search over pairs of positions,
+through ``out``, with parent pointers.  Every other construction that
+builds reachable states runs one breadth-first explorer, ``explore``;
+``automata.forward`` (Horn reachability) keeps its own worklist.  Every
 minimizer, here and in ``analysis``, runs one ``coarsest_partition``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections import defaultdict
 from functools import cached_property
 from operator import itemgetter
@@ -459,59 +458,48 @@ def shared_structures(machines) -> list:
     return groups
 
 
-def _pair_search(a, b, first, best):
-    """Breadth-first search over pairs of states of two structures, each
-    given as its compiled ``out``, its initials and per position the members
-    final there (``SubsetMachine.marks``).  The least member pair i < j
-    final at a pair it meets, if it comes before ``best``, becomes the
-    ``best`` (i, j, word); the search ends at ``first``, the least pair it
-    can meet."""
-    out_a, initials_a, final_a = a
-    out_b, initials_b, final_b = b
-    order = [(p, q) for p in initials_a for q in initials_b]
+def first_overlap(machines):
+    """The first pair i < j of ``machines`` whose languages meet, in
+    lexicographic order, as ``(i, j, shortest shared word)``, None if none
+    do; an earlier pair of alphabets that differ raises.
+
+    One breadth-first search over pairs of ``SubsetMachine`` positions,
+    from every pair of initial positions of two structures g, h
+    (``shared_structures``) with ``g[0] < h[-1]``, g's first.  A pair meets
+    the least member pair i < j final at it.  Each ordered pair of
+    structures is a component of its own, searched in its own order, so the
+    least pair met keeps the word of its first meeting; meeting (0, 1) ends
+    the search.
+    """
+    mismatch = next((j for j, m in enumerate(machines) if m.alphabet != machines[0].alphabet), 0)
+    marks = (sub := SubsetMachine(machines)).marks
+    starts = [(g, [base + i for i in form.initials])
+              for g, (base, form) in zip(sub.groups, sub.forms.values())]
+    order = [(p, q) for g, ps in starts for h, qs in starts if g[0] < h[-1] for p in ps for q in qs]
     parent = dict.fromkeys(order)
+    # (0, mismatch) is the first pair of alphabets that differ, if any
+    best = (0, mismatch, None) if mismatch else (len(machines), 0, None)
     for pq in order:
         p, q = pq
-        if final_a[p] and final_b[q]:
-            ij = next(((i, j) for i in final_a[p] for j in final_b[q] if i < j), best[:2])
+        if marks[p] and marks[q]:
+            ij = next(((i, j) for i in marks[p] for j in marks[q] if i < j), best[:2])
             if ij < best[:2]:
                 word, at = [], pq
                 while parent[at] is not None:
                     at, c = parent[at]
                     word.append(c)
                 best = (*ij, tuple(reversed(word)))
-                if ij == first:
-                    return best
-        row_b = out_b[q]
-        for c, ps in out_a[p].items():
-            qs = row_b.get(c, ())
+                if ij == (0, 1):
+                    break
+        out = sub.out  # shifted on first use: a search that ends at a seed shifts no row
+        row = out[q]
+        for c, ps in out[p].items():
+            qs = row.get(c, ())
             for p2 in ps:
                 for q2 in qs:
-                    if (p2, q2) not in parent:
-                        parent[(p2, q2)] = (pq, c)
-                        order.append((p2, q2))
-    return best
-
-
-def first_overlap(machines):
-    """The first pair i < j of ``machines`` whose languages meet, in
-    lexicographic order, as ``(i, j, shortest shared word)``, None if none
-    do; an earlier pair of alphabets that differ raises.  Each structure
-    (``shared_structures``) reads one ``out`` for all its members, and each
-    ordered pair of them is searched once, least possible pair first."""
-    mismatch = next((j for j, m in enumerate(machines) if m.alphabet != machines[0].alphabet), 0)
-    groups = (sub := SubsetMachine(machines)).groups
-    prepared = [(form.out, form.initials, sub.marks[base:base + len(form.states)])
-                for base, form in sub.forms.values()]
-    # (0, mismatch) is the first pair of alphabets that differ, if any
-    best = (0, mismatch, None) if mismatch else (len(machines), 0, None)
-    for x, g in enumerate(groups):
-        if best[0] < g[0]:
-            break
-        for j, y in sorted((h[bisect(h, g[0])], y) for y, h in enumerate(groups) if h[-1] > g[0]):
-            if best[:2] <= (g[0], j):
-                break
-            best = _pair_search(prepared[x], prepared[y], (g[0], j), best)
+                    if (nxt := (p2, q2)) not in parent:
+                        parent[nxt] = pq, c
+                        order.append(nxt)
     if best[2] is None and mismatch:
         raise AlphabetMismatchError(f"alphabets differ: {sorted(machines[0].alphabet)} "
                                     f"vs {sorted(machines[mismatch].alphabet)}")

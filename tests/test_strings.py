@@ -980,3 +980,35 @@ class TestSharedStructureSearch:
             assert first_overlap([d, _copy(d, d.finals)]) == want
             seen["empty" if want is None else "meets"] += 1
         assert min(seen.values()) >= 50, seen
+
+
+class TestOverlapSearchEndsAtTheFirstPair:
+    """Meeting machines 0 and 1 ends the pair search, which is the one early
+    exit it has: theorem 4.1's acceptors of ``a`` all accept the empty word,
+    so they meet at the first seed and no pair is expanded."""
+
+    @pytest.fixture
+    def rows_read(self, monkeypatch):
+        reads, out = [], SubsetMachine.__dict__["out"].func
+
+        class Spy(list):
+            def __getitem__(self, p):
+                reads.append(p)
+                return super().__getitem__(p)
+
+        monkeypatch.setattr(SubsetMachine, "out", property(lambda sub: Spy(out(sub))))
+        return reads
+
+    def test_acceptors_meeting_at_a_seed_expand_no_pair(self, rows_read):
+        a, _ = gen_thm41(4)
+        machines = [m for _, m in a.machines_for("a")]
+        assert len(machines) == 4 and all(m.accepts(()) for m in machines)
+        assert first_overlap(machines) == (0, 1, ())
+        assert rows_read == []
+
+    def test_disjoint_acceptors_are_searched_through(self, rows_read):
+        a, _ = gen_lemma34((2, 3))
+        machines = [m for _, m in a.machines_for("a")]
+        assert len(shared_structures(machines)) > 1
+        assert first_overlap(machines) is None
+        assert rows_read
