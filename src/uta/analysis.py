@@ -1,19 +1,23 @@
 """Equivalence checking and canonicalization of strongly deterministic
 automata; the oracle layer for everything else.
 
-Bounded equivalence is a semi-decision: "equal" means no counterexample
-among the enumerated trees.  It is decided by a bottom-up fixed point over
-pairs of state sets, a product of the two automata's horizontal runs that
-covers every tree of arity within the width bound; trees are enumerated
-only when that product finds a pair the automata disagree on, to report the
-first counterexample in enumeration order.
+Both equivalence checks run one product: a bottom-up fixed point over
+pairs of state sets, the two automata's horizontal runs side by side,
+stepped only on the pairs one side's run has a transition on.  Bounded
+equivalence is a semi-decision: "equal" means no counterexample among the
+enumerated trees.  Its product covers every tree of arity within the width
+bound; trees are enumerated only when that product finds a pair the
+automata disagree on, to report the first counterexample in enumeration
+order.  Canonical equivalence of two SDTAs runs the product with no width:
+it reaches every pair some tree is assigned, so it decides whether the
+canonical forms are equal without building either.
 
-Canonical equivalence compares two canonical forms with ``==``.  The
-canonicalizer finds the states in some accepted tree by one forward and one
-backward pass, quotients by the coarsest stable partition of its vertical
-and horizontal states, refined over the transitions that exist, and names
-the blocks in one walk: the unique minimal SDTA, named by structure alone,
-so language-equal inputs give equal automata and byte-identical documents.
+The canonicalizer finds the states in some accepted tree by one forward and
+one backward pass, quotients by the coarsest stable partition of its
+vertical and horizontal states, refined over the transitions that exist,
+and names the blocks in one walk: the unique minimal SDTA, named by
+structure alone, so language-equal inputs give equal automata and
+byte-identical documents.
 
 Isomorphism is decided in polynomial time by comparing the same structural
 renaming of both automata, which needs every vertical state reachable
@@ -52,7 +56,7 @@ def equiv_bounded(a: TreeAutomaton, b: TreeAutomaton,
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError(
             f"alphabets differ: {sorted(a.alphabet)} vs {sorted(b.alphabet)}")
-    if _agree_within_width(a, b, bounds.max_width):
+    if _agree(a, b, bounds.max_width):
         return EquivalenceVerdict(True, None, "bounded-enumeration")
     memo_a, memo_b = {}, {}
     for t in iter_trees(a.alphabet, bounds):
@@ -62,22 +66,21 @@ def equiv_bounded(a: TreeAutomaton, b: TreeAutomaton,
     return EquivalenceVerdict(True, None, "bounded-enumeration")
 
 
-def _agree_within_width(a: TreeAutomaton, b: TreeAutomaton, width: int) -> bool:
-    """True when a and b agree on every tree of arity <= width, at any
-    depth, and no node of such a tree is assigned two states by a
-    deterministic kind.
+def _agree(a: TreeAutomaton, b: TreeAutomaton, width: int | None = None) -> bool:
+    """True when a and b agree on every tree, of arity <= ``width`` if one
+    is given, at any depth, and no node of such a tree is assigned two
+    states by a deterministic kind.
 
     The pairs (S_a, S_b) of state sets that one tree makes the two automata
     assign are the ``bottom_up_reach`` fixed point of the ``_pair_machine``
-    of each symbol.  Every tree within enumeration bounds is among those
-    trees, so when every reached pair agrees on acceptance and on
-    determinism, the enumeration can find no difference and raise no
-    ``KindError``.  The cost grows with the reached pairs, not with the
-    number of trees, and the fixed point is left at the first pair that
-    disagrees.
+    of each symbol.  When every reached pair agrees on acceptance and on
+    determinism, no tree within the width (so no enumerated tree) tells
+    them apart or raises ``KindError``; with no width this is the
+    product-emptiness test of bottom-up automata (Comon et al., TATA,
+    ch. 1).  The cost grows with the reached pairs, not with the number of
+    trees, and the fixed point is left at the first pair that disagrees.
     """
-    machines = [_pair_machine(a.horizontal_run(sym), b.horizontal_run(sym), width)
-                for sym in sorted(a.alphabet)]
+    machines = [_pair_machine(a._run(sym), b._run(sym), width) for sym in sorted(a.alphabet)]
     single_a = a.kind in DETERMINISTIC_KINDS
     single_b = b.kind in DETERMINISTIC_KINDS
     for s_a, s_b in bottom_up_reach(machines, ()):
@@ -90,26 +93,33 @@ def _agree_within_width(a: TreeAutomaton, b: TreeAutomaton, width: int) -> bool:
 
 def _pair_machine(run_a, run_b, width) -> tuple:
     """The two horizontal runs of one symbol side by side, as a
-    ``(starts, read, outputs)`` machine for ``bottom_up_reach``.  Its state is
-    (run of a, run of b, children read so far); it reads a child's pair of
-    state sets, stops at ``width`` children or once both runs are dead, and
-    outputs the pair of state sets the node is assigned.  Stopping at two
-    dead runs may leave out (∅, ∅), which both automata reject and which,
-    read as a child, leads to nothing but two dead runs."""
-    start_a, step_a, finish_a = run_a
-    start_b, step_b, finish_b = run_b
+    ``(starts, read, outputs)`` machine for ``bottom_up_reach``: its state is
+    (run of a, run of b, children read, counted up to ``width`` or, with no
+    width, up to 1 for ``finish``'s designated-leaf rule).  It reads a pair of
+    state sets, in item order, only if one run has a letter in it, and it
+    outputs the pair the node is assigned, but (∅, ∅): both reject it."""
+    start_a, step_a, finish_a, _, _, _, letters_a = run_a
+    start_b, step_b, finish_b, _, _, _, letters_b = run_b
+    most = 1 if width is None else width
 
-    def read(letters):
+    def read(items):
+        hit = {}  # (letters of a's run, of b's) -> the items that hold one
+
         def successors(state):
             now_a, now_b, k = state
-            if k < width and (now_a is not None or now_b is not None):
-                for c in letters:
-                    yield c, (None if now_a is None else step_a(now_a, c[0]),
-                              None if now_b is None else step_b(now_b, c[1]), k + 1)
+            if k == width:
+                return ()
+            if (got := hit.get(held := (letters_a(now_a), letters_b(now_b)))) is None:
+                got = hit[held] = [c for c in items if not (held[0].isdisjoint(c[0])
+                                                            and held[1].isdisjoint(c[1]))]
+            k = min(k + 1, most)
+            return [(c, (now_a and step_a(now_a, c[0]), now_b and step_b(now_b, c[1]), k))
+                    for c in got]
         return successors
 
     def outputs(states):
-        return [(finish_a(now_a, k == 0), finish_b(now_b, k == 0)) for now_a, now_b, k in states]
+        return [pair for now_a, now_b, k in states
+                if any(pair := (finish_a(now_a, k == 0), finish_b(now_b, k == 0)))]
 
     return [(start_a, start_b, 0)], read, outputs
 
@@ -243,9 +253,16 @@ def _named(a: TreeAutomaton, machines, states, finals) -> TreeAutomaton:
 
 def equiv_canonical(a: TreeAutomaton, b: TreeAutomaton,
                     bounds: EnumerationBounds = DEFAULT_BOUNDS) -> EquivalenceVerdict:
-    """Equality of canonical forms; on mismatch, bounded enumeration supplies
-    a counterexample when one exists within bounds."""
-    if canonical_sdta(a) == canonical_sdta(b):
+    """Equality of canonical forms, decided by one pair product (``_agree``
+    with no width), not by canonicalizing: over one alphabet and one set of
+    leaf states, equal languages have equal canonical forms (Martens &
+    Niehren, JCSS 2007), and other leaf states give other forms.  On "not
+    equal", bounded enumeration supplies a counterexample when one exists
+    within bounds."""
+    for x in (a, b):
+        if x.kind != SDTA:
+            raise KindError(f"expected an SDTA, got {x.kind}")
+    if a.alphabet == b.alphabet and a.leaf_symbols == b.leaf_symbols and _agree(a, b):
         return EquivalenceVerdict(True, None, "canonical-sdta")
     fallback = equiv_bounded(a, b, bounds)
     return EquivalenceVerdict(False, fallback.counterexample, "canonical-sdta")

@@ -142,7 +142,7 @@ class TreeAutomaton:
         return self._run(sym)[:3]
 
     def _run(self, sym):
-        """The run, with its ``read``, table and assigned states; kept for alphabet symbols."""
+        """The run, its ``read``, table, assigned states and letters; kept for alphabet symbols."""
         got = self._runs.get(sym)
         if got is None:
             got = _horizontal_run(self, sym)
@@ -256,7 +256,7 @@ def _evaluate(a: TreeAutomaton, t: Tree, memo: dict, addressed=False) -> frozens
         return _leaf(a, t.label, addressed and ([], t))
     det = a.kind in DETERMINISTIC_KINDS
     stack, node, kids = [], t, iter(t.children)
-    run, _, _, _, table, assigned = runs.get(t.label) or a._run(t.label)
+    run, _, _, _, table, assigned, _ = runs.get(t.label) or a._run(t.label)
     while True:
         for c in kids:
             if c.children:
@@ -264,7 +264,7 @@ def _evaluate(a: TreeAutomaton, t: Tree, memo: dict, addressed=False) -> frozens
                 if got is None:
                     stack.append((node, kids, run, table, assigned))
                     node, kids = c, iter(c.children)
-                    run, _, _, _, table, assigned = runs.get(c.label) or a._run(c.label)
+                    run, _, _, _, table, assigned, _ = runs.get(c.label) or a._run(c.label)
                     break
                 key = got[1]
             else:
@@ -316,7 +316,7 @@ def _kind_error(a: TreeAutomaton, states, sym: str, where) -> KindError:
 
 def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
     """The horizontal run that assigns states to a ``sym`` node, as
-    ``(start, step, finish, read, table, assigned)``.  ``step(run, S)``
+    ``(start, step, finish, read, table, assigned, letters)``.  ``step(run, S)``
     reads the state set S of the next child; the run is None once it is
     dead, and ``step`` is never given a dead run.  ``finish(run, empty)`` is
     the node's state set, where ``empty`` says the node has no children (the
@@ -332,28 +332,31 @@ def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
     cells: every row maps None to None.  There is at most one live cell per
     cell of the transition table of the machine ``convert._subset_moore``
     builds, plus one per run for the empty set.  ``assigned`` keeps what
-    ``finish`` gives each run of a node with children, and ``heads`` the
-    letters its positions have a transition on (their ``out``).  These live
-    as long as the run (in ``TreeAutomaton._runs``, which pickling drops).
-    ``read(items)``, ``strings.explore``'s successors over the child sets
-    ``items``, steps a run through ``step`` only on the items that hold one
-    of its letters, in item order: each step it takes is live.
+    ``finish`` gives each run of a node with children, and ``letters(run)``
+    the letters its positions have a transition on (their ``out``).  These
+    live as long as the run (in ``TreeAutomaton._runs``, which pickling
+    drops), and equal sets among them are one object.  ``read(items)``,
+    ``strings.explore``'s successors over the child sets ``items``, steps a
+    run through ``step`` only on the items that hold one of its letters, in
+    item order: each step it takes is live.
     """
     if sym not in a.alphabet:
         def refuse(run, empty):
             raise UnknownSymbolError(sym)
-        return None, None, refuse, None, {}, {}
+        return None, None, refuse, None, {}, {}, None
     leaf = frozenset([sym]) if sym in a.leaf_symbols else None
     blocks = a._by_symbol.get(sym, ())
     sub = SubsetMachine([m for _, m in blocks], partial(_label, blocks))
-    marks, assigned, table, heads = sub.marks, {None: frozenset()}, {}, {}
+    marks, assigned, table, heads = sub.marks, {None: frozenset()}, {}, {None: frozenset()}
+    keep = {}.setdefault  # one kept object per distinct run, state set or letter set
 
     def step(run, s):
         try:
             return table[s][run]
         except KeyError:
             row = table.get(s) or table.setdefault(s, {None: None})
-            row[run] = got = sub.step(run, s) or None
+            got = sub.step(run, s)
+            row[run] = got = keep(got, got) if got else None
             return got
 
     def finish(run, empty):
@@ -361,21 +364,26 @@ def _horizontal_run(a: TreeAutomaton, sym: str) -> tuple:
             return leaf
         got = assigned.get(run)
         if got is None:
-            got = assigned[run] = frozenset().union(*map(marks.__getitem__, run))
+            got = frozenset().union(*map(marks.__getitem__, run))
+            got = assigned[run] = keep(got, got)
+        return got
+
+    def letters(run):
+        if (got := heads.get(run)) is None:
+            got = frozenset().union(*map(sub.out.__getitem__, run))
+            got = heads[run] = keep(got, got)
         return got
 
     def read(items):
-        out, hit = sub.out.__getitem__, {}  # letters -> the items that hold one
+        hit = {}  # letters -> the items that hold one
 
         def successors(run):
-            if (letters := heads.get(run)) is None:
-                letters = heads[run] = frozenset().union(*map(out, run))
-            if (got := hit.get(letters)) is None:
-                got = hit[letters] = [s for s in items if not letters.isdisjoint(s)]
+            if (got := hit.get(held := letters(run))) is None:
+                got = hit[held] = [s for s in items if not held.isdisjoint(s)]
             return [(s, step(run, s)) for s in got]
         return successors
 
-    return sub.start or None, step, finish, read, table, assigned
+    return sub.start or None, step, finish, read, table, assigned, letters
 
 
 def accepts(a: TreeAutomaton, t: Tree) -> bool:

@@ -12,9 +12,10 @@ Sets of states are stepped by one ``SubsetMachine``, through ``out``:
 ``determinize`` walks it, and NFA acceptance and every tree automaton's
 horizontal run step it, a run only on the items it has a transition on
 (``automata._horizontal_run``).  ``marked_union`` walks DFAs, one position
-per structure, by column; its walk decides disjointness, and
-``first_overlap`` names a witness by one search over pairs of positions,
-through ``out``, with parent pointers.  Every other construction that
+per structure, through ``out`` too, stepping a tuple only on the letters
+some position reads; its walk decides disjointness, and ``first_overlap``
+names a witness by one search over pairs of positions, through ``out``,
+with parent pointers.  Every other construction that
 builds reachable states runs one breadth-first explorer, ``explore``;
 ``automata.forward`` (Horn reachability) keeps its own worklist.  Every
 minimizer, here and in ``analysis``, runs one ``coarsest_partition``.
@@ -269,10 +270,10 @@ class SubsetMachine:
             form, base = machines[g[0]].compiled(), len(self.names)
             self.forms[g[0]] = base, form
             self.names += form.states
-            self.marks += [[] for _ in form.states]
+            self.marks += [()] * len(form.states)
             for k in g:
                 for s in machines[k].finals:
-                    self.marks[base + form.index[s]].append(label(k, s))
+                    self.marks[base + form.index[s]] += (label(k, s),)
         self.start = frozenset([b + i for b, f in self.forms.values() for i in f.initials])
 
     @cached_property
@@ -281,15 +282,6 @@ class SubsetMachine:
         return parts[0][1].out if len(parts) == 1 else [
             {c: [base + j for j in js] for c, js in row.items()}
             for base, form in parts for row in form.out]
-
-    def column(self, c) -> list:
-        """Over DFAs, the successor on ``c`` of each position and of the
-        dead position ``len(names)``, which stands for no successor."""
-        out = [len(self.names)] * (len(self.names) + 1)
-        for base, form in self.forms.values():
-            for i, j in form.columns.get(c, ()):
-                out[base + i] = base + j
-        return out
 
     def step(self, subset, letters) -> frozenset:
         """The positions some member of ``subset`` reaches on some letter."""
@@ -302,16 +294,17 @@ class SubsetMachine:
     def walk(self):
         """``explore`` from the start by single letters in sorted order; dead
         is left out.  Over DFAs a state is a tuple of one position per
-        structure (``len(names)`` if dead); else a frozenset of positions."""
-        letters = sorted(set().union(*(m.alphabet for m in self.machines)))
+        structure (``len(names)`` if dead), stepped only on the letters some
+        position's ``out`` row holds; else a frozenset of positions."""
         if any(m._many for m in self.machines):
+            letters = sorted(set().union(*(m.alphabet for m in self.machines)))
             return explore([self.start],
                            lambda s: [(c, self.step(s, (c,)) or None) for c in letters])
-        dead = (len(self.names),) * len(self.forms)
-        columns = [(c, self.column(c).__getitem__) for c in letters]
+        out, dead = [*self.out, {}], [len(self.names)]  # the dead position reads nothing
         # one initial position per structure, and bases grow in group order
         return explore([tuple(sorted(self.start))], lambda cur: [
-            (c, nxt) for c, at in columns if (nxt := tuple(map(at, cur))) != dead])
+            (c, tuple([out[p].get(c, dead)[0] for p in cur]))
+            for c in sorted(set().union(*map(out.__getitem__, cur)))])
 
 
 def determinize(m) -> DFA:
@@ -391,10 +384,12 @@ def _minimize(machine, block_key, make):
     every symbol, so states that never reach a final merge with it; states
     that are not reachable change no reachable block.  The blocks reachable
     from the initial one are named m0, m1, ... in breadth-first order."""
-    form = machine.compiled()
-    syms = sorted(machine.alphabet)
+    form, syms = machine.compiled(), sorted(machine.alphabet)
     sink = len(form.states)
-    rows = [*zip(*map(SubsetMachine([machine]).column, syms))] or [()] * (sink + 1)
+    rows = [[sink] * len(syms) for _ in range(sink + 1)]
+    for x, c in enumerate(syms):
+        for i, j in form.columns.get(c, ()):
+            rows[i][x] = j
     block = coarsest_partition([*map(block_key, form.states), block_key(None)], rows)
     start, dead = block[form.index[machine.initial]], block[sink]
     if start == dead:

@@ -21,7 +21,10 @@ before it trimmed useless states first: every row dense, a missing
 transition read as a sink element.  It prunes by ``prune_by_step_any`` and
 names by ``normal_by_reach``, the structural renaming as it was when a
 round-based ``reach_by_rounds`` found the letters, so it shares no code
-with the canonicalizer's forward pass and namer.
+with the canonicalizer's forward pass and namer.  ``walk_by_column`` is
+``SubsetMachine.walk`` as it was before a DFA walk stepped a tuple only on
+the letters its positions read: every letter of the alphabet through a dense
+column, the dead tuple dropped after it was built.
 """
 
 from __future__ import annotations
@@ -37,6 +40,26 @@ from uta.docs import (ALPHABET, FINALS, HORIZONTAL, INITIAL, KIND, LEAFSTATES, M
 from uta.errors import DocumentError
 from uta.strings import (SubsetMachine, coarsest_partition, explore, shared_structures,
                          subset_name, unique_names)
+
+
+def walk_by_column(sub):
+    """``explore`` of ``sub`` from its start by every letter in sorted order,
+    dead left out: a DFA walk steps a tuple of one position per structure
+    through each letter's dense column, as ``SubsetMachine.column`` built
+    it; an NFA walk steps a frozenset by ``step``."""
+    letters = sorted(set().union(*(m.alphabet for m in sub.machines)))
+    if any(m._many for m in sub.machines):
+        return explore([sub.start], lambda s: [(c, sub.step(s, (c,)) or None) for c in letters])
+    dead = (len(sub.names),) * len(sub.forms)
+    columns = []
+    for c in letters:  # the successor on c of each position, and of the dead one
+        column = [len(sub.names)] * (len(sub.names) + 1)
+        for base, form in sub.forms.values():
+            for i, j in form.columns.get(c, ()):
+                column[base + i] = base + j
+        columns.append((c, column.__getitem__))
+    return explore([tuple(sorted(sub.start))], lambda cur: [
+        (c, nxt) for c, at in columns if (nxt := tuple(map(at, cur))) != dead])
 
 
 def explore_by_step(start, step, letters):

@@ -572,6 +572,74 @@ class TestEquivCanonical:
         assert checked >= 6
 
 
+SDTA_MAKERS = (rand_sdta, rand_sdta_leaves, lambda rng: dtadfa_to_sdta(rand_dtadfa(rng))[0],
+               lambda rng: nta_to_sdta(rand_nta(rng))[0],
+               lambda rng: nta_to_sdta(rand_dta_nfa(rng))[0])
+
+
+def _product_pair(rng):
+    """An SDTA of any maker and a partner: renamed or inflated (the same
+    language), one final toggled, a designated leaf state or a vertical
+    one (most often another language), a redirected transition, or a fresh
+    draw of any maker."""
+    a = rng.choice(SDTA_MAKERS)(rng)
+    how = rng.randrange(5)
+    if how == 0 or (how == 1 and not a.states):
+        return a, rename_sdta(rng, a)
+    if how == 1:
+        return a, rename_sdta(rng, inflate_sdta(rng, a))
+    if how == 2:
+        return a, _with(a, finals=a.finals ^ {rng.choice(sorted(a.states | a.leaf_symbols))})
+    if how == 3 and (b := _redirected(rng, a)) is not None:
+        return a, b
+    return a, rng.choice(SDTA_MAKERS)(rng)
+
+
+class TestPairProduct:
+    """``equiv_canonical`` decides "equal" by one pair product of the two
+    SDTAs, with no canonicalization; equal canonical forms stay the
+    reference."""
+
+    def test_verdicts_are_those_of_canonical_forms(self):
+        rng = random.Random(167)  # a generator of its own: no other seeded draw moves
+        seen = collections.Counter()
+        while seen["pairs"] < 480:
+            a, b = _product_pair(rng)
+            if a.alphabet != b.alphabet:
+                continue
+            v = equiv_canonical(a, b, EnumerationBounds(2, 2, 50))
+            assert v.equal == (canonical_sdta(a) == canonical_sdta(b)), seen["pairs"]
+            assert v.counterexample is None or accepts(a, v.counterexample) != accepts(
+                b, v.counterexample)
+            seen["pairs"] += 1
+            seen["equal" if v.equal else "not equal"] += 1
+            seen["final leaf"] += bool(a.finals & a.leaf_symbols)
+        assert min(seen["equal"], seen["not equal"]) >= 100 and seen["final leaf"] >= 50, seen
+
+    def test_a_non_sdta_raises_as_canonicalization_did(self):
+        base = gen_lemma34((2, 3))[0]
+        sdta = dtadfa_to_sdta(base)[0]
+        with pytest.raises(KindError, match=r"^expected an SDTA, got dta-dfa$"):
+            equiv_canonical(base, sdta)
+        with pytest.raises(KindError, match=r"^expected an SDTA, got nta-dfa$"):
+            equiv_canonical(sdta, gen_thm41(2)[0])
+
+    def test_alphabets_that_differ_raise(self):
+        a = TreeAutomaton(SDTA, "a", [], ["a"], moore={}, leaf_symbols="a")
+        b = TreeAutomaton(SDTA, "ab", [], ["a"], moore={}, leaf_symbols="a")
+        with pytest.raises(AlphabetMismatchError):
+            equiv_canonical(a, b)
+
+    def test_leaf_conventions_that_differ_are_not_equal(self):
+        # both accept the bare leaf a alone: one by a machine, one by its leaf state
+        once = MooreDFA(["h0"], ["q"], "h0", ["h0"], [], {"h0": "q"})
+        by_machine = TreeAutomaton(SDTA, "a", ["q"], ["q"], moore={"a": once})
+        by_leaf = TreeAutomaton(SDTA, "a", [], ["a"], moore={}, leaf_symbols="a")
+        assert equiv_bounded(by_machine, by_leaf, BOUNDS).equal
+        assert equiv_canonical(by_machine, by_leaf, BOUNDS) == EquivalenceVerdict(
+            False, None, "canonical-sdta")
+
+
 class TestPruneInteraction:
     def test_canonical_starts_from_pruned(self):
         rng = random.Random(37)

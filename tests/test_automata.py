@@ -798,7 +798,7 @@ def _count_calls(a, sym):
     tally their calls in the counter returned; its ``read`` and table stay
     the same."""
     calls = collections.Counter()
-    start, step, finish, read, table, assigned = a._run(sym)
+    start, step, finish, *rest = a._run(sym)
 
     def counted(name, f):
         def call(*args):
@@ -806,7 +806,7 @@ def _count_calls(a, sym):
             return f(*args)
         return call
 
-    a._runs[sym] = start, counted("step", step), counted("finish", finish), read, table, assigned
+    a._runs[sym] = start, counted("step", step), counted("finish", finish), *rest
     return calls
 
 
@@ -933,7 +933,7 @@ def _step_table(a, sym):
     (run, child set) -> next run; the dead run's cells are left out.  The
     rows keyed by leaf label are read apart (``_label_rows``); every row
     must map the dead run to itself."""
-    _, step, _, _, table, _ = a._run(sym)
+    _, step, _, _, table, *_ = a._run(sym)
     (cell,) = [c.cell_contents for c in step.__closure__ if type(c.cell_contents) is dict]
     assert cell is table
     assert all(type(row) is dict and row[None] is None for row in table.values())

@@ -283,7 +283,7 @@ def _count_steps(a, seen):
     """Makes every kept run of ``a`` tally in ``seen["steps"]`` its ``step``
     calls, those its ``read`` takes included; the tables start empty."""
     for sym in convert._symbols_with_machines(a):
-        start, step, finish, read, table, assigned = a._run(sym)
+        start, step, finish, read, *rest = a._run(sym)
 
         def counted(run, s, step=step):
             seen["steps"] += 1
@@ -292,7 +292,7 @@ def _count_steps(a, seen):
         (cell,) = [c for name, c in zip(read.__code__.co_freevars, read.__closure__)
                    if name == "step"]
         cell.cell_contents = counted
-        a._runs[sym] = start, counted, finish, read, table, assigned
+        a._runs[sym] = start, counted, finish, read, *rest
 
 
 class TestOneWalkPerSubsetMachine:

@@ -12,10 +12,12 @@ from uta import (DFA, NFA, AlphabetMismatchError, MooreDFA, NTA_DFA, OverlapErro
                  check_semantic_determinism,
                  determinize, dtadfa_to_sdta, gen_lemma34, gen_thm41, marked_union,
                  minimize_dfa, minimize_moore, nta_to_dtadfa, nta_to_sdta, prune_reachable)
+from uta.docs import render_automaton
 from uta.strings import (SubsetMachine, coarsest_partition, explore, first_overlap, reading,
                          shared_structures)
 
-from oracles import delta_step, explore_by_step, marked_union_by_product, successor
+from oracles import (delta_step, explore_by_step, marked_union_by_product, successor,
+                     walk_by_column)
 from randgen import canonical_form, rand_dta_nfa, rand_dtadfa, rand_nta, rand_sdta
 
 
@@ -856,6 +858,66 @@ class TestWalkOverStructures:
         assert all(len(SubsetMachine(p).groups) == 1 for p in families[1:8])
         assert len(families) >= 58
         assert all(len(SubsetMachine(p).groups) == 3 for p in families[8:])
+
+
+class TestLiveLetterWalk:
+    """A DFA walk steps a tuple only on the letters its positions read; the
+    walk through every letter's dense column (``walk_by_column``) is the
+    reference for its states and edges in order, for the marked unions and
+    SDTAs built on it, and for the pair and word an ``OverlapError`` names."""
+
+    @staticmethod
+    def _by_both_walks(monkeypatch, f, *args) -> list:
+        """What ``f(*args)`` gives, rendered, by the library's walk and then
+        by the column walk; an ``OverlapError`` as its pair and word."""
+        got = []
+        for walk in (SubsetMachine.walk, walk_by_column):
+            with monkeypatch.context() as patch:
+                patch.setattr(SubsetMachine, "walk", walk)
+                try:
+                    out = f(*args)
+                except OverlapError as err:
+                    got.append((err.indices, err.witness))
+                    continue
+            got.append(render_automaton(out.map_outputs(str) if isinstance(out, MooreDFA)
+                                        else out[0]))
+        return got
+
+    def _dtadfas(self):
+        rng = random.Random(151)
+        yield from (rand_dtadfa(rng) for _ in range(150))
+        yield from (gen_lemma34(k)[0] for k in ((2, 3), (2, 3, 5), (2, 3, 5, 7), (3, 4, 5, 7)))
+        yield from (nta_to_dtadfa(gen_thm41(n)[0])[0] for n in (2, 3, 4))
+
+    def test_marked_unions_and_sdtas_render_as_by_the_column_walk(self, monkeypatch):
+        seen = collections.Counter()
+        for a in self._dtadfas():
+            new, old = self._by_both_walks(monkeypatch, dtadfa_to_sdta, a)
+            assert new == old
+            for sym in sorted(a.alphabet):
+                if parts := [m for _, m in a.machines_for(sym)]:
+                    assert SubsetMachine(parts).walk() == walk_by_column(SubsetMachine(parts))
+                    new, old = self._by_both_walks(monkeypatch, marked_union, parts)
+                    assert new == old
+                    seen["unions"] += 1
+                    seen["several structures"] += len(shared_structures(parts)) > 1
+        assert seen["unions"] >= 200 and seen["several structures"] >= 50, seen
+
+    def test_overlaps_keep_their_pair_and_word(self, monkeypatch):
+        rng = random.Random(157)
+        families = list(_overlapping_families())
+        for _ in range(200):  # disjoint copies, half of them with one copy twice
+            parts = _disjoint_parts(rng)
+            if rng.random() < 0.5:
+                parts.insert(rng.randint(0, len(parts)), rng.choice(parts))
+            families.append(parts)
+        seen = collections.Counter()
+        for parts in families:
+            assert SubsetMachine(parts).walk() == walk_by_column(SubsetMachine(parts))
+            new, old = self._by_both_walks(monkeypatch, marked_union, parts)
+            assert new == old
+            seen["overlap" if type(new) is tuple else "disjoint"] += 1
+        assert min(seen.values()) >= 60, seen
 
 
 class TestGeneratedNamesDoNotClash:
