@@ -23,7 +23,7 @@ from functools import cache
 
 from .automata import (DFA_KINDS, DTA_DFA, DTA_NFA, KINDS, SDTA, TreeAutomaton, _from_blocks,
                        check_semantic_determinism)
-from .errors import DocumentError, TreeSyntaxError, UnknownSymbolError
+from .errors import DocumentError, KindError, TreeSyntaxError, UnknownSymbolError
 from .strings import DFA, NFA, MooreDFA, shared_structures
 from .trees import SYMBOL_RE, VARIABLE, parse_context, parse_tree, render_tree
 
@@ -240,7 +240,7 @@ def parse_automaton(text: str):
 
     try:
         auto = _from_blocks(kind, alphabet, states, got[FINALS], leaf, blocks)
-    except Exception as e:
+    except KindError as e:
         raise DocumentError(str(e)) from None
     if kind in (DTA_NFA, DTA_DFA):
         det = check_semantic_determinism(auto)

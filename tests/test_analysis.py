@@ -728,6 +728,11 @@ class TestSdtaIsomorphic:
         assert verdicts.count(True) >= 200
         assert verdicts.count(False) >= 20
 
+    def test_kind_checked(self, lemma34_sdta):
+        with pytest.raises(KindError) as err:
+            sdta_isomorphic(gen_lemma34((2, 3))[0], lemma34_sdta)
+        assert str(err.value) == "isomorphism is defined for SDTAs"
+
     def test_unreachable_vertical_state_is_named(self):
         h = frozenset({"q0", "q1"})
         stranded = TreeAutomaton(

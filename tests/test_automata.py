@@ -451,6 +451,9 @@ def test_kind_validated_not_inferred():
     }
     with pytest.raises(KindError):
         TreeAutomaton(DTA_DFA, ["a"], ["q1", "q2"], ["q1"], horizontal=machines)
+    with pytest.raises(KindError) as err:
+        TreeAutomaton("bogus", ["a"], ["q1", "q2"], ["q1"], horizontal=machines)
+    assert str(err.value) == "unknown kind 'bogus'"
 
 
 class TestLeafConvention:

@@ -209,7 +209,8 @@ class TestDocumentValidation:
         ("outputs: h0=q\noutputs: h1=q\n", 12, "duplicate field 'outputs'"),
         ("outputs: h0=q h1=q h1=p\n", 11, "state 'h1' has two outputs"),
         ("outputs: h0=q h1=q\nfinals: h0\n", 12, "duplicate field 'finals'"),
-    ], ids=["outputs-twice", "state-output-twice", "finals-twice"])
+        ("outputs: hq\n", 11, "output entry 'hq' needs 'state=value'"),
+    ], ids=["outputs-twice", "state-output-twice", "finals-twice", "output-without-value"])
     def test_machine_block_lines_not_dropped(self, tmp_path, capsys, block, line, message):
         # the first two used to parse, keeping the last of the repeated values
         text = ("kind: sdta\nalphabet: a\nstates: p q\nfinals: q\nhorizontal a:\n"
@@ -371,6 +372,11 @@ horizontal q2 f:
   trans: i u c
   trans: i v b|c
 """
+
+
+# an nta-nfa document's head and one block body, for the document errors below
+_HEAD = "kind: nta-nfa\nalphabet: a b\nstates: q\nleafstates: b\nfinals: q\n"
+_RUN = "  states: h0 h1\n  initial: h0\n  finals: h1\n  trans: h0 b h1\n"
 
 
 class TestCli:
@@ -638,6 +644,46 @@ class TestCli:
             0, "equal (bounded-enumeration)\n")
         assert self.run_cli(capsys, "equiv", *paths, "--width", "1")[:2] == (
             1, "not equal: counterexample a(a)\n")
+
+    @pytest.mark.parametrize("doc, message", [
+        ("kind: nta-nfa\nalphabet: a b\nstates: q\nfinals: q\nleafstates: z\n",
+         "leaf convention declared for symbols outside the alphabet"),
+        ("kind: nta-nfa\nalphabet: a b\nstates: q\nfinals: p\n",
+         "finals must be declared states"),
+        (f"{_HEAD}horizontal r a:\n{_RUN}", "machine keyed by undeclared state 'r'"),
+        (f"{_HEAD}horizontal q:\n{_RUN}",
+         "a nta-nfa block header reads 'horizontal <state> <symbol>:' (line 6)"),
+        (f"{_HEAD}horizontal q a:\n{_RUN}horizontal q a:\n{_RUN}",
+         "duplicate block 'q a:' (line 11)"),
+    ])
+    def test_document_errors_exit_two_with_one_line(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "bad.uta"
+        path.write_text(doc)
+        assert self.run_cli(capsys, "size", str(path)) == (2, "", f"error: {message}\n")
+
+    def test_commands_on_the_wrong_kind(self, tmp_path, capsys):
+        family, sdta = tmp_path / "family.uta", tmp_path / "s.uta"
+        self.run_cli(capsys, "witness", "lemma34", "--k", "2,3", "--out", str(family))
+        self.run_cli(capsys, "convert", str(family), "--to", "sdta", "--out", str(sdta))
+        assert self.run_cli(capsys, "convert", str(sdta), "--to", "sdta") == (
+            2, "", "error: input is already strongly deterministic\n")
+        code, _, err = self.run_cli(capsys, "convert", str(sdta), "--to", "dtadfa",
+                                    "--out", str(tmp_path / "d.uta"))
+        assert code == 0
+        assert err.splitlines()[:4] == ["conversion: sdta-to-dtadfa", "input-size: [2; 12]",
+                                        "output-size: [2; 24]", "bound: [2; 24]"]
+        assert self.run_cli(capsys, "canon", str(family)) == (
+            2, "", "error: canon applies to strongly deterministic automata only\n")
+
+    def test_marked_union_needs_a_part(self, capsys):
+        assert self.run_cli(capsys, "witness", "marked-union", "--m", "0") == (
+            2, "", "error: --m must be at least 1\n")
+
+    def test_certify_vertical_through_theorem_41(self, tmp_path, capsys):
+        fv = tmp_path / "fv.txt"
+        fv.write_text("kind: fooling-vertical\ntree: a(b,b)\ntree: a(b,b,b)\nsep 0 1: x\n")
+        assert self.run_cli(capsys, "certify", "vertical", "thm41:2", "--fooling-set", str(fv)) == (
+            0, "certified lower bound: 1\n", "")
 
 
 # argv lists for every command: help, a missing or an unknown argument, a bad

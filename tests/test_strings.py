@@ -372,6 +372,33 @@ class TestOverlapSearch:
         assert min(outcomes.values()) >= 20, outcomes
 
 
+class TestConstructorErrors:
+    @pytest.mark.parametrize("initials, transitions, message", [
+        (set(), [], "initial state set must be non-empty"),
+        ({"t"}, [], "initials/finals must be declared states"),
+        ({"s"}, [("s", "a", "t")], "transition (s,a,t) uses undeclared state"),
+        ({"s"}, [("s", "b", "s")], "transition (s,b,s) uses undeclared symbol"),
+        ({"s"}, [("s", "b", "t")], "transition (s,b,t) uses undeclared state"),
+    ])
+    def test_nfa(self, initials, transitions, message):
+        with pytest.raises(ValueError) as err:
+            NFA({"s"}, {"a"}, initials, set(), transitions)
+        assert str(err.value) == message
+
+    def test_dfa_undeclared_symbol(self):
+        with pytest.raises(ValueError) as err:
+            DFA({"s"}, {"a"}, "s", set(), [("s", "b", "s")])
+        assert str(err.value) == "transition (s,b,s) uses undeclared symbol"
+
+    def test_marked_union(self):
+        with pytest.raises(ValueError) as err:
+            marked_union([])
+        assert str(err.value) == "marked_union needs at least one part"
+        with pytest.raises(AlphabetMismatchError) as err:
+            marked_union([residue_dfa(2, 0), DFA({"s"}, {"a", "b"}, "s", {"s"}, [])])
+        assert str(err.value) == "part 2 has a different alphabet"
+
+
 class TestMarkedUnion:
     def test_mod3_gap_against_plain_union(self):
         parts = [residue_dfa(3, i) for i in (1, 2, 0)]
