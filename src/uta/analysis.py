@@ -1,9 +1,10 @@
 """Equivalence checking and canonicalization of strongly deterministic
 automata; the oracle layer for everything else.
 
-Both equivalence checks run one product: a bottom-up fixed point over
-pairs of state sets, the two automata's horizontal runs side by side,
-stepped only on the pairs one side's run has a transition on.  Bounded
+Both equivalence checks run one product: a worklist over pair states, the
+two automata's horizontal runs side by side, that finds the pairs of state
+sets one tree makes them assign.  Each pair state steps once on each found
+pair one of its runs has a transition on, and on no other.  Bounded
 equivalence is a semi-decision: "equal" means no counterexample among the
 enumerated trees.  Its product covers every tree of arity within the width
 bound; trees are enumerated only when that product finds a pair the
@@ -46,8 +47,8 @@ def equiv_bounded(a: TreeAutomaton, b: TreeAutomaton,
                   bounds: EnumerationBounds = DEFAULT_BOUNDS) -> EquivalenceVerdict:
     """Compare acceptance over every enumerated tree within bounds.
 
-    "Equal" is decided first by ``_agree_within_width``, which enumerates
-    nothing.  Only when it cannot vouch for the pair are the trees
+    "Equal" is decided first by ``_agree`` within the width bound, which
+    enumerates nothing.  Only when it cannot vouch for the pair are the trees
     enumerated, by ``iter_trees`` order, and evaluated until the first one
     the automata disagree on; the verdict, the counterexample and any
     ``KindError`` are then exactly those of the enumeration.  The enumerated
@@ -71,57 +72,67 @@ def _agree(a: TreeAutomaton, b: TreeAutomaton, width: int | None = None) -> bool
     is given, at any depth, and no node of such a tree is assigned two
     states by a deterministic kind.
 
-    The pairs (S_a, S_b) of state sets that one tree makes the two automata
-    assign are the ``bottom_up_reach`` fixed point of the ``_pair_machine``
-    of each symbol.  When every reached pair agrees on acceptance and on
-    determinism, no tree within the width (so no enumerated tree) tells
-    them apart or raises ``KindError``; with no width this is the
-    product-emptiness test of bottom-up automata (Comon et al., TATA,
-    ch. 1).  The cost grows with the reached pairs, not with the number of
-    trees, and the fixed point is left at the first pair that disagrees.
+    One first-in first-out worklist, in the style of ``automata.forward``,
+    over pair states: a symbol, the runs of a and b, and the children read,
+    counted up to ``width`` or, with no width, up to 1 for ``finish``'s
+    designated-leaf rule.  A popped pair state outputs the pair (S_a, S_b)
+    of state sets its node is assigned, but (∅, ∅): both reject it.  A pair
+    is checked for acceptance and determinism when first found, and then
+    wakes the pair states parked under letters it holds, which step on it.
+    Unless it has read ``width`` children, the popped state then parks under
+    the letters of its two runs (``letters``; the two sets are one key) and
+    steps on every pair found so far that holds one of them.  So each pair
+    state steps once on each pair that holds one of its letters, and on no
+    other.  When every found pair agrees, no tree within the width (so no
+    enumerated tree) tells them apart or raises ``KindError``; with no
+    width this is the product-emptiness test of bottom-up automata (Comon
+    et al., TATA, ch. 1).  The cost grows with the reached pairs, not with the number of
+    trees, and the search is left at the first pair that disagrees.
     """
-    machines = [_pair_machine(a._run(sym), b._run(sym), width) for sym in sorted(a.alphabet)]
-    single_a = a.kind in DETERMINISTIC_KINDS
-    single_b = b.kind in DETERMINISTIC_KINDS
-    for s_a, s_b in bottom_up_reach(machines, ()):
-        if bool(s_a & a.finals) != bool(s_b & b.finals):
-            return False
-        if (single_a and len(s_a) > 1) or (single_b and len(s_b) > 1):
-            return False
-    return True
-
-
-def _pair_machine(run_a, run_b, width) -> tuple:
-    """The two horizontal runs of one symbol side by side, as a
-    ``(starts, read, outputs)`` machine for ``bottom_up_reach``: its state is
-    (run of a, run of b, children read, counted up to ``width`` or, with no
-    width, up to 1 for ``finish``'s designated-leaf rule).  It reads a pair of
-    state sets, in item order, only if one run has a letter in it, and it
-    outputs the pair the node is assigned, but (∅, ∅): both reject it."""
-    start_a, step_a, finish_a, _, _, _, letters_a = run_a
-    start_b, step_b, finish_b, _, _, _, letters_b = run_b
+    runs, order = [], []
+    for n, sym in enumerate(sorted(a.alphabet)):
+        start_a, step_a, finish_a, *_, letters_a = a._run(sym)
+        start_b, step_b, finish_b, *_, letters_b = b._run(sym)
+        runs.append((step_a, step_b, finish_a, finish_b, letters_a, letters_b))
+        order.append((n, start_a, start_b, 0))
+    single_a, single_b = a.kind in DETERMINISTIC_KINDS, b.kind in DETERMINISTIC_KINDS
     most = 1 if width is None else width
+    seen, found = set(order), {}  # found: the pairs, in the order found
+    parked = {}  # letters of a's run, of b's -> (pair states parked, found pairs that hold one)
 
-    def read(items):
-        hit = {}  # (letters of a's run, of b's) -> the items that hold one
+    def advance(state, pairs):
+        n, now_a, now_b, k = state
+        step_a, step_b = runs[n][:2]
+        k = min(k + 1, most)
+        for s_a, s_b in pairs:
+            nxt = (n, now_a and step_a(now_a, s_a), now_b and step_b(now_b, s_b), k)
+            if (nxt[1] or nxt[2]) and nxt not in seen:  # two dead runs assign nothing
+                seen.add(nxt)
+                order.append(nxt)
 
-        def successors(state):
-            now_a, now_b, k = state
-            if k == width:
-                return ()
-            if (got := hit.get(held := (letters_a(now_a), letters_b(now_b)))) is None:
-                got = hit[held] = [c for c in items if not (held[0].isdisjoint(c[0])
-                                                            and held[1].isdisjoint(c[1]))]
-            k = min(k + 1, most)
-            return [(c, (now_a and step_a(now_a, c[0]), now_b and step_b(now_b, c[1]), k))
-                    for c in got]
-        return successors
-
-    def outputs(states):
-        return [pair for now_a, now_b, k in states
-                if any(pair := (finish_a(now_a, k == 0), finish_b(now_b, k == 0)))]
-
-    return [(start_a, start_b, 0)], read, outputs
+    for state in order:
+        n, now_a, now_b, k = state
+        _, _, finish_a, finish_b, letters_a, letters_b = runs[n]
+        pair = s_a, s_b = finish_a(now_a, k == 0), finish_b(now_b, k == 0)
+        if (s_a or s_b) and pair not in found:
+            if bool(s_a & a.finals) != bool(s_b & b.finals):
+                return False
+            if (single_a and len(s_a) > 1) or (single_b and len(s_b) > 1):
+                return False
+            found[pair] = None
+            for (held_a, held_b), (states, hit) in parked.items():
+                if not (held_a.isdisjoint(s_a) and held_b.isdisjoint(s_b)):
+                    hit.append(pair)
+                    for x in states:
+                        advance(x, [pair])
+        if k != width:
+            held_a, held_b = held = letters_a(now_a), letters_b(now_b)
+            if (got := parked.get(held)) is None:
+                got = parked[held] = [], [c for c in found if not (held_a.isdisjoint(c[0])
+                                                                   and held_b.isdisjoint(c[1]))]
+            got[0].append(state)
+            advance(state, got[1])
+    return True
 
 
 def canonical_sdta(a: TreeAutomaton) -> TreeAutomaton:

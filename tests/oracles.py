@@ -24,7 +24,10 @@ round-based ``reach_by_rounds`` found the letters, so it shares no code
 with the canonicalizer's forward pass and namer.  ``walk_by_column`` is
 ``SubsetMachine.walk`` as it was before a DFA walk stepped a tuple only on
 the letters its positions read: every letter of the alphabet through a dense
-column, the dead tuple dropped after it was built.
+column, the dead tuple dropped after it was built.  ``agree_by_rounds`` is
+``analysis._agree`` as it was before one worklist stepped each pair state on
+each found pair once: rounds of ``bottom_up_reach`` over one pair machine
+per symbol (``pair_reach_by_rounds``), each explored from its start again.
 """
 
 from __future__ import annotations
@@ -571,3 +574,58 @@ def normal_by_reach(a: TreeAutomaton) -> TreeAutomaton:
     return TreeAutomaton(SDTA, a.alphabet, [label[q] for q in a.states],
                          [label[q] for q in a.finals], moore=moore,
                          leaf_symbols=a.leaf_symbols)
+
+
+def pair_reach_by_rounds(a: TreeAutomaton, b: TreeAutomaton, width=None, walks=None):
+    """The pairs (S_a, S_b) of state sets that one tree of arity <= ``width``
+    (any, with no width) makes a and b assign, but (∅, ∅), as
+    ``analysis._agree`` found them before one worklist replaced its rounds:
+    the ``bottom_up_reach`` fixed point of one pair machine per symbol, in
+    sorted order, explored from its start in every round.  Its state is (run
+    of a, run of b, children read, counted up to ``width`` or, with no
+    width, up to 1 for ``finish``'s designated-leaf rule); it reads a pair,
+    in the order found, only if one run has a letter in it.  Once exhausted,
+    it leaves each machine's last walk, which read every pair, in a given
+    dict ``walks`` by symbol, as (pair states, (i, pair, j) edges)."""
+    most = 1 if width is None else width
+
+    def machine(sym):
+        start_a, step_a, finish_a, _, _, _, letters_a = a._run(sym)
+        start_b, step_b, finish_b, _, _, _, letters_b = b._run(sym)
+
+        def read(items):
+            def successors(state):
+                now_a, now_b, k = state
+                if k == width:
+                    return ()
+                held_a, held_b = letters_a(now_a), letters_b(now_b)
+                return [(c, (now_a and step_a(now_a, c[0]), now_b and step_b(now_b, c[1]),
+                             min(k + 1, most)))
+                        for c in items if not (held_a.isdisjoint(c[0]) and held_b.isdisjoint(c[1]))]
+            return successors
+
+        def outputs(states):
+            return [pair for now_a, now_b, k in states
+                    if any(pair := (finish_a(now_a, k == 0), finish_b(now_b, k == 0)))]
+
+        return [(start_a, start_b, 0)], read, outputs
+
+    syms = sorted(a.alphabet)
+    shared = {}
+    yield from bottom_up_reach([machine(sym) for sym in syms], (), shared)
+    if walks is not None:
+        walks.update((sym, shared[k]) for k, sym in enumerate(syms))
+
+
+def agree_by_rounds(a: TreeAutomaton, b: TreeAutomaton, width=None) -> bool:
+    """``analysis._agree`` as it was, over ``pair_reach_by_rounds``: False at
+    the first pair found that differs on acceptance or that a deterministic
+    kind assigns two states."""
+    single_a = a.kind in DETERMINISTIC_KINDS
+    single_b = b.kind in DETERMINISTIC_KINDS
+    for s_a, s_b in pair_reach_by_rounds(a, b, width):
+        if bool(s_a & a.finals) != bool(s_b & b.finals):
+            return False
+        if (single_a and len(s_a) > 1) or (single_b and len(s_b) > 1):
+            return False
+    return True

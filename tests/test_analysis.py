@@ -6,18 +6,19 @@ from itertools import permutations
 import pytest
 
 import uta.analysis
-from uta import (DTA_NFA, NFA, NTA_NFA, SDTA, AlphabetMismatchError, KindError,
+from uta import (DTA_DFA, DTA_NFA, NFA, NTA_NFA, SDTA, AlphabetMismatchError, KindError,
                  MooreDFA, TreeAutomaton, UtaError, accepts, canonical_sdta,
                  dtadfa_to_sdta, equiv_bounded, equiv_canonical, gen_lemma34,
                  gen_thm41, minimize_moore, nta_to_dtadfa, nta_to_sdta, parse_tree,
                  prune_reachable, sdta_isomorphic, sdta_to_dtadfa, size, subset_name)
 from uta import EnumerationBounds, EquivalenceVerdict, iter_trees
+from uta.analysis import _agree
 from uta.automata import _evaluate, bottom_up_reach
 from uta.cli import cli_main
 from uta.docs import render_automaton
 from uta.trees import DEFAULT_BOUNDS
 
-from oracles import canonical_sdta_dense, stepwise
+from oracles import agree_by_rounds, canonical_sdta_dense, pair_reach_by_rounds, stepwise
 from randgen import (canonical_form, inflate_sdta, rand_dta_nfa, rand_dtadfa, rand_nta,
                      rand_sdta, rand_sdta_leaves, rename_sdta)
 
@@ -638,6 +639,113 @@ class TestPairProduct:
         assert equiv_bounded(by_machine, by_leaf, BOUNDS).equal
         assert equiv_canonical(by_machine, by_leaf, BOUNDS) == EquivalenceVerdict(
             False, None, "canonical-sdta")
+
+
+# the last is ``_mislabelled`` NTAs, which the conversions treat as the NTAs they are
+PAIR_FAMILIES = (rand_sdta, rand_sdta_leaves, *FAMILIES[1:])
+
+
+def _conversion(rng, a):
+    """One conversion of ``a``, drawn by rng among those its kind takes."""
+    if a.kind == SDTA:
+        return sdta_to_dtadfa(a)[0]
+    if a.kind == DTA_DFA:
+        return rng.choice((dtadfa_to_sdta, nta_to_sdta))(a)[0]
+    return rng.choice((nta_to_sdta, nta_to_dtadfa))(a)[0]
+
+
+def _worklist_pair(rng, i):
+    """Pair ``i`` over one alphabet: a drawn automaton against one of its
+    conversions, against another family's draw, or against that draw's
+    conversion (its own conversion if ten draws of that family miss its
+    alphabet); each family and partner in turn, and either side first."""
+    a = PAIR_FAMILIES[i % len(PAIR_FAMILIES)](rng)
+    b, how = a, (i // len(PAIR_FAMILIES)) % 3
+    if how:
+        k = (i // (3 * len(PAIR_FAMILIES))) % len(PAIR_FAMILIES)
+        b = next((x for x in (PAIR_FAMILIES[k](rng) for _ in range(10))
+                  if x.alphabet == a.alphabet), a)
+    if how != 1 or b is a:
+        b = _conversion(rng, b)
+    return (a, b) if i % 2 else (b, a)
+
+
+def _as_nta(a):
+    """``a``, declared nta-nfa if it is declared dta-nfa: then no node's two
+    states are a fault."""
+    return a if a.kind != DTA_NFA else TreeAutomaton(
+        NTA_NFA, a.alphabet, a.states, a.finals, horizontal=a.horizontal,
+        leaf_symbols=a.leaf_symbols)
+
+
+def _counted_steps(x, side, log):
+    """Makes every run of ``x`` count its steps in ``log``, by (symbol,
+    side, run, child set)."""
+    for sym in sorted(x.alphabet):
+        start, step, *rest = x._run(sym)
+
+        def counted(run, s, step=step, sym=sym):
+            log[sym, side, run, s] += 1
+            return step(run, s)
+        x._runs[sym] = (start, counted, *rest)
+
+
+class TestPairWorklist:
+    """``_agree`` steps each pair state once on each found pair that holds
+    a letter of one of its runs; ``oracles.agree_by_rounds`` re-explores
+    every pair machine from its start in rounds until nothing new is
+    found."""
+
+    def test_verdicts_are_those_of_the_rounds(self):
+        rng = random.Random(173)
+        seen = collections.Counter()
+        for i in range(420):
+            a, b = _worklist_pair(rng, i)
+            for width in (0, 1, 2, 3, None):
+                got = _agree(a, b, width)
+                assert got == agree_by_rounds(a, b, width), (i, width)
+                seen[width, got] += 1
+            seen["two states"] += _agree(a, b) != _agree(_as_nta(a), _as_nta(b))
+            seen["leaf states"] += bool(a.leaf_symbols)
+        assert min(seen[w, v] for w in (0, 1, 2, 3, None) for v in (True, False)) >= 50, seen
+        assert seen["two states"] >= 5 and seen["leaf states"] >= 50, seen
+
+    @pytest.mark.parametrize("make", [
+        lambda: (gen_lemma34((2, 3))[0], dtadfa_to_sdta(gen_lemma34((2, 3))[0])[0], 5),
+        lambda: (gen_thm41(2)[0], nta_to_dtadfa(gen_thm41(2)[0])[0], 5),
+        lambda: (lambda c: (c, rename_sdta(random.Random(43), c), None))(
+            canonical_sdta(nta_to_sdta(gen_thm41(4)[0])[0])),
+    ], ids=["lemma34(2,3) sdta", "thm41(2) dtadfa", "thm41(4) canon renamed"])
+    def test_named_pairs_step_each_pair_state_on_each_pair_once(self, make):
+        a, b, width = make()
+        assert self._steps(a, b, width)
+
+    def test_random_pairs_step_each_pair_state_on_each_pair_at_most_once(self):
+        rng = random.Random(179)
+        verdicts = [self._steps(*_worklist_pair(rng, i), rng.choice((1, 2, 3, None)))
+                    for i in range(30)]
+        assert 5 <= verdicts.count(True) <= 25
+
+    @staticmethod
+    def _steps(a, b, width):
+        """The verdict of ``_agree``, once its runs' steps are checked
+        against the edges of the rounds' last walks, each a pair state
+        stepping on a pair: at most as many of each, and as many when the
+        search is not left early."""
+        walks, want, got = {}, collections.Counter(), collections.Counter()
+        for _ in pair_reach_by_rounds(a, b, width, walks):
+            pass
+        for sym, (order, edges) in walks.items():
+            for i, (s_a, s_b), _ in edges:
+                now_a, now_b, _ = order[i]
+                want.update([(sym, "a", now_a, s_a)] * bool(now_a)
+                            + [(sym, "b", now_b, s_b)] * bool(now_b))
+        _counted_steps(a, "a", got)
+        _counted_steps(b, "b", got)
+        verdict = _agree(a, b, width)
+        assert not got - want, got - want
+        assert got == want or not verdict
+        return verdict
 
 
 class TestPruneInteraction:
