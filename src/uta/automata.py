@@ -240,7 +240,9 @@ def _evaluate(a: TreeAutomaton, t: Tree, memo: dict, addressed=False) -> frozens
     A frame is a node, an iterator over its children (each read once) and
     the node's run, step table and assigned states.  Each child moves the
     run by one cell, ``table[key][run]``, keyed by child set or leaf label:
-    its state set, from ``memo`` or a frame of its own, or its label.  Dead
+    its state set, from ``memo`` or a frame of its own, or its label.  A
+    leaf child is one ``table[label][run]`` read in a branch of its own, so
+    ``key`` is set only for an internal child or a missing cell.  Dead
     runs are cells, and ``_cell`` fills a missing one.  No fault is cached
     (``_cell`` keys a label's row only once ``_leaf`` has checked its
     states, ``TreeAutomaton._run`` keeps no unknown symbol's run), so a
@@ -259,7 +261,13 @@ def _evaluate(a: TreeAutomaton, t: Tree, memo: dict, addressed=False) -> frozens
     run, _, _, _, table, assigned, _ = runs.get(t.label) or a._run(t.label)
     while True:
         for c in kids:
-            if c.children:
+            if not c.children:
+                try:
+                    run = table[c.label][run]
+                    continue
+                except KeyError:
+                    key = c.label
+            else:
                 got = memo.get(id(c))
                 if got is None:
                     stack.append((node, kids, run, table, assigned))
@@ -267,8 +275,6 @@ def _evaluate(a: TreeAutomaton, t: Tree, memo: dict, addressed=False) -> frozens
                     run, _, _, _, table, assigned, _ = runs.get(c.label) or a._run(c.label)
                     break
                 key = got[1]
-            else:
-                key = c.label
             try:
                 run = table[key][run]
             except KeyError:

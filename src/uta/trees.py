@@ -125,10 +125,13 @@ class Context:
     """A tree over the alphabet plus one variable leaf ``x``.
 
     Exactly one leaf carries the variable; the variable never labels an
-    internal node.  Both conditions are enforced at construction.
+    internal node.  Both conditions are enforced at construction.  The first
+    ``substitute`` keeps the path to the variable, as (parent, child index)
+    pairs from the variable up to the root, for every later one; equality,
+    hash, pickling and messages go by the skeleton alone.
     """
 
-    __slots__ = ("skeleton",)
+    __slots__ = ("skeleton", "_path")
 
     def __init__(self, skeleton: Tree):
         holes = _count_variable(skeleton)
@@ -137,12 +140,16 @@ class Context:
                 f"context must contain exactly one {VARIABLE!r} leaf, found {holes}", 0
             )
         self.skeleton = skeleton
+        self._path = None
 
     def __eq__(self, other):
         return isinstance(other, Context) and self.skeleton == other.skeleton
 
     def __hash__(self):
         return hash(("context", self.skeleton))
+
+    def __reduce__(self):
+        return Context, (self.skeleton,)
 
     def __str__(self):
         return render_tree(self.skeleton)
@@ -164,15 +171,23 @@ def _count_variable(t: Tree) -> int:
 
 
 def substitute(c: Context, t: Tree) -> Tree:
-    """Replace the unique variable leaf of ``c`` with ``t``.  One explicit-stack
-    search maps nodes to parents; the path to the variable is rebuilt from it."""
-    up, stack = {}, [c.skeleton]
-    while (s := stack.pop()).label != VARIABLE:
-        for i, ch in enumerate(s.children):
-            up[id(ch)] = s, i
-            stack.append(ch)
-    while s is not c.skeleton:
-        s, i = up[id(s)]
+    """Replace the unique variable leaf of ``c`` with ``t``, rebuilding the
+    path from the variable to the root.  The first call on ``c`` finds that
+    path by one explicit-stack search that maps nodes to parents, and keeps
+    it on ``c``."""
+    path = c._path
+    if path is None:
+        up, stack = {}, [c.skeleton]
+        while (s := stack.pop()).label != VARIABLE:
+            for i, ch in enumerate(s.children):
+                up[id(ch)] = s, i
+                stack.append(ch)
+        path = []
+        while s is not c.skeleton:
+            s, i = up[id(s)]
+            path.append((s, i))
+        c._path = path
+    for s, i in path:
         t = Tree(s.label, s.children[:i] + (t,) + s.children[i + 1:])
     return t
 

@@ -17,15 +17,18 @@ Both run one pair loop, ``_certify``; a direction only says how a member is
 plugged into a separator and which separators a search tries.  Separators
 may be supplied explicitly or discovered by bounded search; a failed search
 is reported as unknown, never as a refutation.  A supplied separator is
-usually shared by many pairs, so the loop decides the predicate once per
-(member, separator object).
+usually shared by many pairs, so the loop makes one pass per separator
+object, deciding the predicate once per member it is supplied for; the
+search enumerates its candidates once per certification.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Callable
-from itertools import accumulate, chain, combinations
+from copy import copy
+from itertools import accumulate, chain, combinations, tee
 
 from .automata import DTA_DFA, NTA_DFA, TreeAutomaton
 from .errors import DocumentError, SeparationError, TreeSyntaxError, UtaError
@@ -79,12 +82,8 @@ def _chain_split(t: Tree):
     while len(node.children) == 1 and node.children[0].label == "a":
         node = node.children[0]
         depth += 1
-    labels = []
-    for c in node.children:
-        if c.children or c.label == "a":
-            return None
-        labels.append(c.label)
-    return depth, labels
+    labels = [c.label for c in node.children if not c.children and c.label != "a"]
+    return (depth, labels) if len(labels) == len(node.children) else None
 
 
 def _moduli(k) -> tuple:
@@ -280,7 +279,7 @@ def certify_vertical_bound(pred: LangPredicate, fs: FoolingSetVertical) -> int:
     if not fs.trees:
         raise UtaError("a vertical fooling set needs at least one tree")
     return _certify(pred, fs.trees, fs.separators, lambda t, ctx: substitute(ctx, t),
-                    lambda: _candidate_contexts(pred.alphabet), "trees")
+                    _candidate_contexts(pred.alphabet), "trees")
 
 
 def certify_horizontal_bound(pred: LangPredicate, fs: FoolingSetHorizontal) -> int:
@@ -297,10 +296,8 @@ def certify_horizontal_bound(pred: LangPredicate, fs: FoolingSetHorizontal) -> i
         ctx, padding = sep
         return substitute(ctx, Tree(fs.symbol, tuple(tup) + tuple(padding)))
 
-    def candidates():
-        return ((ctx, padding) for ctx in _candidate_contexts(pred.alphabet)
-                for padding in paddings)
-
+    candidates = ((ctx, padding) for ctx in _candidate_contexts(pred.alphabet)
+                  for padding in paddings)
     return _certify(pred, fs.tuples, fs.separators, plug, candidates, "tuples")
 
 
@@ -321,32 +318,43 @@ def _check_keys(separators, n: int, lines=None):
 
 def _certify(pred, members, separators, plug, candidates, noun) -> int:
     """The one pair loop of both certifiers: members i < j are separated by
-    ``separators[(i, j)]`` when supplied, else by some separator of the
-    fresh iterable ``candidates()``; ``pred(plug(member, sep))`` tells the
-    two apart.  Supplied separators are shared by many pairs, so the side of
-    each (member index, separator object) is decided once; searched
-    candidates are not memoized.  Returns len(members) - 1."""
-    _check_keys(separators, len(members))
-    sides = {}  # (k, id(sep)) -> (sep, side); holding sep keeps its id unique
+    ``separators[(i, j)]`` when supplied, else by some separator of the lazy
+    iterable ``candidates``; ``pred(plug(member, sep))`` tells the two apart.
 
-    def side(k, sep):
-        got = sides.get((k, id(sep)))
-        if got is None:
-            got = sides[k, id(sep)] = sep, pred(plug(members[k], sep))
-        return got[1]
-
-    for i, j in combinations(range(len(members)), 2):
-        sep = separators.get((i, j))
-        if sep is not None:
-            if side(i, sep) == side(j, sep):
-                raise SeparationError(f"context {_shown(sep)} does not separate "
-                                      f"{noun} {i} and {j}", (i, j))
-        elif all(pred(plug(members[i], c)) == pred(plug(members[j], c))
-                 for c in candidates()):
-            raise SeparationError(
-                f"no separator found for {noun} {i} and {j} within search "
-                f"bounds; separation unknown", (i, j), unknown=True)
-    return len(members) - 1
+    One pass groups the supplied pairs by separator object; each separator
+    then decides the side of each member it is supplied for once, and its
+    pairs compare sides by lookup.  The unsupplied pairs are searched in
+    (i, j) order up to the least failing supplied pair, each reading the
+    candidates, enumerated once, from the start.  The least failing pair in
+    (i, j) order is raised.  Returns len(members) - 1."""
+    n = len(members)
+    _check_keys(separators, n)
+    groups = defaultdict(list)  # id(sep) -> its pairs; ``separators`` keeps each id unique
+    for key, sep in separators.items():
+        groups[id(sep)].append(key)
+    failing = []
+    for keys in groups.values():
+        sep = separators[keys[0]]
+        side = {k: pred(plug(members[k], sep)) for k in sorted(set(chain.from_iterable(keys)))}
+        failing += [key for key in keys if side[key[0]] == side[key[1]]]
+    least = min(failing, default=None)
+    if len(separators) < n * (n - 1) // 2:
+        shared = tee(candidates, 1)[0]
+        for pair in combinations(range(n), 2):
+            if pair == least:
+                break
+            if pair in separators:
+                continue
+            i, j = pair
+            if all(pred(plug(members[i], c)) == pred(plug(members[j], c))
+                   for c in copy(shared)):
+                raise SeparationError(
+                    f"no separator found for {noun} {i} and {j} within search "
+                    f"bounds; separation unknown", pair, unknown=True)
+    if least is not None:
+        raise SeparationError(f"context {_shown(separators[least])} does not separate "
+                              f"{noun} {least[0]} and {least[1]}", least)
+    return n - 1
 
 
 def _shown(sep) -> str:

@@ -28,6 +28,13 @@ column, the dead tuple dropped after it was built.  ``agree_by_rounds`` is
 ``analysis._agree`` as it was before one worklist stepped each pair state on
 each found pair once: rounds of ``bottom_up_reach`` over one pair machine
 per symbol (``pair_reach_by_rounds``), each explored from its start again.
+
+``certify_vertical_by_pair`` and ``certify_horizontal_by_pair`` are the
+certifiers as they were before one pass per separator: one loop over the
+pairs in (i, j) order, a side memoized per (member, separator object) and
+decided when a pair first needs it, each searched pair enumerating its own
+candidates, and ``substitute_by_parent_map`` for every plug: ``substitute``
+as it was before a context kept the path to its variable.
 """
 
 from __future__ import annotations
@@ -35,14 +42,17 @@ from __future__ import annotations
 from uta import (DFA, KINDS, NFA, SDTA, KindError, MooreDFA, TreeAutomaton, UnknownSymbolError,
                  UtaError)
 from functools import partial
+from itertools import combinations
 
 from uta.automata import DETERMINISTIC_KINDS, DFA_KINDS, _label, bottom_up_reach
 from uta.convert import _assignable_subsets, _symbols_with_machines
 from uta.docs import (ALPHABET, FINALS, HORIZONTAL, INITIAL, KIND, LEAFSTATES, MACHINES, OUTPUTS,
                       STATES, TRANS, _check_token, _check_tree_alphabet)
-from uta.errors import DocumentError
+from uta.errors import DocumentError, SeparationError
 from uta.strings import (SubsetMachine, coarsest_partition, explore, shared_structures,
                          subset_name, unique_names)
+from uta.trees import VARIABLE, Tree, leaf
+from uta.witnesses import _candidate_contexts, _check_keys, _shown
 
 
 def walk_by_column(sub):
@@ -629,3 +639,69 @@ def agree_by_rounds(a: TreeAutomaton, b: TreeAutomaton, width=None) -> bool:
         if (single_a and len(s_a) > 1) or (single_b and len(s_b) > 1):
             return False
     return True
+
+
+def substitute_by_parent_map(c, t):
+    """``trees.substitute`` as one explicit-stack search that maps nodes to
+    parents, on every call; the path to the variable is rebuilt from it."""
+    up, stack = {}, [c.skeleton]
+    while (s := stack.pop()).label != VARIABLE:
+        for i, ch in enumerate(s.children):
+            up[id(ch)] = s, i
+            stack.append(ch)
+    while s is not c.skeleton:
+        s, i = up[id(s)]
+        t = Tree(s.label, s.children[:i] + (t,) + s.children[i + 1:])
+    return t
+
+
+def certify_vertical_by_pair(pred, fs) -> int:
+    if not fs.trees:
+        raise UtaError("a vertical fooling set needs at least one tree")
+    return _certify_by_pair(pred, fs.trees, fs.separators,
+                            lambda t, ctx: substitute_by_parent_map(ctx, t),
+                            lambda: _candidate_contexts(pred.alphabet), "trees")
+
+
+def certify_horizontal_by_pair(pred, fs) -> int:
+    if not fs.tuples:
+        raise UtaError("a horizontal fooling set needs at least one tuple")
+    leaves = [leaf(s) for s in sorted(pred.alphabet)]
+    paddings = [(), *((l,) for l in leaves), *((l1, l2) for l1 in leaves for l2 in leaves)]
+
+    def plug(tup, sep):
+        ctx, padding = sep
+        return substitute_by_parent_map(ctx, Tree(fs.symbol, tuple(tup) + tuple(padding)))
+
+    def candidates():
+        return ((ctx, padding) for ctx in _candidate_contexts(pred.alphabet)
+                for padding in paddings)
+
+    return _certify_by_pair(pred, fs.tuples, fs.separators, plug, candidates, "tuples")
+
+
+def _certify_by_pair(pred, members, separators, plug, candidates, noun) -> int:
+    """Members i < j are separated by ``separators[(i, j)]`` when supplied,
+    else by some separator of the fresh iterable ``candidates()``; the first
+    failing pair in (i, j) order is raised."""
+    _check_keys(separators, len(members))
+    sides = {}  # (k, id(sep)) -> (sep, side); holding sep keeps its id unique
+
+    def side(k, sep):
+        got = sides.get((k, id(sep)))
+        if got is None:
+            got = sides[k, id(sep)] = sep, pred(plug(members[k], sep))
+        return got[1]
+
+    for i, j in combinations(range(len(members)), 2):
+        sep = separators.get((i, j))
+        if sep is not None:
+            if side(i, sep) == side(j, sep):
+                raise SeparationError(f"context {_shown(sep)} does not separate "
+                                      f"{noun} {i} and {j}", (i, j))
+        elif all(pred(plug(members[i], c)) == pred(plug(members[j], c))
+                 for c in candidates()):
+            raise SeparationError(
+                f"no separator found for {noun} {i} and {j} within search "
+                f"bounds; separation unknown", (i, j), unknown=True)
+    return len(members) - 1

@@ -1,3 +1,4 @@
+import pickle
 from functools import lru_cache
 
 import pytest
@@ -8,6 +9,8 @@ from uta import trees
 from uta import (Context, EnumerationBounds, Tree, TreeSyntaxError, UnknownSymbolError,
                  iter_trees, leaf, nest, node, parse_context, parse_tree, render_tree,
                  substitute, word_node)
+
+from oracles import substitute_by_parent_map
 
 ABCD = frozenset("abcd")
 
@@ -278,6 +281,51 @@ def test_substitute_into_a_deep_context():
     ctx = parse_context("a(" * deep + "b,x,c" + ")" * deep, ABCD)
     got = substitute(ctx, parse_tree("d(b)", ABCD))
     assert render_tree(got) == "a(" * deep + "b,d(b),c" + ")" * deep
+
+
+def _enumerated_contexts():
+    """Every context among the first 2 000 trees over {a, b, x} at depth <= 3
+    and width <= 3."""
+    found = []
+    for t in iter_trees("abx", EnumerationBounds(3, 3, 2000)):
+        try:
+            found.append(Context(t))
+        except TreeSyntaxError:
+            continue
+    return found
+
+
+def _variable_places(t):
+    """Where the variable sits among its siblings: first, middle or last."""
+    for s in _walk(t):
+        for i, c in enumerate(s.children):
+            if c.label == "x" and len(s.children) > 1:
+                yield "first" if i == 0 else "last" if i == len(s.children) - 1 else "middle"
+
+
+def test_kept_path_substitutes_as_the_parent_map():
+    contexts = _enumerated_contexts()
+    places = {p for c in contexts for p in _variable_places(c.skeleton)}
+    assert places == {"first", "middle", "last"}
+    plugs = [leaf("b"), node("a", leaf("b"), node("a", leaf("a")))]
+    for c in contexts:
+        fresh = Context(c.skeleton)
+        for plug in plugs:
+            want = substitute_by_parent_map(c, plug)
+            assert substitute(c, plug) == want  # the first call keeps the path
+            assert substitute(c, plug) == want  # and the second reads it
+            assert substitute(fresh, plug) == want
+
+
+def test_kept_path_is_not_part_of_the_value():
+    c = parse_context("a(b,a(x,b),b)", ABCD)
+    before = pickle.dumps(c)
+    first = substitute(c, leaf("d"))
+    assert pickle.dumps(c) == before
+    back = pickle.loads(pickle.dumps(c))
+    assert back == c and hash(back) == hash(c) and repr(back) == repr(c)
+    assert substitute(back, leaf("d")) == first == substitute(c, leaf("d"))
+    assert substitute(back, leaf("c")) == substitute_by_parent_map(c, leaf("c"))
 
 
 def test_size_measures_hold_on_a_deep_chain():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -13,9 +14,10 @@ from uta import (Context, SeparationError, SizePair, UtaError, accepts,
 from uta import DocumentError, FoolingSetHorizontal, FoolingSetVertical, LangPredicate
 from uta import EnumerationBounds, Tree, iter_trees
 from uta.docs import parse_fooling_set, render_fooling_horizontal
+from uta import witnesses
 from uta.witnesses import _check_keys
 
-from oracles import check_keys_by_loop
+from oracles import check_keys_by_loop, certify_horizontal_by_pair, certify_vertical_by_pair
 
 
 def enum(alphabet, depth=4, width=4, count=600):
@@ -336,3 +338,190 @@ class TestOneSidePerSeparator:
         with pytest.raises(SeparationError) as err:
             certify_horizontal_bound(flat, fs)
         assert err.value.pair == (0, 1) and err.value.unknown
+
+
+class TestSharedSearchCandidates:
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        calls = [0]
+        real = witnesses.iter_trees
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(witnesses, "iter_trees", counted)
+        return calls
+
+    def test_one_enumeration_per_certification(self, enumerations):
+        _, pred = gen_lemma34((2, 3, 5))
+        stripped = FoolingSetVertical(lemma34_vertical_fooling((2, 3, 5)).trees)
+        for certifications in (1, 2):
+            assert certify_vertical_bound(pred, stripped) == 3
+            assert enumerations[0] == certifications
+        fs = lemma34_horizontal_fooling((2, 3))
+        for key in ((0, 1), (1, 2), (2, 5)):
+            del fs.separators[key]
+        assert certify_horizontal_bound(pred, fs) == 5
+        assert enumerations[0] == 3
+
+    def test_no_enumeration_when_every_pair_is_supplied(self, enumerations):
+        _, pred = gen_lemma34((2, 3))
+        assert certify_horizontal_bound(pred, lemma34_horizontal_fooling((2, 3))) == 5
+        assert enumerations[0] == 0
+
+
+# --- the one pass per separator against the per-pair loop -------------------
+
+def _stratified(fs, rng, size=24):
+    """A bench-style subset of a horizontal set: one tuple per stratum."""
+    n = len(fs.tuples)
+    idx = [rng.randrange(j * n // size, (j + 1) * n // size) for j in range(size)]
+    seps = {(i, j): fs.separators[idx[i], idx[j]] for i, j in combinations(range(size), 2)}
+    return FoolingSetHorizontal([fs.tuples[i] for i in idx], fs.symbol, seps)
+
+
+def _shuffled_vertical(fs, rng):
+    """Some members of a vertical set in a random order, one of them
+    perhaps twice (a pair no context separates, left to the search)."""
+    idx = rng.sample(range(len(fs.trees)), rng.randint(2, len(fs.trees)))
+    if rng.random() < 0.25:
+        idx.insert(rng.randrange(len(idx) + 1), rng.choice(idx))
+    seps = {(i, j): fs.separators[min(idx[i], idx[j]), max(idx[i], idx[j])]
+            for i, j in combinations(range(len(idx)), 2) if idx[i] != idx[j]}
+    return FoolingSetVertical([fs.trees[i] for i in idx], seps)
+
+
+class _Family:
+    """Fooling sets of one kind with their oracle and automaton, and the
+    forms a differential case takes."""
+
+    def __init__(self, k, vertical):
+        self.auto, self.oracle = gen_lemma34(k)
+        self.vertical = vertical
+        if vertical:
+            self.certify, self.reference = certify_vertical_bound, certify_vertical_by_pair
+            self.fresh = Context(Tree("x"))
+        else:
+            self.certify, self.reference = certify_horizontal_bound, certify_horizontal_by_pair
+            self.fresh = (Context(Tree("x")), ())
+
+    def members(self, fs):
+        return fs.trees if self.vertical else fs.tuples
+
+    def rebuilt(self, fs, seps):
+        if self.vertical:
+            return FoolingSetVertical(fs.trees, seps)
+        return FoolingSetHorizontal(fs.tuples, fs.symbol, seps)
+
+    def separates(self, fs, key, sep):
+        members = [self.members(fs)[k] for k in key]
+        two = (FoolingSetVertical(members, {(0, 1): sep}) if self.vertical
+               else FoolingSetHorizontal(members, fs.symbol, {(0, 1): sep}))
+        try:
+            return self.reference(self.oracle, two) == 1
+        except SeparationError:
+            return False
+
+    def swapped(self, fs, rng):
+        """One separator traded, on all its pairs, for one that does not
+        separate one of them, which takes the first one's pairs in turn."""
+        seps = dict(fs.separators)
+        key = rng.choice(list(seps))
+        s = seps[key]
+        others = list({id(v): v for v in seps.values() if v is not s}.values()) + [self.fresh]
+        rng.shuffle(others)
+        t = next((v for v in others if not self.separates(fs, key, v)), others[0])
+        return self.rebuilt(fs, {k: t if v is s else s if v is t else v for k, v in seps.items()})
+
+    def dropped(self, fs, rng):
+        """Some separators left out, so the search runs on their pairs.  A
+        horizontal pair is left to the search only where its separator is
+        among the first few candidates, so the search ends soon."""
+        seps = dict(fs.separators)
+        if self.vertical:
+            gone = [k for k in seps if rng.random() < 0.4]
+        else:
+            cheap = [k for k, (ctx, pad) in seps.items() if ctx.skeleton.depth() <= 2 and len(pad) <= 2]
+            gone = rng.sample(cheap, min(len(cheap), rng.randint(1, 4)))
+        for k in gone:
+            del seps[k]
+        return self.rebuilt(fs, seps)
+
+    def out_of_range(self, fs, rng):
+        n = len(self.members(fs))
+        i = rng.randrange(n)
+        key = rng.choice([(i, n + rng.randrange(3)), (-1, i), (i, i), (i + 1, i)])
+        seps = dict(fs.separators)
+        seps[key] = next(iter(seps.values()), self.fresh)
+        return self.rebuilt(fs, seps)
+
+    def forms(self, fs, rng):
+        swapped = self.swapped(fs, rng) if fs.separators else fs
+        return {"as built": fs, "swapped": swapped, "dropped": self.dropped(fs, rng),
+                "swapped and dropped": self.dropped(swapped, rng),
+                "out-of-range key": self.out_of_range(fs, rng)}
+
+
+_VERTICAL_MODULI = ((2, 3), (2, 5), (2, 3, 5), (3, 4, 5), (2, 3, 5, 7), (3, 4, 5, 7))
+
+# (moduli, fooling sets, vertical?) by family, drawn from a seeded rng: 304 sets
+_FAMILIES = {
+    "lemma 3.4 (2,3,5,7) subsets": lambda rng: [((2, 3, 5, 7), [
+        _stratified(lemma34_horizontal_fooling((2, 3, 5, 7)), rng) for _ in range(100)], False)],
+    "lemma 3.4 (3,4,5,7) subsets": lambda rng: [((3, 4, 5, 7), [
+        _stratified(lemma34_horizontal_fooling((3, 4, 5, 7)), rng) for _ in range(100)], False)],
+    # each full set five times, each time in forms drawn apart
+    "lemma 3.4 (2,3) and (2,3,5) full sets": lambda rng: [
+        (k, [lemma34_horizontal_fooling(k)] * 5, False) for k in ((2, 3), (2, 3, 5))],
+    "lemma 3.4 vertical sets": lambda rng: [
+        (k, [_shuffled_vertical(lemma34_vertical_fooling(k), rng) for _ in range(17)], True)
+        for k in _VERTICAL_MODULI],
+}
+
+
+def _outcome(certify, pred, fs):
+    try:
+        return certify(pred, fs)
+    except UtaError as err:
+        return type(err), str(err), getattr(err, "pair", None), getattr(err, "unknown", None)
+
+
+def _sides(seps, stop=None):
+    """The (member, separator object) sides of the supplied pairs the
+    per-pair loop reaches before it raises at ``stop``, a (pair, unknown
+    flag); of every supplied pair if ``stop`` is None."""
+    reached = [key for key in seps
+               if stop is None or key < stop[0] or (key == stop[0] and not stop[1])]
+    return len({(k, id(seps[key])) for key in reached for k in key})
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_one_pass_per_separator_agrees_with_the_per_pair_loop(family):
+    """Each set in five forms, through the oracle and through the automaton:
+    the same bound, or the same error, message, pair and unknown flag, as
+    the per-pair loop; and exactly the predicate calls of the per-pair loop
+    once every supplied (member, separator object) side is decided once
+    (the search makes the same calls in both)."""
+    rng = random.Random(family)
+    families = _FAMILIES[family](rng)
+    compared = 0
+    for k, sets, vertical in families:
+        fam = _Family(k, vertical)
+        by_automaton = LangPredicate(fam.auto.alphabet, lambda t: accepts(fam.auto, t), "automaton")
+        for fs in sets:
+            for form, given in fam.forms(fs, rng).items():
+                for base in (fam.oracle, by_automaton):
+                    pred, calls = _counting(base)
+                    ref_pred, ref_calls = _counting(base)
+                    got = _outcome(fam.certify, pred, given)
+                    want = _outcome(fam.reference, ref_pred, given)
+                    assert got == want, (family, form)
+                    if type(want) is tuple and want[0] is not SeparationError:
+                        assert calls[0] == ref_calls[0] == 0  # a bad key, refused first
+                        continue
+                    stop = (want[2], want[3]) if type(want) is tuple else None
+                    search = ref_calls[0] - _sides(given.separators, stop)
+                    assert calls[0] == _sides(given.separators) + search, (family, form)
+                    compared += 1
+    assert compared == 2 * 4 * sum(len(sets) for _, sets, _ in families)
